@@ -175,14 +175,15 @@ def amplitude_set(pulse: Pulse, species: Species, p) -> AmplitudeSet:
 
 def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
                        cumulative: bool = False) -> dict:
-    """Vectorized phi = 0 channel amplitudes on a flat list of (pz, pperp)
-    momenta.
+    """Vectorized phi = 0 channel amplitudes on an array of (pz, pperp)
+    momenta: 1-D independent points, or 2-D lines whose saddles are
+    continued along axis 0 (see ``saddle_batch``).
 
     The full amplitude at azimuth phi is the returned profile times
     exp(i m_l phi); the saddle set and the action do not depend on phi.
-    Returns {(j2, m2, ms2): array}, shape (n,) or (n, 2N+2) when
-    ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
-    analysis).
+    Returns {(j2, m2, ms2): array}, shape pz.shape or pz.shape + (2N+2,)
+    when ``cumulative`` (partial sums over saddles sorted by Re t, for
+    build-up analysis).
 
     Uses the fixed +i kappa normalization with no explicit sign, which is
     algebraically identical to the alternating-sign times alternating-branch
@@ -199,8 +200,8 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         inv_norm = 1.0 / (1j * kappa)
         y_by_ml = {
             0: Y10_COEF * batch.vz * inv_norm,
-            1: -Y11_COEF * pperp[:, None] * inv_norm,
-            -1: Y11_COEF * pperp[:, None] * inv_norm,
+            1: -Y11_COEF * pperp[..., None] * inv_norm,
+            -1: Y11_COEF * pperp[..., None] * inv_norm,
         }
         scale = -((2.0 * pi) ** 1.5) * species.b_au
         for jj2, m2, ms2 in CHANNELS:
@@ -209,6 +210,6 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
             ml = (m2 - ms2) // 2
             cg = clebsch_gordan(1, ml, 0.5, ms2 / 2, j2 / 2, m2 / 2)
             terms = core * y_by_ml[ml]
-            summed = np.cumsum(terms, axis=1) if cumulative else terms.sum(axis=1)
+            summed = np.cumsum(terms, axis=-1) if cumulative else terms.sum(axis=-1)
             out[(j2, m2, ms2)] = scale * cg * summed
     return out

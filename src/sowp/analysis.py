@@ -17,9 +17,9 @@ import numpy as np
 
 from sowp import units
 from sowp.amplitude import amplitude_profiles, STATES
-from sowp.densmat import (DensityMatrix, MomentumGrid, _assemble, _flat_nodes,
+from sowp.densmat import (DensityMatrix, MomentumGrid, _assemble, _grid_nodes,
                           build_density_matrix, coherence_degree)
-from sowp.errors import FitError
+from sowp.errors import FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
 from sowp.species import Species
@@ -81,9 +81,9 @@ def buildup(pulse: Pulse, species: Species,
     """Recompute the density matrix from cumulative saddle subsets."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
-    pz, pperp, weights = _flat_nodes(grid)
+    pz, pperp, weights = _grid_nodes(grid)
     profiles = amplitude_profiles(pulse, species, pz, pperp, cumulative=True)
-    nsad = next(iter(profiles.values())).shape[1]
+    nsad = next(iter(profiles.values())).shape[-1]
 
     probe = find_saddles(pulse, species.e_bound(3),
                          (0.0, 0.0, BUILDUP_PROBE_P))
@@ -123,7 +123,8 @@ def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,
 
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
-    """One point per (species, N); failures are collected, not raised.
+    """One point per (species, N); package errors (SowpError) are collected
+    per point, not raised; any other exception propagates.
 
     ``cycles``: iterable of N applied to every species, or a mapping from
     lower-case species name to an iterable (default: 2..18 for F and Cl,
@@ -151,7 +152,7 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
             try:
                 results[(sp.name, n)] = _sweep_one(
                     sp, wavelength_nm, intensity_wcm2, n, grid_kw)
-            except Exception as exc:   # aggregate per-point failures
+            except SowpError as exc:   # aggregate per-point failures
                 failures.append((sp.name, n, exc))
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -162,7 +163,7 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                 key = futs[fut]
                 try:
                     results[key] = fut.result()
-                except Exception as exc:
+                except SowpError as exc:
                     failures.append((key[0], key[1], exc))
     points = [results[(sp.name, n)] for sp, n in jobs if (sp.name, n) in results]
     failures.sort(key=lambda f: (f[0], f[1]))

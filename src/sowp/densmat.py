@@ -12,9 +12,12 @@ vanish within quadrature accuracy rather than by construction.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
-volume exactly; energy nodes p^2/2 are exposed for reporting.  Quadrature
-sums run over a fixed flat node ordering, so results are reproducible to
-the bit regardless of how callers parallelize over grid chunks.
+volume exactly; energy nodes p^2/2 are exposed for reporting.  Nodes are
+laid out as (n_energy, n_theta) arrays, so each column is a radial line
+along which the saddle search continues its roots (see ``sowp.saddle``).
+Quadrature sums run over this fixed node ordering, so results are
+reproducible to the bit regardless of how callers parallelize over grid
+chunks.
 """
 
 import warnings
@@ -164,7 +167,8 @@ def _assemble(profiles: dict, weights: np.ndarray, grid: MomentumGrid,
     """Contract channel profiles into the 6x6 matrix.
 
     ``k``: cumulative saddle cutoff index for build-up partial sums (the
-    profiles then have a trailing saddle axis).
+    profiles then have a trailing saddle axis).  ``weights`` has the shape
+    of the profiles' node axes.
     """
     nstates = len(STATES)
     rho = np.zeros((nstates, nstates), dtype=complex)
@@ -184,8 +188,8 @@ def _assemble(profiles: dict, weights: np.ndarray, grid: MomentumGrid,
                 key_b = (j2b, m2b, ms2)
                 if key_a not in profiles or key_b not in profiles:
                     continue
-                prof_a = profiles[key_a] if k is None else profiles[key_a][:, k]
-                prof_b = profiles[key_b] if k is None else profiles[key_b][:, k]
+                prof_a = profiles[key_a] if k is None else profiles[key_a][..., k]
+                prof_b = profiles[key_b] if k is None else profiles[key_b][..., k]
                 dml = (m2b - ms2) // 2 - (m2a - ms2) // 2
                 fac = phi_factor[dml]
                 if fac == 0.0:
@@ -195,11 +199,13 @@ def _assemble(profiles: dict, weights: np.ndarray, grid: MomentumGrid,
     return rho
 
 
-def _flat_nodes(grid: MomentumGrid):
+def _grid_nodes(grid: MomentumGrid):
+    """(pz, pperp, weights), each of shape (n_energy, n_theta): column j is
+    the radial line at polar node j, ordered by increasing p."""
     p2d, u2d = np.meshgrid(grid.p_nodes, grid.u_nodes, indexing="ij")
-    pz = (p2d * u2d).ravel()
-    pperp = (p2d * np.sqrt(1.0 - u2d * u2d)).ravel()
-    weights = (grid.radial_weights[:, None] * grid.u_weights[None, :]).ravel()
+    pz = p2d * u2d
+    pperp = p2d * np.sqrt(1.0 - u2d * u2d)
+    weights = grid.radial_weights[:, None] * grid.u_weights[None, :]
     return pz, pperp, weights
 
 
@@ -216,7 +222,7 @@ def build_density_matrix(pulse: Pulse, species: Species,
     if pulse.a0 == 0.0:
         rho = DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
         return rho
-    pz, pperp, weights = _flat_nodes(grid)
+    pz, pperp, weights = _grid_nodes(grid)
     profiles = amplitude_profiles(pulse, species, pz, pperp)
     rho = DensityMatrix(_assemble(profiles, weights, grid))
     if rho.w > SATURATION_W:

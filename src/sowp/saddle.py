@@ -12,8 +12,33 @@ give the complete saddle set: roots inside the unit circle map directly to
 saddles with Im t > 0, and roots outside map to the '-' branch saddles via
 w -> 1/conj(w) (equivalently t -> conj(t)).  This guarantees exactly 2N+2
 saddles with Im t > 0 and 0 <= Re t <= tau_p, with no search heuristics.
-Companion-matrix eigenvalues seed a damped Newton polish of the exact
-saddle condition.
+
+Root finding.  Companion-matrix eigenvalues (numpy.linalg.eigvals, stacked
+in chunks of at most EIG_CHUNK_ELEMS matrix entries) seed a damped Newton
+polish of the exact saddle condition.  Newton stops as soon as the largest
+|S'| of the points being polished is at most NEWTON_STOP_TOL, 100x inside
+RESIDUAL_TOL, and after NEWTON_ITERATIONS steps at the latest.
+
+The shape of the momentum arrays given to saddle_batch selects how seeds
+are found:
+
+* 1-D: independent points, every one seeded by eigenvalues.
+* 2-D, shape (n_path, n_lines): n_lines continuation paths along axis 0
+  (the density matrix passes the radial lines of its grid this way).  Row
+  0 is seeded by eigenvalues in one stacked call; every later row starts
+  Newton from the previous row's 2N+2 roots, tracked by identity and
+  sorted by Re t only at the end.  An eigensolve costs O(deg^3) per node,
+  a Newton step O(deg), so a line costs one eigensolve instead of n_path.
+
+After each continued row, every column is checked against the root-set
+contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p,
+and neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
+exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
+complete set.  A column that fails (a root jumped to a neighbour or to a
+periodic image) is re-seeded by eigenvalues at that node, and its line
+continues from the re-seeded roots.  The whole batch is validated once
+more at the end, together with the |S''| curvature contract; a failure
+raises SaddleError naming the node (p_z, p_perp^2) and the channel energy.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0.
@@ -29,7 +54,9 @@ from sowp.pulse import Pulse
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
 DEGENERATE_S2_TOL = 1e-6   # min |S''| before the plain formula is distrusted
-NEWTON_ITERATIONS = 12
+NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
+NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
+EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
 
 
 @dataclass(frozen=True)
@@ -62,7 +89,7 @@ def action_derivative(pulse: Pulse, e_bound: float, p, t):
 
 
 def _action_terms(pulse, t, pz, pperp2, e_bound):
-    """Vectorized closed-form action for scalar pz, pperp2."""
+    """Vectorized closed-form action; pz and pperp2 broadcast against t."""
     s = (0.5 * (pz * pz + pperp2) - e_bound) * t
     for a, om in pulse.components:
         s = s + pz * a * (1.0 - np.cos(om * t)) / om
@@ -88,7 +115,7 @@ def prefactor_branch(s2, hint=None):
 
 
 class SaddleBatch:
-    """Saddle data for a batch of momenta, shape (n_points, 2N+2) per field.
+    """Saddle data for a batch of momenta, shape pz.shape + (2N+2,) per field.
 
     Points are (p_z, p_perp^2) pairs; saddles are sorted by Re t along the
     last axis.
@@ -120,11 +147,95 @@ def _polynomial_coefficients(pulse: Pulse):
     return coef, m
 
 
-def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
-                 chunk_elems: int = 4_000_000) -> SaddleBatch:
+def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
+    """Unpolished saddle times from companion-matrix eigenvalues for 1-D
+    point arrays; shape (n, 2N+2)."""
+    coef, m = _polynomial_coefficients(pulse)
+    deg = 2 * m
+    lead = coef[deg]
+    c = -pz + 1j * np.sqrt(-2.0 * e_bound + pperp2)  # '+' branch constant
+
+    # companion matrix in the np.roots layout: only the w^m column entry
+    # depends on c
+    base = np.zeros((deg, deg), dtype=complex)
+    base[1:, :-1] = np.eye(deg - 1)
+    base[0, :] = -coef[::-1][1:] / lead
+    const_entry = base[0, deg - 1 - m]
+
+    w = np.empty((pz.size, deg), dtype=complex)
+    rows = max(1, EIG_CHUNK_ELEMS // (deg * deg))
+    for i0 in range(0, pz.size, rows):
+        sl = slice(i0, i0 + rows)
+        comp = np.broadcast_to(base, (c[sl].size, deg, deg)).copy()
+        comp[:, 0, deg - 1 - m] = const_entry + c[sl] / lead
+        w[sl] = np.linalg.eigvals(comp)
+
+    # roots inside the unit circle: '+' branch saddles (Im t > 0);
+    # outside: reflect to the '-' branch
+    theta = np.angle(w) % (2.0 * np.pi)
+    t = (pulse.n_cycles / pulse.omega) * (theta - 1j * np.log(np.abs(w)))
+    return np.where(np.abs(w) < 1.0, t, np.conj(t))
+
+
+def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
+    """Damped Newton polish of S'(t) = 0 from start values t of shape
+    (n, 2N+2), for points pz, pperp2 of shape (n, 1).
+
+    Stops when every |S'| is at most NEWTON_STOP_TOL or after
+    NEWTON_ITERATIONS steps; returns (t, |S'(t)|).
+    """
+    step_cap = 0.25 * np.pi / pulse.omega
+    for it in range(NEWTON_ITERATIONS + 1):
+        vz = pz + pulse.vector_potential(t)
+        f = 0.5 * (vz * vz + pperp2) - e_bound
+        residual = np.abs(f)
+        if it == NEWTON_ITERATIONS or (residual <= NEWTON_STOP_TOL).all():
+            return t, residual
+        fp = vz * pulse.vector_potential_derivative(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = np.where(fp != 0, -f / fp, 0.0)
+        mag = np.abs(dt)
+        scale = np.where(mag > step_cap, step_cap / np.where(mag > 0, mag, 1.0), 1.0)
+        t = t + dt * scale
+
+
+def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
+    """Eigenvalue-seeded, Newton-polished roots of 1-D independent points,
+    shape (n, 2N+2), unsorted."""
+    seeds = _eigvals_seeds(pulse, e_bound, pz, pperp2)
+    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])[0]
+
+
+def _sorted_by_real(t, *fields):
+    """t and every field reordered by increasing Re t along the last axis."""
+    order = np.argsort(t.real, axis=-1)
+    return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
+
+
+def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
+    """Roots along axis 0 of 2-D point arrays by continuation (see the
+    module docstring); shape pz.shape + (2N+2,), unsorted."""
+    t = np.empty(pz.shape + (2 * pulse.n_cycles + 2,), dtype=complex)
+    t[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
+    for r in range(1, pz.shape[0]):
+        row, residual = _newton(pulse, e_bound, t[r - 1],
+                                pz[r, :, None], pperp2[r, :, None])
+        checks = _contract_checks(pulse, *_sorted_by_real(row, residual))
+        failed = np.logical_or.reduce([bad for bad, _, _ in checks])
+        if failed.any():
+            row[failed] = _solve_points(pulse, e_bound, pz[r, failed],
+                                        pperp2[r, failed])
+        t[r] = row
+    return t
+
+
+def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
     """Find all 2N+2 saddles for each (pz, pperp2) point.
 
-    Raises SaddleError/DegenerateSaddleError when any point fails the
+    1-D (or scalar) inputs are independent points.  2-D inputs are
+    continuation paths along axis 0 (see the module docstring).  Every
+    field of the result has shape pz.shape + (2N+2,).  Raises
+    SaddleError/DegenerateSaddleError naming the first node that fails the
     residual, count, distinctness, or curvature contracts.
     """
     if e_bound >= 0:
@@ -135,91 +246,77 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     pperp2 = np.atleast_1d(np.asarray(pperp2, dtype=float))
     if pz.shape != pperp2.shape:
         raise ValueError("pz and pperp2 must have the same shape")
-    npts = pz.size
-    coef, m = _polynomial_coefficients(pulse)
-    deg = 2 * m
-    lead = coef[deg]
+    if pz.ndim == 1:
+        t = _solve_points(pulse, e_bound, pz, pperp2)
+    elif pz.ndim == 2:
+        t = _continue_lines(pulse, e_bound, pz, pperp2)
+    else:
+        raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
-    q = np.sqrt(-2.0 * e_bound + pperp2)
-    c = -pz + 1j * q  # '+' branch constant
-
-    # companion matrix in the np.roots layout: only the w^m column entry
-    # depends on c
-    base = np.zeros((deg, deg), dtype=complex)
-    base[1:, :-1] = np.eye(deg - 1)
-    desc = coef[::-1]
-    base[0, :] = -desc[1:] / lead
-    const_entry = base[0, deg - 1 - m]
-
-    w = np.empty((npts, deg), dtype=complex)
-    rows = max(1, chunk_elems // (deg * deg))
-    for i0 in range(0, npts, rows):
-        sl = slice(i0, min(i0 + rows, npts))
-        nblk = c[sl].size
-        comp = np.broadcast_to(base, (nblk, deg, deg)).copy()
-        comp[:, 0, deg - 1 - m] = const_entry + c[sl] / lead
-        w[sl] = np.linalg.eigvals(comp)
-
-    # roots inside the unit circle: '+' branch saddles (Im t > 0);
-    # outside: reflect to the '-' branch
-    theta = np.angle(w) % (2.0 * np.pi)
-    t = (pulse.n_cycles / pulse.omega) * (theta - 1j * np.log(np.abs(w)))
-    t = np.where(np.abs(w) < 1.0, t, np.conj(t))
-
-    pzc = pz[:, None]
-    pp2c = pperp2[:, None]
-    step_cap = 0.25 * np.pi / pulse.omega
-    for _ in range(NEWTON_ITERATIONS):
-        vz = pzc + pulse.vector_potential(t)
-        f = 0.5 * (vz * vz + pp2c) - e_bound
-        fp = vz * pulse.vector_potential_derivative(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(fp != 0, -f / fp, 0.0)
-        mag = np.abs(dt)
-        scale = np.where(mag > step_cap, step_cap / np.where(mag > 0, mag, 1.0), 1.0)
-        t = t + dt * scale
-
-    order = np.argsort(t.real, axis=1)
-    t = np.take_along_axis(t, order, axis=1)
+    (t,) = _sorted_by_real(t)
+    pzc = pz[..., None]
+    pp2c = pperp2[..., None]
     vz = pzc + pulse.vector_potential(t)
     residual = np.abs(0.5 * (vz * vz + pp2c) - e_bound)
-
-    _validate_batch(pulse, t, residual)
-
     s2 = vz * pulse.vector_potential_derivative(t)
-    s2min = np.abs(s2).min()
-    if s2min < DEGENERATE_S2_TOL:
-        raise DegenerateSaddleError(
-            f"|S''| = {s2min:.3e} below {DEGENERATE_S2_TOL}: near-coalescing saddles",
-            roots=t)
+
+    deg = t.shape[-1]
+    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(),
+                    t.reshape(-1, deg), residual.reshape(-1, deg),
+                    s2.reshape(-1, deg))
+
     prefactor = 1.0 / np.sqrt(-1j * s2)
-    act = np.empty_like(t)
-    for i in range(npts):
-        act[i] = _action_terms(pulse, t[i], pz[i], pperp2[i], e_bound)
+    act = _action_terms(pulse, t, pzc, pp2c, e_bound)
     branch = np.where(vz.imag > 0, 1, -1)
     return SaddleBatch(t, vz, act, s2, prefactor, branch, residual)
 
 
-def _validate_batch(pulse, t, residual):
-    bad = residual > RESIDUAL_TOL
-    if bad.any():
-        i = int(np.argmax(residual.max(axis=1)))
-        raise SaddleError(
-            f"saddle residual {residual.max():.3e} exceeds {RESIDUAL_TOL} "
-            f"({int(bad.sum())} roots); grid or intensity outside the "
-            f"validated regime", roots=t[i])
-    if (t.imag <= 0).any():
-        i = int(np.argmax((t.imag <= 0).sum(axis=1)))
-        raise SaddleError("saddle with Im t <= 0 found", roots=t[i])
+def _contract_checks(pulse: Pulse, t, residual):
+    """The root-set contracts per point, for roots sorted by Re t along the
+    last axis and |S'| in the same layout.
+
+    Returns (failure mask, value, message template) per contract; masks and
+    values have shape t.shape[:-1].  A NaN root fails every check.
+    """
     eps = 1e-9 * pulse.tau_p
-    if (t.real < -eps).any() or (t.real > pulse.tau_p + eps).any():
-        raise SaddleError("saddle outside 0 <= Re t <= tau_p", roots=t)
-    gap = np.abs(np.diff(t, axis=1))
-    if gap.size and gap.min() < DISTINCT_TOL:
-        i = int(np.argmin(gap.min(axis=1)))
-        raise SaddleError(
-            f"saddle pair separated by {gap.min():.3e} < {DISTINCT_TOL}",
-            roots=t[i])
+    worst = residual.max(axis=-1)
+    im = t.imag.min(axis=-1)
+    first, last = t.real[..., 0], t.real[..., -1]
+    inside_lo = first >= -eps
+    gap = np.abs(np.diff(t, axis=-1)).min(axis=-1)
+    return (
+        (~(worst <= RESIDUAL_TOL), worst,
+         f"saddle residual {{:.3e}} exceeds {RESIDUAL_TOL}; grid or intensity "
+         f"outside the validated regime"),
+        (~(im > 0), im, "saddle with Im t = {:.3e} <= 0"),
+        (~(inside_lo & (last <= pulse.tau_p + eps)),
+         np.where(inside_lo, last, first),
+         f"saddle at Re t = {{:.6g}} outside 0 <= Re t <= tau_p = {pulse.tau_p:.6g}"),
+        (~(gap >= DISTINCT_TOL), gap,
+         f"saddle pair separated by {{:.3e}} < {DISTINCT_TOL}"),
+    )
+
+
+def _node(pz, pperp2, e_bound) -> str:
+    return f"at p_z = {pz:.6g}, p_perp^2 = {pperp2:.6g}, e_bound = {e_bound:.8g}"
+
+
+def _validate_batch(pulse, e_bound, pz, pperp2, t, residual, s2):
+    """Raise for the first point (in flat order) that breaks a contract;
+    the error carries that point's sorted roots."""
+    for bad, value, message in _contract_checks(pulse, t, residual):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SaddleError(
+                f"{message.format(value[i])} {_node(pz[i], pperp2[i], e_bound)} "
+                f"({int(bad.sum())} of {bad.size} points)", roots=t[i])
+    s2min = np.abs(s2).min(axis=-1)
+    bad = ~(s2min >= DEGENERATE_S2_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateSaddleError(
+            f"|S''| = {s2min[i]:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
+            f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=t[i])
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

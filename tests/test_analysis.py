@@ -194,6 +194,18 @@ class TestCoherenceSweep:
         assert [p.n_cycles for p in pts] == [2, 4]
         assert len(failures) == 1 and failures[0][1] == 3
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_errors_propagate(self, species_f, monkeypatch, threads):
+        def broken(sp, lam, intensity, n, grid_kw):
+            if n == 3:
+                raise TypeError("forced")
+            return SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01)
+
+        monkeypatch.setattr(analysis, "_sweep_one", broken)
+        with pytest.raises(TypeError, match="forced"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
+                            threads=threads)
+
     def test_default_cycles_mapping(self, species_f):
         with pytest.raises(ValueError, match="Xq"):
             from sowp.species import Species

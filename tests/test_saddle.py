@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sowp import saddle
+from sowp.densmat import MomentumGrid, _grid_nodes
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
 from sowp.saddle import (action, action_derivative, find_saddles,
@@ -132,6 +134,92 @@ class TestSaddleBatch:
     def test_residual_field(self, pulse):
         batch = saddle_batch(pulse, E_F, np.array([0.1]), np.array([0.01]))
         assert batch.residual.max() < 1e-10
+
+
+def radial_lines(pulse, n_energy=40, n_theta=16):
+    """(pz, pperp^2) of a small density-matrix grid, shape (n_energy, n_theta)."""
+    grid = MomentumGrid.build(pulse.omega, n_energy=n_energy, n_theta=n_theta)
+    pz, pperp, _ = _grid_nodes(grid)
+    return pz, pperp * pperp
+
+
+def assert_same_saddles(lines, points):
+    """A 2-D (continued) batch equals the 1-D batch of the same nodes."""
+    deg = points.t.shape[-1]
+    for name in ("t", "action", "s2", "prefactor"):
+        np.testing.assert_allclose(getattr(lines, name).reshape(-1, deg),
+                                   getattr(points, name), rtol=1e-10, atol=0,
+                                   err_msg=name)
+    assert lines.residual.max() < 1e-10
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("n_cycles", [2, 8, 18])
+    def test_lines_match_independent_points(self, n_cycles):
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        pz, pp2 = radial_lines(pu)
+        lines = saddle_batch(pu, E_F, pz, pp2)
+        assert lines.t.shape == pz.shape + (2 * n_cycles + 2,)
+        assert_same_saddles(lines, saddle_batch(pu, E_F, pz.ravel(), pp2.ravel()))
+
+    def test_far_neighbours_are_reseeded(self, pulse, rng, monkeypatch):
+        pz, pp2 = radial_lines(pulse)
+        perm = rng.permutation(pz.shape[0])
+        pz, pp2 = pz[perm], pp2[perm]
+        seeded = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            seeded.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert sum(seeded) > pz.shape[1]   # more than row 0
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+
+    def test_rejects_three_dimensional_input(self, pulse):
+        with pytest.raises(ValueError):
+            saddle_batch(pulse, E_F, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+class TestSaddleErrors:
+    PZ = np.array([0.05, 0.3, -0.2])
+    PP2 = np.array([0.0, 0.04, 0.09])
+
+    @staticmethod
+    def assert_names_node(err, pulse, pz, pp2):
+        msg = str(err)
+        assert f"p_z = {pz:.6g}," in msg
+        assert f"p_perp^2 = {pp2:.6g}," in msg
+        assert f"e_bound = {E_F:.8g}" in msg
+        assert err.roots.shape == (2 * pulse.n_cycles + 2,)
+
+    @pytest.mark.parametrize("tol, value, exc", [
+        ("RESIDUAL_TOL", 0.0, SaddleError),
+        ("DISTINCT_TOL", 1e6, SaddleError),
+        ("DEGENERATE_S2_TOL", 1e6, DegenerateSaddleError),
+    ])
+    def test_tolerance_failure_names_the_first_node(self, pulse, monkeypatch,
+                                                   tol, value, exc):
+        monkeypatch.setattr(saddle, tol, value)
+        with pytest.raises(exc) as info:
+            saddle_batch(pulse, E_F, self.PZ, self.PP2)
+        self.assert_names_node(info.value, pulse, self.PZ[0], self.PP2[0])
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda t, pu: np.conj(t), "Im t"),
+        (lambda t, pu: t + pu.tau_p, "outside 0 <= Re t"),
+    ])
+    def test_root_set_failure_names_the_node(self, pulse, corrupt, match):
+        good = saddle_batch(pulse, E_F, self.PZ, self.PP2)
+        t = good.t.copy()
+        t[1] = corrupt(t[1], pulse)
+        with pytest.raises(SaddleError, match=match) as info:
+            saddle._validate_batch(pulse, E_F, self.PZ, self.PP2, t,
+                                   good.residual, good.s2)
+        self.assert_names_node(info.value, pulse, self.PZ[1], self.PP2[1])
+        np.testing.assert_array_equal(info.value.roots, t[1])
 
 
 class TestPrefactorBranch:
