@@ -20,7 +20,7 @@ from sowp.errors import (
     ProbabilityError,
 )
 from sowp.pulse import Pulse
-from sowp.species import Species, load_species, get_species, beat_period
+from sowp.species import Species, load_species, get_species
 from sowp.densmat import MomentumGrid, DensityMatrix, build_density_matrix
 from sowp.analysis import SweepPoint, FitResult, BuildupTrace
 
@@ -30,7 +30,7 @@ __all__ = [
     "SowpError", "ConfigError", "SpeciesFileError", "NumericalError",
     "SaddleError", "DegenerateSaddleError", "FitError",
     "CoherenceUndefinedError", "ProbabilityError",
-    "Pulse", "Species", "load_species", "get_species", "beat_period",
+    "Pulse", "Species", "load_species", "get_species",
     "MomentumGrid", "DensityMatrix", "build_density_matrix",
     "SweepPoint", "FitResult", "BuildupTrace",
     "__version__",

@@ -8,13 +8,18 @@ which expands into three sinusoids,
 
     A(t) = (A0/2) sin(omega t)
          - (A0/4) sin((1 + 1/N) omega t)
-         - (A0/4) sin((1 - 1/N) omega t),
+         - (A0/4) sin((1 - 1/N) omega t).
 
-the form used for all complex-time evaluations: it avoids the catastrophic
-cancellation of the product form when |Im t| is large, and it makes the
-action integral a finite sum of elementary antiderivatives.  The electric
-field is F(t) = -dA/dt, and the peak field is identified as F0 = A0 omega
-(the carrier peak at the envelope maximum).
+A(t) and dA/dt are evaluated in phasor form: with z = exp(i omega t / N)
+and u = z^N = exp(i omega t), each sinusoid is (u z^r - 1/(u z^r)) / 2i
+and each cosine (u z^r + 1/(u z^r)) / 2 for r = 0, +1, -1.  One evaluation
+costs one complex exponential, a few products and two reciprocals for all
+components, for real and complex t alike (real t returns the real part).
+Unlike the product form, the sinusoid sum has no catastrophic cancellation
+when |Im t| is large, and it makes the action integral a finite sum of
+elementary antiderivatives (see ``sowp.saddle``).  The electric field is
+F(t) = -dA/dt, and the peak field is identified as F0 = A0 omega (the
+carrier peak at the envelope maximum).
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +41,9 @@ class Pulse:
     a0: float
     # (amplitude, frequency) pairs of the sinusoid expansion of A(t)
     components: tuple = field(init=False, repr=False, compare=False)
+    # components of the carrier and the upper and lower sideband, r = 0, +1,
+    # -1 in the phasor form; the lower one is (0, 0) for N = 1
+    _sidebands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -49,6 +57,8 @@ class Pulse:
         if self.n_cycles > 1:
             comps.append((-self.a0 / 4.0, self.omega * (1.0 - 1.0 / self.n_cycles)))
         object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "_sidebands",
+                           tuple(comps) + ((0.0, 0.0),) * (3 - len(comps)))
 
     @classmethod
     def from_lab(cls, wavelength_nm: float, n_cycles: int,
@@ -77,21 +87,39 @@ class Pulse:
         """FWHM of the intensity envelope, 0.364 tau_p, in fs."""
         return units.au_to_fs(FWHM_FACTOR * self.tau_p)
 
+    def phasors(self, t):
+        """(u, z, 1/u, 1/z) for the array t, with z = exp(i omega t / N)
+        and u = z^N = exp(i omega t) built by repeated squaring."""
+        z = np.exp((1j * self.omega / self.n_cycles) * t)
+        u = z
+        for bit in bin(self.n_cycles)[3:]:
+            u = u * u
+            if bit == "1":
+                u = u * z
+        return u, z, 1.0 / u, 1.0 / z
+
+    @staticmethod
+    def _as_input(t, out):
+        """out as a real array for real t, and as a scalar for scalar t."""
+        if not np.iscomplexobj(t):
+            out = out.real.copy()
+        return out[()] if out.ndim == 0 else out
+
     def vector_potential(self, t):
         """A_z(t) for real or complex t (scalar or ndarray)."""
         t = np.asarray(t)
-        out = np.zeros(t.shape, dtype=complex if np.iscomplexobj(t) else float)
-        for a, om in self.components:
-            out = out + a * np.sin(om * t)
-        return out[()] if out.ndim == 0 else out
+        u, z, v, y = self.phasors(t)
+        a0, a1, a2 = (a for a, _ in self._sidebands)
+        out = -0.5j * (u * (a0 + a1 * z + a2 * y) - v * (a0 + a1 * y + a2 * z))
+        return self._as_input(t, out)
 
     def vector_potential_derivative(self, t):
         """dA/dt = -F(t)."""
         t = np.asarray(t)
-        out = np.zeros(t.shape, dtype=complex if np.iscomplexobj(t) else float)
-        for a, om in self.components:
-            out = out + a * om * np.cos(om * t)
-        return out[()] if out.ndim == 0 else out
+        u, z, v, y = self.phasors(t)
+        a0, a1, a2 = (a * om for a, om in self._sidebands)
+        out = 0.5 * (u * (a0 + a1 * z + a2 * y) + v * (a0 + a1 * y + a2 * z))
+        return self._as_input(t, out)
 
     def electric_field(self, t):
         """F_z(t) = -dA/dt, analytic for complex t."""

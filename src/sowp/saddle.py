@@ -36,12 +36,28 @@ and neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
 exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
 complete set.  A column that fails (a root jumped to a neighbour or to a
 periodic image) is re-seeded by eigenvalues at that node, and its line
-continues from the re-seeded roots.  The whole batch is validated once
-more at the end, together with the |S''| curvature contract; a failure
-raises SaddleError naming the node (p_z, p_perp^2) and the channel energy.
+continues from the re-seeded roots.
+
+Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
+real on the real axis, so the saddles at (-p_z, p_perp^2) are
+tau_p - conj(t) of those at (p_z, p_perp^2).  When the 2-D inputs are
+exact mirror images across their columns (pz[:, ::-1] == -pz and
+pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
+are symmetric), only the first ceil(n_lines/2) lines are continued, the
+p_z = 0 line included when n_lines is odd, and each remaining line is
+filled from its partner by that map.  Otherwise every line is continued.
+
+Final pass.  Whether solved or mirrored, every node's v_z, residual, S''
+and action are evaluated from its own t, in blocks of at most
+FINAL_BLOCK_ELEMS roots written into preallocated outputs.  The whole
+batch is then validated, together with the |S''| curvature contract; a
+failure raises SaddleError naming the node (p_z, p_perp^2) and the channel
+energy.  The prefactor and branch follow from S'' and v_z.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
-expansion with the integration constant fixed so that S(0) = 0.
+expansion with the integration constant fixed so that S(0) = 0, summed as
+a trigonometric polynomial with ten frequencies that are multiples of
+omega/N, from the same phasors as A(t) (see _action_coefficients).
 """
 
 from dataclasses import dataclass
@@ -57,6 +73,7 @@ DEGENERATE_S2_TOL = 1e-6   # min |S''| before the plain formula is distrusted
 NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
+FINAL_BLOCK_ELEMS = 16_384   # roots per block of the final evaluation pass
 
 
 @dataclass(frozen=True)
@@ -88,26 +105,59 @@ def action_derivative(pulse: Pulse, e_bound: float, p, t):
     return 0.5 * (vz * vz + px * px + py * py) - e_bound
 
 
+def _action_coefficients(pulse):
+    """The action as a trigonometric polynomial in w t, w = omega / N:
+
+        S(t) = (p^2/2 - E + lin) t + p_z sum_r c[r] (1 - cos((N + r) w t))
+               + sum_{d=1,2} b[d] sin(d w t) + sum_{r=-2..2} g[r] sin((2N + r) w t)
+
+    The p_z term integrates A, the rest (1/2) A^2: each ordered pair of
+    components (N + r1, N + r2) contributes (1/4) a1 a2 [sin(d w t)/(d w)
+    - sin(s w t)/(s w)] with d = r1 - r2 and s = 2N + r1 + r2, or t for
+    d = 0.  Returns (lin, c, b, g) with c and g indexed by r + 1 and r + 2.
+    """
+    n = pulse.n_cycles
+    w = pulse.omega / n
+    comps = [(a, int(round(om / w)) - n) for a, om in pulse.components]
+    lin = 0.0
+    c, b, g = np.zeros(3), np.zeros(3), np.zeros(5)
+    for a1, r1 in comps:
+        c[r1 + 1] += a1 / ((n + r1) * w)
+        for a2, r2 in comps:
+            d = abs(r1 - r2)
+            if d == 0:
+                lin += 0.25 * a1 * a2
+            else:
+                b[d] += 0.25 * a1 * a2 / (d * w)
+            g[r1 + r2 + 2] -= 0.25 * a1 * a2 / ((2 * n + r1 + r2) * w)
+    return lin, c, b, g
+
+
 def _action_terms(pulse, t, pz, pperp2, e_bound):
-    """Vectorized closed-form action; pz and pperp2 broadcast against t."""
-    s = (0.5 * (pz * pz + pperp2) - e_bound) * t
-    for a, om in pulse.components:
-        s = s + pz * a * (1.0 - np.cos(om * t)) / om
-    for a1, om1 in pulse.components:
-        for a2, om2 in pulse.components:
-            d = om1 - om2
-            integ_d = t if d == 0.0 else np.sin(d * t) / d
-            s = s + 0.25 * a1 * a2 * (integ_d - np.sin((om1 + om2) * t) / (om1 + om2))
+    """Closed-form action (see _action_coefficients) from the phasors
+    z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
+    (Pulse.phasors); pz and pperp2 broadcast against t.
+
+    Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
+    """
+    lin, c, b, g = _action_coefficients(pulse)
+    u, z, v, y = pulse.phasors(t)
+    z2, y2, u2, v2 = z * z, y * y, u * u, v * v
+    s = (0.5 * (pz * pz + pperp2) - e_bound + lin) * t
+    # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2)
+    s += pz * (c[0] * (1.0 - 0.5 * (u * y + v * z))
+               + c[1] * (1.0 - 0.5 * (u + v))
+               + c[2] * (1.0 - 0.5 * (u * z + v * y)))
+    # sin(k w t) = (z^k - y^k) / 2i; for k = 2N + r, z^k = u^2 z^r
+    high_u = g[0] * y2 + g[1] * y + g[2] + g[3] * z + g[4] * z2
+    high_v = g[0] * z2 + g[1] * z + g[2] + g[3] * y + g[4] * y2
+    s += -0.5j * (b[1] * (z - y) + b[2] * (z2 - y2) + u2 * high_u - v2 * high_v)
     return s
 
 
-def prefactor_branch(s2, hint=None):
+def prefactor_branch(s2):
     """1/sqrt(-i s2) on the principal branch (Re >= 0; Re = 0 ties resolve
-    to Im > 0), applied uniformly to every saddle.
-
-    ``hint`` is accepted for interface stability (a neighboring saddle's
-    prefactor); the principal-branch rule does not use it.
-    """
+    to Im > 0), applied uniformly to every saddle."""
     s2 = complex(s2)
     if s2 == 0:
         raise DegenerateSaddleError("S'' = 0: coalescing saddle points")
@@ -214,18 +264,30 @@ def _sorted_by_real(t, *fields):
 
 def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     """Roots along axis 0 of 2-D point arrays by continuation (see the
-    module docstring); shape pz.shape + (2N+2,), unsorted."""
+    module docstring); shape pz.shape + (2N+2,), unsorted.
+
+    Lines that mirror each other (p_z -> -p_z at equal p_perp^2, column j
+    against column n_lines-1-j) are continued once: the saddles at -p_z are
+    tau_p - conj(t) of those at p_z.
+    """
+    n_lines = pz.shape[1]
+    solved = n_lines
+    if (np.array_equal(pz[:, ::-1], -pz)
+            and np.array_equal(pperp2[:, ::-1], pperp2)):
+        solved = (n_lines + 1) // 2
     t = np.empty(pz.shape + (2 * pulse.n_cycles + 2,), dtype=complex)
-    t[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
+    ts, pz, pperp2 = t[:, :solved], pz[:, :solved], pperp2[:, :solved]
+    ts[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
     for r in range(1, pz.shape[0]):
-        row, residual = _newton(pulse, e_bound, t[r - 1],
+        row, residual = _newton(pulse, e_bound, ts[r - 1],
                                 pz[r, :, None], pperp2[r, :, None])
         checks = _contract_checks(pulse, *_sorted_by_real(row, residual))
         failed = np.logical_or.reduce([bad for bad, _, _ in checks])
         if failed.any():
             row[failed] = _solve_points(pulse, e_bound, pz[r, failed],
                                         pperp2[r, failed])
-        t[r] = row
+        ts[r] = row
+    t[:, solved:] = pulse.tau_p - np.conj(ts[:, :n_lines - solved][:, ::-1])
     return t
 
 
@@ -254,21 +316,32 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
     (t,) = _sorted_by_real(t)
-    pzc = pz[..., None]
-    pp2c = pperp2[..., None]
-    vz = pzc + pulse.vector_potential(t)
-    residual = np.abs(0.5 * (vz * vz + pp2c) - e_bound)
-    s2 = vz * pulse.vector_potential_derivative(t)
+    shape = t.shape
+    deg = shape[-1]
+    t = t.reshape(-1, deg)
+    pz, pperp2 = pz.reshape(-1, 1), pperp2.reshape(-1, 1)
+    vz = np.empty_like(t)
+    s2 = np.empty_like(t)
+    act = np.empty_like(t)
+    residual = np.empty(t.shape)
+    # every node is evaluated from its own t, in bounded blocks of rows
+    rows = max(1, FINAL_BLOCK_ELEMS // deg)
+    for i0 in range(0, t.shape[0], rows):
+        sl = slice(i0, i0 + rows)
+        tb, pzb, pp2b = t[sl], pz[sl], pperp2[sl]
+        vz[sl] = pzb + pulse.vector_potential(tb)
+        residual[sl] = np.abs(0.5 * (vz[sl] * vz[sl] + pp2b) - e_bound)
+        s2[sl] = vz[sl] * pulse.vector_potential_derivative(tb)
+        act[sl] = _action_terms(pulse, tb, pzb, pp2b, e_bound)
 
-    deg = t.shape[-1]
-    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(),
-                    t.reshape(-1, deg), residual.reshape(-1, deg),
-                    s2.reshape(-1, deg))
+    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, residual, s2)
 
-    prefactor = 1.0 / np.sqrt(-1j * s2)
-    act = _action_terms(pulse, t, pzc, pp2c, e_bound)
+    prefactor = np.multiply(s2, -1j)
+    np.sqrt(prefactor, out=prefactor)
+    np.divide(1.0, prefactor, out=prefactor)
     branch = np.where(vz.imag > 0, 1, -1)
-    return SaddleBatch(t, vz, act, s2, prefactor, branch, residual)
+    return SaddleBatch(*(a.reshape(shape) for a in
+                         (t, vz, act, s2, prefactor, branch, residual)))
 
 
 def _contract_checks(pulse: Pulse, t, residual):

@@ -66,12 +66,8 @@ class Species:
 
     @property
     def beat_period_fs(self) -> float:
+        """Spin-orbit beat period tau_b in fs."""
         return units.splitting_to_beat_period(self.splitting_cm1)
-
-
-def beat_period(species: Species) -> float:
-    """Spin-orbit beat period tau_b in fs."""
-    return units.splitting_to_beat_period(species.splitting_cm1)
 
 
 def _parse_blocks(lines):

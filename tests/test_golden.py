@@ -1,6 +1,8 @@
 """Golden regression gate: the full-precision 6x6 density matrices of F, Cl
-and Br and the F build-up coherence trace at the reference pulse, default
-grid, frozen in ``data/golden_reference.json``.
+and Br and the F build-up coherence trace at the reference pulse, and the
+density matrices of the duration-sweep points F at N = 2, 8, 18 and Br at
+N = 8 (reference wavelength and intensity), all on the default grid,
+frozen in ``data/golden_reference.json``.
 
 The acceptance tolerances (g +/- 0.05) would not notice an optimisation
 that moved rho by 1e-4; this gate holds every element to 1e-10 of the
@@ -20,6 +22,7 @@ import pytest
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "golden_reference.json")
 REL_TOL = 1e-10
+SWEEP_POINTS = (("F", 2), ("F", 8), ("F", 18), ("Br", 8))
 
 
 def _complex(pairs):
@@ -49,6 +52,22 @@ def test_f_buildup_coherence_trace(golden, ref_buildup):
     _assert_close(ref_buildup["F"].coherence, ref)
 
 
+@pytest.mark.parametrize("name, n_cycles", SWEEP_POINTS)
+def test_sweep_point_density_matrix(golden, ref_rho, name, n_cycles):
+    from conftest import REF_CYCLES, REF_INTENSITY_WCM2, REF_WAVELENGTH_NM
+    from sowp.densmat import build_density_matrix
+    from sowp.pulse import Pulse
+    from sowp.species import get_species
+
+    ref = _complex(golden["sweep_rho"][name][str(n_cycles)]).reshape(6, 6)
+    if n_cycles == REF_CYCLES:
+        rho = ref_rho[name]
+    else:
+        pulse = Pulse.from_lab(REF_WAVELENGTH_NM, n_cycles, REF_INTENSITY_WCM2)
+        rho = build_density_matrix(pulse, get_species(name))
+    _assert_close(rho.matrix, ref)
+
+
 def _freeze(path=GOLDEN_PATH):
     from conftest import REF_CYCLES, REF_INTENSITY_WCM2, REF_WAVELENGTH_NM
     from sowp.analysis import buildup
@@ -64,7 +83,7 @@ def _freeze(path=GOLDEN_PATH):
     out = {"pulse": {"wavelength_nm": REF_WAVELENGTH_NM,
                      "intensity_wcm2": REF_INTENSITY_WCM2,
                      "cycles": REF_CYCLES, "grid": "default"},
-           "rho": {}, "buildup_coherence": {}}
+           "rho": {}, "buildup_coherence": {}, "sweep_rho": {}}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         for name in ("F", "Cl", "Br"):
@@ -72,6 +91,10 @@ def _freeze(path=GOLDEN_PATH):
             out["rho"][name] = pairs(rho.matrix)
         out["buildup_coherence"]["F"] = pairs(
             buildup(pulse, get_species("F")).coherence)
+        for name, n_cycles in SWEEP_POINTS:
+            point = Pulse.from_lab(REF_WAVELENGTH_NM, n_cycles, REF_INTENSITY_WCM2)
+            rho = build_density_matrix(point, get_species(name))
+            out["sweep_rho"].setdefault(name, {})[str(n_cycles)] = pairs(rho.matrix)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)

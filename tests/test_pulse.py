@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,47 @@ class TestVectorPotential:
         out = pulse.vector_potential(t)
         assert out.shape == (3,)
         assert out.dtype == float
+
+
+def mp_product_form(pulse, t):
+    """A(t) and dA/dt from the product form at 40 significant digits."""
+    with mpmath.workdps(40):
+        om = mpmath.mpf(pulse.omega)
+        a0 = mpmath.mpf(pulse.a0)
+        tm = mpmath.mpc(t.real, t.imag)
+        env = mpmath.sin(om * tm / (2 * pulse.n_cycles))
+        carrier = mpmath.sin(om * tm)
+        a = a0 * env ** 2 * carrier
+        da = a0 * (env * mpmath.cos(om * tm / (2 * pulse.n_cycles))
+                   * (om / pulse.n_cycles) * carrier
+                   + env ** 2 * om * mpmath.cos(om * tm))
+        return complex(a), complex(da)
+
+
+class TestPhasorAccuracy:
+    """The phasor form against a 40-digit oracle over the saddle region:
+    0 <= Re t <= tau_p and 0 <= Im t <= 200 a.u. (saddles reach Im t ~ 195
+    at N = 18)."""
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 8, 18])
+    def test_complex_time_matches_oracle(self, n_cycles, rng):
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        t = rng.uniform(0.0, pu.tau_p, 150) + 1j * rng.uniform(0.0, 200.0, 150)
+        ref_a, ref_da = np.array([mp_product_form(pu, tk) for tk in t]).T
+        for got, ref in ((pu.vector_potential(t), ref_a),
+                         (pu.vector_potential_derivative(t), ref_da)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_cycles", [1, 18])
+    def test_real_time_stays_real(self, n_cycles):
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        t = np.linspace(0.0, pu.tau_p, 101)
+        ref_a, ref_da = np.array([mp_product_form(pu, complex(tk)) for tk in t]).T
+        for got, ref in ((pu.vector_potential(t), ref_a),
+                         (pu.vector_potential_derivative(t), ref_da)):
+            assert got.dtype == float and got.shape == t.shape
+            assert np.abs(got - ref.real).max() <= 1e-12 * np.abs(ref).max()
+        assert isinstance(pu.vector_potential(1.5), float)
 
 
 class TestElectricField:

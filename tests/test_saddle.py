@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,37 +145,69 @@ def radial_lines(pulse, n_energy=40, n_theta=16):
     return pz, pperp * pperp
 
 
-def assert_same_saddles(lines, points):
-    """A 2-D (continued) batch equals the 1-D batch of the same nodes."""
-    deg = points.t.shape[-1]
+def assert_same_saddles(lines, points, columns=slice(None)):
+    """A 2-D (continued) batch equals the 1-D batch of the same nodes, on
+    the selected columns."""
     for name in ("t", "action", "s2", "prefactor"):
-        np.testing.assert_allclose(getattr(lines, name).reshape(-1, deg),
-                                   getattr(points, name), rtol=1e-10, atol=0,
-                                   err_msg=name)
+        np.testing.assert_allclose(
+            getattr(lines, name)[:, columns],
+            getattr(points, name).reshape(lines.t.shape)[:, columns],
+            rtol=1e-10, atol=0, err_msg=name)
     assert lines.residual.max() < 1e-10
+
+
+def count_seeds(monkeypatch):
+    """Wrap np.linalg.eigvals; the returned list gets the number of
+    matrices of every call."""
+    seeded = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        seeded.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return seeded
+
+
+def assert_same_roots_modulo_period(a, b, period):
+    """Root sets a and b, shape (n, deg), agree up to shifts of Re t by the
+    period of the saddle equation."""
+    d = a[:, :, None] - b[:, None, :]
+    d = (d.real + 0.5 * period) % period - 0.5 * period + 1j * d.imag
+    assert np.abs(d).min(axis=-1).max() <= 1e-10 * period
 
 
 class TestContinuation:
     @pytest.mark.parametrize("n_cycles", [2, 8, 18])
     def test_lines_match_independent_points(self, n_cycles):
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        deg = 2 * n_cycles + 2
         pz, pp2 = radial_lines(pu)
         lines = saddle_batch(pu, E_F, pz, pp2)
-        assert lines.t.shape == pz.shape + (2 * n_cycles + 2,)
+        assert lines.t.shape == pz.shape + (deg,)
         assert_same_saddles(lines, saddle_batch(pu, E_F, pz.ravel(), pp2.ravel()))
 
+        # odd n_theta: the middle line, p_z = 0, is its own mirror image.  A
+        # saddle there lies on Re t = 0, which the strip also holds as
+        # Re t = tau_p; which of the two a solve returns depends on
+        # rounding, so that line is compared modulo tau_p.
+        pz, pp2 = radial_lines(pu, n_theta=15)
+        assert (pz[:, 7] == 0.0).all()
+        lines = saddle_batch(pu, E_F, pz, pp2)
+        points = saddle_batch(pu, E_F, pz.ravel(), pp2.ravel())
+        assert lines.t.shape == pz.shape + (deg,)
+        assert_same_saddles(lines, points, columns=np.arange(15) != 7)
+        assert_same_roots_modulo_period(
+            lines.t[:, 7], points.t.reshape(lines.t.shape)[:, 7], pu.tau_p)
+
     def test_far_neighbours_are_reseeded(self, pulse, rng, monkeypatch):
-        pz, pp2 = radial_lines(pulse)
+        # without the last column the lines are not mirror images, so every
+        # line is continued and row 0 seeds all of them
+        pz, pp2 = (a[:, :-1] for a in radial_lines(pulse))
         perm = rng.permutation(pz.shape[0])
         pz, pp2 = pz[perm], pp2[perm]
-        seeded = []
-        eigvals = np.linalg.eigvals
-
-        def counting(a):
-            seeded.append(len(a))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        seeded = count_seeds(monkeypatch)
         lines = saddle_batch(pulse, E_F, pz, pp2)
         assert sum(seeded) > pz.shape[1]   # more than row 0
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
@@ -181,6 +215,61 @@ class TestContinuation:
     def test_rejects_three_dimensional_input(self, pulse):
         with pytest.raises(ValueError):
             saddle_batch(pulse, E_F, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_symmetric_lines_solve_half(self, pulse, monkeypatch, n_theta):
+        pz, pp2 = radial_lines(pulse, n_theta=n_theta)
+        seeded = count_seeds(monkeypatch)
+        lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert sum(seeded) == (n_theta + 1) // 2
+        # column n_theta-1-j holds tau_p - conj(t) of column j, in
+        # reversed order of Re t
+        for j in range(n_theta // 2):
+            np.testing.assert_array_equal(
+                lines.t[:, n_theta - 1 - j],
+                (pulse.tau_p - np.conj(lines.t[:, j]))[:, ::-1])
+
+    def test_asymmetric_lines_solve_all(self, pulse, monkeypatch):
+        pz, pp2 = radial_lines(pulse)
+        pp2 = pp2.copy()
+        pp2[:, 0] *= 1.0 + 1e-12   # p_perp^2 no longer mirrors exactly
+        seeded = count_seeds(monkeypatch)
+        saddle_batch(pulse, E_F, pz, pp2)
+        assert sum(seeded) == pz.shape[1]
+
+    def test_every_node_is_validated(self, pulse, monkeypatch):
+        pz, pp2 = radial_lines(pulse)
+        seen = []
+        validate = saddle._validate_batch
+
+        def recording(pu, e_bound, pz_, pp2_, t, residual, s2):
+            seen.append((pz_.copy(), pp2_.copy(), t.shape))
+            return validate(pu, e_bound, pz_, pp2_, t, residual, s2)
+
+        monkeypatch.setattr(saddle, "_validate_batch", recording)
+        saddle_batch(pulse, E_F, pz, pp2)
+        (vpz, vpp2, shape), = seen
+        np.testing.assert_array_equal(vpz, pz.ravel())
+        np.testing.assert_array_equal(vpp2, pp2.ravel())
+        assert shape == (pz.size, 2 * pulse.n_cycles + 2)
+
+
+def test_final_pass_memory_is_bounded():
+    """Peak traced allocation of one default-grid channel at N = 18 stays
+    within 7.5 times the size of the returned saddle times."""
+    pu = Pulse.from_lab(1800.0, 18, 1.3e13)
+    pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+    pp2 = pperp * pperp
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        batch = saddle_batch(pu, E_F, pz, pp2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * batch.t.nbytes, f"peak {peak / batch.t.nbytes:.2f} x t.nbytes"
 
 
 class TestSaddleErrors:

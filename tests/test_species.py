@@ -2,8 +2,8 @@ import pytest
 
 from sowp import units
 from sowp.errors import SpeciesFileError
-from sowp.species import (Species, beat_period, default_species_path,
-                          get_species, load_species)
+from sowp.species import (Species, default_species_path, get_species,
+                          load_species)
 
 
 class TestDefaults:
@@ -17,7 +17,7 @@ class TestDefaults:
     @pytest.mark.parametrize("name, tau", [("F", 82.5), ("Cl", 37.8), ("Br", 9.05)])
     def test_beat_periods(self, name, tau):
         sp = get_species(name)
-        assert float(f"{beat_period(sp):.3g}") == tau
+        assert float(f"{sp.beat_period_fs:.3g}") == tau
 
     def test_lookup_case_insensitive(self):
         assert get_species("br").name == "Br"
