@@ -25,18 +25,29 @@ are found:
 * 1-D: independent points, every one seeded by eigenvalues.
 * 2-D, shape (n_path, n_lines): n_lines continuation paths along axis 0
   (the density matrix passes the radial lines of its grid this way).  Row
-  0 is seeded by eigenvalues in one stacked call; every later row starts
-  Newton from the previous row's 2N+2 roots, tracked by identity and
+  0 is seeded by eigenvalues in one stacked call; later rows are found by
+  predictor-corrector continuation, with roots tracked by identity and
   sorted by Re t only at the end.  An eigensolve costs O(deg^3) per node,
   a Newton step O(deg), so a line costs one eigensolve instead of n_path.
 
-After each continued row, every column is checked against the root-set
-contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p,
-and neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
-exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
-complete set.  A column that fails (a root jumped to a neighbour or to a
-periodic image) is re-seeded by eigenvalues at that node, and its line
-continues from the re-seeded roots.
+Predictor.  Rows 1 and 2 start Newton from the previous row's roots.  From
+row 3 on, each root is extrapolated from the three previous rows by the
+quadratic Lagrange polynomial in the path parameter s = sqrt(p_z^2 +
+p_perp^2) (|p| on a MomentumGrid), which needs no evaluation of A.  A
+column falls back to the previous row's roots when any of those three rows
+was re-seeded by eigenvalues (re-seeded roots come in another order) or
+when their s values are not distinct (the weights would not be finite).
+
+Corrector.  Rows from 3 on are polished in blocks of k consecutive rows
+per Newton call, all predicted from the same three rows, with k =
+max(1, ROW_BLOCK_ROOTS // (n_lines * (2N+2))): about ten rows of a
+two-cycle pulse per call, one row at N = 18.  After each row or block,
+every node is checked against the root-set contracts: residual |S'| <=
+RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and neighbours in Re t at
+least DISTINCT_TOL apart.  Since the strip holds exactly 2N+2 saddles,
+2N+2 distinct roots passing these checks are the complete set.  A node
+that fails (a root jumped to a neighbour or to a periodic image) is
+re-seeded by eigenvalues, and its line continues from the re-seeded roots.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -74,6 +85,7 @@ NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
 FINAL_BLOCK_ELEMS = 16_384   # roots per block of the final evaluation pass
+ROW_BLOCK_ROOTS = 2_048      # roots per Newton call of a block of continued rows
 
 
 @dataclass(frozen=True)
@@ -262,31 +274,67 @@ def _sorted_by_real(t, *fields):
     return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
 
 
+def _predicted_seeds(ts, s, r, k, reseeded):
+    """Newton seeds for rows r..r+k-1 of the continued lines ts, shape
+    (k, n_lines, 2N+2): quadratic Lagrange extrapolation in the path
+    parameter s from rows r-3..r-1, or row r-1's roots in a column where
+    that is not possible (see the module docstring).  Always a new array:
+    Newton may return its seeds unchanged, and re-seeded roots are written
+    into its result.
+    """
+    prev = ts[r - 1]
+    if r < 3:
+        return np.repeat(prev[None], k, axis=0)
+    s0, s1, s2 = s[r - 3], s[r - 2], s[r - 1]
+    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+    fallback = (reseeded[r - 3:r].any(axis=0)
+                | (d01 == 0) | (d02 == 0) | (d12 == 0))
+    x = s[r:r + k]
+    # unit denominators where a column falls back keep the weights finite
+    w0 = (x - s1) * (x - s2) / np.where(fallback, 1.0, d01 * d02)
+    w1 = (x - s0) * (x - s2) / np.where(fallback, 1.0, -d01 * d12)
+    w2 = (x - s0) * (x - s1) / np.where(fallback, 1.0, d02 * d12)
+    pred = (w0[..., None] * ts[r - 3] + w1[..., None] * ts[r - 2]
+            + w2[..., None] * prev)
+    return np.where(fallback[:, None], prev, pred)
+
+
 def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
-    """Roots along axis 0 of 2-D point arrays by continuation (see the
-    module docstring); shape pz.shape + (2N+2,), unsorted.
+    """Roots along axis 0 of 2-D point arrays by predictor-corrector
+    continuation (see the module docstring); shape pz.shape + (2N+2,),
+    unsorted.
 
     Lines that mirror each other (p_z -> -p_z at equal p_perp^2, column j
     against column n_lines-1-j) are continued once: the saddles at -p_z are
     tau_p - conj(t) of those at p_z.
     """
-    n_lines = pz.shape[1]
+    n_path, n_lines = pz.shape
+    deg = 2 * pulse.n_cycles + 2
     solved = n_lines
     if (np.array_equal(pz[:, ::-1], -pz)
             and np.array_equal(pperp2[:, ::-1], pperp2)):
         solved = (n_lines + 1) // 2
-    t = np.empty(pz.shape + (2 * pulse.n_cycles + 2,), dtype=complex)
+    t = np.empty(pz.shape + (deg,), dtype=complex)
     ts, pz, pperp2 = t[:, :solved], pz[:, :solved], pperp2[:, :solved]
+    s = np.sqrt(pz * pz + pperp2)
+    reseeded = np.zeros(pz.shape, dtype=bool)
     ts[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
-    for r in range(1, pz.shape[0]):
-        row, residual = _newton(pulse, e_bound, ts[r - 1],
-                                pz[r, :, None], pperp2[r, :, None])
-        checks = _contract_checks(pulse, *_sorted_by_real(row, residual))
+    block = max(1, ROW_BLOCK_ROOTS // (solved * deg))
+    r = 1
+    while r < n_path:
+        k = 1 if r < 3 else min(block, n_path - r)
+        rows = slice(r, r + k)
+        bpz, bpp2 = pz[rows].reshape(-1, 1), pperp2[rows].reshape(-1, 1)
+        seeds = _predicted_seeds(ts, s, r, k, reseeded).reshape(-1, deg)
+        roots, residual = _newton(pulse, e_bound, seeds, bpz, bpp2)
+        checks = _contract_checks(pulse, *_sorted_by_real(roots, residual))
         failed = np.logical_or.reduce([bad for bad, _, _ in checks])
         if failed.any():
-            row[failed] = _solve_points(pulse, e_bound, pz[r, failed],
-                                        pperp2[r, failed])
-        ts[r] = row
+            roots[failed] = _solve_points(pulse, e_bound, bpz[failed, 0],
+                                          bpp2[failed, 0])
+        ts[rows] = roots.reshape(k, solved, deg)
+        reseeded[rows] = failed.reshape(k, solved)
+        r += k
     t[:, solved:] = pulse.tau_p - np.conj(ts[:, :n_lines - solved][:, ::-1])
     return t
 

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +172,25 @@ def count_seeds(monkeypatch):
     return seeded
 
 
+def record_newton(monkeypatch, collapse=None):
+    """Wrap saddle._newton; the returned list gets (seeds, roots) of every
+    call.  collapse = (call, node): that call returns the node with its
+    first two roots equal, which fails the distinctness contract."""
+    calls = []
+    newton = saddle._newton
+
+    def recording(pulse, e_bound, t, pz, pperp2):
+        roots, residual = newton(pulse, e_bound, t, pz, pperp2)
+        if collapse is not None and len(calls) == collapse[0]:
+            roots = roots.copy()
+            roots[collapse[1], 1] = roots[collapse[1], 0]
+        calls.append((t.copy(), roots.copy()))
+        return roots, residual
+
+    monkeypatch.setattr(saddle, "_newton", recording)
+    return calls
+
+
 def assert_same_roots_modulo_period(a, b, period):
     """Root sets a and b, shape (n, deg), agree up to shifts of Re t by the
     period of the saddle equation."""
@@ -201,20 +222,89 @@ class TestContinuation:
         assert_same_roots_modulo_period(
             lines.t[:, 7], points.t.reshape(lines.t.shape)[:, 7], pu.tau_p)
 
-    def test_far_neighbours_are_reseeded(self, pulse, rng, monkeypatch):
+    def test_far_neighbours_are_reseeded(self, pulse, monkeypatch):
         # without the last column the lines are not mirror images, so every
-        # line is continued and row 0 seeds all of them
+        # line is continued and row 0 seeds all of them; the first block
+        # call returns one node with two equal roots, which fails the
+        # distinctness contract and is re-seeded
+        pz, pp2 = (a[:, :-1] for a in radial_lines(pulse))
+        seeded = count_seeds(monkeypatch)
+        record_newton(monkeypatch, collapse=(3, 5))
+        lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert sum(seeded) > pz.shape[1]   # more than row 0
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+
+    def test_shuffled_rows_match_independent_points(self, pulse, rng):
         pz, pp2 = (a[:, :-1] for a in radial_lines(pulse))
         perm = rng.permutation(pz.shape[0])
         pz, pp2 = pz[perm], pp2[perm]
-        seeded = count_seeds(monkeypatch)
         lines = saddle_batch(pulse, E_F, pz, pp2)
-        assert sum(seeded) > pz.shape[1]   # more than row 0
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
 
     def test_rejects_three_dimensional_input(self, pulse):
         with pytest.raises(ValueError):
             saddle_batch(pulse, E_F, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+class TestPredictor:
+    def test_reseed_in_block_falls_back_in_its_column(self, pulse, monkeypatch):
+        pz, pp2 = radial_lines(pulse)
+        deg = 2 * pulse.n_cycles + 2
+        solved, col = pz.shape[1] // 2, 2
+        k = saddle.ROW_BLOCK_ROOTS // (solved * deg)
+        assert 1 < k < pz.shape[0] - 3
+        # call 3 polishes the first block (rows 3..3+k-1); its last row has
+        # two equal roots in column col, so call 4 re-seeds that node
+        calls = record_newton(monkeypatch, collapse=(3, (k - 1) * solved + col))
+        lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert len(calls[4][0]) == 1
+        seeds = calls[5][0].reshape(-1, solved, deg)
+        last = calls[3][1].reshape(k, solved, deg)[-1]
+        # the next block starts column col from the re-seeded roots, every
+        # other column from the extrapolation
+        np.testing.assert_array_equal(seeds[:, col], np.broadcast_to(
+            calls[4][1][0], seeds[:, col].shape))
+        for j in set(range(solved)) - {col}:
+            assert not np.array_equal(seeds[0, j], last[j])
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+
+    @pytest.mark.parametrize("rows", [
+        np.r_[0:5, 4, 4, 5:40],                # repeated rows: equal s
+        np.r_[0:20, 18:9:-1, 20:40],           # s rises, falls, rises
+    ], ids=["repeated", "non-monotone"])
+    def test_irregular_paths_match_independent_points(self, pulse, monkeypatch,
+                                                     rows):
+        # one row per block, so every three consecutive rows extrapolate
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", 1)
+        pz, pp2 = (a[rows] for a in radial_lines(pulse))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+
+    @pytest.mark.parametrize("n_cycles", [2, 18])
+    def test_one_newton_call_per_block(self, monkeypatch, n_cycles):
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        deg = 2 * n_cycles + 2
+        pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+        n_path, solved = pz.shape[0], pz.shape[1] // 2
+        block = max(1, saddle.ROW_BLOCK_ROOTS // (solved * deg))
+        calls = record_newton(monkeypatch)
+        evaluated = []
+        vector_potential = Pulse.vector_potential
+
+        def counting(self, t):
+            evaluated.append(np.size(t))
+            return vector_potential(self, t)
+
+        monkeypatch.setattr(Pulse, "vector_potential", counting)
+        saddle_batch(pu, E_F, pz, pperp * pperp)
+        # row 0, rows 1 and 2 alone, then blocks; no line is re-seeded
+        assert len(calls) == 3 + math.ceil((n_path - 3) / block)
+        # the final pass evaluates A once at every node; seeding each row
+        # with the previous row's roots cost 3.92 evaluations per root here
+        newton = sum(evaluated) - pz.size * deg
+        assert newton < 3.5 * n_path * solved * deg
 
 
 class TestMirror:
