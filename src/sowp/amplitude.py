@@ -187,29 +187,28 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
 
     Uses the fixed +i kappa normalization with no explicit sign, which is
     algebraically identical to the alternating-sign times alternating-branch
-    composition of detachment_amplitude.
+    composition of detachment_amplitude.  A channel depends on the saddles
+    only through m_l: m_l = 0 through sum_mu core_mu v_z,mu, m_l = +/-1
+    through p_perp sum_mu core_mu, with core = exp(i S) / sqrt(-i S'').
+    Both sums are taken once per j; each channel is a constant times one.
     """
     pz = np.asarray(pz, dtype=float)
     pperp = np.asarray(pperp, dtype=float)
+    saddle_sum = np.cumsum if cumulative else np.sum
+    pperp_ = pperp[..., None] if cumulative else pperp
+    y_coef = {0: Y10_COEF, 1: -Y11_COEF, -1: Y11_COEF}
     out = {}
     for j2 in (3, 1):
-        e_bound = species.e_bound(j2)
-        kappa = species.kappa(j2)
-        batch = saddle_batch(pulse, e_bound, pz, pperp * pperp)
+        batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
         core = np.exp(1j * batch.action) * batch.prefactor
-        inv_norm = 1.0 / (1j * kappa)
-        y_by_ml = {
-            0: Y10_COEF * batch.vz * inv_norm,
-            1: -Y11_COEF * pperp[..., None] * inv_norm,
-            -1: Y11_COEF * pperp[..., None] * inv_norm,
-        }
-        scale = -((2.0 * pi) ** 1.5) * species.b_au
+        sums = {0: saddle_sum(core * batch.vz, axis=-1),
+                1: pperp_ * saddle_sum(core, axis=-1)}
+        del batch, core   # freed before the next channel's solve
+        scale = -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
         for jj2, m2, ms2 in CHANNELS:
             if jj2 != j2:
                 continue
             ml = (m2 - ms2) // 2
             cg = clebsch_gordan(1, ml, 0.5, ms2 / 2, j2 / 2, m2 / 2)
-            terms = core * y_by_ml[ml]
-            summed = np.cumsum(terms, axis=-1) if cumulative else terms.sum(axis=-1)
-            out[(j2, m2, ms2)] = scale * cg * summed
+            out[(j2, m2, ms2)] = (scale * cg * y_coef[ml]) * sums[abs(ml)]
     return out

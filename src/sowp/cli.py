@@ -98,6 +98,10 @@ class RunConfig:
             problems.append(f"phi_mode must be analytic or numeric, got {self.phi_mode!r}")
         if self.threads < 1:
             problems.append(f"threads must be >= 1, got {self.threads}")
+        if self.n_samples < 1:
+            problems.append(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.t_max_fs is not None and not self.t_max_fs > 0:
+            problems.append(f"t_max_fs must be positive, got {self.t_max_fs}")
         cr = cycle_list(self.cycles)
         if not cr:
             problems.append(f"cycle range {self.cycles!r} is empty")
@@ -326,7 +330,8 @@ def run(cfg: RunConfig) -> int:
         summary.append(f"Delta_S = {delta_s:.10g}")
         summary.append(f"contrast = {delta_s / s_bar:.10g}")
         if cfg.command == "evolve":
-            t_max = cfg.t_max_fs or 2.0 * species.beat_period_fs
+            t_max = (2.0 * species.beat_period_fs if cfg.t_max_fs is None
+                     else cfg.t_max_fs)
             times = np.linspace(0.0, t_max, cfg.n_samples)
             tr = signal_trace(rho, species, times, beta=cfg.beta_rad)
             _write(os.path.join(cfg.out_dir, "trace.csv"), tr.write_csv)

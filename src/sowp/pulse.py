@@ -20,6 +20,9 @@ when |Im t| is large, and it makes the action integral a finite sum of
 elementary antiderivatives (see ``sowp.saddle``).  The electric field is
 F(t) = -dA/dt, and the peak field is identified as F0 = A0 omega (the
 carrier peak at the envelope maximum).
+
+A caller that needs A, dA/dt and the action at the same t builds the
+phasors once (Pulse.phasors) and passes them to each.
 """
 
 from dataclasses import dataclass, field
@@ -105,18 +108,19 @@ class Pulse:
             out = out.real.copy()
         return out[()] if out.ndim == 0 else out
 
-    def vector_potential(self, t):
-        """A_z(t) for real or complex t (scalar or ndarray)."""
+    def vector_potential(self, t, phasors=None):
+        """A_z(t) for real or complex t (scalar or ndarray); phasors, if
+        given, must be self.phasors(t)."""
         t = np.asarray(t)
-        u, z, v, y = self.phasors(t)
+        u, z, v, y = self.phasors(t) if phasors is None else phasors
         a0, a1, a2 = (a for a, _ in self._sidebands)
         out = -0.5j * (u * (a0 + a1 * z + a2 * y) - v * (a0 + a1 * y + a2 * z))
         return self._as_input(t, out)
 
-    def vector_potential_derivative(self, t):
-        """dA/dt = -F(t)."""
+    def vector_potential_derivative(self, t, phasors=None):
+        """dA/dt = -F(t); phasors as for vector_potential."""
         t = np.asarray(t)
-        u, z, v, y = self.phasors(t)
+        u, z, v, y = self.phasors(t) if phasors is None else phasors
         a0, a1, a2 = (a * om for a, om in self._sidebands)
         out = 0.5 * (u * (a0 + a1 * z + a2 * y) + v * (a0 + a1 * y + a2 * z))
         return self._as_input(t, out)

@@ -38,16 +38,17 @@ column falls back to the previous row's roots when any of those three rows
 was re-seeded by eigenvalues (re-seeded roots come in another order) or
 when their s values are not distinct (the weights would not be finite).
 
-Corrector.  Rows from 3 on are polished in blocks of k consecutive rows
-per Newton call, all predicted from the same three rows, with k =
-max(1, ROW_BLOCK_ROOTS // (n_lines * (2N+2))): about ten rows of a
-two-cycle pulse per call, one row at N = 18.  After each row or block,
-every node is checked against the root-set contracts: residual |S'| <=
-RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and neighbours in Re t at
-least DISTINCT_TOL apart.  Since the strip holds exactly 2N+2 saddles,
-2N+2 distinct roots passing these checks are the complete set.  A node
-that fails (a root jumped to a neighbour or to a periodic image) is
-re-seeded by eigenvalues, and its line continues from the re-seeded roots.
+Corrector.  Rows from 3 on are polished in blocks of ROW_BLOCK_ROWS
+consecutive rows per Newton call, all predicted from the same three rows;
+how far the predictor reaches depends on rows, not on the degree.  Each
+Newton step builds the phasors of its t once, for A and A'.  After each
+row or block, every node is checked against the root-set contracts:
+residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and
+neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
+exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
+complete set.  A node that fails (a root jumped to a neighbour or to a
+periodic image) is re-seeded by eigenvalues, and its line continues from
+the re-seeded roots.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -60,7 +61,8 @@ filled from its partner by that map.  Otherwise every line is continued.
 
 Final pass.  Whether solved or mirrored, every node's v_z, residual, S''
 and action are evaluated from its own t, in blocks of at most
-FINAL_BLOCK_ELEMS roots written into preallocated outputs.  The whole
+FINAL_BLOCK_ELEMS roots written into preallocated outputs; each block
+builds its phasors once, for A, A' and the action.  The whole
 batch is then validated, together with the |S''| curvature contract; a
 failure raises SaddleError naming the node (p_z, p_perp^2) and the channel
 energy.  The prefactor and branch follow from S'' and v_z.
@@ -85,7 +87,7 @@ NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
 FINAL_BLOCK_ELEMS = 16_384   # roots per block of the final evaluation pass
-ROW_BLOCK_ROOTS = 2_048      # roots per Newton call of a block of continued rows
+ROW_BLOCK_ROWS = 10          # continued rows per Newton call
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,16 @@ def _action_coefficients(pulse):
     return lin, c, b, g
 
 
-def _action_terms(pulse, t, pz, pperp2, e_bound):
+def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None):
     """Closed-form action (see _action_coefficients) from the phasors
     z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
-    (Pulse.phasors); pz and pperp2 broadcast against t.
+    (pulse.phasors(t), built here unless given); pz and pperp2 broadcast
+    against t.
 
     Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
     """
     lin, c, b, g = _action_coefficients(pulse)
-    u, z, v, y = pulse.phasors(t)
+    u, z, v, y = pulse.phasors(t) if phasors is None else phasors
     z2, y2, u2, v2 = z * z, y * y, u * u, v * v
     s = (0.5 * (pz * pz + pperp2) - e_bound + lin) * t
     # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2)
@@ -248,12 +251,13 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
     """
     step_cap = 0.25 * np.pi / pulse.omega
     for it in range(NEWTON_ITERATIONS + 1):
-        vz = pz + pulse.vector_potential(t)
+        phasors = pulse.phasors(t)
+        vz = pz + pulse.vector_potential(t, phasors=phasors)
         f = 0.5 * (vz * vz + pperp2) - e_bound
         residual = np.abs(f)
         if it == NEWTON_ITERATIONS or (residual <= NEWTON_STOP_TOL).all():
             return t, residual
-        fp = vz * pulse.vector_potential_derivative(t)
+        fp = vz * pulse.vector_potential_derivative(t, phasors=phasors)
         with np.errstate(divide="ignore", invalid="ignore"):
             dt = np.where(fp != 0, -f / fp, 0.0)
         mag = np.abs(dt)
@@ -319,10 +323,9 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     s = np.sqrt(pz * pz + pperp2)
     reseeded = np.zeros(pz.shape, dtype=bool)
     ts[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
-    block = max(1, ROW_BLOCK_ROOTS // (solved * deg))
     r = 1
     while r < n_path:
-        k = 1 if r < 3 else min(block, n_path - r)
+        k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = pz[rows].reshape(-1, 1), pperp2[rows].reshape(-1, 1)
         seeds = _predicted_seeds(ts, s, r, k, reseeded).reshape(-1, deg)
@@ -377,10 +380,11 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
     for i0 in range(0, t.shape[0], rows):
         sl = slice(i0, i0 + rows)
         tb, pzb, pp2b = t[sl], pz[sl], pperp2[sl]
-        vz[sl] = pzb + pulse.vector_potential(tb)
+        phasors = pulse.phasors(tb)
+        vz[sl] = pzb + pulse.vector_potential(tb, phasors=phasors)
         residual[sl] = np.abs(0.5 * (vz[sl] * vz[sl] + pp2b) - e_bound)
-        s2[sl] = vz[sl] * pulse.vector_potential_derivative(tb)
-        act[sl] = _action_terms(pulse, tb, pzb, pp2b, e_bound)
+        s2[sl] = vz[sl] * pulse.vector_potential_derivative(tb, phasors=phasors)
+        act[sl] = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
 
     _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, residual, s2)
 

@@ -6,7 +6,8 @@ from sowp.amplitude import (CHANNELS, alternating_sign, amplitude_profiles,
                             complex_sph_harmonic, detachment_amplitude)
 from sowp.errors import DegenerateSaddleError
 from sowp.pulse import Pulse
-from sowp.saddle import action, find_saddles
+from sowp.densmat import MomentumGrid, _grid_nodes
+from sowp.saddle import SaddlePoint, action, find_saddles, saddle_batch
 from sowp.species import Species, get_species
 
 SQ34 = np.sqrt(3.0 / (4.0 * np.pi))
@@ -159,6 +160,38 @@ class TestDetachmentAmplitude:
             lit = detachment_amplitude(ref_pulse, species_f, j2 / 2, m2 / 2,
                                        ms2 / 2, (pperp, 0.0, pz), saddles)
             assert lit == pytest.approx(complex(vals[0]), rel=1e-12)
+
+    def test_matches_cumulative_line_profiles(self, ref_pulse, species_f):
+        # the same oracle on the build-up path, over 2-D lines (continued
+        # and mirrored saddles): partial sum k is the literal amplitude over
+        # the first k saddles in order of Re t, and the last partial sum is
+        # the summed profile
+        grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=4)
+        pz, pperp, _ = _grid_nodes(grid)
+        cumulative = amplitude_profiles(ref_pulse, species_f, pz, pperp,
+                                        cumulative=True)
+        summed = amplitude_profiles(ref_pulse, species_f, pz, pperp)
+        for j2 in (3, 1):
+            batch = saddle_batch(ref_pulse, species_f.e_bound(j2), pz,
+                                 pperp * pperp)
+            for node in np.ndindex(pz.shape):
+                saddles = [SaddlePoint(mu=k + 1, t=complex(batch.t[node][k]),
+                                       action=complex(batch.action[node][k]),
+                                       s2=complex(batch.s2[node][k]),
+                                       prefactor=complex(batch.prefactor[node][k]),
+                                       branch=int(batch.branch[node][k]))
+                           for k in range(batch.t.shape[-1])]
+                p = (pperp[node], 0.0, pz[node])
+                for (jj2, m2, ms2), vals in cumulative.items():
+                    if jj2 != j2:
+                        continue
+                    for k, val in enumerate(vals[node], start=1):
+                        lit = detachment_amplitude(ref_pulse, species_f, j2 / 2,
+                                                   m2 / 2, ms2 / 2, p, saddles[:k])
+                        assert lit == pytest.approx(complex(val), rel=1e-12)
+        for key, vals in cumulative.items():
+            np.testing.assert_allclose(vals[..., -1], summed[key], rtol=1e-14,
+                                       atol=0, err_msg=str(key))
 
     def test_azimuthal_phase(self, ref_pulse, species_f):
         # rotating p about z multiplies each m_l component by exp(i m_l phi)

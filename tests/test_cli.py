@@ -131,6 +131,19 @@ class TestEvolveCommand:
         assert float(lines[-1].split(",")[0]) == pytest.approx(100.0)
         assert (out / "densmat.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-samples", "-5"), ("--n-samples", "0"),
+        ("--t-max-fs", "-3"), ("--t-max-fs", "0"),
+    ])
+    def test_bad_trace_arguments_rejected(self, tmp_path, capsys, flag, value):
+        # rejected before any matrix is computed
+        out = tmp_path / "ev"
+        rc = run_cli("evolve", "--species", "f", *FAST_GRID, "--out-dir",
+                     str(out), flag, value)
+        assert rc == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "densmat.csv").exists()
+
 
 class TestBuildupCommand:
     def test_buildup_written(self, tmp_path):

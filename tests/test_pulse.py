@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sowp.pulse import Pulse
+from sowp.saddle import _action_terms
 from sowp.species import get_species
 
 
@@ -83,6 +84,31 @@ class TestPhasorAccuracy:
             assert got.dtype == float and got.shape == t.shape
             assert np.abs(got - ref.real).max() <= 1e-12 * np.abs(ref).max()
         assert isinstance(pu.vector_potential(1.5), float)
+
+
+class TestSuppliedPhasors:
+    """A, A' and the action from phasors built by the caller are the
+    t-only forms bit for bit, with the same type and shape."""
+
+    @pytest.mark.parametrize("t", [
+        1234.5,
+        1234.5 + 37.25j,
+        np.linspace(0.0, 2000.0, 7),
+        np.linspace(0.0, 2000.0, 12).reshape(3, 4) + 1j * np.linspace(1.0, 190.0, 4),
+    ], ids=["real-scalar", "complex-scalar", "real-array", "complex-array"])
+    def test_bit_identical(self, pulse, t):
+        phasors = pulse.phasors(np.asarray(t))
+        for f in (pulse.vector_potential, pulse.vector_potential_derivative):
+            a, b = f(t), f(t, phasors=phasors)
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
+            np.testing.assert_array_equal(a, b)
+        # the action takes complex t, as saddle.action passes it
+        tc = np.asarray(t, dtype=complex)
+        e_bound = get_species("F").e_bound(3)
+        a = _action_terms(pulse, tc, 0.21, 0.05, e_bound)
+        b = _action_terms(pulse, tc, 0.21, 0.05, e_bound, phasors=phasors)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestElectricField:

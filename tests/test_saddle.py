@@ -251,7 +251,7 @@ class TestPredictor:
         pz, pp2 = radial_lines(pulse)
         deg = 2 * pulse.n_cycles + 2
         solved, col = pz.shape[1] // 2, 2
-        k = saddle.ROW_BLOCK_ROOTS // (solved * deg)
+        k = saddle.ROW_BLOCK_ROWS
         assert 1 < k < pz.shape[0] - 3
         # call 3 polishes the first block (rows 3..3+k-1); its last row has
         # two equal roots in column col, so call 4 re-seeds that node
@@ -275,7 +275,7 @@ class TestPredictor:
     def test_irregular_paths_match_independent_points(self, pulse, monkeypatch,
                                                      rows):
         # one row per block, so every three consecutive rows extrapolate
-        monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", 1)
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROWS", 1)
         pz, pp2 = (a[rows] for a in radial_lines(pulse))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -288,14 +288,14 @@ class TestPredictor:
         deg = 2 * n_cycles + 2
         pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
         n_path, solved = pz.shape[0], pz.shape[1] // 2
-        block = max(1, saddle.ROW_BLOCK_ROOTS // (solved * deg))
+        block = saddle.ROW_BLOCK_ROWS
         calls = record_newton(monkeypatch)
         evaluated = []
         vector_potential = Pulse.vector_potential
 
-        def counting(self, t):
+        def counting(self, t, phasors=None):
             evaluated.append(np.size(t))
-            return vector_potential(self, t)
+            return vector_potential(self, t, phasors=phasors)
 
         monkeypatch.setattr(Pulse, "vector_potential", counting)
         saddle_batch(pu, E_F, pz, pperp * pperp)
@@ -344,6 +344,44 @@ class TestMirror:
         np.testing.assert_array_equal(vpz, pz.ravel())
         np.testing.assert_array_equal(vpp2, pp2.ravel())
         assert shape == (pz.size, 2 * pulse.n_cycles + 2)
+
+
+def test_one_phasor_build_per_evaluation(monkeypatch):
+    """One default-grid channel at N = 18: each Newton step builds the
+    phasors once, for A and A'; the final pass once per block, for A, A'
+    and the action."""
+    pu = Pulse.from_lab(1800.0, 18, 1.3e13)
+    deg = 2 * pu.n_cycles + 2
+    pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+    builds = {True: 0, False: 0}      # keyed by: inside _newton
+    evaluations = []                  # Pulse.vector_potential inside _newton
+    inside = [False]
+    phasors, newton = Pulse.phasors, saddle._newton
+    vector_potential = Pulse.vector_potential
+
+    def counting_phasors(self, t):
+        builds[inside[0]] += 1
+        return phasors(self, t)
+
+    def counting_a(self, t, **kwargs):
+        if inside[0]:
+            evaluations.append(np.size(t))
+        return vector_potential(self, t, **kwargs)
+
+    def flagged_newton(*args):
+        inside[0] = True
+        try:
+            return newton(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Pulse, "phasors", counting_phasors)
+    monkeypatch.setattr(Pulse, "vector_potential", counting_a)
+    monkeypatch.setattr(saddle, "_newton", flagged_newton)
+    saddle_batch(pu, E_F, pz, pperp * pperp)
+    rows = saddle.FINAL_BLOCK_ELEMS // deg
+    assert builds[False] == math.ceil(pz.size / rows)
+    assert evaluations and builds[True] == len(evaluations)
 
 
 def test_final_pass_memory_is_bounded():
