@@ -9,26 +9,25 @@ with m_l = m - m_s, v_mu = p + A(t_mu) the complex velocity at the saddle,
 and sgn_mu = (-1)^(mu-1) the alternating sign for l = 1.  At a saddle
 v.v = 2E = -kappa^2, so |v| continues to +/- i kappa; the square-root branch
 alternates from saddle to saddle, norm_mu = i kappa (-1)^(mu-1), and the
-explicit alternating sign compensates it exactly.  The net convention
-(equivalent to a fixed +i kappa norm with no extra sign) is validated
+explicit alternating sign compensates it exactly.  The code uses the
+equivalent fixed +i kappa norm with no extra sign; the literal composition
+is kept in the tests as an oracle, and the convention is validated there
 against direct numerical time integration of the amplitude integral, which
 reproduces both the modulus and the positions of the above-threshold
-interference peaks (see tests).
+interference peaks.
 
 Spherical harmonics follow the Condon-Shortley convention; final spin
 states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
 """
 
-from dataclasses import dataclass
 from math import sqrt, pi
 
 import numpy as np
 
 from sowp.pulse import Pulse
-from sowp.saddle import saddle_batch, find_saddles
+from sowp.saddle import saddle_batch
 from sowp.species import Species
-from sowp.errors import DegenerateSaddleError
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
 Y11_COEF = sqrt(3.0 / (8.0 * pi))
@@ -46,6 +45,9 @@ CHANNELS = tuple(
 
 # (j, m) basis order of the 6x6 density matrix
 STATES = ((3, -3), (3, -1), (3, 1), (3, 3), (1, -1), (1, 1))
+
+# (j2, |m_l|) of the four saddle sums returned by amplitude_profiles
+SUM_ROWS = ((3, 0), (3, 1), (1, 0), (1, 1))
 
 
 def _doubled(x, name):
@@ -86,129 +88,51 @@ def clebsch_gordan(l, m_l, s, m_s, j, m) -> float:
     raise ValueError(f"j = {j} is not l +/- 1/2 for l = {l}")
 
 
-def complex_sph_harmonic(m_l: int, v, norm, l: int = 1):
-    """Solid-harmonic continuation of Y_{1 m_l} at complex velocity v with
-    a caller-supplied continuation of |v|:
-
-        Y_10  =  sqrt(3/4pi) v_z / norm
-        Y_1+1 = -sqrt(3/8pi) (v_x + i v_y) / norm
-        Y_1-1 = +sqrt(3/8pi) (v_x - i v_y) / norm
-
-    For real v with norm = |v| this is the ordinary spherical harmonic.
-    """
-    if l != 1:
-        raise ValueError(f"only l = 1 is implemented, got l = {l}")
-    if norm == 0:
-        raise DegenerateSaddleError("zero velocity norm in spherical harmonic")
-    vx, vy, vz = v
-    if m_l == 0:
-        return Y10_COEF * vz / norm
-    if m_l == 1:
-        return -Y11_COEF * (vx + 1j * vy) / norm
-    if m_l == -1:
-        return Y11_COEF * (vx - 1j * vy) / norm
-    raise ValueError(f"|m_l| must be <= 1, got {m_l}")
+def _channel_coefficients() -> np.ndarray:
+    coef = np.zeros((len(CHANNELS), len(SUM_ROWS)))
+    y_coef = {0: Y10_COEF, 1: -Y11_COEF, -1: Y11_COEF}
+    for c, (j2, m2, ms2) in enumerate(CHANNELS):
+        ml = (m2 - ms2) // 2
+        coef[c, SUM_ROWS.index((j2, abs(ml)))] = (
+            clebsch_gordan(1, ml, 0.5, ms2 / 2, j2 / 2, m2 / 2) * y_coef[ml])
+    return coef
 
 
-def alternating_sign(mu: int, l: int = 1) -> int:
-    """Sign of the mu-th saddle contribution: (-1)^(mu-1) for odd l, +1 for
-    even l (mu counts from 1 in order of increasing Re t)."""
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
-    if l % 2 == 0:
-        return 1
-    return 1 if mu % 2 == 1 else -1
-
-
-def detachment_amplitude(pulse: Pulse, species: Species, j, m, m_s, p,
-                         saddles) -> complex:
-    """Amplitude for leaving the atom in (j, m) with electron spin m_s and
-    momentum p, from the saddle list of the matching channel energy E_j."""
-    j2 = _doubled(j, "j")
-    m2 = _doubled(m, "m")
-    ms2 = _doubled(m_s, "m_s")
-    ml2 = m2 - ms2
-    if abs(ml2) > 2:
-        return 0.0 + 0.0j
-    cg = clebsch_gordan(1, ml2 / 2, 0.5, m_s, j, m)
-    if cg == 0.0:
-        return 0.0 + 0.0j
-    kappa = species.kappa(j2)
-    px, py, pz = (float(c) for c in p)
-    total = 0.0 + 0.0j
-    for sp in saddles:
-        a_t = pulse.vector_potential(sp.t)
-        v = (px, py, pz + a_t)
-        norm = 1j * kappa * alternating_sign(sp.mu, 1)
-        y = complex_sph_harmonic(ml2 // 2, v, norm, l=1)
-        total += (alternating_sign(sp.mu, species.l) * y
-                  * np.exp(1j * sp.action) * sp.prefactor)
-    return -((2.0 * pi) ** 1.5) * species.b_au * cg * total
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """All channel amplitudes at one momentum p, keyed by (j2, m2, ms2)."""
-
-    p: tuple
-    values: dict
-
-    def value(self, j, m, m_s) -> complex:
-        return self.values[(_doubled(j, "j"), _doubled(m, "m"),
-                            _doubled(m_s, "m_s"))]
-
-
-def amplitude_set(pulse: Pulse, species: Species, p) -> AmplitudeSet:
-    """Evaluate every (j, m, m_s) channel at momentum p (one saddle search
-    per channel energy)."""
-    px, py, pz = (float(c) for c in p)
-    values = {}
-    for j2 in (3, 1):
-        saddles = find_saddles(pulse, species.e_bound(j2), (px, py, pz))
-        for jj2, m2, ms2 in CHANNELS:
-            if jj2 != j2:
-                continue
-            values[(j2, m2, ms2)] = detachment_amplitude(
-                pulse, species, j2 / 2, m2 / 2, ms2 / 2, (px, py, pz), saddles)
-    return AmplitudeSet(p=(px, py, pz), values=values)
+# CHANNELS amplitudes = CHANNEL_COEF @ saddle sums: the Clebsch-Gordan
+# times the Y_{1 m_l} coefficient, in the column of the channel's (j, |m_l|)
+CHANNEL_COEF = _channel_coefficients()
 
 
 def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
-                       cumulative: bool = False) -> dict:
-    """Vectorized phi = 0 channel amplitudes on an array of (pz, pperp)
-    momenta: 1-D independent points, or 2-D lines whose saddles are
-    continued along axis 0 (see ``saddle_batch``).
+                       cumulative: bool = False) -> np.ndarray:
+    """The four saddle sums of SUM_ROWS at phi = 0 on an array of
+    (pz, pperp) momenta: 1-D independent points, or 2-D lines whose
+    saddles are continued along axis 0 (see ``saddle_batch``).
 
-    The full amplitude at azimuth phi is the returned profile times
-    exp(i m_l phi); the saddle set and the action do not depend on phi.
-    Returns {(j2, m2, ms2): array}, shape pz.shape or pz.shape + (2N+2,)
-    when ``cumulative`` (partial sums over saddles sorted by Re t, for
-    build-up analysis).
+    A channel sees the saddles only through m_l: Y_10 carries v_z, Y_1+-1
+    carries p_perp.  Row (j, 0) is sum_mu core_mu v_z,mu and row (j, 1) is
+    p_perp sum_mu core_mu, core = exp(i S) / sqrt(-i S''), each times
+    -(2 pi)^(3/2) B / (i kappa_j).  CHANNEL_COEF @ rows gives the CHANNELS
+    amplitudes; at azimuth phi each is that times exp(i m_l phi), since the
+    saddle set and the action do not depend on phi.
 
-    Uses the fixed +i kappa normalization with no explicit sign, which is
-    algebraically identical to the alternating-sign times alternating-branch
-    composition of detachment_amplitude.  A channel depends on the saddles
-    only through m_l: m_l = 0 through sum_mu core_mu v_z,mu, m_l = +/-1
-    through p_perp sum_mu core_mu, with core = exp(i S) / sqrt(-i S'').
-    Both sums are taken once per j; each channel is a constant times one.
+    Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
+    ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
+    analysis).
     """
-    pz = np.asarray(pz, dtype=float)
-    pperp = np.asarray(pperp, dtype=float)
+    pz = np.atleast_1d(np.asarray(pz, dtype=float))
+    pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
     saddle_sum = np.cumsum if cumulative else np.sum
     pperp_ = pperp[..., None] if cumulative else pperp
-    y_coef = {0: Y10_COEF, 1: -Y11_COEF, -1: Y11_COEF}
-    out = {}
-    for j2 in (3, 1):
+    tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
+    sums = np.empty((len(SUM_ROWS),) + pz.shape + tail, dtype=complex)
+    for row, j2 in ((0, 3), (2, 1)):
         batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
         core = np.exp(1j * batch.action) * batch.prefactor
-        sums = {0: saddle_sum(core * batch.vz, axis=-1),
-                1: pperp_ * saddle_sum(core, axis=-1)}
+        saddle_sum(core * batch.vz, axis=-1, out=sums[row])
+        saddle_sum(core, axis=-1, out=sums[row + 1])
         del batch, core   # freed before the next channel's solve
-        scale = -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
-        for jj2, m2, ms2 in CHANNELS:
-            if jj2 != j2:
-                continue
-            ml = (m2 - ms2) // 2
-            cg = clebsch_gordan(1, ml, 0.5, ms2 / 2, j2 / 2, m2 / 2)
-            out[(j2, m2, ms2)] = (scale * cg * y_coef[ml]) * sums[abs(ml)]
-    return out
+        sums[row + 1] *= pperp_
+        sums[row:row + 2] *= (-((2.0 * pi) ** 1.5) * species.b_au
+                              / (1j * species.kappa(j2)))
+    return sums

@@ -17,8 +17,8 @@ import numpy as np
 
 from sowp import units
 from sowp.amplitude import amplitude_profiles, STATES
-from sowp.densmat import (DensityMatrix, MomentumGrid, _assemble, _grid_nodes,
-                          build_density_matrix, coherence_degree)
+from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
+                          build_density_matrix, coherence_degree, grid_nodes)
 from sowp.errors import FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
@@ -81,32 +81,20 @@ def buildup(pulse: Pulse, species: Species,
     """Recompute the density matrix from cumulative saddle subsets."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
-    pz, pperp, weights = _grid_nodes(grid)
-    profiles = amplitude_profiles(pulse, species, pz, pperp, cumulative=True)
-    nsad = next(iter(profiles.values())).shape[-1]
+    pz, pperp, weights = grid_nodes(grid)
+    rho = assemble(amplitude_profiles(pulse, species, pz, pperp, cumulative=True),
+                   weights, grid)
 
     probe = find_saddles(pulse, species.e_bound(3),
                          (0.0, 0.0, BUILDUP_PROBE_P))
     t_ref = np.array([sp.t.real for sp in probe])
     field = np.array([pulse.electric_field(t).real for t in t_ref])
 
-    idx = {s: i for i, s in enumerate(STATES)}
-    a32, a12, a33 = idx[(3, 1)], idx[(1, 1)], idx[(3, 3)]
-    p3232 = np.empty(nsad)
-    p3212 = np.empty(nsad)
-    p1212 = np.empty(nsad)
-    coh = np.empty(nsad, dtype=complex)
-    rho = None
-    for k in range(nsad):
-        rho = _assemble(profiles, weights, grid, k=k)
-        p3232[k] = rho[a33, a33].real
-        p3212[k] = rho[a32, a32].real
-        p1212[k] = rho[a12, a12].real
-        coh[k] = rho[a32, a12]
+    a33, a32, a12 = (STATES.index(s) for s in ((3, 3), (3, 1), (1, 1)))
     return BuildupTrace(
-        t_fs=units.au_to_fs(t_ref), pop_j32_m32=p3232, pop_j32_m12=p3212,
-        pop_j12_m12=p1212, coherence=coh, field=field,
-        final=DensityMatrix(rho))
+        t_fs=units.au_to_fs(t_ref), pop_j32_m32=rho[:, a33, a33].real,
+        pop_j32_m12=rho[:, a32, a32].real, pop_j12_m12=rho[:, a12, a12].real,
+        coherence=rho[:, a32, a12], field=field, final=DensityMatrix(rho[-1]))
 
 
 def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,

@@ -18,7 +18,7 @@ under --out-dir.  Exit codes: 0 success, 1 configuration error,
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,52 +34,32 @@ from sowp.species import default_species_path, get_species, load_species
 
 COMMANDS = ("single", "evolve", "sweep", "fit", "buildup", "predict")
 
-DEFAULTS = dict(
-    wavelength_nm=1800.0,
-    intensity_wcm2=1.3e13,
-    cycles="8",
-    n_energy=200,
-    n_theta=64,
-    n_phi=32,
-    phi_mode="analytic",
-    beta_rad=0.0,
-    out_dir="out",
-    threads=1,
-    g0=0.89,
-    zeta=1.15,
-    t_max_fs=None,
-    n_samples=400,
-)
-
-_CONFIG_KEYS = {
-    "species", "species_file", "wavelength_nm", "intensity_wcm2", "cycles",
-    "n_energy", "n_theta", "n_phi", "phi_mode", "beta_rad", "out_dir",
-    "threads", "g0", "zeta", "ratio", "coherence", "t_max_fs", "n_samples",
-    "sweep_csv",
-}
-
 
 @dataclass
 class RunConfig:
+    """The configuration schema: every field but ``command`` and
+    ``cycles_explicit`` is a config-file key, read with its annotated type
+    and defaulting to its built-in default."""
+
     command: str
     species: str = None
     species_file: str = None
-    wavelength_nm: float = DEFAULTS["wavelength_nm"]
-    intensity_wcm2: float = DEFAULTS["intensity_wcm2"]
-    cycles: str = DEFAULTS["cycles"]
-    n_energy: int = DEFAULTS["n_energy"]
-    n_theta: int = DEFAULTS["n_theta"]
-    n_phi: int = DEFAULTS["n_phi"]
-    phi_mode: str = DEFAULTS["phi_mode"]
-    beta_rad: float = DEFAULTS["beta_rad"]
-    out_dir: str = DEFAULTS["out_dir"]
-    threads: int = DEFAULTS["threads"]
-    g0: float = DEFAULTS["g0"]
-    zeta: float = DEFAULTS["zeta"]
+    wavelength_nm: float = 1800.0
+    intensity_wcm2: float = 1.3e13
+    cycles: str = "8"
+    n_energy: int = 200
+    n_theta: int = 64
+    n_phi: int = 32
+    phi_mode: str = "analytic"
+    beta_rad: float = 0.0
+    out_dir: str = "out"
+    threads: int = 1
+    g0: float = 0.89
+    zeta: float = 1.15
     ratio: float = None
     coherence: float = None
-    t_max_fs: float = DEFAULTS["t_max_fs"]
-    n_samples: int = DEFAULTS["n_samples"]
+    t_max_fs: float = None
+    n_samples: int = 400
     sweep_csv: str = None
     cycles_explicit: bool = False   # user supplied cycles (flag or file)
 
@@ -112,11 +92,21 @@ class RunConfig:
                             f"got {self.cycles!r}")
         if self.command in ("single", "evolve", "buildup") and not self.species:
             problems.append(f"command {self.command!r} requires --species")
-        if self.command == "predict" and (self.ratio is None) == (self.coherence is None):
-            problems.append("predict needs exactly one of --ratio or --coherence")
+        if self.command == "predict":
+            if (self.ratio is None) == (self.coherence is None):
+                problems.append("predict needs exactly one of --ratio or --coherence")
+            # the domain gaussian_fit accepts
+            if not 0.0 < self.g0 <= 1.0:
+                problems.append(f"g0 must lie in (0, 1], got {self.g0}")
+            if not self.zeta > 0.0:
+                problems.append(f"zeta must be positive, got {self.zeta}")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
+
+
+_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)
+                  if f.name not in ("command", "cycles_explicit")}
 
 
 def cycle_list(spec: str):
@@ -147,7 +137,7 @@ def read_config_file(path: str) -> dict:
                     continue
                 key, _, val = line.partition("=")
                 key = key.strip().lower()
-                if key not in _CONFIG_KEYS:
+                if key not in _CONFIG_FIELDS:
                     bad.append(f"line {lineno}: unknown key {key!r}")
                     continue
                 values[key] = val.strip()
@@ -208,11 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLOAT_KEYS = {"wavelength_nm", "intensity_wcm2", "beta_rad", "g0", "zeta",
-               "ratio", "coherence", "t_max_fs"}
-_INT_KEYS = {"n_energy", "n_theta", "n_phi", "threads", "n_samples"}
-
-
 def parse_config(argv) -> RunConfig:
     """CLI arguments + optional config file -> validated RunConfig.
 
@@ -220,47 +205,19 @@ def parse_config(argv) -> RunConfig:
     """
     ns = _build_parser().parse_args(argv)
     file_values = read_config_file(ns.config) if ns.config else {}
-
-    def pick(key, default):
+    values = {}
+    for key, f in _CONFIG_FIELDS.items():
         flag = getattr(ns, key, None)
         if flag is not None:
-            return flag
-        if key in file_values:
+            values[key] = flag
+        elif key in file_values:
             raw = file_values[key]
             try:
-                if key in _FLOAT_KEYS:
-                    return float(raw)
-                if key in _INT_KEYS:
-                    return int(raw)
+                values[key] = f.type(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: bad number {raw!r}") from exc
-            return raw
-        return default
-
-    cfg = RunConfig(
-        command=ns.command,
-        species=pick("species", None),
-        species_file=pick("species_file", None),
-        wavelength_nm=pick("wavelength_nm", DEFAULTS["wavelength_nm"]),
-        intensity_wcm2=pick("intensity_wcm2", DEFAULTS["intensity_wcm2"]),
-        cycles=str(pick("cycles", DEFAULTS["cycles"])),
-        n_energy=pick("n_energy", DEFAULTS["n_energy"]),
-        n_theta=pick("n_theta", DEFAULTS["n_theta"]),
-        n_phi=pick("n_phi", DEFAULTS["n_phi"]),
-        phi_mode=pick("phi_mode", DEFAULTS["phi_mode"]),
-        beta_rad=pick("beta_rad", DEFAULTS["beta_rad"]),
-        out_dir=pick("out_dir", DEFAULTS["out_dir"]),
-        threads=pick("threads", DEFAULTS["threads"]),
-        g0=pick("g0", DEFAULTS["g0"]),
-        zeta=pick("zeta", DEFAULTS["zeta"]),
-        ratio=pick("ratio", None),
-        coherence=pick("coherence", None),
-        t_max_fs=pick("t_max_fs", DEFAULTS["t_max_fs"]),
-        n_samples=pick("n_samples", DEFAULTS["n_samples"]),
-        sweep_csv=pick("sweep_csv", None),
-        cycles_explicit=(getattr(ns, "cycles", None) is not None
-                         or "cycles" in file_values),
-    )
+    cfg = RunConfig(command=ns.command, cycles_explicit="cycles" in values,
+                    **values)
     return cfg.validate()
 
 

@@ -10,6 +10,10 @@ phi mode uses this identity, while the 'numeric' mode evaluates the phi sum
 with the uniform trapezoid rule, letting one verify that m' != m elements
 vanish within quadrature accuracy rather than by construction.
 
+Every channel amplitude is a constant times one of the four saddle sums of
+``amplitude_profiles``, so ``assemble`` sums over nodes once, into their
+weighted 4x4 Gram matrix, for one matrix or all build-up partial sums.
+
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
 volume exactly; energy nodes p^2/2 are exposed for reporting.  Nodes are
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sowp.amplitude import CHANNELS, STATES, amplitude_profiles
+from sowp.amplitude import CHANNEL_COEF, CHANNELS, STATES, amplitude_profiles
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
                          NumericalError, ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -162,44 +166,7 @@ def coherence_degree(rho: DensityMatrix) -> float:
     return min(float(g), 1.0)
 
 
-def _assemble(profiles: dict, weights: np.ndarray, grid: MomentumGrid,
-              k: int = None) -> np.ndarray:
-    """Contract channel profiles into the 6x6 matrix.
-
-    ``k``: cumulative saddle cutoff index for build-up partial sums (the
-    profiles then have a trailing saddle axis).  ``weights`` has the shape
-    of the profiles' node axes.
-    """
-    nstates = len(STATES)
-    rho = np.zeros((nstates, nstates), dtype=complex)
-    if grid.phi_mode == "analytic":
-        phi_factor = {dml: (2.0 * np.pi if dml == 0 else 0.0)
-                      for dml in range(-2, 3)}
-    else:
-        phi_factor = {dml: complex(np.sum(grid.phi_weights
-                                          * np.exp(1j * dml * grid.phi_nodes)))
-                      for dml in range(-2, 3)}
-    inv_cube = 1.0 / (2.0 * np.pi) ** 3
-    for a, (j2a, m2a) in enumerate(STATES):
-        for b, (j2b, m2b) in enumerate(STATES):
-            acc = 0.0 + 0.0j
-            for ms2 in (-1, 1):
-                key_a = (j2a, m2a, ms2)
-                key_b = (j2b, m2b, ms2)
-                if key_a not in profiles or key_b not in profiles:
-                    continue
-                prof_a = profiles[key_a] if k is None else profiles[key_a][..., k]
-                prof_b = profiles[key_b] if k is None else profiles[key_b][..., k]
-                dml = (m2b - ms2) // 2 - (m2a - ms2) // 2
-                fac = phi_factor[dml]
-                if fac == 0.0:
-                    continue
-                acc += fac * np.sum(weights * np.conj(prof_a) * prof_b)
-            rho[a, b] = acc * inv_cube
-    return rho
-
-
-def _grid_nodes(grid: MomentumGrid):
+def grid_nodes(grid: MomentumGrid):
     """(pz, pperp, weights), each of shape (n_energy, n_theta): column j is
     the radial line at polar node j, ordered by increasing p."""
     p2d, u2d = np.meshgrid(grid.p_nodes, grid.u_nodes, indexing="ij")
@@ -207,6 +174,46 @@ def _grid_nodes(grid: MomentumGrid):
     pperp = p2d * np.sqrt(1.0 - u2d * u2d)
     weights = grid.radial_weights[:, None] * grid.u_weights[None, :]
     return pz, pperp, weights
+
+
+# per channel: its (j, m) state, m_l and m_s
+_CHANNEL_STATE = np.array([_STATE_INDEX[(j2, m2)] for j2, m2, _ in CHANNELS])
+_CHANNEL_ML = np.array([(m2 - ms2) // 2 for _, m2, ms2 in CHANNELS])
+_CHANNEL_MS = np.array([ms2 for _, _, ms2 in CHANNELS])
+
+
+def _selection(grid: MomentumGrid) -> np.ndarray:
+    """(channel, channel) factor of conj(A_c) A_d in rho: where the spins
+    agree, the phi integral of exp(i (m_l,d - m_l,c) phi) (exact or by the
+    trapezoid rule, per phi_mode) over (2 pi)^3, else 0."""
+    dml = _CHANNEL_ML[None, :] - _CHANNEL_ML[:, None]
+    if grid.phi_mode == "analytic":
+        phi = np.where(dml == 0, 2.0 * np.pi, 0.0)
+    else:
+        phi = np.sum(grid.phi_weights
+                     * np.exp(1j * dml[..., None] * grid.phi_nodes), axis=-1)
+    return np.where(_CHANNEL_MS[:, None] == _CHANNEL_MS[None, :], phi,
+                    0.0) / (2.0 * np.pi) ** 3
+
+
+def assemble(sums: np.ndarray, weights: np.ndarray,
+             grid: MomentumGrid) -> np.ndarray:
+    """Contract the saddle sums of ``amplitude_profiles`` into rho.
+
+    ``sums`` has shape (4,) + weights.shape, or (4,) + weights.shape + (K,)
+    for K build-up partial sums.  Per partial sum: the weighted 4x4 Gram
+    matrix G_ab = sum_nodes w conj(s_a) s_b, the channel products
+    C G C^T (C = CHANNEL_COEF, real), the m_s / phi selection factor, and
+    the sum of channels into (j, m) states.  Returns (6, 6), or (K, 6, 6).
+    """
+    s = sums.reshape(sums.shape[0], weights.size, -1)   # (4, nodes, K)
+    ws = s.conj() * weights.reshape(-1, 1)
+    gram = np.moveaxis(ws, -1, 0) @ np.moveaxis(s, -1, 0).swapaxes(-1, -2)
+    products = _selection(grid) * (CHANNEL_COEF @ gram @ CHANNEL_COEF.T)
+    rho = np.zeros((products.shape[0], len(STATES), len(STATES)), dtype=complex)
+    np.add.at(rho, (slice(None), _CHANNEL_STATE[:, None],
+                    _CHANNEL_STATE[None, :]), products)
+    return rho if sums.ndim > weights.ndim + 1 else rho[0]
 
 
 def build_density_matrix(pulse: Pulse, species: Species,
@@ -220,11 +227,10 @@ def build_density_matrix(pulse: Pulse, species: Species,
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     if pulse.a0 == 0.0:
-        rho = DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
-        return rho
-    pz, pperp, weights = _grid_nodes(grid)
-    profiles = amplitude_profiles(pulse, species, pz, pperp)
-    rho = DensityMatrix(_assemble(profiles, weights, grid))
+        return DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
+    pz, pperp, weights = grid_nodes(grid)
+    rho = DensityMatrix(assemble(amplitude_profiles(pulse, species, pz, pperp),
+                                 weights, grid))
     if rho.w > SATURATION_W:
         warnings.warn(
             f"w = {rho.w:.3f} > {SATURATION_W}: detachment saturates and "

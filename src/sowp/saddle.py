@@ -65,7 +65,8 @@ FINAL_BLOCK_ELEMS roots written into preallocated outputs; each block
 builds its phasors once, for A, A' and the action.  The whole
 batch is then validated, together with the |S''| curvature contract; a
 failure raises SaddleError naming the node (p_z, p_perp^2) and the channel
-energy.  The prefactor and branch follow from S'' and v_z.
+energy.  The prefactor 1/sqrt(-i S'') follows from S'' on the principal
+branch (Re >= 0).
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -99,24 +100,6 @@ class SaddlePoint:
     action: complex
     s2: complex          # S''(t_mu)
     prefactor: complex   # 1/sqrt(-i S'') on the principal branch
-    branch: int          # sign of Im(p_z + A(t_mu)); +1 or -1
-
-
-def action(pulse: Pulse, e_bound: float, p, t):
-    """Classical action S(t) = (1/2) int_0^t [p+A]^2 dt' - E t (S(0)=0).
-
-    p is the momentum 3-vector (a.u.); t may be complex, scalar or array.
-    """
-    px, py, pz = (float(c) for c in p)
-    return _action_terms(pulse, np.asarray(t, dtype=complex),
-                         pz, px * px + py * py, e_bound)
-
-
-def action_derivative(pulse: Pulse, e_bound: float, p, t):
-    """S'(t) = (1/2)[p + A(t)]^2 - E; vanishes at saddle points."""
-    px, py, pz = (float(c) for c in p)
-    vz = pz + pulse.vector_potential(np.asarray(t, dtype=complex))
-    return 0.5 * (vz * vz + px * px + py * py) - e_bound
 
 
 def _action_coefficients(pulse):
@@ -150,8 +133,8 @@ def _action_coefficients(pulse):
 def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None):
     """Closed-form action (see _action_coefficients) from the phasors
     z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
-    (pulse.phasors(t), built here unless given); pz and pperp2 broadcast
-    against t.
+    (pulse.phasors(t), built here unless given); t is real or complex, and
+    pz and pperp2 broadcast against t.
 
     Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
     """
@@ -159,10 +142,11 @@ def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None):
     u, z, v, y = pulse.phasors(t) if phasors is None else phasors
     z2, y2, u2, v2 = z * z, y * y, u * u, v * v
     s = (0.5 * (pz * pz + pperp2) - e_bound + lin) * t
-    # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2)
-    s += pz * (c[0] * (1.0 - 0.5 * (u * y + v * z))
-               + c[1] * (1.0 - 0.5 * (u + v))
-               + c[2] * (1.0 - 0.5 * (u * z + v * y)))
+    # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2); not in place, so that s
+    # becomes complex when t is real
+    s = s + pz * (c[0] * (1.0 - 0.5 * (u * y + v * z))
+                  + c[1] * (1.0 - 0.5 * (u + v))
+                  + c[2] * (1.0 - 0.5 * (u * z + v * y)))
     # sin(k w t) = (z^k - y^k) / 2i; for k = 2N + r, z^k = u^2 z^r
     high_u = g[0] * y2 + g[1] * y + g[2] + g[3] * z + g[4] * z2
     high_v = g[0] * z2 + g[1] * z + g[2] + g[3] * y + g[4] * y2
@@ -170,15 +154,7 @@ def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None):
     return s
 
 
-def prefactor_branch(s2):
-    """1/sqrt(-i s2) on the principal branch (Re >= 0; Re = 0 ties resolve
-    to Im > 0), applied uniformly to every saddle."""
-    s2 = complex(s2)
-    if s2 == 0:
-        raise DegenerateSaddleError("S'' = 0: coalescing saddle points")
-    return 1.0 / np.sqrt(-1j * s2)
-
-
+@dataclass(slots=True, eq=False)
 class SaddleBatch:
     """Saddle data for a batch of momenta, shape pz.shape + (2N+2,) per field.
 
@@ -186,16 +162,12 @@ class SaddleBatch:
     last axis.
     """
 
-    __slots__ = ("t", "vz", "action", "s2", "prefactor", "branch", "residual")
-
-    def __init__(self, t, vz, action_, s2, prefactor, branch, residual):
-        self.t = t
-        self.vz = vz
-        self.action = action_
-        self.s2 = s2
-        self.prefactor = prefactor
-        self.branch = branch
-        self.residual = residual
+    t: np.ndarray
+    vz: np.ndarray
+    action: np.ndarray
+    s2: np.ndarray
+    prefactor: np.ndarray
+    residual: np.ndarray
 
 
 def _polynomial_coefficients(pulse: Pulse):
@@ -391,9 +363,8 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
     prefactor = np.multiply(s2, -1j)
     np.sqrt(prefactor, out=prefactor)
     np.divide(1.0, prefactor, out=prefactor)
-    branch = np.where(vz.imag > 0, 1, -1)
     return SaddleBatch(*(a.reshape(shape) for a in
-                         (t, vz, act, s2, prefactor, branch, residual)))
+                         (t, vz, act, s2, prefactor, residual)))
 
 
 def _contract_checks(pulse: Pulse, t, residual):
@@ -453,7 +424,6 @@ def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:
         SaddlePoint(mu=k + 1, t=complex(batch.t[0, k]),
                     action=complex(batch.action[0, k]),
                     s2=complex(batch.s2[0, k]),
-                    prefactor=complex(batch.prefactor[0, k]),
-                    branch=int(batch.branch[0, k]))
+                    prefactor=complex(batch.prefactor[0, k]))
         for k in range(batch.t.shape[1])
     ]

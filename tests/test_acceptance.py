@@ -19,10 +19,11 @@ from sowp.densmat import (MomentumGrid, build_density_matrix,
 from sowp.dynamics import pure_state_limit, signal_parameters
 from sowp.errors import SaturationWarning
 from sowp.pulse import Pulse
-from sowp.saddle import action, action_derivative, find_saddles
+from sowp.saddle import find_saddles
 from sowp.species import get_species
 from sowp import units
 
+from scalar_oracle import action, action_derivative
 from test_saddle import quadrature_action
 
 

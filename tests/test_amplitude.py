@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sowp.amplitude import (CHANNELS, alternating_sign, amplitude_profiles,
-                            amplitude_set, clebsch_gordan,
-                            complex_sph_harmonic, detachment_amplitude)
+from scalar_oracle import (action, alternating_sign, amplitude_set,
+                           channel_amplitudes, complex_sph_harmonic,
+                           detachment_amplitude)
+from sowp.amplitude import CHANNELS, amplitude_profiles, clebsch_gordan
 from sowp.errors import DegenerateSaddleError
 from sowp.pulse import Pulse
-from sowp.densmat import MomentumGrid, _grid_nodes
-from sowp.saddle import SaddlePoint, action, find_saddles, saddle_batch
+from sowp.densmat import MomentumGrid, grid_nodes
+from sowp.saddle import SaddlePoint, find_saddles, saddle_batch
 from sowp.species import Species, get_species
 
 SQ34 = np.sqrt(3.0 / (4.0 * np.pi))
@@ -140,8 +141,8 @@ class TestDetachmentAmplitude:
         assert amp == 0.0
 
     def test_axial_emission_only_ml0(self, ref_pulse, species_f):
-        profs = amplitude_profiles(ref_pulse, species_f, np.array([0.05, 0.2]),
-                                   np.array([0.0, 0.0]))
+        profs = channel_amplitudes(amplitude_profiles(
+            ref_pulse, species_f, np.array([0.05, 0.2]), np.array([0.0, 0.0])))
         for (j2, m2, ms2), vals in profs.items():
             if abs(m2 - ms2) == 2:   # |m_l| = 1
                 assert np.abs(vals).max() == 0.0
@@ -152,8 +153,8 @@ class TestDetachmentAmplitude:
         # the literal alternating-sign times alternating-branch composition
         # must equal the fixed-norm fast path
         pz, pperp = 0.21, 0.13
-        profs = amplitude_profiles(ref_pulse, species_f, np.array([pz]),
-                                   np.array([pperp]))
+        profs = channel_amplitudes(amplitude_profiles(
+            ref_pulse, species_f, np.array([pz]), np.array([pperp])))
         for (j2, m2, ms2), vals in profs.items():
             saddles = find_saddles(ref_pulse, species_f.e_bound(j2),
                                    (pperp, 0.0, pz))
@@ -167,10 +168,11 @@ class TestDetachmentAmplitude:
         # the first k saddles in order of Re t, and the last partial sum is
         # the summed profile
         grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=4)
-        pz, pperp, _ = _grid_nodes(grid)
-        cumulative = amplitude_profiles(ref_pulse, species_f, pz, pperp,
-                                        cumulative=True)
-        summed = amplitude_profiles(ref_pulse, species_f, pz, pperp)
+        pz, pperp, _ = grid_nodes(grid)
+        cumulative = channel_amplitudes(amplitude_profiles(
+            ref_pulse, species_f, pz, pperp, cumulative=True))
+        summed = channel_amplitudes(amplitude_profiles(ref_pulse, species_f,
+                                                       pz, pperp))
         for j2 in (3, 1):
             batch = saddle_batch(ref_pulse, species_f.e_bound(j2), pz,
                                  pperp * pperp)
@@ -178,8 +180,7 @@ class TestDetachmentAmplitude:
                 saddles = [SaddlePoint(mu=k + 1, t=complex(batch.t[node][k]),
                                        action=complex(batch.action[node][k]),
                                        s2=complex(batch.s2[node][k]),
-                                       prefactor=complex(batch.prefactor[node][k]),
-                                       branch=int(batch.branch[node][k]))
+                                       prefactor=complex(batch.prefactor[node][k]))
                            for k in range(batch.t.shape[-1])]
                 p = (pperp[node], 0.0, pz[node])
                 for (jj2, m2, ms2), vals in cumulative.items():
@@ -210,8 +211,8 @@ class TestDetachmentAmplitude:
         for _ in range(4):
             pz = rng.uniform(-0.5, 0.5)
             pperp = rng.uniform(0.0, 0.5)
-            profs = amplitude_profiles(ref_pulse, species_f,
-                                       np.array([pz]), np.array([pperp]))
+            profs = channel_amplitudes(amplitude_profiles(
+                ref_pulse, species_f, np.array([pz]), np.array([pperp])))
             for (j2, m2, ms2), vals in profs.items():
                 mirror = profs[(j2, -m2, -ms2)]
                 assert abs(vals[0]) == pytest.approx(abs(mirror[0]), rel=1e-12)
@@ -221,8 +222,8 @@ class TestDetachmentAmplitude:
                           splitting_cm1=species_f.splitting_cm1,
                           b_au=2 * species_f.b_au, l=1)
         p = np.array([0.3]), np.array([0.1])
-        a1 = amplitude_profiles(ref_pulse, species_f, *p)
-        a2 = amplitude_profiles(ref_pulse, doubled, *p)
+        a1 = channel_amplitudes(amplitude_profiles(ref_pulse, species_f, *p))
+        a2 = channel_amplitudes(amplitude_profiles(ref_pulse, doubled, *p))
         for key in a1:
             assert a2[key][0] == pytest.approx(2 * a1[key][0], rel=1e-14)
 

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from sowp.cli import RunConfig, cycle_list, main, parse_config
 from sowp.errors import ConfigError, NumericalError
 
 FAST_GRID = ["--n-energy", "48", "--n-theta", "16", "--n-phi", "4"]
+SUMMARIES = Path(__file__).parent / "data" / "summaries"
 
 
 def run_cli(*args):
@@ -38,9 +42,38 @@ class TestParseConfig:
 
     def test_malformed_number_in_file(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("intensity_wcm2 = strong\n")
-        with pytest.raises(ConfigError, match="intensity_wcm2"):
-            parse_config(["single", "--species", "f", "--config", str(conf)])
+        for key, value in (("intensity_wcm2", "strong"), ("n_theta", "6.5")):
+            conf.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key):
+                parse_config(["single", "--species", "f", "--config", str(conf)])
+
+    # one valid file value per config key; all with the keys' own types
+    FILE_VALUES = {
+        "species": "cl", "species_file": "species.dat", "wavelength_nm": "1300",
+        "intensity_wcm2": "2e13", "cycles": "4", "n_energy": "50",
+        "n_theta": "17", "n_phi": "6", "phi_mode": "numeric", "beta_rad": "0.5",
+        "out_dir": "elsewhere", "threads": "3", "g0": "0.7", "zeta": "0.9",
+        "ratio": "0.25", "coherence": "0.3", "t_max_fs": "120",
+        "n_samples": "11", "sweep_csv": "sweep.csv",
+    }
+
+    def test_file_values_cover_the_schema(self):
+        schema = {f.name for f in fields(RunConfig)} - {"command", "cycles_explicit"}
+        assert set(self.FILE_VALUES) == schema
+
+    @pytest.mark.parametrize("key", sorted(FILE_VALUES))
+    def test_file_value_arrives_typed(self, tmp_path, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {self.FILE_VALUES[key]}\n")
+        # predict accepts every key from a file; it needs ratio or coherence
+        command = ["predict"] + ([] if key in ("ratio", "coherence")
+                                 else ["--ratio", "1"])
+        cfg = parse_config(command + ["--config", str(conf)])
+        annotated = {f.name: f.type for f in fields(RunConfig)}[key]
+        value = getattr(cfg, key)
+        assert type(value) is annotated
+        assert value == annotated(self.FILE_VALUES[key])
+        assert cfg.cycles_explicit == (key == "cycles")
 
     def test_descending_cycle_range_rejected(self):
         with pytest.raises(ConfigError, match="18..2"):
@@ -86,6 +119,20 @@ class TestPredictCommand:
         assert rc == 0
         value = float(capsys.readouterr().out.split("=")[-1])
         assert f"{value:.3g}" == "1.12"
+
+    @pytest.mark.parametrize("args", [
+        ["--coherence", "0.5", "--zeta", "-1"],
+        ["--coherence", "0.5", "--zeta", "0"],
+        ["--ratio", "0.5", "--zeta", "-1"],
+        ["--ratio", "0.5", "--g0", "-2"],
+    ], ids=["negative-zeta-inverse", "zero-zeta", "negative-zeta-forward",
+            "negative-g0"])
+    def test_unphysical_law_rejected(self, tmp_path, capsys, args):
+        # the domain gaussian_fit accepts: 0 < g0 <= 1, zeta > 0
+        rc = run_cli("predict", *args, "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_out_of_domain_is_numerical_exit(self, tmp_path, capsys):
         rc = run_cli("predict", "--coherence", "0.95", "--out-dir", str(tmp_path))
@@ -214,3 +261,34 @@ class TestRunConfigValidation:
             RunConfig(command="single", species="f", phi_mode="x").validate()
         with pytest.raises(ConfigError):
             RunConfig(command="single", species="f", threads=0).validate()
+
+
+# summary.txt of each command on FAST_GRID, byte for byte: refactors of the
+# pipeline must not move any printed digit
+FROZEN_SUMMARY_RUNS = {
+    "single": ("single", ["single", "--species", "f", *FAST_GRID]),
+    "single_numeric_phi": ("single_numeric_phi",
+                           ["single", "--species", "f", *FAST_GRID,
+                            "--phi-mode", "numeric"]),
+    "buildup": ("buildup", ["buildup", "--species", "f", "--cycles", "2",
+                            *FAST_GRID]),
+    "evolve": ("evolve", ["evolve", "--species", "f", *FAST_GRID,
+                          "--t-max-fs", "100", "--n-samples", "51",
+                          "--beta-rad", "0.3"]),
+    "sweep_threads1": ("sweep", ["sweep", "--species", "f", "--cycles", "2..4",
+                                 *FAST_GRID, "--threads", "1"]),
+    "sweep_threads2": ("sweep", ["sweep", "--species", "f", "--cycles", "2..4",
+                                 *FAST_GRID, "--threads", "2"]),
+    "fit": ("fit", ["fit", "--species", "f", "--cycles", "2..4", *FAST_GRID]),
+    "predict_ratio": ("predict_ratio", ["predict", "--ratio", "0.61"]),
+    "predict_coherence": ("predict_coherence", ["predict", "--coherence", "0.21"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_SUMMARY_RUNS))
+def test_summary_matches_frozen_copy(tmp_path, capsys, run):
+    frozen, args = FROZEN_SUMMARY_RUNS[run]
+    out = tmp_path / run
+    assert run_cli(*args, "--out-dir", str(out)) == 0
+    assert ((out / "summary.txt").read_bytes()
+            == (SUMMARIES / f"{frozen}.txt").read_bytes())

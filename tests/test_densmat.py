@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from sowp.amplitude import STATES
-from sowp.densmat import (DensityMatrix, MomentumGrid, build_density_matrix,
-                          coherence_degree, total_probability)
+from scalar_oracle import channel_amplitudes, density_matrix_loop
+from sowp.amplitude import STATES, amplitude_profiles
+from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
+                          build_density_matrix, coherence_degree, grid_nodes,
+                          total_probability)
 from sowp.dynamics import pure_state_limit
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
                          ProbabilityError, SaturationWarning)
@@ -46,6 +48,36 @@ class TestMomentumGrid:
             MomentumGrid.build(ref_pulse.omega, phi_mode="weird")
         with pytest.raises(ValueError):
             MomentumGrid.build(ref_pulse.omega, n_energy=1)
+
+
+class TestAssemble:
+    """The 4x4 Gram contraction against the loop over state pairs and
+    spins; sums run in another order, so they agree to roundoff."""
+
+    @staticmethod
+    def assert_matches_loop(rho, amplitudes, weights, grid, k=None):
+        ref = density_matrix_loop(amplitudes, weights, grid, k)
+        np.testing.assert_allclose(rho, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_array_equal(rho == 0, ref == 0)
+
+    @pytest.mark.parametrize("phi_mode", ["analytic", "numeric"])
+    def test_matches_loop(self, ref_pulse, species_f, phi_mode):
+        grid = MomentumGrid.build(ref_pulse.omega, n_energy=16, n_theta=6,
+                                  n_phi=6, phi_mode=phi_mode)
+        pz, pperp, weights = grid_nodes(grid)
+        full = amplitude_profiles(ref_pulse, species_f, pz, pperp)
+        rho = assemble(full, weights, grid)
+        assert rho.shape == (len(STATES), len(STATES))
+        self.assert_matches_loop(rho, channel_amplitudes(full), weights, grid)
+
+        partial = amplitude_profiles(ref_pulse, species_f, pz, pperp,
+                                     cumulative=True)
+        rhos = assemble(partial, weights, grid)
+        assert rhos.shape == (2 * ref_pulse.n_cycles + 2,) + rho.shape
+        amplitudes = channel_amplitudes(partial)
+        for k, rho_k in enumerate(rhos):
+            self.assert_matches_loop(rho_k, amplitudes, weights, grid, k)
 
 
 class TestBuildDensityMatrix:

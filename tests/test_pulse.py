@@ -102,13 +102,25 @@ class TestSuppliedPhasors:
             a, b = f(t), f(t, phasors=phasors)
             assert type(a) is type(b) and np.shape(a) == np.shape(b)
             np.testing.assert_array_equal(a, b)
-        # the action takes complex t, as saddle.action passes it
+        # the action with complex t, as the saddle search passes it
         tc = np.asarray(t, dtype=complex)
         e_bound = get_species("F").e_bound(3)
         a = _action_terms(pulse, tc, 0.21, 0.05, e_bound)
         b = _action_terms(pulse, tc, 0.21, 0.05, e_bound, phasors=phasors)
         assert type(a) is type(b) and np.shape(a) == np.shape(b)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0.0, 2000.0, 7),
+        np.linspace(0.0, 2000.0, 12).reshape(3, 4),
+    ], ids=["real-array", "real-2d-array"])
+    def test_action_of_real_t(self, pulse, t):
+        # a real ndarray t gives the complex action of the same complex t
+        e_bound = get_species("F").e_bound(3)
+        real = _action_terms(pulse, t, 0.21, 0.05, e_bound)
+        cplx = _action_terms(pulse, t.astype(complex), 0.21, 0.05, e_bound)
+        assert np.iscomplexobj(real) and real.shape == t.shape
+        np.testing.assert_allclose(real, cplx, rtol=1e-15, atol=0)
 
 
 class TestElectricField:

@@ -4,14 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from scalar_oracle import action, action_derivative
 from sowp import saddle
-from sowp.densmat import MomentumGrid, _grid_nodes
+from sowp.densmat import MomentumGrid, grid_nodes
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
-from sowp.saddle import (action, action_derivative, find_saddles,
-                         prefactor_branch, saddle_batch)
+from sowp.saddle import find_saddles, saddle_batch
 
 E_F = -0.12499200  # F- ground-channel energy, a.u.
 
@@ -87,6 +86,7 @@ class TestFindSaddles:
             assert s.action == pytest.approx(
                 complex(action(pulse, E_F, (0.02, -0.03, 0.11), s.t)), rel=1e-12)
             assert s.prefactor ** -2 == pytest.approx(-1j * s.s2, rel=1e-10)
+            assert s.prefactor.real >= 0   # principal branch
 
     def test_monochromatic_spacing(self):
         # long flat-ish pulse, p_z = 0: the constant-amplitude closed form
@@ -113,7 +113,8 @@ class TestFindSaddles:
             p = (rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4),
                  rng.uniform(-0.7, 0.7))
             saddles = find_saddles(pulse, E_F, p)
-            branches = [s.branch for s in saddles]
+            branches = [np.sign((p[2] + pulse.vector_potential(s.t)).imag)
+                        for s in saddles]
             assert all(b2 == -b1 for b1, b2 in zip(branches, branches[1:]))
 
     def test_zero_field_rejected(self):
@@ -143,7 +144,7 @@ class TestSaddleBatch:
 def radial_lines(pulse, n_energy=40, n_theta=16):
     """(pz, pperp^2) of a small density-matrix grid, shape (n_energy, n_theta)."""
     grid = MomentumGrid.build(pulse.omega, n_energy=n_energy, n_theta=n_theta)
-    pz, pperp, _ = _grid_nodes(grid)
+    pz, pperp, _ = grid_nodes(grid)
     return pz, pperp * pperp
 
 
@@ -286,7 +287,7 @@ class TestPredictor:
     def test_one_newton_call_per_block(self, monkeypatch, n_cycles):
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         deg = 2 * n_cycles + 2
-        pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+        pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
         n_path, solved = pz.shape[0], pz.shape[1] // 2
         block = saddle.ROW_BLOCK_ROWS
         calls = record_newton(monkeypatch)
@@ -352,7 +353,7 @@ def test_one_phasor_build_per_evaluation(monkeypatch):
     and the action."""
     pu = Pulse.from_lab(1800.0, 18, 1.3e13)
     deg = 2 * pu.n_cycles + 2
-    pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+    pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
     builds = {True: 0, False: 0}      # keyed by: inside _newton
     evaluations = []                  # Pulse.vector_potential inside _newton
     inside = [False]
@@ -388,7 +389,7 @@ def test_final_pass_memory_is_bounded():
     """Peak traced allocation of one default-grid channel at N = 18 stays
     within 7.5 times the size of the returned saddle times."""
     pu = Pulse.from_lab(1800.0, 18, 1.3e13)
-    pz, pperp, _ = _grid_nodes(MomentumGrid.build(pu.omega))
+    pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
     pp2 = pperp * pperp
     tracemalloc.start()
     try:
@@ -438,21 +439,3 @@ class TestSaddleErrors:
         self.assert_names_node(info.value, pulse, self.PZ[1], self.PP2[1])
         np.testing.assert_array_equal(info.value.roots, t[1])
 
-
-class TestPrefactorBranch:
-    def test_unit_cases(self):
-        assert prefactor_branch(1j) == pytest.approx(1.0)
-        val = prefactor_branch(-1j)
-        assert val.real >= 0
-
-    @settings(deadline=None, max_examples=80)
-    @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
-                              allow_nan=False, allow_infinity=False))
-    def test_inverse_square(self, s2):
-        pref = prefactor_branch(s2)
-        assert pref ** -2 == pytest.approx(-1j * s2, rel=1e-12)
-        assert pref.real >= 0 or (pref.real == 0 and pref.imag > 0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateSaddleError):
-            prefactor_branch(0.0)
