@@ -18,7 +18,8 @@ import numpy as np
 from sowp import units
 from sowp.amplitude import amplitude_profiles, STATES
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
-                          build_density_matrix, coherence_degree, grid_nodes)
+                          build_density_matrix, coherence_degree, grid_nodes,
+                          warn_if_saturated)
 from sowp.errors import FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
@@ -26,6 +27,8 @@ from sowp.species import Species
 
 DEFAULT_SWEEP_CYCLES = {"f": range(2, 19), "cl": range(2, 19), "br": range(2, 9)}
 BUILDUP_PROBE_P = 0.05
+FIT_MAX_ITERATIONS = 200   # Gauss-Newton steps before a FitError
+FIT_STEP_TOL = 1e-10       # convergence: largest (g0, zeta) step
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,8 @@ def buildup(pulse: Pulse, species: Species,
     return BuildupTrace(
         t_fs=units.au_to_fs(t_ref), pop_j32_m32=rho[:, a33, a33].real,
         pop_j32_m12=rho[:, a32, a32].real, pop_j12_m12=rho[:, a12, a12].real,
-        coherence=rho[:, a32, a12], field=field, final=DensityMatrix(rho[-1]))
+        coherence=rho[:, a32, a12], field=field,
+        final=warn_if_saturated(DensityMatrix(rho[-1])))
 
 
 def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,
@@ -111,63 +115,40 @@ def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,
 
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
-    """One point per (species, N); package errors (SowpError) are collected
-    per point, not raised; any other exception propagates.
+    """One point per (species, N) on a pool of ``threads`` (>= 1) worker
+    threads; package errors (SowpError) are collected per point, not raised;
+    any other exception propagates.
 
-    ``cycles``: iterable of N applied to every species, or a mapping from
-    lower-case species name to an iterable (default: 2..18 for F and Cl,
-    2..8 for Br).  Returns (points, failures) with deterministic ordering
-    by (species position, N) regardless of ``threads``.
+    ``cycles``: iterable of N applied to every species (default: 2..18 for
+    F and Cl, 2..8 for Br).  Returns (points, failures), each in (species
+    position, N) order whatever ``threads`` is; a failure is (name, N, exc).
     """
     jobs = []
     for sp in species_list:
-        if cycles is None:
-            ns = DEFAULT_SWEEP_CYCLES.get(sp.name.lower())
-            if ns is None:
-                raise ValueError(f"no default cycle range for species {sp.name!r}")
-        elif hasattr(cycles, "get"):
-            ns = cycles.get(sp.name.lower())
-            if ns is None:
-                raise ValueError(f"no cycle range given for species {sp.name!r}")
-        else:
-            ns = cycles
+        ns = DEFAULT_SWEEP_CYCLES.get(sp.name.lower()) if cycles is None else cycles
+        if ns is None:
+            raise ValueError(f"no default cycle range for species {sp.name!r}")
         jobs.extend((sp, int(n)) for n in ns)
 
-    results = {}
-    failures = []
-    if threads <= 1:
-        for sp, n in jobs:
+    points, failures = [], []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_sweep_one, sp, wavelength_nm, intensity_wcm2,
+                               n, grid_kw) for sp, n in jobs]
+        for (sp, n), future in zip(jobs, futures):
             try:
-                results[(sp.name, n)] = _sweep_one(
-                    sp, wavelength_nm, intensity_wcm2, n, grid_kw)
+                points.append(future.result())
             except SowpError as exc:   # aggregate per-point failures
                 failures.append((sp.name, n, exc))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(_sweep_one, sp, wavelength_nm, intensity_wcm2,
-                                n, grid_kw): (sp.name, n)
-                    for sp, n in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                key = futs[fut]
-                try:
-                    results[key] = fut.result()
-                except SowpError as exc:
-                    failures.append((key[0], key[1], exc))
-    points = [results[(sp.name, n)] for sp, n in jobs if (sp.name, n) in results]
-    failures.sort(key=lambda f: (f[0], f[1]))
     return points, failures
 
 
 def _ratios_g(points):
-    if points and isinstance(points[0], SweepPoint):
-        pairs = [(p.ratio, p.g) for p in points]
-    else:
-        pairs = [(float(r), float(g)) for r, g in points]
-    return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    """(ratios, g) arrays from SweepPoints or (ratio, g) pairs."""
+    pairs = [(p.ratio, p.g) if isinstance(p, SweepPoint) else p for p in points]
+    return np.array(pairs, dtype=float).reshape(-1, 2).T
 
 
-def gaussian_fit(points, max_iterations: int = 200,
-                 step_tol: float = 1e-10) -> FitResult:
+def gaussian_fit(points) -> FitResult:
     """Least-squares (g0, zeta) for g = g0 exp(-zeta r^2)."""
     r, g = _ratios_g(points)
     if r.size < 3:
@@ -183,7 +164,7 @@ def gaussian_fit(points, max_iterations: int = 200,
     g0, zeta = float(np.exp(sol[0])), float(sol[1])
 
     trace = [(g0, zeta)]
-    for _ in range(max_iterations):
+    for _ in range(FIT_MAX_ITERATIONS):
         model = np.exp(-zeta * r * r)
         resid = g - g0 * model
         jac = np.column_stack([-model, g0 * r * r * model])
@@ -199,10 +180,10 @@ def gaussian_fit(points, max_iterations: int = 200,
             scale *= 0.5
         g0, zeta = g0 + scale * step[0], zeta + scale * step[1]
         trace.append((g0, zeta))
-        if max(abs(scale * step[0]), abs(scale * step[1])) < step_tol:
+        if max(abs(scale * step[0]), abs(scale * step[1])) < FIT_STEP_TOL:
             break
     else:
-        raise FitError(f"Gauss-Newton did not converge in {max_iterations} "
+        raise FitError(f"Gauss-Newton did not converge in {FIT_MAX_ITERATIONS} "
                        f"iterations", trace=trace)
     if not (0.0 < g0 <= 1.0) or zeta <= 0.0:
         raise FitError(f"fit outside the physical domain: g0 = {g0}, "

@@ -9,13 +9,14 @@ Commands
     predict   evaluate or invert the Gaussian law
 
 Flags override config-file values, which override built-in defaults (the
-reference pulse: 1800 nm, 1.3e13 W/cm^2, 8 cycles).  Config files use the
-same key = value dialect as the species file.  All artifacts are written
+reference pulse: 1800 nm, 1.3e13 W/cm^2, 8 cycles).  Config files are
+read by the species file's key = value reader.  All artifacts are written
 under --out-dir.  Exit codes: 0 success, 1 configuration error,
 2 numerical failure, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -30,7 +31,8 @@ from sowp.densmat import MomentumGrid, build_density_matrix, coherence_degree
 from sowp.dynamics import signal_parameters, signal_trace
 from sowp.errors import ConfigError, NumericalError, SowpError
 from sowp.pulse import Pulse
-from sowp.species import default_species_path, get_species, load_species
+from sowp.species import (default_species_path, get_species, load_species,
+                          numbered_lines, parse_key_values)
 
 COMMANDS = ("single", "evolve", "sweep", "fit", "buildup", "predict")
 
@@ -123,29 +125,10 @@ def cycle_list(spec: str):
 
 
 def read_config_file(path: str) -> dict:
-    """key = value lines, '#' comments."""
-    values = {}
-    bad = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    bad.append(f"line {lineno}: expected key = value")
-                    continue
-                key, _, val = line.partition("=")
-                key = key.strip().lower()
-                if key not in _CONFIG_FIELDS:
-                    bad.append(f"line {lineno}: unknown key {key!r}")
-                    continue
-                values[key] = val.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if bad:
-        raise ConfigError(f"config file {path}: " + "; ".join(bad))
-    return values
+    """Config-file values by key, typed by the RunConfig schema."""
+    source = f"config file {path}"
+    return parse_key_values(numbered_lines(path, ConfigError, source),
+                            _CONFIG_FIELDS, ConfigError, source)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,18 +187,11 @@ def parse_config(argv) -> RunConfig:
     Precedence: command-line flags > config file > defaults.
     """
     ns = _build_parser().parse_args(argv)
-    file_values = read_config_file(ns.config) if ns.config else {}
-    values = {}
-    for key, f in _CONFIG_FIELDS.items():
+    values = read_config_file(ns.config) if ns.config else {}
+    for key in _CONFIG_FIELDS:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
-        elif key in file_values:
-            raw = file_values[key]
-            try:
-                values[key] = f.type(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: bad number {raw!r}") from exc
     cfg = RunConfig(command=ns.command, cycles_explicit="cycles" in values,
                     **values)
     return cfg.validate()
@@ -235,35 +211,34 @@ def _species_list(cfg: RunConfig):
             if sp.name.lower() in DEFAULT_SWEEP_CYCLES]
 
 
-def _summary_header(cfg: RunConfig, lines: list) -> None:
-    lines.append(f"sowp {__version__} command={cfg.command}")
-    lines.append(f"wavelength_nm = {cfg.wavelength_nm:g}")
-    lines.append(f"intensity_wcm2 = {cfg.intensity_wcm2:g}")
-    lines.append(f"cycles = {cfg.cycles}")
-    lines.append(f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
-                 f"({cfg.phi_mode} phi)")
+def _default_cycles(species) -> str:
+    """The default sweep ranges of ``species``, as summary.txt reports them."""
+    ranges = [DEFAULT_SWEEP_CYCLES[sp.name.lower()] for sp in species]
+    return "default (" + ", ".join(f"{sp.name} {ns[0]}..{ns[-1]}"
+                                   for sp, ns in zip(species, ranges)) + ")"
 
 
-def _pulse_block(pulse: Pulse, species, lines: list) -> None:
-    lines.append(f"tau_p_fs = {pulse.tau_p_fs:.6g}")
-    lines.append(f"tau_fwhm_fs = {pulse.fwhm_fs():.6g}")
-    if species is not None:
-        lines.append(f"species = {species.name}")
-        lines.append(f"tau_b_fs = {species.beat_period_fs:.6g}")
-        lines.append(f"gamma_j32 = {pulse.keldysh_gamma(species.kappa(3)):.6g}")
-        lines.append(f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}")
+@contextlib.contextmanager
+def _as_config_error(context=""):
+    """Report a ValueError raised by bad user input as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{context}{exc}") from exc
 
 
-def _write(path, writer) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write(cfg: RunConfig, name: str, writer) -> None:
+    """writer(fh) on the artifact ``name`` under cfg.out_dir."""
+    with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
         writer(fh)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the exit status."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    summary = []
-    _summary_header(cfg, summary)
+    summary = []       # below the header, which is built last
+    cycles = cfg.cycles
     status = 0
 
     if cfg.command in ("single", "evolve", "buildup"):
@@ -271,14 +246,19 @@ def run(cfg: RunConfig) -> int:
         pulse = Pulse.from_lab(cfg.wavelength_nm, cycle_list(cfg.cycles)[0],
                                cfg.intensity_wcm2)
         grid = MomentumGrid.build(pulse.omega, **_grid_kw(cfg))
-        _pulse_block(pulse, species, summary)
+        summary += [f"tau_p_fs = {pulse.tau_p_fs:.6g}",
+                    f"tau_fwhm_fs = {pulse.fwhm_fs():.6g}",
+                    f"species = {species.name}",
+                    f"tau_b_fs = {species.beat_period_fs:.6g}",
+                    f"gamma_j32 = {pulse.keldysh_gamma(species.kappa(3)):.6g}",
+                    f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}"]
         if cfg.command == "buildup":
             trace = buildup(pulse, species, grid)
-            _write(os.path.join(cfg.out_dir, "buildup.csv"), trace.write_csv)
+            _write(cfg, "buildup.csv", trace.write_csv)
             rho = trace.final
         else:
             rho = build_density_matrix(pulse, species, grid)
-        _write(os.path.join(cfg.out_dir, "densmat.csv"), rho.write_csv)
+        _write(cfg, "densmat.csv", rho.write_csv)
         g = coherence_degree(rho)
         s_bar, delta_s = signal_parameters(rho)
         summary.append(f"w = {rho.w:.10g}")
@@ -291,24 +271,26 @@ def run(cfg: RunConfig) -> int:
                      else cfg.t_max_fs)
             times = np.linspace(0.0, t_max, cfg.n_samples)
             tr = signal_trace(rho, species, times, beta=cfg.beta_rad)
-            _write(os.path.join(cfg.out_dir, "trace.csv"), tr.write_csv)
+            _write(cfg, "trace.csv", tr.write_csv)
             summary.append(f"beta_rad = {cfg.beta_rad:g}")
             summary.append(f"trace_period_fs = {tr.period_fs:.6g}")
 
     elif cfg.command in ("sweep", "fit"):
         points = None
         if cfg.command == "fit" and cfg.sweep_csv:
-            with open(cfg.sweep_csv, encoding="utf-8") as fh:
+            with (open(cfg.sweep_csv, encoding="utf-8") as fh,
+                  _as_config_error(f"sweep CSV {cfg.sweep_csv}: ")):
                 points = read_sweep_csv(fh)
             summary.append(f"sweep_csv = {cfg.sweep_csv} ({len(points)} points)")
         if points is None:
             species = _species_list(cfg)
-            cycles = cycle_list(cfg.cycles) if cfg.cycles_explicit else None
             points, failures = coherence_sweep(
-                species, cfg.wavelength_nm, cfg.intensity_wcm2, cycles=cycles,
+                species, cfg.wavelength_nm, cfg.intensity_wcm2,
+                cycles=cycle_list(cfg.cycles) if cfg.cycles_explicit else None,
                 threads=cfg.threads, **_grid_kw(cfg))
-            _write(os.path.join(cfg.out_dir, "sweep.csv"),
-                   lambda fh: write_sweep_csv(points, fh))
+            if not cfg.cycles_explicit:
+                cycles = _default_cycles(species)
+            _write(cfg, "sweep.csv", lambda fh: write_sweep_csv(points, fh))
             summary.append(f"sweep points = {len(points)}")
             for name, n, exc in failures:
                 summary.append(f"FAILED {name} N={n}: {exc}")
@@ -316,9 +298,9 @@ def run(cfg: RunConfig) -> int:
             if failures:
                 status = 2
         if cfg.command == "fit":
-            fit = gaussian_fit(points)
-            _write(os.path.join(cfg.out_dir, "fit.csv"),
-                   lambda fh: write_fit_csv(fit, fh))
+            with _as_config_error():
+                fit = gaussian_fit(points)
+            _write(cfg, "fit.csv", lambda fh: write_fit_csv(fit, fh))
             summary.append(f"g0 = {fit.g0:.10g}")
             summary.append(f"zeta = {fit.zeta:.10g}")
             summary.append(f"rms = {fit.rms:.10g}")
@@ -326,7 +308,7 @@ def run(cfg: RunConfig) -> int:
 
     elif cfg.command == "predict":
         fit = FitResult(g0=cfg.g0, zeta=cfg.zeta, rms=0.0)
-        try:
+        with _as_config_error():
             if cfg.ratio is not None:
                 value = predict_g(cfg.ratio, fit)
                 summary.append(f"ratio = {cfg.ratio:.10g}")
@@ -337,26 +319,25 @@ def run(cfg: RunConfig) -> int:
                 summary.append(f"g = {cfg.coherence:.10g}")
                 summary.append(f"ratio = {value:.10g}")
                 print(f"ratio(g = {cfg.coherence:g}) = {value:.6g}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
-    _write(os.path.join(cfg.out_dir, "summary.txt"),
-           lambda fh: fh.write("\n".join(summary) + "\n"))
+    header = [f"sowp {__version__} command={cfg.command}",
+              f"wavelength_nm = {cfg.wavelength_nm:g}",
+              f"intensity_wcm2 = {cfg.intensity_wcm2:g}",
+              f"cycles = {cycles}",
+              f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
+              f"({cfg.phi_mode} phi)"]
+    _write(cfg, "summary.txt",
+           lambda fh: fh.write("\n".join(header + summary) + "\n"))
     return status
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        return run(parse_config(argv))
     except SystemExit as exc:     # argparse errors/help
         code = exc.code if isinstance(exc.code, int) else 0
         return 1 if code not in (0, None) else 0
-    try:
-        return run(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -121,13 +121,6 @@ class DensityMatrix:
         """The j = 3/2 <-> 1/2 off-diagonal element at m = 1/2."""
         return self.element(1.5, 0.5, 0.5, 0.5)
 
-    def normalized(self) -> "DensityMatrix":
-        """rho / w."""
-        w = self.w
-        if w <= 0:
-            raise ProbabilityError(f"cannot normalize: w = {w}")
-        return DensityMatrix(self.matrix / w)
-
     def write_csv(self, fh) -> None:
         """Header rows with w and g, then (j', m', j, m, re, im) rows."""
         try:
@@ -164,6 +157,17 @@ def coherence_degree(rho: DensityMatrix) -> float:
     if g > 1.0 + 1e-12:
         raise NumericalError(f"g = {g} exceeds 1 beyond the roundoff guard")
     return min(float(g), 1.0)
+
+
+def warn_if_saturated(rho: DensityMatrix) -> DensityMatrix:
+    """rho, after a SaturationWarning (attributed to the caller's caller)
+    when its w exceeds SATURATION_W."""
+    if rho.w > SATURATION_W:
+        warnings.warn(
+            f"w = {rho.w:.3f} > {SATURATION_W}: detachment saturates and "
+            f"depletion of the anion is not modelled", SaturationWarning,
+            stacklevel=3)
+    return rho
 
 
 def grid_nodes(grid: MomentumGrid):
@@ -229,13 +233,8 @@ def build_density_matrix(pulse: Pulse, species: Species,
     if pulse.a0 == 0.0:
         return DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
     pz, pperp, weights = grid_nodes(grid)
-    rho = DensityMatrix(assemble(amplitude_profiles(pulse, species, pz, pperp),
-                                 weights, grid))
-    if rho.w > SATURATION_W:
-        warnings.warn(
-            f"w = {rho.w:.3f} > {SATURATION_W}: detachment saturates and "
-            f"depletion of the anion is not modelled", SaturationWarning,
-            stacklevel=2)
+    rho = warn_if_saturated(DensityMatrix(
+        assemble(amplitude_profiles(pulse, species, pz, pperp), weights, grid)))
     if check_convergence:
         fine = build_density_matrix(pulse, species, grid.doubled())
         for label, coarse_val, fine_val in (

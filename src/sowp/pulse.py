@@ -4,17 +4,16 @@ Vector potential along z:
 
     A(t) = A0 sin^2(omega t / 2N) sin(omega t),   0 <= t <= tau_p = 2 pi N / omega
 
-which expands into three sinusoids,
+which expands into the carrier and two sidebands (Pulse.sidebands holds a_r),
 
-    A(t) = (A0/2) sin(omega t)
-         - (A0/4) sin((1 + 1/N) omega t)
-         - (A0/4) sin((1 - 1/N) omega t).
+    A(t) = sum_r a_r sin((1 + r/N) omega t),   r in SIDEBANDS = (0, +1, -1),
+    (a_0, a_+1, a_-1) = (A0/2, -A0/4, -A0/4), except a_-1 = 0 for N = 1.
 
 A(t) and dA/dt are evaluated in phasor form: with z = exp(i omega t / N)
 and u = z^N = exp(i omega t), each sinusoid is (u z^r - 1/(u z^r)) / 2i
-and each cosine (u z^r + 1/(u z^r)) / 2 for r = 0, +1, -1.  One evaluation
-costs one complex exponential, a few products and two reciprocals for all
-components, for real and complex t alike (real t returns the real part).
+and each cosine (u z^r + 1/(u z^r)) / 2.  One evaluation costs one complex
+exponential, a few products and two reciprocals for all three, for real
+and complex t alike (real t returns the real part).
 Unlike the product form, the sinusoid sum has no catastrophic cancellation
 when |Im t| is large, and it makes the action integral a finite sum of
 elementary antiderivatives (see ``sowp.saddle``).  The electric field is
@@ -32,6 +31,7 @@ import numpy as np
 from sowp import units
 
 FWHM_FACTOR = 0.364  # intensity FWHM of a sin^2 envelope, as fraction of tau_p
+SIDEBANDS = (0, 1, -1)  # r of the sinusoids at omega (1 + r/N) in A(t)
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,9 @@ class Pulse:
     omega: float
     n_cycles: int
     a0: float
-    # (amplitude, frequency) pairs of the sinusoid expansion of A(t)
-    components: tuple = field(init=False, repr=False, compare=False)
-    # components of the carrier and the upper and lower sideband, r = 0, +1,
-    # -1 in the phasor form; the lower one is (0, 0) for N = 1
-    _sidebands: tuple = field(init=False, repr=False, compare=False)
+    # amplitudes a_r of the sinusoids at omega (1 + r/N), r in SIDEBANDS
+    # order (carrier, upper, lower); the lower one is 0 for N = 1
+    sidebands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -55,13 +53,9 @@ class Pulse:
             raise ValueError(f"n_cycles must be a positive integer, got {self.n_cycles}")
         if self.a0 < 0:
             raise ValueError(f"a0 must be non-negative, got {self.a0}")
-        comps = [(self.a0 / 2.0, self.omega),
-                 (-self.a0 / 4.0, self.omega * (1.0 + 1.0 / self.n_cycles))]
-        if self.n_cycles > 1:
-            comps.append((-self.a0 / 4.0, self.omega * (1.0 - 1.0 / self.n_cycles)))
-        object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "_sidebands",
-                           tuple(comps) + ((0.0, 0.0),) * (3 - len(comps)))
+        lower = -self.a0 / 4.0 if self.n_cycles > 1 else 0.0
+        object.__setattr__(self, "sidebands",
+                           (self.a0 / 2.0, -self.a0 / 4.0, lower))
 
     @classmethod
     def from_lab(cls, wavelength_nm: float, n_cycles: int,
@@ -113,7 +107,7 @@ class Pulse:
         given, must be self.phasors(t)."""
         t = np.asarray(t)
         u, z, v, y = self.phasors(t) if phasors is None else phasors
-        a0, a1, a2 = (a for a, _ in self._sidebands)
+        a0, a1, a2 = self.sidebands
         out = -0.5j * (u * (a0 + a1 * z + a2 * y) - v * (a0 + a1 * y + a2 * z))
         return self._as_input(t, out)
 
@@ -121,7 +115,8 @@ class Pulse:
         """dA/dt = -F(t); phasors as for vector_potential."""
         t = np.asarray(t)
         u, z, v, y = self.phasors(t) if phasors is None else phasors
-        a0, a1, a2 = (a * om for a, om in self._sidebands)
+        a0, a1, a2 = (a * (self.omega * (1.0 + r / self.n_cycles))
+                      for a, r in zip(self.sidebands, SIDEBANDS))
         out = 0.5 * (u * (a0 + a1 * z + a2 * y) + v * (a0 + a1 * y + a2 * z))
         return self._as_input(t, out)
 

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sowp.errors import SaddleError, DegenerateSaddleError
-from sowp.pulse import Pulse
+from sowp.pulse import SIDEBANDS, Pulse
 
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
@@ -109,13 +109,14 @@ def _action_coefficients(pulse):
                + sum_{d=1,2} b[d] sin(d w t) + sum_{r=-2..2} g[r] sin((2N + r) w t)
 
     The p_z term integrates A, the rest (1/2) A^2: each ordered pair of
-    components (N + r1, N + r2) contributes (1/4) a1 a2 [sin(d w t)/(d w)
+    sidebands (N + r1, N + r2) contributes (1/4) a1 a2 [sin(d w t)/(d w)
     - sin(s w t)/(s w)] with d = r1 - r2 and s = 2N + r1 + r2, or t for
     d = 0.  Returns (lin, c, b, g) with c and g indexed by r + 1 and r + 2.
     """
     n = pulse.n_cycles
     w = pulse.omega / n
-    comps = [(a, int(round(om / w)) - n) for a, om in pulse.components]
+    # the zero-frequency lower sideband of N = 1 (a = 0) adds nothing
+    comps = [(a, r) for a, r in zip(pulse.sidebands, SIDEBANDS) if n + r]
     lin = 0.0
     c, b, g = np.zeros(3), np.zeros(3), np.zeros(5)
     for a1, r1 in comps:
@@ -176,11 +177,9 @@ def _polynomial_coefficients(pulse: Pulse):
     n = pulse.n_cycles
     m = n + 1
     coef = np.zeros(2 * m + 1, dtype=complex)
-    base = pulse.omega / n
-    for a, om in pulse.components:
-        k = int(round(om / base))
-        coef[m + k] += a / 2j
-        coef[m - k] -= a / 2j
+    for a, r in zip(pulse.sidebands, SIDEBANDS):
+        coef[m + n + r] += a / 2j
+        coef[m - n - r] -= a / 2j
     return coef, m
 
 

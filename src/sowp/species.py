@@ -10,15 +10,14 @@ so the j=1/2 channel is the more strongly bound one.  kappa_j = sqrt(-2 E_j).
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import groupby
 
 from sowp import units
 from sowp.errors import SpeciesFileError
 
 ENV_SPECIES_FILE = "SOWP_SPECIES_FILE"
-
-_REQUIRED_FIELDS = ("name", "ea_ev", "splitting_cm1", "b_au", "l")
 
 
 @dataclass(frozen=True)
@@ -70,70 +69,73 @@ class Species:
         return units.splitting_to_beat_period(self.splitting_cm1)
 
 
-def _parse_blocks(lines):
-    """Yield (first_line_number, {key: (value, line_number)}) per blank-line
-    separated block."""
-    block = {}
-    first = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+_FIELDS = {f.name: f for f in fields(Species)}
+
+
+def _content(raw: str) -> str:
+    """A line without its '#' comment and surrounding whitespace."""
+    return raw.split("#", 1)[0].strip()
+
+
+def numbered_lines(path, error, source) -> list:
+    """(line number, text) pairs of a file; an OSError is raised as ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(enumerate(fh, start=1))
+    except OSError as exc:
+        raise error(f"cannot read {source}: {exc}") from exc
+
+
+def parse_key_values(lines, schema, error, source) -> dict:
+    """{key: value} from (line number, text) pairs in the 'key = value'
+    dialect of species and config files.  Keys are lower-cased, must name a
+    field of ``schema`` (name -> dataclass Field) and may appear once; each
+    value is converted by the field's annotated type.  The first bad line
+    raises ``error`` naming ``source`` and the line."""
+    values = {}
+    for lineno, raw in lines:
+        line = _content(raw)
         if not line:
-            if block:
-                yield first, block
-                block, first = {}, None
             continue
-        if "=" not in line:
-            raise SpeciesFileError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key in block:
-            raise SpeciesFileError(f"line {lineno}: duplicate field {key!r}")
-        block[key] = (value.strip(), lineno)
-        if first is None:
-            first = lineno
-    if block:
-        yield first, block
+        where = f"{source}, line {lineno}"
+        key, eq, text = line.partition("=")
+        key, text = key.strip().lower(), text.strip()
+        if not eq:
+            raise error(f"{where}: expected 'key = value', got {raw.strip()!r}")
+        if key not in schema:
+            raise error(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise error(f"{where}: repeated key {key!r}")
+        kind = schema[key].type
+        try:
+            values[key] = kind(text)
+        except ValueError as exc:
+            raise error(f"{where}: {key!r} is not a valid {kind.__name__}: "
+                        f"{text!r}") from exc
+    return values
 
 
 def load_species(path) -> list[Species]:
-    """Parse a species data file into validated Species records."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise SpeciesFileError(f"cannot read species file {path}: {exc}") from exc
-
+    """Parse a species data file into validated Species records, one per
+    run of lines with content; every Species field is required."""
+    source = f"species file {path}"
+    numbered = numbered_lines(path, SpeciesFileError, source)
     out = []
-    for first, block in _parse_blocks(lines):
-        for fieldname in _REQUIRED_FIELDS:
-            if fieldname not in block:
-                raise SpeciesFileError(
-                    f"block starting at line {first}: missing field {fieldname!r}")
-        unknown = set(block) - set(_REQUIRED_FIELDS)
-        if unknown:
-            raise SpeciesFileError(
-                f"block starting at line {first}: unknown fields {sorted(unknown)}")
-
-        def num(key, conv):
-            value, lineno = block[key]
-            try:
-                return conv(value)
-            except ValueError as exc:
-                raise SpeciesFileError(
-                    f"line {lineno}: field {key!r} is not a number: {value!r}") from exc
-
-        out.append(Species(
-            name=block["name"][0],
-            ea_ev=num("ea_ev", float),
-            splitting_cm1=num("splitting_cm1", float),
-            b_au=num("b_au", float),
-            l=num("l", int),
-        ))
+    for has_content, record in groupby(numbered, key=lambda nl: bool(_content(nl[1]))):
+        if not has_content:
+            continue
+        record = list(record)
+        values = parse_key_values(record, _FIELDS, SpeciesFileError, source)
+        missing = [name for name in _FIELDS if name not in values]
+        if missing:
+            raise SpeciesFileError(f"{source}, record starting at line "
+                                   f"{record[0][0]}: missing field {missing[0]!r}")
+        out.append(Species(**values))
     if not out:
-        raise SpeciesFileError(f"species file {path} contains no records")
+        raise SpeciesFileError(f"{source} contains no records")
     names = [s.name.lower() for s in out]
     if len(set(names)) != len(names):
-        raise SpeciesFileError(f"species file {path} has duplicate names")
+        raise SpeciesFileError(f"{source} has duplicate names")
     return out
 
 

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import sowp.analysis as analysis
 from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
-from sowp.densmat import coherence_degree
-from sowp.errors import FitError, NumericalError
+from sowp.densmat import MomentumGrid, coherence_degree
+from sowp.errors import FitError, NumericalError, SaturationWarning
+from sowp.pulse import Pulse
 from sowp.species import get_species
 
 PAPER_FIT = FitResult(g0=0.89, zeta=1.15, rms=0.0)
@@ -93,6 +95,20 @@ class TestGaussianLaw:
 
 
 class TestBuildup:
+    @pytest.mark.parametrize("intensity, saturates",
+                             [(8e13, True), (1.3e13, False)],
+                             ids=["saturated", "reference"])
+    def test_saturation_warning(self, species_f, intensity, saturates):
+        # the check build_density_matrix makes, on the full-sum matrix
+        pulse = Pulse.from_lab(1800.0, 8, intensity)
+        grid = MomentumGrid.build(pulse.omega, n_energy=48, n_theta=16, n_phi=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = buildup(pulse, species_f, grid)
+        warned = [w for w in caught if issubclass(w.category, SaturationWarning)]
+        assert (trace.final.w > 0.5) == saturates
+        assert len(warned) == int(saturates)
+
     def test_final_equals_full_matrix(self, ref_buildup, ref_rho):
         for name in ("F", "Br"):
             final = ref_buildup[name].final.matrix
@@ -170,7 +186,7 @@ class TestCoherenceSweep:
             assert p.w > 0
 
     def test_thread_determinism(self, species_f, species_cl):
-        kw = dict(cycles={"f": [2, 3], "cl": [2]}, n_energy=48, n_theta=16)
+        kw = dict(cycles=[2, 3], n_energy=48, n_theta=16)
         serial, _ = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13, **kw)
         threaded, _ = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13,
                                       threads=3, **kw)
@@ -205,6 +221,10 @@ class TestCoherenceSweep:
         with pytest.raises(TypeError, match="forced"):
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
                             threads=threads)
+
+    def test_no_worker_threads_rejected(self, species_f):
+        with pytest.raises(ValueError):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=0)
 
     def test_default_cycles_mapping(self, species_f):
         with pytest.raises(ValueError, match="Xq"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sowp.analysis as analysis
+from sowp.analysis import SweepPoint
 from sowp.cli import RunConfig, cycle_list, main, parse_config
 from sowp.errors import ConfigError, NumericalError
 
@@ -249,6 +250,55 @@ class TestSweepAndFit:
         assert rc == 2
         assert "forced failure" in capsys.readouterr().err
         assert (out / "summary.txt").read_text().count("FAILED") == 2
+
+    def test_failures_listed_in_job_order(self, tmp_path, monkeypatch):
+        def boom(sp, lam, intensity, n, grid_kw):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(analysis, "_sweep_one", boom)
+        out = tmp_path / "fail"
+        rc = run_cli("sweep", "--species", "f,cl", "--cycles", "2..3",
+                     *FAST_GRID, "--threads", "2", "--out-dir", str(out))
+        assert rc == 2
+        failed = [line.split(":")[0] for line in
+                  (out / "summary.txt").read_text().splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == ["FAILED F N=2", "FAILED F N=3", "FAILED Cl N=2",
+                          "FAILED Cl N=3"]
+
+    @pytest.mark.parametrize("args, cycles", [
+        (["sweep"], "default (F 2..18, Cl 2..18, Br 2..8)"),
+        (["fit", "--species", "f"], "default (F 2..18)"),
+    ], ids=["sweep", "fit"])
+    def test_default_ranges_in_summary(self, tmp_path, monkeypatch, args, cycles):
+        def fake(sp, lam, intensity, n, grid_kw):
+            ratio = 0.1 * n
+            return SweepPoint(sp.name, n, 1.0, ratio,
+                              0.89 * np.exp(-1.15 * ratio * ratio), 0.01)
+
+        monkeypatch.setattr(analysis, "_sweep_one", fake)
+        out = tmp_path / "default"
+        assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert f"cycles = {cycles}" in lines
+
+    SWEEP_HEADER = "species,n_cycles,tau_fwhm_fs,ratio,g,w\n"
+
+    @pytest.mark.parametrize("csv, args", [
+        ("a,b,c\n1,2,3\n", []),
+        (SWEEP_HEADER + "F,2,4.3,0.1,high,0.06\n", []),
+        (None, ["--species", "f", "--cycles", "2..3", *FAST_GRID]),
+        (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,0.1,0.7,0.06\n"
+         "F,4,8.7,0.1,0.6,0.06\n", []),
+    ], ids=["wrong-header", "not-a-number", "two-points", "repeated-ratios"])
+    def test_bad_fit_input_is_config_error(self, tmp_path, capsys, csv, args):
+        if csv is not None:
+            (tmp_path / "sweep.csv").write_text(csv)
+            args = ["--sweep-csv", str(tmp_path / "sweep.csv")]
+        out = tmp_path / "fit"
+        assert run_cli("fit", *args, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not (out / "summary.txt").exists()
 
 
 class TestRunConfigValidation:

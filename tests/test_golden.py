@@ -1,6 +1,6 @@
 """Golden regression gate: the full-precision 6x6 density matrices of F, Cl
 and Br and the F build-up coherence trace at the reference pulse, and the
-density matrices of the duration-sweep points F at N = 2, 8, 18 and Br at
+density matrices of the duration-sweep points F at N = 1, 2, 8, 18 and Br at
 N = 8 (reference wavelength and intensity), all on the default grid,
 frozen in ``data/golden_reference.json``.
 
@@ -22,7 +22,7 @@ import pytest
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "golden_reference.json")
 REL_TOL = 1e-10
-SWEEP_POINTS = (("F", 2), ("F", 8), ("F", 18), ("Br", 8))
+SWEEP_POINTS = (("F", 1), ("F", 2), ("F", 8), ("F", 18), ("Br", 8))
 
 
 def _complex(pairs):

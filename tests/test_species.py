@@ -1,7 +1,8 @@
 import pytest
 
 from sowp import units
-from sowp.errors import SpeciesFileError
+from sowp.cli import read_config_file
+from sowp.errors import ConfigError, SpeciesFileError
 from sowp.species import (Species, default_species_path, get_species,
                           load_species)
 
@@ -121,3 +122,39 @@ class TestParsing:
         monkeypatch.setenv("SOWP_SPECIES_FILE", str(path))
         assert default_species_path() == str(path)
         assert get_species("zz").name == "Zz"
+
+
+class TestSharedReader:
+    """Config and species files go through one key = value reader, so the
+    same bad line fails both the same way, naming the file and the line."""
+
+    # reader, its error, a file that is valid once "key = good" is appended,
+    # and that key with a good and a bad value
+    READERS = {
+        "config": (read_config_file, ConfigError, "cycles = 4\n",
+                   "n_theta", "17", "6.5"),
+        "species": (load_species, SpeciesFileError,
+                    "name = X\nea_ev = 3.0\nsplitting_cm1 = 100.0\nb_au = 1.0\n",
+                    "l", "1", "one"),
+    }
+    BAD_LINES = {   # kind -> (lines appended to the valid file, message)
+        "no-equals": (["just words"], "expected 'key = value'"),
+        "unknown-key": (["colour = blue"], "unknown key 'colour'"),
+        "repeated-key": (["{key} = {good}", "{key} = {good}"],
+                         "repeated key '{key}'"),
+        "bad-value": (["{key} = {bad}"], "'{key}' is not a valid"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_bad_line_names_file_and_line(self, tmp_path, reader, kind):
+        read, error, valid, key, good, bad = self.READERS[reader]
+        lines, message = self.BAD_LINES[kind]
+        lines = [line.format(key=key, good=good, bad=bad) for line in lines]
+        path = tmp_path / f"{reader}.txt"
+        path.write_text(valid + "\n".join(lines) + "\n")
+        with pytest.raises(error) as info:
+            read(str(path))
+        bad_lineno = valid.count("\n") + len(lines)
+        assert f"{path}, line {bad_lineno}:" in str(info.value)
+        assert message.format(key=key) in str(info.value)
