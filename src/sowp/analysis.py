@@ -20,7 +20,7 @@ from sowp.amplitude import amplitude_profiles, STATES
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
                           build_density_matrix, coherence_degree, grid_nodes,
                           warn_if_saturated)
-from sowp.errors import FitError, SowpError
+from sowp.errors import ConfigError, FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
 from sowp.species import Species
@@ -120,14 +120,16 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     any other exception propagates.
 
     ``cycles``: iterable of N applied to every species (default: 2..18 for
-    F and Cl, 2..8 for Br).  Returns (points, failures), each in (species
-    position, N) order whatever ``threads`` is; a failure is (name, N, exc).
+    F and Cl, 2..8 for Br; ConfigError for a species with no default
+    range).  Returns (points, failures), each in (species position, N)
+    order whatever ``threads`` is; a failure is (name, N, exc).
     """
     jobs = []
     for sp in species_list:
         ns = DEFAULT_SWEEP_CYCLES.get(sp.name.lower()) if cycles is None else cycles
         if ns is None:
-            raise ValueError(f"no default cycle range for species {sp.name!r}")
+            raise ConfigError(f"no default cycle range for species {sp.name!r}; "
+                              f"give the cycle counts (--cycles)")
         jobs.extend((sp, int(n)) for n in ns)
 
     points, failures = [], []

@@ -71,8 +71,8 @@ class RunConfig:
         problems = []
         if self.wavelength_nm <= 0:
             problems.append(f"wavelength_nm must be positive, got {self.wavelength_nm}")
-        if self.intensity_wcm2 < 0:
-            problems.append(f"intensity_wcm2 must be non-negative, got {self.intensity_wcm2}")
+        if not self.intensity_wcm2 > 0:
+            problems.append(f"intensity_wcm2 must be positive, got {self.intensity_wcm2}")
         for key in ("n_energy", "n_theta", "n_phi"):
             if getattr(self, key) < 2:
                 problems.append(f"{key} must be >= 2, got {getattr(self, key)}")
@@ -92,8 +92,17 @@ class RunConfig:
         if self.command in ("single", "evolve", "buildup") and len(cr or [0]) != 1:
             problems.append(f"command {self.command!r} takes a single cycle count, "
                             f"got {self.cycles!r}")
-        if self.command in ("single", "evolve", "buildup") and not self.species:
-            problems.append(f"command {self.command!r} requires --species")
+        names = _species_names(self.species)
+        if self.species and not names:
+            problems.append(f"species list {self.species!r} names no species")
+        if len(set(names)) != len(names):
+            problems.append(f"species list {self.species!r} names a species twice")
+        if self.command in ("single", "evolve", "buildup"):
+            if not self.species:
+                problems.append(f"command {self.command!r} requires --species")
+            elif len(names) > 1:
+                problems.append(f"command {self.command!r} takes a single "
+                                f"species, got {self.species!r}")
         if self.command == "predict":
             if (self.ratio is None) == (self.coherence is None):
                 problems.append("predict needs exactly one of --ratio or --coherence")
@@ -122,6 +131,13 @@ def cycle_list(spec: str):
         return [int(text)]
     except ValueError as exc:
         raise ConfigError(f"malformed cycle specification {text!r}") from exc
+
+
+def _species_names(spec) -> list:
+    """Lower-cased names of a comma-separated species list; blank entries
+    are skipped, and None gives []."""
+    return [name.strip().lower() for name in (spec or "").split(",")
+            if name.strip()]
 
 
 def read_config_file(path: str) -> dict:
@@ -203,12 +219,18 @@ def _grid_kw(cfg: RunConfig) -> dict:
 
 
 def _species_list(cfg: RunConfig):
+    """The --species records, or else every record of the species file
+    that has a default sweep range; never empty."""
     path = cfg.species_file or default_species_path()
     if cfg.species:
-        return [get_species(name.strip(), path)
-                for name in cfg.species.split(",") if name.strip()]
-    return [sp for sp in load_species(path)
-            if sp.name.lower() in DEFAULT_SWEEP_CYCLES]
+        return [get_species(name, path) for name in _species_names(cfg.species)]
+    species = [sp for sp in load_species(path)
+               if sp.name.lower() in DEFAULT_SWEEP_CYCLES]
+    if not species:
+        known = ", ".join(map(str.capitalize, DEFAULT_SWEEP_CYCLES))
+        raise ConfigError(f"species file {path} holds none of {known}; "
+                          f"name the species with --species")
+    return species
 
 
 def _default_cycles(species) -> str:

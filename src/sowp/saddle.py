@@ -26,17 +26,23 @@ are found:
 * 2-D, shape (n_path, n_lines): n_lines continuation paths along axis 0
   (the density matrix passes the radial lines of its grid this way).  Row
   0 is seeded by eigenvalues in one stacked call; later rows are found by
-  predictor-corrector continuation, with roots tracked by identity and
-  sorted by Re t only at the end.  An eigensolve costs O(deg^3) per node,
-  a Newton step O(deg), so a line costs one eigensolve instead of n_path.
+  predictor-corrector continuation.  An eigensolve costs O(deg^3) per
+  node, a Newton step O(deg), so a line costs one eigensolve instead of
+  n_path.
+
+Either way every solved row is stored sorted by Re t, the one root order
+of the package, and the predictor extrapolates the k-th root of each row
+from the k-th roots of the rows before.  Two roots that crossed in Re t
+along a line would only give Newton a poorer seed and, at worst, an
+eigenvalue re-seed through the contract check below: a cost in time, not
+a wrong root set.
 
 Predictor.  Rows 1 and 2 start Newton from the previous row's roots.  From
 row 3 on, each root is extrapolated from the three previous rows by the
 quadratic Lagrange polynomial in the path parameter s = sqrt(p_z^2 +
 p_perp^2) (|p| on a MomentumGrid), which needs no evaluation of A.  A
-column falls back to the previous row's roots when any of those three rows
-was re-seeded by eigenvalues (re-seeded roots come in another order) or
-when their s values are not distinct (the weights would not be finite).
+column falls back to the previous row's roots when the s values of those
+three rows are not distinct (the weights would not be finite).
 
 Corrector.  Rows from 3 on are polished in blocks of ROW_BLOCK_ROWS
 consecutive rows per Newton call, all predicted from the same three rows;
@@ -48,7 +54,7 @@ neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
 exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
 complete set.  A node that fails (a root jumped to a neighbour or to a
 periodic image) is re-seeded by eigenvalues, and its line continues from
-the re-seeded roots.
+the re-seeded roots, which are sorted like every other row.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -57,7 +63,8 @@ exact mirror images across their columns (pz[:, ::-1] == -pz and
 pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
 are symmetric), only the first ceil(n_lines/2) lines are continued, the
 p_z = 0 line included when n_lines is odd, and each remaining line is
-filled from its partner by that map.  Otherwise every line is continued.
+filled from its partner by that map, with the root order reversed so that
+it is sorted by Re t too.  Otherwise every line is continued.
 
 Final pass.  Whether solved or mirrored, every node's v_z, residual, S''
 and action are evaluated from its own t, in blocks of at most
@@ -238,9 +245,10 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
 
 def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
     """Eigenvalue-seeded, Newton-polished roots of 1-D independent points,
-    shape (n, 2N+2), unsorted."""
+    shape (n, 2N+2), sorted by Re t."""
     seeds = _eigvals_seeds(pulse, e_bound, pz, pperp2)
-    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])[0]
+    roots, _ = _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
+    return _sorted_by_real(roots)[0]
 
 
 def _sorted_by_real(t, *fields):
@@ -249,21 +257,19 @@ def _sorted_by_real(t, *fields):
     return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
 
 
-def _predicted_seeds(ts, s, r, k, reseeded):
-    """Newton seeds for rows r..r+k-1 of the continued lines ts, shape
-    (k, n_lines, 2N+2): quadratic Lagrange extrapolation in the path
-    parameter s from rows r-3..r-1, or row r-1's roots in a column where
-    that is not possible (see the module docstring).  Always a new array:
-    Newton may return its seeds unchanged, and re-seeded roots are written
-    into its result.
+def _predicted_seeds(ts, s, r, k):
+    """Newton seeds for rows r..r+k-1 of the continued lines ts, whose rows
+    are sorted by Re t; shape (k, n_lines, 2N+2): quadratic Lagrange
+    extrapolation of each root in the path parameter s from rows r-3..r-1,
+    or row r-1's roots in a column where that is not possible (see the
+    module docstring).
     """
     prev = ts[r - 1]
     if r < 3:
         return np.repeat(prev[None], k, axis=0)
     s0, s1, s2 = s[r - 3], s[r - 2], s[r - 1]
     d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-    fallback = (reseeded[r - 3:r].any(axis=0)
-                | (d01 == 0) | (d02 == 0) | (d12 == 0))
+    fallback = (d01 == 0) | (d02 == 0) | (d12 == 0)
     x = s[r:r + k]
     # unit denominators where a column falls back keep the weights finite
     w0 = (x - s1) * (x - s2) / np.where(fallback, 1.0, d01 * d02)
@@ -277,7 +283,7 @@ def _predicted_seeds(ts, s, r, k, reseeded):
 def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     """Roots along axis 0 of 2-D point arrays by predictor-corrector
     continuation (see the module docstring); shape pz.shape + (2N+2,),
-    unsorted.
+    sorted by Re t.
 
     Lines that mirror each other (p_z -> -p_z at equal p_perp^2, column j
     against column n_lines-1-j) are continued once: the saddles at -p_z are
@@ -292,24 +298,24 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     t = np.empty(pz.shape + (deg,), dtype=complex)
     ts, pz, pperp2 = t[:, :solved], pz[:, :solved], pperp2[:, :solved]
     s = np.sqrt(pz * pz + pperp2)
-    reseeded = np.zeros(pz.shape, dtype=bool)
     ts[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
     r = 1
     while r < n_path:
         k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = pz[rows].reshape(-1, 1), pperp2[rows].reshape(-1, 1)
-        seeds = _predicted_seeds(ts, s, r, k, reseeded).reshape(-1, deg)
-        roots, residual = _newton(pulse, e_bound, seeds, bpz, bpp2)
-        checks = _contract_checks(pulse, *_sorted_by_real(roots, residual))
+        seeds = _predicted_seeds(ts, s, r, k).reshape(-1, deg)
+        roots, residual = _sorted_by_real(
+            *_newton(pulse, e_bound, seeds, bpz, bpp2))
+        checks = _contract_checks(pulse, roots, residual)
         failed = np.logical_or.reduce([bad for bad, _, _ in checks])
         if failed.any():
             roots[failed] = _solve_points(pulse, e_bound, bpz[failed, 0],
                                           bpp2[failed, 0])
         ts[rows] = roots.reshape(k, solved, deg)
-        reseeded[rows] = failed.reshape(k, solved)
         r += k
-    t[:, solved:] = pulse.tau_p - np.conj(ts[:, :n_lines - solved][:, ::-1])
+    partners = ts[:, :n_lines - solved][:, ::-1, ::-1]
+    t[:, solved:] = pulse.tau_p - np.conj(partners)
     return t
 
 
@@ -337,7 +343,6 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
     else:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
-    (t,) = _sorted_by_real(t)
     shape = t.shape
     deg = shape[-1]
     t = t.reshape(-1, deg)

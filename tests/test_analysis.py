@@ -9,7 +9,7 @@ from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
 from sowp.densmat import MomentumGrid, coherence_degree
-from sowp.errors import FitError, NumericalError, SaturationWarning
+from sowp.errors import ConfigError, FitError, NumericalError, SaturationWarning
 from sowp.pulse import Pulse
 from sowp.species import get_species
 
@@ -227,7 +227,7 @@ class TestCoherenceSweep:
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=0)
 
     def test_default_cycles_mapping(self, species_f):
-        with pytest.raises(ValueError, match="Xq"):
+        with pytest.raises(ConfigError, match="Xq"):
             from sowp.species import Species
             weird = Species(name="Xq", ea_ev=3.0, splitting_cm1=500.0, b_au=1.0)
             coherence_sweep([weird], 1800.0, 1.3e13)

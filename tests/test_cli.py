@@ -301,6 +301,33 @@ class TestSweepAndFit:
         assert not (out / "summary.txt").exists()
 
 
+XQ_RECORD = "name = Xq\nea_ev = 3.0\nsplitting_cm1 = 500\nb_au = 1.0\nl = 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--species-file", "{xq}", "--species", "xq"],
+    ["sweep", "--species-file", "{xq}"],
+    ["sweep", "--species", ","],
+    ["sweep", "--species", "f,F"],
+    ["single", "--species", "f,cl"],
+    ["evolve", "--species", "f,cl"],
+    ["buildup", "--species", "f,cl"],
+    ["single", "--species", "f", "--intensity-wcm2", "0"],
+    ["buildup", "--species", "f", "--intensity-wcm2", "0"],
+    ["sweep", "--species", "f", "--cycles", "2..3", "--intensity-wcm2", "0"],
+], ids=["no-default-range", "none-in-file", "empty-list", "repeated",
+        "single-two", "evolve-two", "buildup-two", "single-zero-intensity",
+        "buildup-zero-intensity", "sweep-zero-intensity"])
+def test_rejected_before_any_output(tmp_path, capsys, args):
+    xq = tmp_path / "xq.dat"
+    xq.write_text(XQ_RECORD)
+    out = tmp_path / "out"
+    args = [a.format(xq=xq) for a in args]
+    assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err.startswith("configuration error")
+    assert not (out / "summary.txt").exists()
+
+
 class TestRunConfigValidation:
     def test_direct_validation(self):
         with pytest.raises(ConfigError):

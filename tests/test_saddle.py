@@ -248,7 +248,8 @@ class TestContinuation:
 
 
 class TestPredictor:
-    def test_reseed_in_block_falls_back_in_its_column(self, pulse, monkeypatch):
+    def test_reseeded_column_is_extrapolated_like_the_rest(self, pulse,
+                                                           monkeypatch):
         pz, pp2 = radial_lines(pulse)
         deg = 2 * pulse.n_cycles + 2
         solved, col = pz.shape[1] // 2, 2
@@ -259,14 +260,21 @@ class TestPredictor:
         calls = record_newton(monkeypatch, collapse=(3, (k - 1) * solved + col))
         lines = saddle_batch(pulse, E_F, pz, pp2)
         assert len(calls[4][0]) == 1
-        seeds = calls[5][0].reshape(-1, solved, deg)
-        last = calls[3][1].reshape(k, solved, deg)[-1]
-        # the next block starts column col from the re-seeded roots, every
-        # other column from the extrapolation
-        np.testing.assert_array_equal(seeds[:, col], np.broadcast_to(
-            calls[4][1][0], seeds[:, col].shape))
-        for j in set(range(solved)) - {col}:
-            assert not np.array_equal(seeds[0, j], last[j])
+        assert (np.diff(lines.t.real, axis=-1) > 0).all()
+        # the stored rows are the returned ones; the next block (call 5)
+        # seeds every column, the re-seeded one included, by the quadratic
+        # through the last three rows in s = |p|, root by root in Re t order
+        r = 3 + k
+        s = np.sqrt(pz * pz + pp2)[:, :solved]
+        s0, s1, s2, x = s[r - 3], s[r - 2], s[r - 1], s[r:r + k]
+        weights = ((x - s1) * (x - s2) / ((s0 - s1) * (s0 - s2)),
+                   (x - s0) * (x - s2) / ((s1 - s0) * (s1 - s2)),
+                   (x - s0) * (x - s1) / ((s2 - s0) * (s2 - s1)))
+        last = lines.t[r - 3:r, :solved]
+        expected = sum(w[..., None] * t for w, t in zip(weights, last))
+        seeds = calls[5][0].reshape(k, solved, deg)
+        np.testing.assert_allclose(seeds, expected, rtol=1e-12, atol=0)
+        assert not np.array_equal(seeds[0, col], last[-1, col])
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
 
     @pytest.mark.parametrize("rows", [
@@ -284,7 +292,8 @@ class TestPredictor:
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
 
     @pytest.mark.parametrize("n_cycles", [2, 18])
-    def test_one_newton_call_per_block(self, monkeypatch, n_cycles):
+    def test_one_newton_call_per_block(self, monkeypatch, n_cycles,
+                                       species_f, species_cl, species_br):
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         deg = 2 * n_cycles + 2
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
@@ -299,13 +308,21 @@ class TestPredictor:
             return vector_potential(self, t, phasors=phasors)
 
         monkeypatch.setattr(Pulse, "vector_potential", counting)
-        saddle_batch(pu, E_F, pz, pperp * pperp)
-        # row 0, rows 1 and 2 alone, then blocks; no line is re-seeded
-        assert len(calls) == 3 + math.ceil((n_path - 3) / block)
-        # the final pass evaluates A once at every node; seeding each row
-        # with the previous row's roots cost 3.92 evaluations per root here
-        newton = sum(evaluated) - pz.size * deg
-        assert newton < 3.5 * n_path * solved * deg
+        for sp in (species_f, species_cl, species_br):
+            for j2 in (3, 1):
+                calls.clear()
+                evaluated.clear()
+                saddle_batch(pu, sp.e_bound(j2), pz, pperp * pperp)
+                # row 0, rows 1 and 2 alone, then blocks: no line is
+                # re-seeded, which also means the roots kept their Re t
+                # order, the one the predictor extrapolates in
+                assert len(calls) == 3 + math.ceil((n_path - 3) / block), \
+                    (sp.name, j2)
+                # the final pass evaluates A once at every node; seeding
+                # each row with the previous row's roots cost 3.92
+                # evaluations per root for F, j = 3/2
+                newton = sum(evaluated) - pz.size * deg
+                assert newton < 3.5 * n_path * solved * deg, (sp.name, j2)
 
 
 class TestMirror:
