@@ -8,7 +8,9 @@ Commands
     fit       Gaussian-law fit of sweep results
     predict   evaluate or invert the Gaussian law
 
-Flags override config-file values, which override built-in defaults (the
+Every option is one RunConfig field: a config-file key, and the flag of
+the same name with dashes for the commands its metadata names.  Flags
+override config-file values, which override built-in defaults (the
 reference pulse: 1800 nm, 1.3e13 W/cm^2, 8 cycles).  Config files are
 read by the species file's key = value reader.  All artifacts are written
 under --out-dir.  Exit codes: 0 success, 1 configuration error,
@@ -17,13 +19,14 @@ under --out-dir.  Exit codes: 0 success, 1 configuration error,
 
 import argparse
 import contextlib
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from sowp import __version__, units
+from sowp import __version__
 from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
@@ -34,41 +37,63 @@ from sowp.pulse import Pulse
 from sowp.species import (default_species_path, get_species, load_species,
                           numbered_lines, parse_key_values)
 
-COMMANDS = ("single", "evolve", "sweep", "fit", "buildup", "predict")
+# subcommand -> its help text
+COMMANDS = {"single": "density matrix and coherence for one pulse",
+            "evolve": "single + beat-signal trace",
+            "buildup": "cumulative saddle-sum build-up trace",
+            "sweep": "coherence versus pulse duration",
+            "fit": "Gaussian-law fit of a sweep",
+            "predict": "evaluate or invert the Gaussian law"}
+_PHYSICS = ("single", "evolve", "buildup", "sweep", "fit")
+
+
+def _option(default, commands, help):
+    """A config key that ``commands`` also take as a flag."""
+    return field(default=default, metadata={"commands": commands, "help": help})
 
 
 @dataclass
 class RunConfig:
-    """The configuration schema: every field but ``command`` and
-    ``cycles_explicit`` is a config-file key, read with its annotated type
-    and defaulting to its built-in default."""
+    """The configuration schema.  Every field with metadata is a config-file
+    key and, for the commands its metadata names, the flag --field-name;
+    both are read with the field's annotated type and default to its
+    default."""
 
     command: str
-    species: str = None
-    species_file: str = None
-    wavelength_nm: float = 1800.0
-    intensity_wcm2: float = 1.3e13
-    cycles: str = "8"
-    n_energy: int = 200
-    n_theta: int = 64
-    n_phi: int = 32
-    phi_mode: str = "analytic"
-    beta_rad: float = 0.0
-    out_dir: str = "out"
-    threads: int = 1
-    g0: float = 0.89
-    zeta: float = 1.15
-    ratio: float = None
-    coherence: float = None
-    t_max_fs: float = None
-    n_samples: int = 400
-    sweep_csv: str = None
+    out_dir: str = _option("out", tuple(COMMANDS), "artifact directory")
+    species: str = _option(None, _PHYSICS, "species name from the data file")
+    species_file: str = _option(
+        None, _PHYSICS,
+        "species data file (default: $SOWP_SPECIES_FILE or the packaged table)")
+    wavelength_nm: float = _option(1800.0, _PHYSICS, "laser wavelength")
+    intensity_wcm2: float = _option(1.3e13, _PHYSICS, "peak intensity")
+    cycles: str = _option("8", _PHYSICS,
+                          "cycle count N, or range LO..HI for sweep")
+    n_energy: int = _option(200, _PHYSICS, "radial quadrature nodes")
+    n_theta: int = _option(64, _PHYSICS, "polar quadrature nodes")
+    n_phi: int = _option(32, _PHYSICS, "azimuthal quadrature nodes")
+    phi_mode: str = _option("analytic", _PHYSICS, "analytic or numeric")
+    threads: int = _option(1, _PHYSICS, "worker threads for sweeps")
+    sweep_csv: str = _option(None, ("fit",), "existing sweep.csv to fit "
+                             "(otherwise the sweep is run first)")
+    beta_rad: float = _option(0.0, ("evolve",), "probe phase offset")
+    t_max_fs: float = _option(None, ("evolve",),
+                              "trace end time (default 2 tau_b)")
+    n_samples: int = _option(400, ("evolve",), "trace sample count")
+    ratio: float = _option(None, ("predict",),
+                           "tau_fwhm / tau_b for a forward prediction")
+    coherence: float = _option(None, ("predict",),
+                               "g value to invert into a ratio")
+    g0: float = _option(0.89, ("predict",), "Gaussian-law amplitude")
+    zeta: float = _option(1.15, ("predict",), "Gaussian-law width")
     cycles_explicit: bool = False   # user supplied cycles (flag or file)
 
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        problems = []
+        problems = [f"{f.name} must be finite, got {getattr(self, f.name)}"
+                    for f in fields(self) if f.type is float
+                    and not math.isfinite(getattr(self, f.name) or 0.0)]
         if self.wavelength_nm <= 0:
             problems.append(f"wavelength_nm must be positive, got {self.wavelength_nm}")
         if not self.intensity_wcm2 > 0:
@@ -116,8 +141,7 @@ class RunConfig:
         return self
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)
-                  if f.name not in ("command", "cycles_explicit")}
+_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig) if f.metadata}
 
 
 def cycle_list(spec: str):
@@ -154,46 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "photodetachment of negative ions.")
     parser.add_argument("--version", action="version", version=f"sowp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, physics=True):
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--out-dir", help="artifact directory (default ./out)")
-        if physics:
-            p.add_argument("--species", help="species name from the data file")
-            p.add_argument("--species-file",
-                           help="species data file (default: $SOWP_SPECIES_FILE "
-                                "or the packaged table)")
-            p.add_argument("--wavelength-nm", type=float)
-            p.add_argument("--intensity-wcm2", type=float)
-            p.add_argument("--cycles", help="cycle count N, or range LO..HI for sweep")
-            p.add_argument("--n-energy", type=int, help="radial quadrature nodes")
-            p.add_argument("--n-theta", type=int, help="polar quadrature nodes")
-            p.add_argument("--n-phi", type=int, help="azimuthal quadrature nodes")
-            p.add_argument("--phi-mode", choices=("analytic", "numeric"))
-            p.add_argument("--threads", type=int, help="worker threads for sweeps")
-
-    for name, text in (("single", "density matrix and coherence for one pulse"),
-                       ("buildup", "cumulative saddle-sum build-up trace"),
-                       ("sweep", "coherence versus pulse duration"),
-                       ("fit", "Gaussian-law fit of a sweep")):
-        p = sub.add_parser(name, help=text)
-        add_common(p)
-        if name == "fit":
-            p.add_argument("--sweep-csv", help="existing sweep.csv to fit "
-                                               "(otherwise the sweep is run first)")
-
-    p = sub.add_parser("evolve", help="single + beat-signal trace")
-    add_common(p)
-    p.add_argument("--beta-rad", type=float, help="probe phase offset")
-    p.add_argument("--t-max-fs", type=float, help="trace end time (default 2 tau_b)")
-    p.add_argument("--n-samples", type=int, help="trace sample count")
-
-    p = sub.add_parser("predict", help="evaluate or invert the Gaussian law")
-    add_common(p, physics=False)
-    p.add_argument("--ratio", type=float, help="tau_fwhm / tau_b for a forward prediction")
-    p.add_argument("--coherence", type=float, help="g value to invert into a ratio")
-    p.add_argument("--g0", type=float, help="Gaussian-law amplitude (default 0.89)")
-    p.add_argument("--zeta", type=float, help="Gaussian-law width (default 1.15)")
+        for key, f in _CONFIG_FIELDS.items():
+            if command not in f.metadata["commands"]:
+                continue
+            text = f.metadata["help"]
+            if f.default is not None:
+                text += f" (default {f.default:{'g' if f.type is float else ''}})"
+            p.add_argument("--" + key.replace("_", "-"), type=f.type, help=text)
     return parser
 
 

@@ -230,8 +230,6 @@ def build_density_matrix(pulse: Pulse, species: Species,
     """
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
-    if pulse.a0 == 0.0:
-        return DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
     pz, pperp, weights = grid_nodes(grid)
     rho = warn_if_saturated(DensityMatrix(
         assemble(amplitude_profiles(pulse, species, pz, pperp), weights, grid)))

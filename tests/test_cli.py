@@ -1,3 +1,4 @@
+import argparse
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import sowp.analysis as analysis
 from sowp.analysis import SweepPoint
-from sowp.cli import RunConfig, cycle_list, main, parse_config
+from sowp.cli import RunConfig, _build_parser, cycle_list, main, parse_config
 from sowp.errors import ConfigError, NumericalError
 
 FAST_GRID = ["--n-energy", "48", "--n-theta", "16", "--n-phi", "4"]
@@ -326,6 +327,81 @@ def test_rejected_before_any_output(tmp_path, capsys, args):
     assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 1
     assert capsys.readouterr().err.startswith("configuration error")
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("args, conf", [
+    (["single", "--species", "f", "--wavelength-nm", "nan"], None),
+    (["single", "--species", "f", "--wavelength-nm", "inf"], None),
+    (["single", "--species", "f", "--intensity-wcm2", "inf"], None),
+    (["sweep", "--species", "f", "--cycles", "2..3", "--wavelength-nm=-inf"],
+     None),
+    (["evolve", "--species", "f", "--t-max-fs", "inf"], None),
+    (["evolve", "--species", "f", "--beta-rad", "nan"], None),
+    (["predict", "--ratio", "nan"], None),
+    (["predict", "--coherence=-inf"], None),
+    (["single", "--species", "f"], "intensity_wcm2 = nan\n"),
+    (["predict", "--ratio", "0.5"], "zeta = inf\n"),
+], ids=["single-wavelength-nan", "single-wavelength-inf", "single-intensity-inf",
+        "sweep-wavelength-minus-inf", "evolve-t-max-inf", "evolve-beta-nan",
+        "predict-ratio-nan", "predict-coherence-minus-inf",
+        "config-file-intensity-nan", "config-file-zeta-inf"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, args, conf):
+    if conf is not None:
+        (tmp_path / "run.conf").write_text(conf)
+        args = args + ["--config", str(tmp_path / "run.conf")]
+    out = tmp_path / "out"
+    grid = FAST_GRID if args[0] != "predict" else []
+    assert run_cli(*args, *grid, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "must be finite" in err
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_unknown_phi_mode_is_config_error(tmp_path, capsys, source):
+    args = ["single", "--species", "f", *FAST_GRID]
+    if source == "flag":
+        args += ["--phi-mode", "bogus"]
+    else:
+        (tmp_path / "run.conf").write_text("phi_mode = bogus\n")
+        args += ["--config", str(tmp_path / "run.conf")]
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "phi_mode" in err
+    assert not (out / "summary.txt").exists()
+
+
+_PHYSICS_FLAGS = {
+    "--config": "str", "--out-dir": "str", "--species": "str",
+    "--species-file": "str", "--wavelength-nm": "float",
+    "--intensity-wcm2": "float", "--cycles": "str", "--n-energy": "int",
+    "--n-theta": "int", "--n-phi": "int", "--phi-mode": "str",
+    "--threads": "int",
+}
+# option string -> value type of every subcommand; argparse's type=None
+# converts as str does
+FROZEN_FLAGS = {
+    "single": _PHYSICS_FLAGS,
+    "buildup": _PHYSICS_FLAGS,
+    "sweep": _PHYSICS_FLAGS,
+    "fit": {**_PHYSICS_FLAGS, "--sweep-csv": "str"},
+    "evolve": {**_PHYSICS_FLAGS, "--beta-rad": "float", "--t-max-fs": "float",
+               "--n-samples": "int"},
+    "predict": {"--config": "str", "--out-dir": "str", "--ratio": "float",
+                "--coherence": "float", "--g0": "float", "--zeta": "float"},
+}
+
+
+def test_subcommand_flags_and_types_frozen():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {opt: (action.type or str).__name__
+                    for action in p._actions if action.nargs != 0
+                    for opt in action.option_strings}
+             for name, p in sub.choices.items()}
+    assert found == FROZEN_FLAGS
 
 
 class TestRunConfigValidation:

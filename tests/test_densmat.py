@@ -6,12 +6,13 @@ import pytest
 
 from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp.amplitude import STATES, amplitude_profiles
+from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
                           build_density_matrix, coherence_degree, grid_nodes,
                           total_probability)
 from sowp.dynamics import pure_state_limit
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
-                         ProbabilityError, SaturationWarning)
+                         ProbabilityError, SaddleError, SaturationWarning)
 from sowp.pulse import Pulse
 from sowp.species import Species, get_species
 
@@ -82,11 +83,16 @@ class TestAssemble:
 
 class TestBuildDensityMatrix:
     def test_zero_field(self, species_f):
+        # one rule for both entry points: the saddle layer's SaddleError
         pu = Pulse(omega=0.0253, n_cycles=8, a0=0.0)
-        rho = build_density_matrix(pu, species_f)
-        assert np.all(rho.matrix == 0.0)
+        grid = small_grid(pu)
+        with pytest.raises(SaddleError, match="zero-amplitude"):
+            build_density_matrix(pu, species_f, grid)
+        with pytest.raises(SaddleError, match="zero-amplitude"):
+            buildup(pu, species_f, grid)
+        zero = DensityMatrix(np.zeros((len(STATES), len(STATES)), dtype=complex))
         with pytest.raises(ProbabilityError):
-            total_probability(rho)
+            total_probability(zero)
 
     def test_reference_coherences(self, ref_rho):
         assert coherence_degree(ref_rho["F"]) == pytest.approx(0.84, abs=0.05)
