@@ -50,7 +50,8 @@ STATES = ((3, -3), (3, -1), (3, 1), (3, 3), (1, -1), (1, 1))
 SUM_ROWS = ((3, 0), (3, 1), (1, 0), (1, 1))
 
 
-def _doubled(x, name):
+def doubled(x, name) -> int:
+    """2x for a half-integer x; ValueError naming ``name`` otherwise."""
     d = round(2 * x)
     if abs(2 * x - d) > 1e-12:
         raise ValueError(f"{name} = {x} is not a half-integer")
@@ -65,13 +66,13 @@ def clebsch_gordan(l, m_l, s, m_s, j, m) -> float:
     """
     if l != int(l) or l < 0:
         raise ValueError(f"l must be a non-negative integer, got {l}")
-    if _doubled(s, "s") != 1:
+    if doubled(s, "s") != 1:
         raise ValueError(f"only s = 1/2 is supported, got s = {s}")
     l = int(l)
-    ml2 = _doubled(m_l, "m_l")
-    ms2 = _doubled(m_s, "m_s")
-    j2 = _doubled(j, "j")
-    m2 = _doubled(m, "m")
+    ml2 = doubled(m_l, "m_l")
+    ms2 = doubled(m_s, "m_s")
+    j2 = doubled(j, "j")
+    m2 = doubled(m, "m")
     if abs(ml2) > 2 * l or abs(ms2) != 1 or abs(m2) > j2:
         return 0.0
     if m2 != ml2 + ms2:

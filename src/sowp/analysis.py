@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sowp import units
-from sowp.amplitude import amplitude_profiles, STATES
+from sowp.amplitude import amplitude_profiles
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
-                          build_density_matrix, coherence_degree, grid_nodes,
-                          warn_if_saturated)
+                          build_density_matrix, coherence_degree, family,
+                          grid_nodes, warn_if_saturated)
 from sowp.errors import ConfigError, FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
@@ -93,11 +93,10 @@ def buildup(pulse: Pulse, species: Species,
     t_ref = np.array([sp.t.real for sp in probe])
     field = np.array([pulse.electric_field(t).real for t in t_ref])
 
-    a33, a32, a12 = (STATES.index(s) for s in ((3, 3), (3, 1), (1, 1)))
+    pop33, pop31, pop11, coherence = family(rho)
     return BuildupTrace(
-        t_fs=units.au_to_fs(t_ref), pop_j32_m32=rho[:, a33, a33].real,
-        pop_j32_m12=rho[:, a32, a32].real, pop_j12_m12=rho[:, a12, a12].real,
-        coherence=rho[:, a32, a12], field=field,
+        t_fs=units.au_to_fs(t_ref), pop_j32_m32=pop33, pop_j32_m12=pop31,
+        pop_j12_m12=pop11, coherence=coherence, field=field,
         final=warn_if_saturated(DensityMatrix(rho[-1])))
 
 
@@ -155,6 +154,9 @@ def gaussian_fit(points) -> FitResult:
     r, g = _ratios_g(points)
     if r.size < 3:
         raise ValueError(f"need at least 3 points, got {r.size}")
+    if not np.isfinite([r, g]).all():
+        k = int(np.argmin(np.isfinite(r) & np.isfinite(g)))
+        raise ValueError(f"point {k + 1} is not finite: ratio {r[k]}, g {g[k]}")
     if np.unique(r).size != r.size:
         raise ValueError("ratios must be distinct")
 

@@ -45,6 +45,7 @@ COMMANDS = {"single": "density matrix and coherence for one pulse",
             "fit": "Gaussian-law fit of a sweep",
             "predict": "evaluate or invert the Gaussian law"}
 _PHYSICS = ("single", "evolve", "buildup", "sweep", "fit")
+SINGLE_CYCLES = "8"   # N when cycles is None, except for sweep and fit
 
 
 def _option(default, commands, help):
@@ -67,8 +68,8 @@ class RunConfig:
         "species data file (default: $SOWP_SPECIES_FILE or the packaged table)")
     wavelength_nm: float = _option(1800.0, _PHYSICS, "laser wavelength")
     intensity_wcm2: float = _option(1.3e13, _PHYSICS, "peak intensity")
-    cycles: str = _option("8", _PHYSICS,
-                          "cycle count N, or range LO..HI for sweep")
+    cycles: str = _option(None, _PHYSICS, "cycle count N, or LO..HI for sweep "
+                          "and fit (default 8; sweep, fit: each species' range)")
     n_energy: int = _option(200, _PHYSICS, "radial quadrature nodes")
     n_theta: int = _option(64, _PHYSICS, "polar quadrature nodes")
     n_phi: int = _option(32, _PHYSICS, "azimuthal quadrature nodes")
@@ -86,7 +87,6 @@ class RunConfig:
                                "g value to invert into a ratio")
     g0: float = _option(0.89, ("predict",), "Gaussian-law amplitude")
     zeta: float = _option(1.15, ("predict",), "Gaussian-law width")
-    cycles_explicit: bool = False   # user supplied cycles (flag or file)
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -109,12 +109,12 @@ class RunConfig:
             problems.append(f"n_samples must be >= 1, got {self.n_samples}")
         if self.t_max_fs is not None and not self.t_max_fs > 0:
             problems.append(f"t_max_fs must be positive, got {self.t_max_fs}")
-        cr = cycle_list(self.cycles)
+        cr = cycle_list(SINGLE_CYCLES if self.cycles is None else self.cycles)
         if not cr:
             problems.append(f"cycle range {self.cycles!r} is empty")
         elif min(cr) < 1:
             problems.append(f"cycles must be positive, got {self.cycles!r}")
-        if self.command in ("single", "evolve", "buildup") and len(cr or [0]) != 1:
+        if self.command in ("single", "evolve", "buildup") and len(cr) != 1:
             problems.append(f"command {self.command!r} takes a single cycle count, "
                             f"got {self.cycles!r}")
         names = _species_names(self.species)
@@ -202,9 +202,7 @@ def parse_config(argv) -> RunConfig:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
-    cfg = RunConfig(command=ns.command, cycles_explicit="cycles" in values,
-                    **values)
-    return cfg.validate()
+    return RunConfig(command=ns.command, **values).validate()
 
 
 def _grid_kw(cfg: RunConfig) -> dict:
@@ -254,12 +252,12 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the exit status."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     summary = []       # below the header, which is built last
-    cycles = cfg.cycles
+    cycles = SINGLE_CYCLES if cfg.cycles is None else cfg.cycles
     status = 0
 
     if cfg.command in ("single", "evolve", "buildup"):
         species = _species_list(cfg)[0]
-        pulse = Pulse.from_lab(cfg.wavelength_nm, cycle_list(cfg.cycles)[0],
+        pulse = Pulse.from_lab(cfg.wavelength_nm, cycle_list(cycles)[0],
                                cfg.intensity_wcm2)
         grid = MomentumGrid.build(pulse.omega, **_grid_kw(cfg))
         summary += [f"tau_p_fs = {pulse.tau_p_fs:.6g}",
@@ -302,9 +300,9 @@ def run(cfg: RunConfig) -> int:
             species = _species_list(cfg)
             points, failures = coherence_sweep(
                 species, cfg.wavelength_nm, cfg.intensity_wcm2,
-                cycles=cycle_list(cfg.cycles) if cfg.cycles_explicit else None,
+                cycles=None if cfg.cycles is None else cycle_list(cfg.cycles),
                 threads=cfg.threads, **_grid_kw(cfg))
-            if not cfg.cycles_explicit:
+            if cfg.cycles is None:
                 cycles = _default_cycles(species)
             _write(cfg, "sweep.csv", lambda fh: write_sweep_csv(points, fh))
             summary.append(f"sweep points = {len(points)}")

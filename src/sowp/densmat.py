@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sowp.amplitude import CHANNEL_COEF, CHANNELS, STATES, amplitude_profiles
+from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, amplitude_profiles,
+                            doubled)
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
                          NumericalError, ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -103,9 +104,11 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def element(self, jp, mp, j, m) -> complex:
-        """rho_{j'm' jm}; arguments are half-integers (e.g. 1.5, 0.5)."""
-        a = _STATE_INDEX[(int(round(2 * jp)), int(round(2 * mp)))]
-        b = _STATE_INDEX[(int(round(2 * j)), int(round(2 * m)))]
+        """rho_{j'm' jm}; half-integer labels (e.g. 1.5, 0.5) of STATES."""
+        a = _STATE_INDEX.get((doubled(jp, "j'"), doubled(mp, "m'")))
+        b = _STATE_INDEX.get((doubled(j, "j"), doubled(m, "m")))
+        if a is None or b is None:
+            raise ValueError(f"({jp}, {mp}, {j}, {m}) names no element of rho")
         return complex(self.matrix[a, b])
 
     def population(self, j, m) -> float:
@@ -146,14 +149,24 @@ def total_probability(rho: DensityMatrix) -> float:
     return w
 
 
+def family(matrix: np.ndarray):
+    """(rho^(3/2,3/2), rho^(3/2,1/2), rho^(1/2,1/2), rho_off): the m > 0
+    populations and the complex j = 3/2 <-> 1/2 element at m = 1/2 of a
+    (..., 6, 6) stack, as (...) arrays, or for one 6x6 matrix as Python
+    scalars, like ``element``."""
+    a33, a31, a11 = (_STATE_INDEX[s] for s in ((3, 3), (3, 1), (1, 1)))
+    out = (matrix[..., a33, a33].real, matrix[..., a31, a31].real,
+           matrix[..., a11, a11].real, matrix[..., a31, a11])
+    return out if matrix.ndim > 2 else tuple(x.item() for x in out)
+
+
 def coherence_degree(rho: DensityMatrix) -> float:
     """Degree of coherence g = |rho_off| / sqrt(rho^(3/2,1/2) rho^(1/2,1/2))."""
-    d32 = rho.population(1.5, 0.5)
-    d12 = rho.population(0.5, 0.5)
+    _, d32, d12, off = family(rho.matrix)
     if d32 <= 0 or d12 <= 0:
         raise CoherenceUndefinedError(
             f"coherence undefined: diagonals {d32:.3e}, {d12:.3e}")
-    g = abs(rho.coherence) / np.sqrt(d32 * d12)
+    g = abs(off) / np.sqrt(d32 * d12)
     if g > 1.0 + 1e-12:
         raise NumericalError(f"g = {g} exceeds 1 beyond the roundoff guard")
     return min(float(g), 1.0)

@@ -10,12 +10,12 @@ m_l = 0 electrons measures
     S_bar   = (3 x^(3/2,3/2) + 5 x^(1/2,1/2) + 7 x^(3/2,1/2)) / 15
     Delta_S = sqrt(32)/15 |x_off|
 
-where x are density-matrix entries normalized per m-sign family
-(x = rho / (w/2); the two m-sign families are equal for linear
-polarization).  With that bookkeeping the very-short-pulse limit has
-populations (0, 2/3, 1/3), coherence sqrt(2)/3, and beat contrast
-Delta_S / S_bar = 8/19.  The contrast is independent of the normalization
-convention.
+where x = rho / (w/2) are the ``densmat.family`` entries normalized per
+m-sign family (the two families are equal for linear polarization).  The
+very-short-pulse limit is derived from the m_l = 0 coupling coefficients;
+read with the same bookkeeping it has populations (0, 2/3, 1/3), coherence
+sqrt(2)/3 and contrast Delta_S / S_bar = 8/19, which is independent of the
+normalization convention.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from sowp import units
-from sowp.amplitude import STATES
-from sowp.densmat import DensityMatrix, total_probability
+from sowp.amplitude import STATES, clebsch_gordan
+from sowp.densmat import (DensityMatrix, coherence_degree, family,
+                          total_probability)
 from sowp.species import Species
 
 CONTRAST_PURE = 8.0 / 19.0
@@ -44,14 +45,9 @@ def evolve_density(rho: DensityMatrix, species: Species, t_fs: float) -> Density
 
 
 def _family_normalized(rho: DensityMatrix):
-    """Entries at m = +1/2 (+3/2) scaled by 2/w: normalization per m-sign
-    family, which makes the pure-state populations read (0, 2/3, 1/3)."""
-    w = total_probability(rho)
-    scale = 2.0 / w
-    return (scale * rho.population(1.5, 1.5),
-            scale * rho.population(1.5, 0.5),
-            scale * rho.population(0.5, 0.5),
-            scale * rho.coherence)
+    """``family`` of rho scaled by 2/w: normalization per m-sign family."""
+    scale = 2.0 / total_probability(rho)
+    return tuple(scale * x for x in family(rho.matrix))
 
 
 def signal_parameters(rho: DensityMatrix):
@@ -73,27 +69,16 @@ class PureStateLimit:
 
 
 def pure_state_limit() -> PureStateLimit:
-    """Populations (0, 2/3, 1/3), maximal coherence sqrt(2)/3, g = 1.
-
-    The density matrix carries both m = +/-1/2 families (total trace 1);
-    the off-diagonal sign per family follows the product of the coupling
-    coefficients for m_l = 0.
-    """
-    mat = np.zeros((len(STATES), len(STATES)), dtype=complex)
-    idx = {s: i for i, s in enumerate(STATES)}
-    off = np.sqrt(2.0) / 6.0
-    for msign in (1, -1):
-        a = idx[(3, msign)]
-        b = idx[(1, msign)]
-        mat[a, a] = 1.0 / 3.0
-        mat[b, b] = 1.0 / 6.0
-        mat[a, b] = -msign * off
-        mat[b, a] = -msign * off
-    return PureStateLimit(
-        populations=(0.0, 2.0 / 3.0, 1.0 / 3.0),
-        coherence=np.sqrt(2.0) / 3.0,
-        g=1.0,
-        density_matrix=DensityMatrix(mat))
+    """Only m_l = 0 electrons detached: for each electron spin m_s the atom
+    is left in sum_j C(1 0, 1/2 m_s | j m_s) |j m_s>, and the two spins
+    mix with weight 1/2 (total trace 1)."""
+    # row per m_s = +1/2, -1/2: the atom's state over STATES
+    psi = np.array([[clebsch_gordan(1, 0, 0.5, ms2 / 2, j2 / 2, m2 / 2)
+                     for j2, m2 in STATES] for ms2 in (1, -1)])
+    rho = DensityMatrix((0.5 * psi.T @ psi).astype(complex))
+    x33, x31, x11, xoff = _family_normalized(rho)
+    return PureStateLimit(populations=(x33, x31, x11), coherence=abs(xoff),
+                          g=coherence_degree(rho), density_matrix=rho)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from math import pi
 import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, Y10_COEF,
-                            Y11_COEF, _doubled, clebsch_gordan)
+                            Y11_COEF, doubled, clebsch_gordan)
 from sowp.errors import DegenerateSaddleError
 from sowp.pulse import Pulse
 from sowp.saddle import _action_terms, find_saddles
@@ -69,9 +69,9 @@ def detachment_amplitude(pulse: Pulse, species: Species, j, m, m_s, p,
                          saddles) -> complex:
     """Amplitude for leaving the atom in (j, m) with electron spin m_s and
     momentum p, from the saddle list of the matching channel energy E_j."""
-    j2 = _doubled(j, "j")
-    m2 = _doubled(m, "m")
-    ms2 = _doubled(m_s, "m_s")
+    j2 = doubled(j, "j")
+    m2 = doubled(m, "m")
+    ms2 = doubled(m_s, "m_s")
     ml2 = m2 - ms2
     if abs(ml2) > 2:
         return 0.0 + 0.0j
@@ -99,8 +99,8 @@ class AmplitudeSet:
     values: dict
 
     def value(self, j, m, m_s) -> complex:
-        return self.values[(_doubled(j, "j"), _doubled(m, "m"),
-                            _doubled(m_s, "m_s"))]
+        return self.values[(doubled(j, "j"), doubled(m, "m"),
+                            doubled(m_s, "m_s"))]
 
 
 def amplitude_set(pulse: Pulse, species: Species, p) -> AmplitudeSet:

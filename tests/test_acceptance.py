@@ -99,9 +99,12 @@ def test_criterion_6_pure_state_limit():
     limit = pure_state_limit()
     s_bar, delta_s = signal_parameters(limit.density_matrix)
     contrast = delta_s / s_bar
-    ok = (limit.populations == (0.0, 2.0 / 3.0, 1.0 / 3.0)
-          and abs(contrast - 8.0 / 19.0) < 1e-12)
-    report(6, ok, f"populations {limit.populations}, "
+    # every figure is derived from the m_l = 0 coupling coefficients
+    ok = (limit.populations == pytest.approx((0.0, 2.0 / 3.0, 1.0 / 3.0),
+                                             abs=1e-15)
+          and abs(contrast - 8.0 / 19.0) < 1e-12
+          and limit.g == pytest.approx(1.0, abs=1e-15))
+    report(6, ok, f"populations {limit.populations}, g = {limit.g!r}, "
                   f"contrast = {contrast!r} (8/19 = {8 / 19!r})")
 
 

@@ -56,6 +56,13 @@ class TestGaussianFit:
         with pytest.raises(ValueError):
             gaussian_fit(pts + [pts[0]])
 
+    @pytest.mark.parametrize("k, bad", [(2, (np.nan, 0.7)), (3, (0.7, np.inf))])
+    def test_non_finite_point_named(self, k, bad):
+        pts = [(0.1, 0.8), (0.3, 0.75), (0.5, 0.6), (0.9, 0.4)]
+        pts[k - 1] = bad
+        with pytest.raises(ValueError, match=f"point {k} is not finite"):
+            gaussian_fit(pts)
+
     def test_unphysical_data_rejected(self):
         # increasing data drives zeta negative
         with pytest.raises(FitError):
@@ -115,6 +122,14 @@ class TestBuildup:
             full = ref_rho[name].matrix
             scale = np.abs(full).max()
             assert np.abs(final - full).max() <= 1e-12 * scale
+
+    def test_last_entries_read_the_final_matrix(self, ref_buildup):
+        tr = ref_buildup["Br"]
+        rho = tr.final
+        assert (tr.pop_j32_m32[-1], tr.pop_j32_m12[-1], tr.pop_j12_m12[-1],
+                tr.coherence[-1]) == (
+            rho.population(1.5, 1.5), rho.population(1.5, 0.5),
+            rho.population(0.5, 0.5), rho.coherence)
 
     def test_times_monotone_and_match_count(self, ref_buildup, ref_pulse):
         tr = ref_buildup["F"]

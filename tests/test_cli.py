@@ -7,7 +7,8 @@ import pytest
 
 import sowp.analysis as analysis
 from sowp.analysis import SweepPoint
-from sowp.cli import RunConfig, _build_parser, cycle_list, main, parse_config
+from sowp.cli import (RunConfig, _build_parser, cycle_list, main, parse_config,
+                      run)
 from sowp.errors import ConfigError, NumericalError
 
 FAST_GRID = ["--n-energy", "48", "--n-theta", "16", "--n-phi", "4"]
@@ -23,7 +24,7 @@ class TestParseConfig:
         cfg = parse_config(["single", "--species", "cl"])
         assert cfg.wavelength_nm == 1800.0
         assert cfg.intensity_wcm2 == 1.3e13
-        assert cycle_list(cfg.cycles) == [8]
+        assert cfg.cycles is None       # N = 8 outside sweep and fit
         assert cfg.n_energy == 200 and cfg.n_theta == 64 and cfg.n_phi == 32
         assert cfg.phi_mode == "analytic"
         assert cfg.out_dir == "out"
@@ -60,7 +61,7 @@ class TestParseConfig:
     }
 
     def test_file_values_cover_the_schema(self):
-        schema = {f.name for f in fields(RunConfig)} - {"command", "cycles_explicit"}
+        schema = {f.name for f in fields(RunConfig)} - {"command"}
         assert set(self.FILE_VALUES) == schema
 
     @pytest.mark.parametrize("key", sorted(FILE_VALUES))
@@ -75,7 +76,6 @@ class TestParseConfig:
         value = getattr(cfg, key)
         assert type(value) is annotated
         assert value == annotated(self.FILE_VALUES[key])
-        assert cfg.cycles_explicit == (key == "cycles")
 
     def test_descending_cycle_range_rejected(self):
         with pytest.raises(ConfigError, match="18..2"):
@@ -272,12 +272,7 @@ class TestSweepAndFit:
         (["fit", "--species", "f"], "default (F 2..18)"),
     ], ids=["sweep", "fit"])
     def test_default_ranges_in_summary(self, tmp_path, monkeypatch, args, cycles):
-        def fake(sp, lam, intensity, n, grid_kw):
-            ratio = 0.1 * n
-            return SweepPoint(sp.name, n, 1.0, ratio,
-                              0.89 * np.exp(-1.15 * ratio * ratio), 0.01)
-
-        monkeypatch.setattr(analysis, "_sweep_one", fake)
+        monkeypatch.setattr(analysis, "_sweep_one", _law_point)
         out = tmp_path / "default"
         assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 0
         lines = (out / "summary.txt").read_text().splitlines()
@@ -285,21 +280,50 @@ class TestSweepAndFit:
 
     SWEEP_HEADER = "species,n_cycles,tau_fwhm_fs,ratio,g,w\n"
 
+    @pytest.mark.parametrize("cycles, ns, text", [
+        ("2..3", [2, 3], "2..3"), (None, list(range(2, 9)), "default (Br 2..8)"),
+    ], ids=["given", "default"])
+    def test_programmatic_sweep_obeys_cycles(self, tmp_path, monkeypatch,
+                                             cycles, ns, text):
+        # a RunConfig built in code, not by parse_config
+        monkeypatch.setattr(analysis, "_sweep_one", _law_point)
+        cfg = RunConfig(command="sweep", species="br", cycles=cycles,
+                        out_dir=str(tmp_path)).validate()
+        assert run(cfg) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == ns
+        assert f"cycles = {text}" in (tmp_path / "summary.txt").read_text()
+
     @pytest.mark.parametrize("csv, args", [
         ("a,b,c\n1,2,3\n", []),
         (SWEEP_HEADER + "F,2,4.3,0.1,high,0.06\n", []),
         (None, ["--species", "f", "--cycles", "2..3", *FAST_GRID]),
         (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,0.1,0.7,0.06\n"
          "F,4,8.7,0.1,0.6,0.06\n", []),
-    ], ids=["wrong-header", "not-a-number", "two-points", "repeated-ratios"])
-    def test_bad_fit_input_is_config_error(self, tmp_path, capsys, csv, args):
+        (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,nan,0.7,0.06\n"
+         "F,4,8.7,0.3,0.6,0.06\n", []),
+        (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,0.2,0.7,0.06\n"
+         "F,4,8.7,0.3,inf,0.06\n", []),
+    ], ids=["wrong-header", "not-a-number", "two-points", "repeated-ratios",
+            "nan-ratio", "inf-g"])
+    def test_bad_fit_input_is_config_error(self, tmp_path, capfd, csv, args):
         if csv is not None:
             (tmp_path / "sweep.csv").write_text(csv)
             args = ["--sweep-csv", str(tmp_path / "sweep.csv")]
         out = tmp_path / "fit"
         assert run_cli("fit", *args, "--out-dir", str(out)) == 1
-        assert capsys.readouterr().err.startswith("configuration error")
+        # capfd: LAPACK complains (DLASCL) on the C-level stdout
+        out_text, err = capfd.readouterr()
+        assert err.startswith("configuration error")
+        assert "DLASCL" not in out_text + err
         assert not (out / "summary.txt").exists()
+
+
+def _law_point(sp, lam, intensity, n, grid_kw):
+    """Stand-in for analysis._sweep_one: a point on the Gaussian law."""
+    ratio = 0.1 * n
+    return SweepPoint(sp.name, n, 1.0, ratio,
+                      0.89 * np.exp(-1.15 * ratio * ratio), 0.01)
 
 
 XQ_RECORD = "name = Xq\nea_ev = 3.0\nsplitting_cm1 = 500\nb_au = 1.0\nl = 1\n"

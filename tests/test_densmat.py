@@ -8,8 +8,8 @@ from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp.amplitude import STATES, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
-                          build_density_matrix, coherence_degree, grid_nodes,
-                          total_probability)
+                          build_density_matrix, coherence_degree, family,
+                          grid_nodes, total_probability)
 from sowp.dynamics import pure_state_limit
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
                          ProbabilityError, SaddleError, SaturationWarning)
@@ -195,6 +195,33 @@ class TestCoherenceDegree:
         mat[2, 2] = 0.5
         with pytest.raises(CoherenceUndefinedError):
             coherence_degree(DensityMatrix(mat))
+
+
+class TestFamily:
+    def test_stack_equals_per_matrix_reads(self, rng):
+        stack = (rng.normal(size=(5, 6, 6))
+                 + 1j * rng.normal(size=(5, 6, 6)))
+        pop33, pop31, pop11, off = family(stack)
+        assert pop33.shape == off.shape == (5,)
+        for k in range(5):
+            rho = DensityMatrix(stack[k])
+            expected = (rho.population(1.5, 1.5), rho.population(1.5, 0.5),
+                        rho.population(0.5, 0.5), rho.coherence)
+            assert (pop33[k], pop31[k], pop11[k], off[k]) == expected
+            assert family(stack[k]) == expected
+
+    def test_one_matrix_gives_python_scalars(self, ref_rho):
+        assert [type(x) for x in family(ref_rho["F"].matrix)] == [
+            float, float, float, complex]
+
+    def test_element_rejects_labels_of_no_state(self):
+        rho = DensityMatrix(np.eye(6, dtype=complex))
+        with pytest.raises(ValueError, match="half-integer"):
+            rho.element(1.4, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="no element"):
+            rho.element(1.5, 2.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="no element"):
+            rho.population(0.5, 1.5)
 
 
 class TestCsvExport:

@@ -8,6 +8,20 @@ from sowp.dynamics import (CONTRAST_PURE, evolve_density, pure_state_limit,
 from sowp.species import get_species
 
 
+# the very-short-pulse matrix over STATES, typed entry by entry: per m-sign
+# family the populations 1/3 (j = 3/2) and 1/6 (j = 1/2), and the 3/2-1/2
+# element -sign(m) sqrt(2)/6
+_OFF = np.sqrt(2.0) / 6.0
+TYPED_PURE_MATRIX = np.array([
+    # (3,-3) (3,-1) (3,1) (3,3) (1,-1) (1,1)
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1 / 3, 0.0, 0.0, _OFF, 0.0],
+    [0.0, 0.0, 1 / 3, 0.0, 0.0, -_OFF],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, _OFF, 0.0, 0.0, 1 / 6, 0.0],
+    [0.0, 0.0, -_OFF, 0.0, 0.0, 1 / 6]], dtype=complex)
+
+
 @pytest.fixture(scope="module")
 def pure_rho():
     return pure_state_limit().density_matrix
@@ -77,8 +91,10 @@ class TestSignalParameters:
 
 class TestPureStateLimit:
     def test_populations(self):
+        # derived from the coupling coefficients: within an ulp or so
         limit = pure_state_limit()
-        assert limit.populations == (0.0, 2.0 / 3.0, 1.0 / 3.0)
+        assert limit.populations == pytest.approx((0.0, 2.0 / 3.0, 1.0 / 3.0),
+                                                  abs=1e-15)
         assert sum(limit.populations) == pytest.approx(1.0, rel=1e-15)
         assert limit.g == 1.0
         assert limit.coherence == pytest.approx(np.sqrt(2.0) / 3.0, rel=1e-15)
@@ -90,6 +106,10 @@ class TestPureStateLimit:
         limit = pure_state_limit()
         assert limit.populations[1] == pytest.approx(c32 ** 2, rel=1e-14)
         assert limit.populations[2] == pytest.approx(c12 ** 2, rel=1e-14)
+
+    def test_matches_typed_matrix(self):
+        got = pure_state_limit().density_matrix.matrix
+        assert np.abs(got - TYPED_PURE_MATRIX).max() <= 1e-16
 
     def test_density_matrix_consistent(self):
         rho = pure_state_limit().density_matrix
