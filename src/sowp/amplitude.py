@@ -119,7 +119,8 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
 
     Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
     ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
-    analysis).
+    analysis).  Each final-pass block of ``saddle_batch`` is summed as it
+    is evaluated, so no (nodes, 2N+2) field but the saddle times is held.
     """
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
@@ -127,12 +128,13 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     pperp_ = pperp[..., None] if cumulative else pperp
     tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
     sums = np.empty((len(SUM_ROWS),) + pz.shape + tail, dtype=complex)
+    flat = sums.reshape((len(SUM_ROWS), -1) + tail)   # a view, by flat node
     for row, j2 in ((0, 3), (2, 1)):
-        batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
-        core = np.exp(1j * batch.action) * batch.prefactor
-        saddle_sum(core * batch.vz, axis=-1, out=sums[row])
-        saddle_sum(core, axis=-1, out=sums[row + 1])
-        del batch, core   # freed before the next channel's solve
+        def reduce(nodes, block):
+            core = np.exp(1j * block.action) * block.prefactor
+            saddle_sum(core * block.vz, axis=-1, out=flat[row, nodes])
+            saddle_sum(core, axis=-1, out=flat[row + 1, nodes])
+        saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp, reduce)
         sums[row + 1] *= pperp_
         sums[row:row + 2] *= (-((2.0 * pi) ** 1.5) * species.b_au
                               / (1j * species.kappa(j2)))

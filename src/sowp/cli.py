@@ -334,12 +334,13 @@ def run(cfg: RunConfig) -> int:
                 summary.append(f"ratio = {value:.10g}")
                 print(f"ratio(g = {cfg.coherence:g}) = {value:.6g}")
 
-    header = [f"sowp {__version__} command={cfg.command}",
-              f"wavelength_nm = {cfg.wavelength_nm:g}",
-              f"intensity_wcm2 = {cfg.intensity_wcm2:g}",
-              f"cycles = {cycles}",
-              f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
-              f"({cfg.phi_mode} phi)"]
+    header = [f"sowp {__version__} command={cfg.command}"]
+    if not (cfg.command == "fit" and cfg.sweep_csv):   # a fit reads only the CSV
+        header += [f"wavelength_nm = {cfg.wavelength_nm:g}",
+                   f"intensity_wcm2 = {cfg.intensity_wcm2:g}",
+                   f"cycles = {cycles}",
+                   f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
+                   f"({cfg.phi_mode} phi)"]
     _write(cfg, "summary.txt",
            lambda fh: fh.write("\n".join(header + summary) + "\n"))
     return status

@@ -67,13 +67,15 @@ filled from its partner by that map, with the root order reversed so that
 it is sorted by Re t too.  Otherwise every line is continued.
 
 Final pass.  Whether solved or mirrored, every node's v_z, residual, S''
-and action are evaluated from its own t, in blocks of at most
-FINAL_BLOCK_ELEMS roots written into preallocated outputs; each block
-builds its phasors once, for A, A' and the action.  The whole
-batch is then validated, together with the |S''| curvature contract; a
-failure raises SaddleError naming the node (p_z, p_perp^2) and the channel
-energy.  The prefactor 1/sqrt(-i S'') follows from S'' on the principal
-branch (Re >= 0).
+and action are evaluated from its own t, in one loop over blocks of at
+most FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
+whose nodes all pass the root-set and |S''| contracts gets its prefactor
+1/sqrt(-i S'') (principal branch, Re >= 0) and goes straight to its
+consumer: the caller's reduce callback, or a copy into a SaddleBatch.  The
+whole batch is then validated from each node's worst residual and smallest
+|S''|; a failure raises SaddleError naming the first failing node (p_z,
+p_perp^2) and the channel energy, and neither that node's block nor any
+later one reaches the consumer.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -319,14 +321,18 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     return t
 
 
-def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
+def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
+                 reduce=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point.
 
     1-D (or scalar) inputs are independent points.  2-D inputs are
-    continuation paths along axis 0 (see the module docstring).  Every
-    field of the result has shape pz.shape + (2N+2,).  Raises
-    SaddleError/DegenerateSaddleError naming the first node that fails the
-    residual, count, distinctness, or curvature contracts.
+    continuation paths along axis 0 (see the module docstring).  Returns a
+    SaddleBatch with fields of shape pz.shape + (2N+2,), or, given
+    ``reduce``, None after calling reduce(rows, block) per block of the
+    final pass: ``rows`` slices the flattened nodes, ``block`` is their
+    SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the first
+    node that fails the residual, count, distinctness, or curvature
+    contracts.
     """
     if e_bound >= 0:
         raise ValueError(f"e_bound must be negative, got {e_bound}")
@@ -343,32 +349,41 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2) -> SaddleBatch:
     else:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
-    shape = t.shape
-    deg = shape[-1]
+    deg = t.shape[-1]
+    batch = None
+    if reduce is None:     # the SaddleBatch consumer copies every block in
+        batch = SaddleBatch(t, *(np.empty_like(t) for _ in range(4)),
+                            np.empty(t.shape))
+
+        def reduce(rows, block):
+            for name in SaddleBatch.__slots__[1:]:
+                getattr(batch, name).reshape(-1, deg)[rows] = getattr(block, name)
     t = t.reshape(-1, deg)
     pz, pperp2 = pz.reshape(-1, 1), pperp2.reshape(-1, 1)
-    vz = np.empty_like(t)
-    s2 = np.empty_like(t)
-    act = np.empty_like(t)
-    residual = np.empty(t.shape)
+    worst, s2min = np.empty((2, t.shape[0], 1))   # per node: max |S'|, min |S''|
+    passed = True
     # every node is evaluated from its own t, in bounded blocks of rows
     rows = max(1, FINAL_BLOCK_ELEMS // deg)
     for i0 in range(0, t.shape[0], rows):
         sl = slice(i0, i0 + rows)
         tb, pzb, pp2b = t[sl], pz[sl], pperp2[sl]
         phasors = pulse.phasors(tb)
-        vz[sl] = pzb + pulse.vector_potential(tb, phasors=phasors)
-        residual[sl] = np.abs(0.5 * (vz[sl] * vz[sl] + pp2b) - e_bound)
-        s2[sl] = vz[sl] * pulse.vector_potential_derivative(tb, phasors=phasors)
-        act[sl] = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
+        vz = pzb + pulse.vector_potential(tb, phasors=phasors)
+        residual = np.abs(0.5 * (vz * vz + pp2b) - e_bound)
+        s2 = vz * pulse.vector_potential_derivative(tb, phasors=phasors)
+        worst[sl] = residual.max(axis=-1, keepdims=True)
+        s2min[sl] = np.abs(s2).min(axis=-1, keepdims=True)
+        # from the first block that breaks a contract on, only the contract
+        # values are evaluated, for the whole-batch error below
+        passed = passed and (s2min[sl] >= DEGENERATE_S2_TOL).all() and not any(
+            bad.any() for bad, _, _ in _contract_checks(pulse, tb, worst[sl]))
+        if passed:
+            act = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
+            prefactor = 1.0 / np.sqrt(-1j * s2)
+            reduce(sl, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
-    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, residual, s2)
-
-    prefactor = np.multiply(s2, -1j)
-    np.sqrt(prefactor, out=prefactor)
-    np.divide(1.0, prefactor, out=prefactor)
-    return SaddleBatch(*(a.reshape(shape) for a in
-                         (t, vz, act, s2, prefactor, residual)))
+    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst, s2min)
+    return batch
 
 
 def _contract_checks(pulse: Pulse, t, residual):

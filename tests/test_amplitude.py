@@ -1,13 +1,18 @@
+import tracemalloc
+from math import pi
+
 import numpy as np
 import pytest
 
 from scalar_oracle import (action, alternating_sign, amplitude_set,
                            channel_amplitudes, complex_sph_harmonic,
                            detachment_amplitude)
+from sowp import amplitude, saddle
 from sowp.amplitude import CHANNELS, amplitude_profiles, clebsch_gordan
-from sowp.errors import DegenerateSaddleError
+from sowp.analysis import buildup
+from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
-from sowp.densmat import MomentumGrid, grid_nodes
+from sowp.densmat import MomentumGrid, build_density_matrix, grid_nodes
 from sowp.saddle import SaddlePoint, find_saddles, saddle_batch
 from sowp.species import Species, get_species
 
@@ -226,6 +231,148 @@ class TestDetachmentAmplitude:
         a2 = channel_amplitudes(amplitude_profiles(ref_pulse, doubled, *p))
         for key in a1:
             assert a2[key][0] == pytest.approx(2 * a1[key][0], rel=1e-14)
+
+
+# --- the streamed final pass --------------------------------------------------
+
+def batch_sums(pulse, species, pz, pperp, cumulative):
+    """The four saddle sums rebuilt from whole-batch SaddleBatch fields, in
+    the operation order of amplitude_profiles."""
+    saddle_sum = np.cumsum if cumulative else np.sum
+    pperp_ = pperp[..., None] if cumulative else pperp
+    rows = []
+    for j2 in (3, 1):
+        batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
+        core = np.exp(1j * batch.action) * batch.prefactor
+        scale = -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
+        rows += [saddle_sum(core * batch.vz, axis=-1) * scale,
+                 saddle_sum(core, axis=-1) * pperp_ * scale]
+    return np.array(rows)
+
+
+def flat_derivative_at(monkeypatch, target):
+    """Make A'(t), and so S'', exactly zero at the root ``target``."""
+    derivative = Pulse.vector_potential_derivative
+
+    def flat(self, t, **kwargs):
+        return np.where(t == target, 0.0, derivative(self, t, **kwargs))
+
+    monkeypatch.setattr(Pulse, "vector_potential_derivative", flat)
+
+
+class TestStreamedFinalPass:
+    """amplitude_profiles adds each block of the saddle final pass into its
+    sums; the SaddleBatch fields are the reference it must equal."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return {n: Pulse.from_lab(1800.0, n, 1.3e13) for n in (1, 2, 18)}
+
+    @staticmethod
+    def nodes(pulse, layout):
+        n_theta = {"points": 6, "even": 6, "odd": 7}[layout]
+        pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega, n_energy=20,
+                                                     n_theta=n_theta))
+        if layout == "points":      # every third node, each seeded alone
+            return pz.ravel()[::3], pperp.ravel()[::3]
+        return pz, pperp
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("layout", ["points", "even", "odd"])
+    @pytest.mark.parametrize("n_cycles", [1, 2, 18])
+    def test_sums_equal_saddle_batch_sums(self, coarse, species_f, monkeypatch,
+                                          n_cycles, layout, cumulative):
+        pulse = coarse[n_cycles]
+        pz, pperp = self.nodes(pulse, layout)
+        # blocks of 7 nodes: many blocks and a partial last one
+        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
+                            7 * (2 * n_cycles + 2) + 1)
+        np.testing.assert_array_equal(
+            amplitude_profiles(pulse, species_f, pz, pperp, cumulative),
+            batch_sums(pulse, species_f, pz, pperp, cumulative))
+
+    def test_peak_memory_is_bounded(self, species_f):
+        """Traced peak of one default-grid F matrix at N = 18 within 3.5
+        times one channel's saddle times (whole-grid fields need 7.6)."""
+        pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
+        pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega))
+        t_nbytes = pz.size * (2 * pulse.n_cycles + 2) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            amplitude_profiles(pulse, species_f, pz, pperp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
+
+    PZ = np.array([0.05, 0.3, -0.2])
+    PPERP = np.sqrt(np.array([0.0, 0.04, 0.09]))
+
+    @pytest.mark.parametrize("tol, value", [
+        ("RESIDUAL_TOL", 0.0), ("DISTINCT_TOL", 1e6), ("DEGENERATE_S2_TOL", 1e6),
+    ])
+    def test_contract_failure_matches_saddle_batch(self, ref_pulse, species_f,
+                                                    monkeypatch, tol, value):
+        monkeypatch.setattr(saddle, tol, value)
+        with pytest.raises(SaddleError) as expected:
+            saddle_batch(ref_pulse, species_f.e_bound(3), self.PZ,
+                         self.PPERP * self.PPERP)
+        with pytest.raises(SaddleError) as streamed:
+            amplitude_profiles(ref_pulse, species_f, self.PZ, self.PPERP)
+        assert type(streamed.value) is type(expected.value)
+        assert str(streamed.value) == str(expected.value)
+        np.testing.assert_array_equal(streamed.value.roots, expected.value.roots)
+
+    def test_zero_curvature_stops_before_the_prefactor(self, ref_pulse,
+                                                       species_f, monkeypatch):
+        # one node of a later block gets S'' = 0: the error is the
+        # DegenerateSaddleError of that node (1/sqrt(0) would warn first,
+        # an error under pytest), and only the blocks before it reach the
+        # consumer
+        e_bound = species_f.e_bound(3)
+        pz, pperp = self.nodes(ref_pulse, "odd")
+        good = saddle_batch(ref_pulse, e_bound, pz, pperp * pperp)
+        node = (9, 2)
+        flat_derivative_at(monkeypatch, good.t[node][4])
+        deg = 2 * ref_pulse.n_cycles + 2
+        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 10 * deg)
+        handed = []
+        with pytest.raises(DegenerateSaddleError, match=r"\|S''\| = 0\.000e\+00") as info:
+            saddle_batch(ref_pulse, e_bound, pz, pperp * pperp,
+                         lambda rows, block: handed.append(rows))
+        flat_index = np.ravel_multi_index(node, pz.shape)
+        assert f"p_z = {pz[node]:.6g}," in str(info.value)
+        np.testing.assert_array_equal(info.value.roots, good.t[node])
+        assert handed and [r.stop for r in handed] == list(
+            range(10, flat_index // 10 * 10 + 1, 10))
+        with pytest.raises(DegenerateSaddleError) as streamed:
+            amplitude_profiles(ref_pulse, species_f, pz, pperp)
+        assert str(streamed.value) == str(info.value)
+
+
+def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
+                                                  monkeypatch):
+    """The traced benchmark counts the nodes of each channel at
+    sowp.amplitude.saddle_batch from its third positional argument: one call
+    per channel and matrix, with the whole 2-D p_z grid."""
+    grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=4)
+    pz, _, _ = grid_nodes(grid)
+    calls = []
+    solve = amplitude.saddle_batch
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(amplitude, "saddle_batch", recording)
+    build_density_matrix(ref_pulse, species_f, grid)
+    buildup(ref_pulse, species_f, grid)
+    assert [args[1] for args in calls] == [species_f.e_bound(3),
+                                           species_f.e_bound(1)] * 2
+    for args in calls:
+        assert args[0] is ref_pulse
+        np.testing.assert_array_equal(args[2], pz)
 
 
 # --- time-integral oracle ---------------------------------------------------

@@ -229,6 +229,23 @@ class TestSweepAndFit:
         assert float(fit_line[0]) == pytest.approx(0.89, abs=1e-8)
         assert float(fit_line[1]) == pytest.approx(1.15, abs=1e-8)
 
+    def test_fit_from_csv_echoes_no_unused_pulse(self, tmp_path):
+        # pulse and grid flags (as from a config file shared with sweep) are
+        # accepted, but the fit reads only the CSV, so the header omits them
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(self.SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\n"
+                       "F,3,6.5,0.2,0.7,0.06\nF,4,8.7,0.3,0.6,0.06\n")
+        out = tmp_path / "fit"
+        rc = run_cli("fit", "--sweep-csv", str(csv), "--cycles", "3",
+                     "--wavelength-nm", "900", "--n-theta", "8",
+                     "--out-dir", str(out))
+        assert rc == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[0].endswith("command=fit")
+        assert lines[1] == f"sweep_csv = {csv} (3 points)"
+        for key in ("wavelength_nm", "intensity_wcm2", "cycles", "grid"):
+            assert not any(line.startswith(key) for line in lines), key
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         outs = []
         for threads, sub in (("1", "a"), ("3", "b")):
