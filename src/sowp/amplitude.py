@@ -105,7 +105,7 @@ CHANNEL_COEF = _channel_coefficients()
 
 
 def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
-                       cumulative: bool = False) -> np.ndarray:
+                       cumulative: bool = False, consume=None):
     """The four saddle sums of SUM_ROWS at phi = 0 on an array of
     (pz, pperp) momenta: 1-D independent points, or 2-D lines whose
     saddles are continued along axis 0 (see ``saddle_batch``).
@@ -119,23 +119,44 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
 
     Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
     ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
-    analysis).  Each final-pass block of ``saddle_batch`` is summed as it
-    is evaluated, so no (nodes, 2N+2) field but the saddle times is held.
+    analysis).  Given ``consume``, returns None after calling
+    consume(nodes, rows) per final-pass block of the j = 1/2 channel:
+    ``nodes`` slices the flattened nodes, and ``rows`` holds their four
+    sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
+    ``saddle_batch`` is summed as it is evaluated, so the j = 3/2 rows are
+    all that is held per node besides the saddle times.
     """
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
     saddle_sum = np.cumsum if cumulative else np.sum
-    pperp_ = pperp[..., None] if cumulative else pperp
     tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
-    sums = np.empty((len(SUM_ROWS),) + pz.shape + tail, dtype=complex)
-    flat = sums.reshape((len(SUM_ROWS), -1) + tail)   # a view, by flat node
-    for row, j2 in ((0, 3), (2, 1)):
-        def reduce(nodes, block):
-            core = np.exp(1j * block.action) * block.prefactor
-            saddle_sum(core * block.vz, axis=-1, out=flat[row, nodes])
-            saddle_sum(core, axis=-1, out=flat[row + 1, nodes])
-        saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp, reduce)
-        sums[row + 1] *= pperp_
-        sums[row:row + 2] *= (-((2.0 * pi) ** 1.5) * species.b_au
-                              / (1j * species.kappa(j2)))
+    pperp_ = pperp.reshape((-1,) + (1,) * len(tail))   # by flat node
+    sums = None
+    if consume is None:     # the default consumer fills the four sums
+        sums = np.empty((len(SUM_ROWS),) + pz.shape + tail, dtype=complex)
+        flat = sums.reshape((len(SUM_ROWS), -1) + tail)   # a view
+
+        def consume(nodes, rows):
+            flat[:, nodes] = rows
+
+    def channel_sums(j2, nodes, block, out):
+        """Rows (j2, 0) and (j2, 1) of one final-pass block, into out."""
+        core = np.exp(1j * block.action) * block.prefactor
+        saddle_sum(core * block.vz, axis=-1, out=out[0])
+        saddle_sum(core, axis=-1, out=out[1])
+        out[1] *= pperp_[nodes]
+        out *= -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
+
+    held = np.empty((2, pz.size) + tail, dtype=complex)   # the j = 3/2 rows
+    saddle_batch(pulse, species.e_bound(3), pz, pperp * pperp,
+                 lambda nodes, block: channel_sums(3, nodes, block,
+                                                   held[:, nodes]))
+
+    def stream(nodes, block):
+        j32 = held[:, nodes]
+        rows = np.empty((len(SUM_ROWS),) + j32.shape[1:], dtype=complex)
+        rows[:2] = j32
+        channel_sums(1, nodes, block, rows[2:])
+        consume(nodes, rows)
+    saddle_batch(pulse, species.e_bound(1), pz, pperp * pperp, stream)
     return sums

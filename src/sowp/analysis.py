@@ -17,9 +17,9 @@ import numpy as np
 
 from sowp import units
 from sowp.amplitude import amplitude_profiles
-from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
+from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
                           build_density_matrix, coherence_degree, family,
-                          grid_nodes, warn_if_saturated)
+                          gram_to_rho, grid_nodes, warn_if_saturated)
 from sowp.errors import ConfigError, FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
@@ -85,8 +85,9 @@ def buildup(pulse: Pulse, species: Species,
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
-    rho = assemble(amplitude_profiles(pulse, species, pz, pperp, cumulative=True),
-                   weights, grid)
+    gram = Gram(weights, 2 * pulse.n_cycles + 2)
+    amplitude_profiles(pulse, species, pz, pperp, cumulative=True, consume=gram)
+    rho = gram_to_rho(gram.matrix, grid)
 
     probe = find_saddles(pulse, species.e_bound(3),
                          (0.0, 0.0, BUILDUP_PROBE_P))
@@ -101,9 +102,8 @@ def buildup(pulse: Pulse, species: Species,
 
 
 def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,
-               n_cycles: int, grid_kw: dict) -> SweepPoint:
+               n_cycles: int, grid: MomentumGrid) -> SweepPoint:
     pulse = Pulse.from_lab(wavelength_nm, n_cycles, intensity_wcm2)
-    grid = MomentumGrid.build(pulse.omega, **grid_kw)
     rho = build_density_matrix(pulse, species, grid)
     tau_fwhm = pulse.fwhm_fs()
     return SweepPoint(
@@ -131,10 +131,13 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                               f"give the cycle counts (--cycles)")
         jobs.extend((sp, int(n)) for n in ns)
 
+    # omega depends on the wavelength alone: one read-only grid serves all
+    grid = MomentumGrid.build(units.wavelength_to_omega(wavelength_nm),
+                              **grid_kw)
     points, failures = [], []
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_sweep_one, sp, wavelength_nm, intensity_wcm2,
-                               n, grid_kw) for sp, n in jobs]
+                               n, grid) for sp, n in jobs]
         for (sp, n), future in zip(jobs, futures):
             try:
                 points.append(future.result())

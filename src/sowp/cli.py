@@ -335,7 +335,8 @@ def run(cfg: RunConfig) -> int:
                 print(f"ratio(g = {cfg.coherence:g}) = {value:.6g}")
 
     header = [f"sowp {__version__} command={cfg.command}"]
-    if not (cfg.command == "fit" and cfg.sweep_csv):   # a fit reads only the CSV
+    # predict reads only the law, and a fit of a sweep CSV only the CSV
+    if cfg.command != "predict" and not (cfg.command == "fit" and cfg.sweep_csv):
         header += [f"wavelength_nm = {cfg.wavelength_nm:g}",
                    f"intensity_wcm2 = {cfg.intensity_wcm2:g}",
                    f"cycles = {cycles}",

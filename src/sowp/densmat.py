@@ -11,8 +11,13 @@ with the uniform trapezoid rule, letting one verify that m' != m elements
 vanish within quadrature accuracy rather than by construction.
 
 Every channel amplitude is a constant times one of the four saddle sums of
-``amplitude_profiles``, so ``assemble`` sums over nodes once, into their
-weighted 4x4 Gram matrix, for one matrix or all build-up partial sums.
+``amplitude_profiles``, so the node sum is taken once, into their weighted
+4x4 Gram matrix per build-up partial sum, and ``gram_to_rho`` maps Gram
+matrices to density matrices.  ``build_density_matrix`` and ``buildup``
+pass a ``Gram`` to ``amplitude_profiles`` as its consumer, so each block
+of nodes is added in as soon as its four sums exist and no sums array of
+the whole grid is held; ``assemble`` takes the Gram of sums that are held,
+in one block.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
@@ -29,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, amplitude_profiles,
-                            doubled)
+from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, SUM_ROWS,
+                            amplitude_profiles, doubled)
 from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
                          NumericalError, ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -213,23 +218,50 @@ def _selection(grid: MomentumGrid) -> np.ndarray:
                     0.0) / (2.0 * np.pi) ** 3
 
 
-def assemble(sums: np.ndarray, weights: np.ndarray,
-             grid: MomentumGrid) -> np.ndarray:
-    """Contract the saddle sums of ``amplitude_profiles`` into rho.
+class Gram:
+    """Weighted 4x4 Gram matrices G_ab = sum_nodes w conj(s_a) s_b of the
+    four saddle sums, one per partial sum, added up block by block: a
+    consumer for ``amplitude_profiles``.  ``matrix`` has shape
+    (partial_sums, 4, 4)."""
 
-    ``sums`` has shape (4,) + weights.shape, or (4,) + weights.shape + (K,)
-    for K build-up partial sums.  Per partial sum: the weighted 4x4 Gram
-    matrix G_ab = sum_nodes w conj(s_a) s_b, the channel products
-    C G C^T (C = CHANNEL_COEF, real), the m_s / phi selection factor, and
-    the sum of channels into (j, m) states.  Returns (6, 6), or (K, 6, 6).
-    """
-    s = sums.reshape(sums.shape[0], weights.size, -1)   # (4, nodes, K)
-    ws = s.conj() * weights.reshape(-1, 1)
-    gram = np.moveaxis(ws, -1, 0) @ np.moveaxis(s, -1, 0).swapaxes(-1, -2)
+    def __init__(self, weights: np.ndarray, partial_sums: int = 1):
+        self.weights = np.ravel(weights)
+        self.matrix = np.zeros((partial_sums, len(SUM_ROWS), len(SUM_ROWS)),
+                               dtype=complex)
+
+    def __call__(self, nodes, rows) -> None:
+        """Add the sums ``rows`` (shape (4, n) or (4, n, K)) of the flat
+        nodes ``nodes`` (a slice)."""
+        w = self.weights[nodes]
+        s = rows.reshape(rows.shape[0], rows.shape[1], -1)   # (4, n, K)
+        # one partial sum at a time: no temporary of the block's size
+        for k, gram in enumerate(self.matrix):
+            gram += (s[..., k].conj() * w) @ s[..., k].T
+
+
+def gram_to_rho(gram: np.ndarray, grid: MomentumGrid) -> np.ndarray:
+    """The (K, 6, 6) density matrices of (K, 4, 4) Gram matrices: the
+    channel products C G C^T (C = CHANNEL_COEF, real), the m_s / phi
+    selection factor, and the sum of channels into (j, m) states."""
     products = _selection(grid) * (CHANNEL_COEF @ gram @ CHANNEL_COEF.T)
     rho = np.zeros((products.shape[0], len(STATES), len(STATES)), dtype=complex)
     np.add.at(rho, (slice(None), _CHANNEL_STATE[:, None],
                     _CHANNEL_STATE[None, :]), products)
+    return rho
+
+
+def assemble(sums: np.ndarray, weights: np.ndarray,
+             grid: MomentumGrid) -> np.ndarray:
+    """Contract the saddle sums of ``amplitude_profiles`` into rho: their
+    ``Gram`` over all nodes at once, then ``gram_to_rho``.
+
+    ``sums`` has shape (4,) + weights.shape, or (4,) + weights.shape + (K,)
+    for K build-up partial sums.  Returns (6, 6), or (K, 6, 6).
+    """
+    s = sums.reshape(sums.shape[0], weights.size, -1)   # (4, nodes, K)
+    gram = Gram(weights, s.shape[-1])
+    gram(slice(None), s)
+    rho = gram_to_rho(gram.matrix, grid)
     return rho if sums.ndim > weights.ndim + 1 else rho[0]
 
 
@@ -244,8 +276,9 @@ def build_density_matrix(pulse: Pulse, species: Species,
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
-    rho = warn_if_saturated(DensityMatrix(
-        assemble(amplitude_profiles(pulse, species, pz, pperp), weights, grid)))
+    gram = Gram(weights)
+    amplitude_profiles(pulse, species, pz, pperp, consume=gram)
+    rho = warn_if_saturated(DensityMatrix(gram_to_rho(gram.matrix, grid)[0]))
     if check_convergence:
         fine = build_density_matrix(pulse, species, grid.doubled())
         for label, coarse_val, fine_val in (

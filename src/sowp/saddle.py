@@ -71,11 +71,13 @@ and action are evaluated from its own t, in one loop over blocks of at
 most FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
 whose nodes all pass the root-set and |S''| contracts gets its prefactor
 1/sqrt(-i S'') (principal branch, Re >= 0) and goes straight to its
-consumer: the caller's reduce callback, or a copy into a SaddleBatch.  The
-whole batch is then validated from each node's worst residual and smallest
-|S''|; a failure raises SaddleError naming the first failing node (p_z,
-p_perp^2) and the channel energy, and neither that node's block nor any
-later one reaches the consumer.
+consumer: the caller's reduce callback, or a copy into a SaddleBatch.
+From the first block that fails on, only each node's worst residual and
+smallest |S''| are evaluated, and the whole batch is validated from them:
+SaddleError names the first failing node (p_z, p_perp^2) in flat order
+and the channel energy, and neither that node's block nor any later one
+reaches the consumer.  A batch whose blocks all pass is not validated
+again: every node has passed the same checks.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -382,7 +384,9 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
             prefactor = 1.0 / np.sqrt(-1j * s2)
             reduce(sl, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
-    _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst, s2min)
+    if not passed:   # name the first failing node of the whole batch
+        _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst,
+                        s2min)
     return batch
 
 

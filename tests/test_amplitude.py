@@ -7,7 +7,7 @@ import pytest
 from scalar_oracle import (action, alternating_sign, amplitude_set,
                            channel_amplitudes, complex_sph_harmonic,
                            detachment_amplitude)
-from sowp import amplitude, saddle
+from sowp import amplitude, analysis, densmat, saddle
 from sowp.amplitude import CHANNELS, amplitude_profiles, clebsch_gordan
 from sowp.analysis import buildup
 from sowp.errors import DegenerateSaddleError, SaddleError
@@ -355,22 +355,33 @@ def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
                                                   monkeypatch):
     """The traced benchmark counts the nodes of each channel at
     sowp.amplitude.saddle_batch from its third positional argument: one call
-    per channel and matrix, with the whole 2-D p_z grid."""
+    per channel and matrix, with the whole 2-D p_z grid.  It also requires
+    the spans of amplitude_profiles at its sowp.densmat and sowp.analysis
+    import sites: build_density_matrix and buildup call it once each."""
     grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=4)
     pz, _, _ = grid_nodes(grid)
     calls = []
-    solve = amplitude.saddle_batch
 
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return record
 
-    monkeypatch.setattr(amplitude, "saddle_batch", recording)
+    for module in (amplitude, densmat, analysis):
+        name = module.__name__
+        attr = "saddle_batch" if module is amplitude else "amplitude_profiles"
+        monkeypatch.setattr(module, attr,
+                            recording(name, getattr(module, attr)))
     build_density_matrix(ref_pulse, species_f, grid)
     buildup(ref_pulse, species_f, grid)
-    assert [args[1] for args in calls] == [species_f.e_bound(3),
-                                           species_f.e_bound(1)] * 2
-    for args in calls:
+    assert [name for name, _ in calls] == [
+        "sowp.densmat", "sowp.amplitude", "sowp.amplitude",
+        "sowp.analysis", "sowp.amplitude", "sowp.amplitude"]
+    solves = [args for name, args in calls if name == "sowp.amplitude"]
+    assert [args[1] for args in solves] == [species_f.e_bound(3),
+                                            species_f.e_bound(1)] * 2
+    for args in solves:
         assert args[0] is ref_pulse
         np.testing.assert_array_equal(args[2], pz)
 

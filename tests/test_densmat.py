@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from scalar_oracle import channel_amplitudes, density_matrix_loop
+from sowp import saddle
 from sowp.amplitude import STATES, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
@@ -79,6 +81,58 @@ class TestAssemble:
         amplitudes = channel_amplitudes(partial)
         for k, rho_k in enumerate(rhos):
             self.assert_matches_loop(rho_k, amplitudes, weights, grid, k)
+
+
+class TestStreamedGram:
+    """build_density_matrix and buildup add each block of saddle sums into
+    their Gram matrices as it arrives; ``assemble`` of the whole held sums
+    is the reference, equal to roundoff (the node sums run in blocks)."""
+
+    @pytest.mark.parametrize("phi_mode", ["analytic", "numeric"])
+    @pytest.mark.parametrize("n_theta", [6, 7])
+    @pytest.mark.parametrize("n_cycles", [1, 2, 8])
+    def test_equals_assemble_of_held_sums(self, species_f, monkeypatch,
+                                          n_cycles, n_theta, phi_mode):
+        pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=20, n_theta=n_theta,
+                                  n_phi=6, phi_mode=phi_mode)
+        pz, pperp, weights = grid_nodes(grid)
+        # blocks of 7 nodes: many blocks and a partial last one
+        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
+                            7 * (2 * n_cycles + 2))
+
+        held = assemble(amplitude_profiles(pulse, species_f, pz, pperp),
+                        weights, grid)
+        np.testing.assert_allclose(
+            build_density_matrix(pulse, species_f, grid).matrix, held,
+            rtol=0, atol=1e-14 * np.abs(held).max())
+
+        stack = assemble(amplitude_profiles(pulse, species_f, pz, pperp,
+                                            cumulative=True), weights, grid)
+        trace = buildup(pulse, species_f, grid)
+        atol = 1e-14 * np.abs(stack).max()
+        streamed = (trace.pop_j32_m32, trace.pop_j32_m12, trace.pop_j12_m12,
+                    trace.coherence)
+        for got, want in zip(streamed, family(stack)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(trace.final.matrix, stack[-1], rtol=0,
+                                   atol=atol)
+
+    def test_buildup_peak_memory_is_bounded(self, ref_pulse, species_f,
+                                            ref_grid):
+        """Traced peak of the F build-up at N = 8 on the default grid
+        within 6 times one channel's saddle times (holding all four
+        cumulative sums needs 12)."""
+        nodes = ref_grid.p_nodes.size * ref_grid.u_nodes.size
+        t_nbytes = nodes * (2 * ref_pulse.n_cycles + 2) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            buildup(ref_pulse, species_f, ref_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
 
 
 class TestBuildDensityMatrix:

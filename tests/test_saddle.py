@@ -348,7 +348,42 @@ class TestMirror:
         assert sum(seeded) == pz.shape[1]
 
     def test_every_node_is_validated(self, pulse, monkeypatch):
+        # the per-block contract gate of the final pass sees every node's
+        # roots and worst residual exactly once, in flat order, mirrored
+        # nodes included; a batch that passes it is not validated again
         pz, pp2 = radial_lines(pulse)
+        deg = 2 * pulse.n_cycles + 2
+        expected = saddle_batch(pulse, E_F, pz, pp2)
+        t = saddle._continue_lines(pulse, E_F, pz, pp2)
+        # only the final pass calls the gate from here on, in blocks of 7
+        # nodes: many blocks and a partial last one
+        monkeypatch.setattr(saddle, "_continue_lines", lambda *args: t)
+        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 7 * deg)
+        seen = []
+        checks = saddle._contract_checks
+
+        def recording(pu, roots, residual):
+            seen.append((roots.copy(), residual.copy()))
+            return checks(pu, roots, residual)
+
+        def validate(*args):
+            raise AssertionError("a passing batch was validated again")
+
+        monkeypatch.setattr(saddle, "_contract_checks", recording)
+        monkeypatch.setattr(saddle, "_validate_batch", validate)
+        saddle_batch(pulse, E_F, pz, pp2)
+        assert len(seen) == -(-pz.size // 7)
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]),
+                                      t.reshape(-1, deg))
+        np.testing.assert_array_equal(
+            np.concatenate([w for _, w in seen]),
+            expected.residual.reshape(-1, deg).max(axis=-1, keepdims=True))
+
+    def test_failing_batch_is_validated_whole(self, pulse, monkeypatch):
+        # a block that fails the gate sends the whole batch, every node of
+        # it, to one validation, which raises for the first failing node
+        pz, pp2 = radial_lines(pulse)
+        monkeypatch.setattr(saddle, "DEGENERATE_S2_TOL", 1e6)
         seen = []
         validate = saddle._validate_batch
 
@@ -357,7 +392,8 @@ class TestMirror:
             return validate(pu, e_bound, pz_, pp2_, t, residual, s2)
 
         monkeypatch.setattr(saddle, "_validate_batch", recording)
-        saddle_batch(pulse, E_F, pz, pp2)
+        with pytest.raises(DegenerateSaddleError):
+            saddle_batch(pulse, E_F, pz, pp2)
         (vpz, vpp2, shape), = seen
         np.testing.assert_array_equal(vpz, pz.ravel())
         np.testing.assert_array_equal(vpp2, pp2.ravel())
