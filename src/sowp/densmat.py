@@ -16,8 +16,7 @@ Every channel amplitude is a constant times one of the four saddle sums of
 matrices to density matrices.  ``build_density_matrix`` and ``buildup``
 pass a ``Gram`` to ``amplitude_profiles`` as its consumer, so each block
 of nodes is added in as soon as its four sums exist and no sums array of
-the whole grid is held; ``assemble`` takes the Gram of sums that are held,
-in one block.
+the whole grid is held.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
@@ -36,8 +35,8 @@ import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, SUM_ROWS,
                             amplitude_profiles, doubled)
-from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
-                         NumericalError, ProbabilityError, SaturationWarning)
+from sowp.errors import (CoherenceUndefinedError, NumericalError,
+                         ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
 from sowp.species import Species
 
@@ -92,13 +91,6 @@ class MomentumGrid:
         """Quadrature of the unit function over the momentum ball."""
         return (float(self.radial_weights.sum()) * float(self.u_weights.sum())
                 * float(self.phi_weights.sum()))
-
-    def doubled(self) -> "MomentumGrid":
-        """Same extent with every dimension at twice the node count."""
-        return MomentumGrid.build(
-            omega=self.e_max / E_MAX_PHOTONS, n_energy=2 * self.p_nodes.size,
-            n_theta=2 * self.u_nodes.size, n_phi=2 * self.phi_nodes.size,
-            phi_mode=self.phi_mode, e_max=self.e_max)
 
 
 @dataclass(frozen=True)
@@ -250,44 +242,13 @@ def gram_to_rho(gram: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     return rho
 
 
-def assemble(sums: np.ndarray, weights: np.ndarray,
-             grid: MomentumGrid) -> np.ndarray:
-    """Contract the saddle sums of ``amplitude_profiles`` into rho: their
-    ``Gram`` over all nodes at once, then ``gram_to_rho``.
-
-    ``sums`` has shape (4,) + weights.shape, or (4,) + weights.shape + (K,)
-    for K build-up partial sums.  Returns (6, 6), or (K, 6, 6).
-    """
-    s = sums.reshape(sums.shape[0], weights.size, -1)   # (4, nodes, K)
-    gram = Gram(weights, s.shape[-1])
-    gram(slice(None), s)
-    rho = gram_to_rho(gram.matrix, grid)
-    return rho if sums.ndim > weights.ndim + 1 else rho[0]
-
-
 def build_density_matrix(pulse: Pulse, species: Species,
-                         grid: MomentumGrid = None,
-                         check_convergence: bool = False) -> DensityMatrix:
-    """Integrate amplitude products over the momentum grid.
-
-    ``check_convergence`` recomputes on a doubled grid and warns when g or w
-    move by more than 1e-3 relative.
-    """
+                         grid: MomentumGrid = None) -> DensityMatrix:
+    """Integrate amplitude products over the momentum grid (the default
+    grid of ``MomentumGrid.build`` unless given)."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
     gram = Gram(weights)
     amplitude_profiles(pulse, species, pz, pperp, consume=gram)
-    rho = warn_if_saturated(DensityMatrix(gram_to_rho(gram.matrix, grid)[0]))
-    if check_convergence:
-        fine = build_density_matrix(pulse, species, grid.doubled())
-        for label, coarse_val, fine_val in (
-                ("g", coherence_degree(rho), coherence_degree(fine)),
-                ("w", rho.w, fine.w)):
-            rel = abs(fine_val - coarse_val) / max(abs(fine_val), 1e-300)
-            if rel > 1e-3:
-                warnings.warn(
-                    f"grid doubling moved {label} from {coarse_val:.6e} to "
-                    f"{fine_val:.6e} ({rel:.2e} relative): grid underresolved",
-                    GridConvergenceWarning, stacklevel=2)
-    return rho
+    return warn_if_saturated(DensityMatrix(gram_to_rho(gram.matrix, grid)[0]))

@@ -57,4 +57,5 @@ class SaturationWarning(UserWarning):
 
 
 class GridConvergenceWarning(UserWarning):
-    """Doubling the quadrature grid moved the result more than tolerated."""
+    """The momentum grid or its energy cutoff leaves more of w or g
+    unresolved than tolerated."""

@@ -47,12 +47,13 @@ class Pulse:
     sidebands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.n_cycles < 1 or self.n_cycles != int(self.n_cycles):
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        if not (self.n_cycles >= 1 and float(self.n_cycles).is_integer()):
             raise ValueError(f"n_cycles must be a positive integer, got {self.n_cycles}")
-        if self.a0 < 0:
-            raise ValueError(f"a0 must be non-negative, got {self.a0}")
+        object.__setattr__(self, "n_cycles", int(self.n_cycles))
+        if not (np.isfinite(self.a0) and self.a0 >= 0):
+            raise ValueError(f"a0 must be finite and non-negative, got {self.a0}")
         lower = -self.a0 / 4.0 if self.n_cycles > 1 else 0.0
         object.__setattr__(self, "sidebands",
                            (self.a0 / 2.0, -self.a0 / 4.0, lower))

@@ -71,7 +71,7 @@ and action are evaluated from its own t, in one loop over blocks of at
 most FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
 whose nodes all pass the root-set and |S''| contracts gets its prefactor
 1/sqrt(-i S'') (principal branch, Re >= 0) and goes straight to its
-consumer: the caller's reduce callback, or a copy into a SaddleBatch.
+consumer: the caller's consume callback, or a copy into a SaddleBatch.
 From the first block that fails on, only each node's worst residual and
 smallest |S''| are evaluated, and the whole batch is validated from them:
 SaddleError names the first failing node (p_z, p_perp^2) in flat order
@@ -324,14 +324,14 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
 
 
 def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
-                 reduce=None) -> SaddleBatch | None:
+                 consume=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point.
 
     1-D (or scalar) inputs are independent points.  2-D inputs are
     continuation paths along axis 0 (see the module docstring).  Returns a
     SaddleBatch with fields of shape pz.shape + (2N+2,), or, given
-    ``reduce``, None after calling reduce(rows, block) per block of the
-    final pass: ``rows`` slices the flattened nodes, ``block`` is their
+    ``consume``, None after calling consume(nodes, block) per block of the
+    final pass: ``nodes`` slices the flattened nodes, ``block`` is their
     SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the first
     node that fails the residual, count, distinctness, or curvature
     contracts.
@@ -353,13 +353,13 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
 
     deg = t.shape[-1]
     batch = None
-    if reduce is None:     # the SaddleBatch consumer copies every block in
+    if consume is None:     # the SaddleBatch consumer copies every block in
         batch = SaddleBatch(t, *(np.empty_like(t) for _ in range(4)),
                             np.empty(t.shape))
 
-        def reduce(rows, block):
+        def consume(nodes, block):
             for name in SaddleBatch.__slots__[1:]:
-                getattr(batch, name).reshape(-1, deg)[rows] = getattr(block, name)
+                getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
     t = t.reshape(-1, deg)
     pz, pperp2 = pz.reshape(-1, 1), pperp2.reshape(-1, 1)
     worst, s2min = np.empty((2, t.shape[0], 1))   # per node: max |S'|, min |S''|
@@ -382,7 +382,7 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
         if passed:
             act = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
             prefactor = 1.0 / np.sqrt(-1j * s2)
-            reduce(sl, SaddleBatch(tb, vz, act, s2, prefactor, residual))
+            consume(sl, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if not passed:   # name the first failing node of the whole batch
         _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst,

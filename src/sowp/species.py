@@ -9,6 +9,7 @@ momentum j of the residual atom):
 so the j=1/2 channel is the more strongly bound one.  kappa_j = sqrt(-2 E_j).
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -31,15 +32,11 @@ class Species:
     l: int = 1            # valence orbital angular momentum
 
     def __post_init__(self):
-        if self.ea_ev <= 0:
-            raise SpeciesFileError(
-                f"{self.name}: ea_ev must be positive (bound anion), got {self.ea_ev}")
-        if self.splitting_cm1 <= 0:
-            raise SpeciesFileError(
-                f"{self.name}: splitting_cm1 must be positive, got {self.splitting_cm1}")
-        if self.b_au <= 0:
-            raise SpeciesFileError(
-                f"{self.name}: b_au must be positive, got {self.b_au}")
+        for key in ("ea_ev", "splitting_cm1", "b_au"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise SpeciesFileError(
+                    f"{self.name}: {key} must be finite and positive, got {value}")
         if self.l != 1:
             raise SpeciesFileError(
                 f"{self.name}: only l=1 (np valence shells) is implemented, got l={self.l}")

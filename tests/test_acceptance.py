@@ -199,7 +199,8 @@ def test_criterion_8_oracle_suite(ref_pulse, ref_rho, ref_grid, ref_buildup, rng
     checks.append((f"fit recovery error {err:.1e}", err < 1e-8))
 
     # quadrature doubling at the reference parameters
-    fine = build_density_matrix(ref_pulse, sp_f, ref_grid.doubled())
+    fine = build_density_matrix(ref_pulse, sp_f, MomentumGrid.build(
+        ref_pulse.omega, n_energy=400, n_theta=128, n_phi=64))
     dg = abs(coherence_degree(fine) - coherence_degree(ref_rho["F"])) \
         / coherence_degree(fine)
     dw = abs(fine.w - ref_rho["F"].w) / fine.w

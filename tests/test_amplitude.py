@@ -340,7 +340,7 @@ class TestStreamedFinalPass:
         handed = []
         with pytest.raises(DegenerateSaddleError, match=r"\|S''\| = 0\.000e\+00") as info:
             saddle_batch(ref_pulse, e_bound, pz, pperp * pperp,
-                         lambda rows, block: handed.append(rows))
+                         lambda nodes, block: handed.append(nodes))
         flat_index = np.ravel_multi_index(node, pz.shape)
         assert f"p_z = {pz[node]:.6g}," in str(info.value)
         np.testing.assert_array_equal(info.value.roots, good.t[node])

@@ -10,6 +10,7 @@ from sowp.analysis import SweepPoint
 from sowp.cli import (RunConfig, _build_parser, cycle_list, main, parse_config,
                       run)
 from sowp.errors import ConfigError, NumericalError
+from sowp.species import default_species_path
 
 FAST_GRID = ["--n-energy", "48", "--n-theta", "16", "--n-phi", "4"]
 SUMMARIES = Path(__file__).parent / "data" / "summaries"
@@ -165,6 +166,19 @@ class TestSingleCommand:
     def test_unknown_species(self, tmp_path, capsys):
         rc = run_cli("single", "--species", "qq", "--out-dir", str(tmp_path))
         assert rc == 1
+
+    def test_non_finite_species_number(self, tmp_path, capsys):
+        shipped = Path(default_species_path()).read_text()
+        assert "b_au = 0.84\n" in shipped
+        path = tmp_path / "species.dat"
+        path.write_text(shipped.replace("b_au = 0.84\n", "b_au = inf\n"))
+        out = tmp_path / "out"
+        rc = run_cli("single", "--species", "f", "--species-file", str(path),
+                     *FAST_GRID, "--out-dir", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "F: b_au" in err
+        assert not (out / "summary.txt").exists()
 
 
 class TestEvolveCommand:

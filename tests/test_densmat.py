@@ -9,12 +9,12 @@ from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp import saddle
 from sowp.amplitude import STATES, amplitude_profiles
 from sowp.analysis import buildup
-from sowp.densmat import (DensityMatrix, MomentumGrid, assemble,
+from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
                           build_density_matrix, coherence_degree, family,
-                          grid_nodes, total_probability)
+                          gram_to_rho, grid_nodes, total_probability)
 from sowp.dynamics import pure_state_limit
-from sowp.errors import (CoherenceUndefinedError, GridConvergenceWarning,
-                         ProbabilityError, SaddleError, SaturationWarning)
+from sowp.errors import (CoherenceUndefinedError, ProbabilityError,
+                         SaddleError, SaturationWarning)
 from sowp.pulse import Pulse
 from sowp.species import Species, get_species
 
@@ -24,6 +24,17 @@ SMALL_GRID = dict(n_energy=64, n_theta=24, n_phi=8)
 def small_grid(pulse, **over):
     kw = {**SMALL_GRID, **over}
     return MomentumGrid.build(pulse.omega, **kw)
+
+
+def streamed_rho(pulse, species, grid, cumulative=False):
+    """(K, 6, 6) density matrices from a ``Gram`` consuming the blocks of
+    ``amplitude_profiles``, then ``gram_to_rho``: K = 1, or the 2N+2
+    build-up partial sums when ``cumulative``."""
+    pz, pperp, weights = grid_nodes(grid)
+    gram = Gram(weights, 2 * pulse.n_cycles + 2 if cumulative else 1)
+    amplitude_profiles(pulse, species, pz, pperp, cumulative=cumulative,
+                       consume=gram)
+    return gram_to_rho(gram.matrix, grid)
 
 
 class TestMomentumGrid:
@@ -38,14 +49,6 @@ class TestMomentumGrid:
         assert grid.energy_nodes.max() < grid.e_max
         assert (grid.radial_weights > 0).all() and (grid.u_weights > 0).all()
 
-    def test_doubled(self, ref_pulse):
-        grid = MomentumGrid.build(ref_pulse.omega, **SMALL_GRID)
-        fine = grid.doubled()
-        assert fine.p_nodes.size == 2 * grid.p_nodes.size
-        assert fine.u_nodes.size == 2 * grid.u_nodes.size
-        assert fine.phi_nodes.size == 2 * grid.phi_nodes.size
-        assert fine.e_max == grid.e_max
-
     def test_rejects_bad_args(self, ref_pulse):
         with pytest.raises(ValueError):
             MomentumGrid.build(ref_pulse.omega, phi_mode="weird")
@@ -54,8 +57,10 @@ class TestMomentumGrid:
 
 
 class TestAssemble:
-    """The 4x4 Gram contraction against the loop over state pairs and
-    spins; sums run in another order, so they agree to roundoff."""
+    """The streamed 4x4 Gram contraction (``Gram`` as the consumer of
+    ``amplitude_profiles``, then ``gram_to_rho``) against the loop over
+    state pairs and spins; sums run in another order, so they agree to
+    roundoff."""
 
     @staticmethod
     def assert_matches_loop(rho, amplitudes, weights, grid, k=None):
@@ -69,15 +74,16 @@ class TestAssemble:
         grid = MomentumGrid.build(ref_pulse.omega, n_energy=16, n_theta=6,
                                   n_phi=6, phi_mode=phi_mode)
         pz, pperp, weights = grid_nodes(grid)
+        rho = streamed_rho(ref_pulse, species_f, grid)
+        assert rho.shape == (1, len(STATES), len(STATES))
         full = amplitude_profiles(ref_pulse, species_f, pz, pperp)
-        rho = assemble(full, weights, grid)
-        assert rho.shape == (len(STATES), len(STATES))
-        self.assert_matches_loop(rho, channel_amplitudes(full), weights, grid)
+        self.assert_matches_loop(rho[0], channel_amplitudes(full), weights,
+                                 grid)
 
+        rhos = streamed_rho(ref_pulse, species_f, grid, cumulative=True)
+        assert rhos.shape == (2 * ref_pulse.n_cycles + 2,) + rho.shape[1:]
         partial = amplitude_profiles(ref_pulse, species_f, pz, pperp,
                                      cumulative=True)
-        rhos = assemble(partial, weights, grid)
-        assert rhos.shape == (2 * ref_pulse.n_cycles + 2,) + rho.shape
         amplitudes = channel_amplitudes(partial)
         for k, rho_k in enumerate(rhos):
             self.assert_matches_loop(rho_k, amplitudes, weights, grid, k)
@@ -85,8 +91,10 @@ class TestAssemble:
 
 class TestStreamedGram:
     """build_density_matrix and buildup add each block of saddle sums into
-    their Gram matrices as it arrives; ``assemble`` of the whole held sums
-    is the reference, equal to roundoff (the node sums run in blocks)."""
+    their Gram matrices as it arrives.  The reference is the same call at
+    the default FINAL_BLOCK_ELEMS, which on these grids is one block: the
+    Gram of the whole grid's held sums.  Many blocks agree with it to
+    roundoff (the node sums run in blocks)."""
 
     @pytest.mark.parametrize("phi_mode", ["analytic", "numeric"])
     @pytest.mark.parametrize("n_theta", [6, 7])
@@ -96,19 +104,18 @@ class TestStreamedGram:
         pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         grid = MomentumGrid.build(pulse.omega, n_energy=20, n_theta=n_theta,
                                   n_phi=6, phi_mode=phi_mode)
-        pz, pperp, weights = grid_nodes(grid)
+        nodes = grid.p_nodes.size * grid.u_nodes.size
+        assert nodes * (2 * n_cycles + 2) <= saddle.FINAL_BLOCK_ELEMS
+        held = streamed_rho(pulse, species_f, grid)[0]
+        stack = streamed_rho(pulse, species_f, grid, cumulative=True)
         # blocks of 7 nodes: many blocks and a partial last one
         monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
                             7 * (2 * n_cycles + 2))
 
-        held = assemble(amplitude_profiles(pulse, species_f, pz, pperp),
-                        weights, grid)
         np.testing.assert_allclose(
             build_density_matrix(pulse, species_f, grid).matrix, held,
             rtol=0, atol=1e-14 * np.abs(held).max())
 
-        stack = assemble(amplitude_profiles(pulse, species_f, pz, pperp,
-                                            cumulative=True), weights, grid)
         trace = buildup(pulse, species_f, grid)
         atol = 1e-14 * np.abs(stack).max()
         streamed = (trace.pop_j32_m32, trace.pop_j32_m12, trace.pop_j12_m12,
@@ -202,13 +209,6 @@ class TestBuildDensityMatrix:
         pu = Pulse.from_lab(1800.0, 8, 3.0e13)
         with pytest.warns(SaturationWarning):
             build_density_matrix(pu, species_f, small_grid(pu))
-
-    def test_convergence_warning_on_coarse_grid(self, ref_pulse, species_f):
-        grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=6,
-                                  n_phi=4)
-        with pytest.warns(GridConvergenceWarning):
-            build_density_matrix(ref_pulse, species_f, grid,
-                                 check_convergence=True)
 
     def test_deterministic(self, ref_pulse, species_f):
         grid = small_grid(ref_pulse)

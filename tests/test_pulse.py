@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sowp.pulse import Pulse
-from sowp.saddle import _action_terms
+from sowp.saddle import _action_terms, find_saddles
 from sowp.species import get_species
 
 
@@ -194,6 +194,23 @@ class TestValidation:
             Pulse(omega=0.025, n_cycles=0, a0=0.5)
         with pytest.raises(ValueError):
             Pulse(omega=0.025, n_cycles=4, a0=-0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["omega", "n_cycles", "a0"])
+    def test_non_finite_parameters(self, name, value):
+        kwargs = {"omega": 0.0253, "n_cycles": 8, "a0": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Pulse(**kwargs)
+
+    def test_integral_float_cycles_are_stored_as_int(self):
+        as_float = Pulse(omega=0.0253, n_cycles=8.0, a0=1.0)
+        as_int = Pulse(omega=0.0253, n_cycles=8, a0=1.0)
+        assert type(as_float.n_cycles) is int
+        e_bound = get_species("F").e_bound(3)
+        for p in ((0.0, 0.0, 0.3), (0.1, 0.2, -0.25)):
+            got = find_saddles(as_float, e_bound, p)
+            want = find_saddles(as_int, e_bound, p)
+            assert len(got) == 18 and got == want
 
     def test_single_cycle_expansion(self):
         # N=1 drops the zero-frequency component and still matches the

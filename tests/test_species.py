@@ -111,6 +111,18 @@ class TestParsing:
         with pytest.raises(SpeciesFileError, match="nope.dat"):
             load_species(tmp_path / "nope.dat")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["ea_ev", "splitting_cm1", "b_au"])
+    def test_non_finite_number_rejected(self, tmp_path, key, value):
+        fields = {"ea_ev": "3.0", "splitting_cm1": "100.0", "b_au": "1.0",
+                  key: value}
+        path = tmp_path / "bad.dat"
+        path.write_text("name = X\n" + "".join(
+            f"{k} = {v}\n" for k, v in fields.items()) + "l = 1\n")
+        with pytest.raises(SpeciesFileError,
+                           match=f"^X: {key} must be finite"):
+            load_species(path)
+
     def test_only_l1_supported(self):
         with pytest.raises(SpeciesFileError, match="l=0"):
             Species(name="S", ea_ev=2.0, splitting_cm1=100.0, b_au=1.0, l=0)
