@@ -20,9 +20,9 @@ the whole grid is held.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
-volume exactly; energy nodes p^2/2 are exposed for reporting.  Nodes are
-laid out as (n_energy, n_theta) arrays, so each column is a radial line
-along which the saddle search continues its roots (see ``sowp.saddle``).
+volume exactly.  Nodes are laid out as (n_energy, n_theta) arrays, so each
+column is a radial line along which the saddle search continues its roots
+(see ``sowp.saddle``).
 Quadrature sums run over this fixed node ordering, so results are
 reproducible to the bit regardless of how callers parallelize over grid
 chunks.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, SUM_ROWS,
-                            amplitude_profiles, doubled)
+                            amplitude_profiles)
 from sowp.errors import (CoherenceUndefinedError, NumericalError,
                          ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -67,6 +67,9 @@ class MomentumGrid:
             raise ValueError(f"phi_mode must be 'analytic' or 'numeric', got {phi_mode!r}")
         if min(n_energy, n_theta, n_phi) < 2:
             raise ValueError("grid needs at least 2 nodes per dimension")
+        for name, value in (("omega", omega), ("e_max", e_max)):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         e_max = E_MAX_PHOTONS * omega if e_max is None else e_max
         p_max = np.sqrt(2.0 * e_max)
         x, wx = np.polynomial.legendre.leggauss(n_energy)
@@ -79,19 +82,6 @@ class MomentumGrid:
                    u_weights=wu, phi_nodes=phi, phi_weights=wphi,
                    phi_mode=phi_mode)
 
-    @property
-    def energy_nodes(self) -> np.ndarray:
-        return 0.5 * self.p_nodes ** 2
-
-    @property
-    def p_max(self) -> float:
-        return float(np.sqrt(2.0 * self.e_max))
-
-    def volume(self) -> float:
-        """Quadrature of the unit function over the momentum ball."""
-        return (float(self.radial_weights.sum()) * float(self.u_weights.sum())
-                * float(self.phi_weights.sum()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -100,26 +90,10 @@ class DensityMatrix:
 
     matrix: np.ndarray = field(repr=False)
 
-    def element(self, jp, mp, j, m) -> complex:
-        """rho_{j'm' jm}; half-integer labels (e.g. 1.5, 0.5) of STATES."""
-        a = _STATE_INDEX.get((doubled(jp, "j'"), doubled(mp, "m'")))
-        b = _STATE_INDEX.get((doubled(j, "j"), doubled(m, "m")))
-        if a is None or b is None:
-            raise ValueError(f"({jp}, {mp}, {j}, {m}) names no element of rho")
-        return complex(self.matrix[a, b])
-
-    def population(self, j, m) -> float:
-        return self.element(j, m, j, m).real
-
     @property
     def w(self) -> float:
         """Total detachment probability (trace)."""
         return float(np.trace(self.matrix).real)
-
-    @property
-    def coherence(self) -> complex:
-        """The j = 3/2 <-> 1/2 off-diagonal element at m = 1/2."""
-        return self.element(1.5, 0.5, 0.5, 0.5)
 
     def write_csv(self, fh) -> None:
         """Header rows with w and g, then (j', m', j, m, re, im) rows."""
@@ -150,7 +124,7 @@ def family(matrix: np.ndarray):
     """(rho^(3/2,3/2), rho^(3/2,1/2), rho^(1/2,1/2), rho_off): the m > 0
     populations and the complex j = 3/2 <-> 1/2 element at m = 1/2 of a
     (..., 6, 6) stack, as (...) arrays, or for one 6x6 matrix as Python
-    scalars, like ``element``."""
+    scalars."""
     a33, a31, a11 = (_STATE_INDEX[s] for s in ((3, 3), (3, 1), (1, 1)))
     out = (matrix[..., a33, a33].real, matrix[..., a31, a31].real,
            matrix[..., a11, a11].real, matrix[..., a31, a11])

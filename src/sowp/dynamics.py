@@ -12,10 +12,11 @@ m_l = 0 electrons measures
 
 where x = rho / (w/2) are the ``densmat.family`` entries normalized per
 m-sign family (the two families are equal for linear polarization).  The
-very-short-pulse limit is derived from the m_l = 0 coupling coefficients;
-read with the same bookkeeping it has populations (0, 2/3, 1/3), coherence
-sqrt(2)/3 and contrast Delta_S / S_bar = 8/19, which is independent of the
-normalization convention.
+very-short-pulse limit ``pure_state_limit`` is a density matrix derived from
+the m_l = 0 coupling coefficients; read like any other, per m-sign family
+it has populations (0, 2/3, 1/3), coherence sqrt(2)/3, g = 1 and contrast
+Delta_S / S_bar = 8/19, which is independent of the normalization
+convention.
 """
 
 from dataclasses import dataclass
@@ -24,11 +25,8 @@ import numpy as np
 
 from sowp import units
 from sowp.amplitude import STATES, clebsch_gordan
-from sowp.densmat import (DensityMatrix, coherence_degree, family,
-                          total_probability)
+from sowp.densmat import DensityMatrix, family, total_probability
 from sowp.species import Species
-
-CONTRAST_PURE = 8.0 / 19.0
 
 
 def evolve_density(rho: DensityMatrix, species: Species, t_fs: float) -> DensityMatrix:
@@ -44,41 +42,25 @@ def evolve_density(rho: DensityMatrix, species: Species, t_fs: float) -> Density
     return DensityMatrix(rho.matrix * phase)
 
 
-def _family_normalized(rho: DensityMatrix):
-    """``family`` of rho scaled by 2/w: normalization per m-sign family."""
-    scale = 2.0 / total_probability(rho)
-    return tuple(scale * x for x in family(rho.matrix))
-
-
 def signal_parameters(rho: DensityMatrix):
     """(S_bar, Delta_S) of the alignment signal for the given matrix."""
-    x33, x31, x11, xoff = _family_normalized(rho)
+    # normalization per m-sign family
+    scale = 2.0 / total_probability(rho)
+    x33, x31, x11, xoff = (scale * x for x in family(rho.matrix))
     s_bar = (3.0 * x33 + 5.0 * x11 + 7.0 * x31) / 15.0
     delta_s = np.sqrt(32.0) / 15.0 * abs(xoff)
     return float(s_bar), float(delta_s)
 
 
-@dataclass(frozen=True)
-class PureStateLimit:
-    """Very-short-pulse limit: only m_l = 0 electrons detached."""
-
-    populations: tuple      # (rho(3/2,3/2), rho(3/2,1/2), rho(1/2,1/2)) per m family
-    coherence: float        # |off-diagonal| in the same normalization
-    g: float
-    density_matrix: DensityMatrix
-
-
-def pure_state_limit() -> PureStateLimit:
-    """Only m_l = 0 electrons detached: for each electron spin m_s the atom
-    is left in sum_j C(1 0, 1/2 m_s | j m_s) |j m_s>, and the two spins
-    mix with weight 1/2 (total trace 1)."""
+def pure_state_limit() -> DensityMatrix:
+    """The very-short-pulse limit, in which only m_l = 0 electrons are
+    detached: for each electron spin m_s the atom is left in
+    sum_j C(1 0, 1/2 m_s | j m_s) |j m_s>, and the two spins mix with
+    weight 1/2 (total trace 1)."""
     # row per m_s = +1/2, -1/2: the atom's state over STATES
     psi = np.array([[clebsch_gordan(1, 0, 0.5, ms2 / 2, j2 / 2, m2 / 2)
                      for j2, m2 in STATES] for ms2 in (1, -1)])
-    rho = DensityMatrix((0.5 * psi.T @ psi).astype(complex))
-    x33, x31, x11, xoff = _family_normalized(rho)
-    return PureStateLimit(populations=(x33, x31, x11), coherence=abs(xoff),
-                          g=coherence_degree(rho), density_matrix=rho)
+    return DensityMatrix((0.5 * psi.T @ psi).astype(complex))
 
 
 @dataclass(frozen=True)

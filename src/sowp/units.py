@@ -27,26 +27,12 @@ def wavelength_to_omega(wavelength_nm: float) -> float:
     return TWO_PI * freq_hz * (AU_TIME_FS * 1e-15)
 
 
-def omega_to_wavelength(omega_au: float) -> float:
-    """Inverse of wavelength_to_omega."""
-    if omega_au <= 0:
-        raise ValueError(f"omega must be positive, got {omega_au} a.u.")
-    return TWO_PI * SPEED_OF_LIGHT_CM_S * AU_TIME_FS * 1e-15 / (omega_au * 1e-7)
-
-
 def intensity_to_field(intensity_wcm2: float) -> float:
     """Peak electric-field amplitude F0 (a.u.) for the given intensity,
     F0 = sqrt(I / I_atomic)."""
     if intensity_wcm2 < 0:
         raise ValueError(f"intensity must be non-negative, got {intensity_wcm2}")
     return math.sqrt(intensity_wcm2 / ATOMIC_INTENSITY_WCM2)
-
-
-def field_to_intensity(field_au: float) -> float:
-    """Inverse of intensity_to_field."""
-    if field_au < 0:
-        raise ValueError(f"field must be non-negative, got {field_au}")
-    return field_au * field_au * ATOMIC_INTENSITY_WCM2
 
 
 def splitting_to_beat_period(splitting_cm1: float) -> float:

@@ -15,7 +15,7 @@ from sowp.amplitude import STATES, clebsch_gordan
 from sowp.analysis import (buildup, coherence_sweep, gaussian_fit, invert_g,
                            predict_g, FitResult)
 from sowp.densmat import (MomentumGrid, build_density_matrix,
-                          coherence_degree)
+                          coherence_degree, family)
 from sowp.dynamics import pure_state_limit, signal_parameters
 from sowp.errors import SaturationWarning
 from sowp.pulse import Pulse
@@ -96,15 +96,18 @@ def test_criterion_5_beat_period_conversions():
 
 
 def test_criterion_6_pure_state_limit():
-    limit = pure_state_limit()
-    s_bar, delta_s = signal_parameters(limit.density_matrix)
+    rho = pure_state_limit()
+    s_bar, delta_s = signal_parameters(rho)
     contrast = delta_s / s_bar
-    # every figure is derived from the m_l = 0 coupling coefficients
-    ok = (limit.populations == pytest.approx((0.0, 2.0 / 3.0, 1.0 / 3.0),
-                                             abs=1e-15)
+    # every figure is derived from the m_l = 0 coupling coefficients; the
+    # populations are per m-sign family, family scaled by 2/w
+    scale = 2.0 / rho.w
+    populations = tuple(scale * x for x in family(rho.matrix)[:3])
+    g = coherence_degree(rho)
+    ok = (populations == pytest.approx((0.0, 2.0 / 3.0, 1.0 / 3.0), abs=1e-15)
           and abs(contrast - 8.0 / 19.0) < 1e-12
-          and limit.g == pytest.approx(1.0, abs=1e-15))
-    report(6, ok, f"populations {limit.populations}, g = {limit.g!r}, "
+          and g == pytest.approx(1.0, abs=1e-15))
+    report(6, ok, f"populations {populations}, g = {g!r}, "
                   f"contrast = {contrast!r} (8/19 = {8 / 19!r})")
 
 
@@ -117,9 +120,9 @@ def test_criterion_7_invariant_suite(ref_pulse, ref_rho, rng):
         checks.append((f"{name} hermiticity {herm:.2e}", herm <= 1e-12))
         g = coherence_degree(ref_rho[name])
         checks.append((f"{name} g = {g:.4f} in [0,1]", 0.0 <= g <= 1.0))
-        refl = max(abs(ref_rho[name].population(j, -mm)
-                       / ref_rho[name].population(j, mm) - 1.0)
-                   for j, mm in ((1.5, 1.5), (1.5, 0.5), (0.5, 0.5)))
+        down = (m[a, a].real for a in map(STATES.index,
+                                           ((3, -3), (3, -1), (1, -1))))
+        refl = max(abs(dn / up - 1.0) for dn, up in zip(down, family(m)[:3]))
         checks.append((f"{name} m-reflection {refl:.2e}", refl < 1e-6))
 
     # m' != m elements: zero on the analytic path, < 1e-2 on the numeric path

@@ -40,13 +40,15 @@ def streamed_rho(pulse, species, grid, cumulative=False):
 class TestMomentumGrid:
     def test_volume_exact(self, ref_pulse):
         grid = MomentumGrid.build(ref_pulse.omega)
-        exact = 4.0 * np.pi / 3.0 * grid.p_max ** 3
-        assert grid.volume() == pytest.approx(exact, rel=1e-10)
+        volume = (grid.radial_weights.sum() * grid.u_weights.sum()
+                  * grid.phi_weights.sum())
+        exact = 4.0 * np.pi / 3.0 * (2.0 * grid.e_max) ** 1.5
+        assert volume == pytest.approx(exact, rel=1e-10)
 
     def test_extent_is_photon_cutoff(self, ref_pulse):
         grid = MomentumGrid.build(ref_pulse.omega)
         assert grid.e_max == pytest.approx(15 * ref_pulse.omega, rel=1e-15)
-        assert grid.energy_nodes.max() < grid.e_max
+        assert 0.5 * grid.p_nodes.max() ** 2 < grid.e_max
         assert (grid.radial_weights > 0).all() and (grid.u_weights > 0).all()
 
     def test_rejects_bad_args(self, ref_pulse):
@@ -54,6 +56,14 @@ class TestMomentumGrid:
             MomentumGrid.build(ref_pulse.omega, phi_mode="weird")
         with pytest.raises(ValueError):
             MomentumGrid.build(ref_pulse.omega, n_energy=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("omega", np.nan), ("omega", np.inf), ("omega", 0.0), ("omega", -1.0),
+        ("e_max", np.nan), ("e_max", np.inf), ("e_max", 0.0), ("e_max", -1.0)])
+    def test_rejects_bad_omega_or_e_max(self, ref_pulse, name, value):
+        kw = {"omega": ref_pulse.omega, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            MomentumGrid.build(**kw, n_energy=8, n_theta=4)
 
 
 class TestAssemble:
@@ -176,17 +186,17 @@ class TestBuildDensityMatrix:
 
     @pytest.mark.parametrize("name", ["F", "Cl", "Br"])
     def test_m_reflection_symmetry(self, ref_rho, name):
-        rho = ref_rho[name]
-        for j, m in ((1.5, 1.5), (1.5, 0.5), (0.5, 0.5)):
-            up = rho.population(j, m)
-            dn = rho.population(j, -m)
-            assert dn == pytest.approx(up, rel=1e-6)
+        matrix = ref_rho[name].matrix
+        up = family(matrix)[:3]
+        dn = [matrix[a, a].real for a in map(STATES.index,
+                                              ((3, -3), (3, -1), (1, -1)))]
+        assert dn == pytest.approx(up, rel=1e-6)
 
     @pytest.mark.parametrize("name", ["F", "Cl", "Br"])
     def test_coherence_block_psd(self, ref_rho, name):
         rho = ref_rho[name]
-        off = abs(rho.coherence) ** 2
-        assert off <= rho.population(1.5, 0.5) * rho.population(0.5, 0.5)
+        _, pop31, pop11, off = family(rho.matrix)
+        assert abs(off) ** 2 <= pop31 * pop11
         assert 0.0 <= coherence_degree(rho) <= 1.0
 
     def test_phi_paths_agree(self, ref_pulse, species_f):
@@ -237,7 +247,7 @@ class TestBuildDensityMatrix:
 
 class TestCoherenceDegree:
     def test_pure_state(self):
-        assert coherence_degree(pure_state_limit().density_matrix) == \
+        assert coherence_degree(pure_state_limit()) == \
             pytest.approx(1.0, abs=1e-14)
 
     def test_zero_off_diagonal(self):
@@ -257,25 +267,17 @@ class TestFamily:
                  + 1j * rng.normal(size=(5, 6, 6)))
         pop33, pop31, pop11, off = family(stack)
         assert pop33.shape == off.shape == (5,)
+        a33, a31, a11 = map(STATES.index, ((3, 3), (3, 1), (1, 1)))
         for k in range(5):
-            rho = DensityMatrix(stack[k])
-            expected = (rho.population(1.5, 1.5), rho.population(1.5, 0.5),
-                        rho.population(0.5, 0.5), rho.coherence)
+            m = stack[k]
+            expected = (m[a33, a33].real, m[a31, a31].real, m[a11, a11].real,
+                        m[a31, a11])
             assert (pop33[k], pop31[k], pop11[k], off[k]) == expected
             assert family(stack[k]) == expected
 
     def test_one_matrix_gives_python_scalars(self, ref_rho):
         assert [type(x) for x in family(ref_rho["F"].matrix)] == [
             float, float, float, complex]
-
-    def test_element_rejects_labels_of_no_state(self):
-        rho = DensityMatrix(np.eye(6, dtype=complex))
-        with pytest.raises(ValueError, match="half-integer"):
-            rho.element(1.4, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="no element"):
-            rho.element(1.5, 2.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="no element"):
-            rho.population(0.5, 1.5)
 
 
 class TestCsvExport:

@@ -5,6 +5,10 @@ from hypothesis import given, strategies as st
 
 from sowp import units
 
+# the wavelength (nm) of unit angular frequency, from the tabulated constants
+LAM_UNIT = (units.TWO_PI * units.SPEED_OF_LIGHT_CM_S
+            * units.AU_TIME_FS * 1e-15) / 1e-7
+
 
 class TestWavelengthToOmega:
     def test_reference_wavelength(self):
@@ -14,10 +18,8 @@ class TestWavelengthToOmega:
 
     def test_unit_frequency_wavelength(self):
         # oracle: invert the definition with the tabulated constants
-        lam_unit = (units.TWO_PI * units.SPEED_OF_LIGHT_CM_S
-                    * units.AU_TIME_FS * 1e-15) / 1e-7
-        assert lam_unit == pytest.approx(45.5633, abs=2e-4)
-        assert units.wavelength_to_omega(lam_unit) == pytest.approx(1.0, rel=1e-12)
+        assert LAM_UNIT == pytest.approx(45.5633, abs=2e-4)
+        assert units.wavelength_to_omega(LAM_UNIT) == pytest.approx(1.0, rel=1e-12)
 
     def test_scaling_law(self):
         w1 = units.wavelength_to_omega(1234.5)
@@ -72,15 +74,18 @@ class TestBeatPeriod:
 
 
 @given(st.floats(min_value=1e-3, max_value=1e9))
-def test_wavelength_round_trip(lam):
-    back = units.omega_to_wavelength(units.wavelength_to_omega(lam))
-    assert back == pytest.approx(lam, rel=1e-12)
+def test_wavelength_law(lam):
+    # omega = 2 pi c / lambda
+    assert units.wavelength_to_omega(lam) * lam == pytest.approx(LAM_UNIT,
+                                                                 rel=1e-12)
 
 
 @given(st.floats(min_value=1e-8, max_value=1e20))
-def test_intensity_round_trip(intensity):
-    back = units.field_to_intensity(units.intensity_to_field(intensity))
-    assert back == pytest.approx(intensity, rel=1e-12)
+def test_intensity_law(intensity):
+    # I = F0^2 I_atomic
+    field = units.intensity_to_field(intensity)
+    assert field * field * units.ATOMIC_INTENSITY_WCM2 == pytest.approx(
+        intensity, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6),
