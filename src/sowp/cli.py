@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Commands
-    single    density matrix + coherence for one pulse/species
-    evolve    single + free-evolution beat-signal trace
-    buildup   cumulative saddle-sum build-up of populations and coherence
-    sweep     g versus pulse duration for one or more species
-    fit       Gaussian-law fit of sweep results
-    predict   evaluate or invert the Gaussian law
+COMMANDS maps each subcommand to its help text and its handler.  Three
+handlers serve the six commands: _one_pulse (single, evolve, buildup: one
+pulse's density matrix, g and beat signal), _sweep (sweep, fit: g versus
+pulse duration and its Gaussian-law fit) and _predict (evaluate or invert
+the law).  A handler writes its own artifacts and returns the lines of
+summary.txt below the version line, with the exit status; a handler that
+runs pulses echoes the pulse and grid first, and run() writes the file.
 
 Every option is one RunConfig field: a config-file key, and the flag of
 the same name with dashes for the commands its metadata names.  Flags
@@ -37,13 +37,6 @@ from sowp.pulse import Pulse
 from sowp.species import (default_species_path, get_species, load_species,
                           numbered_lines, parse_key_values)
 
-# subcommand -> its help text
-COMMANDS = {"single": "density matrix and coherence for one pulse",
-            "evolve": "single + beat-signal trace",
-            "buildup": "cumulative saddle-sum build-up trace",
-            "sweep": "coherence versus pulse duration",
-            "fit": "Gaussian-law fit of a sweep",
-            "predict": "evaluate or invert the Gaussian law"}
 _PHYSICS = ("single", "evolve", "buildup", "sweep", "fit")
 SINGLE_CYCLES = "8"   # N when cycles is None, except for sweep and fit
 
@@ -61,7 +54,7 @@ class RunConfig:
     default."""
 
     command: str
-    out_dir: str = _option("out", tuple(COMMANDS), "artifact directory")
+    out_dir: str = _option("out", _PHYSICS + ("predict",), "artifact directory")
     species: str = _option(None, _PHYSICS, "species name from the data file")
     species_file: str = _option(
         None, _PHYSICS,
@@ -114,15 +107,15 @@ class RunConfig:
             problems.append(f"cycle range {self.cycles!r} is empty")
         elif min(cr) < 1:
             problems.append(f"cycles must be positive, got {self.cycles!r}")
-        if self.command in ("single", "evolve", "buildup") and len(cr) != 1:
-            problems.append(f"command {self.command!r} takes a single cycle count, "
-                            f"got {self.cycles!r}")
         names = _species_names(self.species)
         if self.species and not names:
             problems.append(f"species list {self.species!r} names no species")
         if len(set(names)) != len(names):
             problems.append(f"species list {self.species!r} names a species twice")
-        if self.command in ("single", "evolve", "buildup"):
+        if COMMANDS[self.command][1] is _one_pulse:
+            if len(cr) != 1:
+                problems.append(f"command {self.command!r} takes a single "
+                                f"cycle count, got {self.cycles!r}")
             if not self.species:
                 problems.append(f"command {self.command!r} requires --species")
             elif len(names) > 1:
@@ -178,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "photodetachment of negative ions.")
     parser.add_argument("--version", action="version", version=f"sowp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in COMMANDS.items():
+    for command, (text, _) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key = value configuration file")
         for key, f in _CONFIG_FIELDS.items():
@@ -225,13 +218,6 @@ def _species_list(cfg: RunConfig):
     return species
 
 
-def _default_cycles(species) -> str:
-    """The default sweep ranges of ``species``, as summary.txt reports them."""
-    ranges = [DEFAULT_SWEEP_CYCLES[sp.name.lower()] for sp in species]
-    return "default (" + ", ".join(f"{sp.name} {ns[0]}..{ns[-1]}"
-                                   for sp, ns in zip(species, ranges)) + ")"
-
-
 @contextlib.contextmanager
 def _as_config_error(context=""):
     """Report a ValueError raised by bad user input as a ConfigError."""
@@ -248,102 +234,115 @@ def _write(cfg: RunConfig, name: str, writer) -> None:
         writer(fh)
 
 
+def _pulse_lines(cfg: RunConfig, cycles: str) -> list:
+    """The summary lines of the pulses and grid that a command runs."""
+    return [f"wavelength_nm = {cfg.wavelength_nm:g}",
+            f"intensity_wcm2 = {cfg.intensity_wcm2:g}", f"cycles = {cycles}",
+            f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
+            f"({cfg.phi_mode} phi)"]
+
+
+def _one_pulse(cfg: RunConfig):
+    """single, evolve, buildup: one pulse's density matrix and beat signal."""
+    cycles = SINGLE_CYCLES if cfg.cycles is None else cfg.cycles
+    species = _species_list(cfg)[0]
+    pulse = Pulse.from_lab(cfg.wavelength_nm, cycle_list(cycles)[0],
+                           cfg.intensity_wcm2)
+    grid = MomentumGrid.build(pulse.omega, **_grid_kw(cfg))
+    summary = _pulse_lines(cfg, cycles) + [
+        f"tau_p_fs = {pulse.tau_p_fs:.6g}", f"tau_fwhm_fs = {pulse.fwhm_fs():.6g}",
+        f"species = {species.name}", f"tau_b_fs = {species.beat_period_fs:.6g}",
+        f"gamma_j32 = {pulse.keldysh_gamma(species.kappa(3)):.6g}",
+        f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}"]
+    if cfg.command == "buildup":
+        trace = buildup(pulse, species, grid)
+        _write(cfg, "buildup.csv", trace.write_csv)
+        rho = trace.final
+    else:
+        rho = build_density_matrix(pulse, species, grid)
+    _write(cfg, "densmat.csv", rho.write_csv)
+    g = coherence_degree(rho)
+    s_bar, delta_s = signal_parameters(rho)
+    summary += [f"w = {rho.w:.10g}", f"g = {g:.10g}",
+                f"S_bar = {s_bar:.10g}", f"Delta_S = {delta_s:.10g}",
+                f"contrast = {delta_s / s_bar:.10g}"]
+    if cfg.command == "evolve":
+        t_max = (2.0 * species.beat_period_fs if cfg.t_max_fs is None
+                 else cfg.t_max_fs)
+        times = np.linspace(0.0, t_max, cfg.n_samples)
+        tr = signal_trace(rho, species, times, beta=cfg.beta_rad)
+        _write(cfg, "trace.csv", tr.write_csv)
+        summary += [f"beta_rad = {cfg.beta_rad:g}",
+                    f"trace_period_fs = {tr.period_fs:.6g}"]
+    return summary, 0
+
+
+def _sweep(cfg: RunConfig):
+    """sweep, fit: g versus pulse duration; fit also fits the Gaussian law,
+    to the points of --sweep-csv when given.  Exit 2 if a point failed."""
+    failures = []
+    if cfg.command == "fit" and cfg.sweep_csv:
+        with (open(cfg.sweep_csv, encoding="utf-8") as fh,
+              _as_config_error(f"sweep CSV {cfg.sweep_csv}: ")):
+            points = read_sweep_csv(fh)
+        summary = [f"sweep_csv = {cfg.sweep_csv} ({len(points)} points)"]
+    else:
+        species = _species_list(cfg)
+        points, failures = coherence_sweep(
+            species, cfg.wavelength_nm, cfg.intensity_wcm2,
+            cycles=None if cfg.cycles is None else cycle_list(cfg.cycles),
+            threads=cfg.threads, **_grid_kw(cfg))
+        cycles = cfg.cycles
+        if cycles is None:
+            ranges = [DEFAULT_SWEEP_CYCLES[sp.name.lower()] for sp in species]
+            cycles = "default (" + ", ".join(
+                f"{sp.name} {ns[0]}..{ns[-1]}" for sp, ns in zip(species, ranges)) + ")"
+        _write(cfg, "sweep.csv", lambda fh: write_sweep_csv(points, fh))
+        summary = _pulse_lines(cfg, cycles) + [f"sweep points = {len(points)}"]
+        for name, n, exc in failures:
+            summary.append(f"FAILED {name} N={n}: {exc}")
+            print(f"sweep point {name} N={n} failed: {exc}", file=sys.stderr)
+    if cfg.command == "fit":
+        if failures and len(points) < 3:
+            raise NumericalError(f"{len(failures)} of {len(failures) + len(points)} "
+                                 f"sweep points failed, too few left to fit")
+        with _as_config_error():
+            fit = gaussian_fit(points)
+        _write(cfg, "fit.csv", lambda fh: write_fit_csv(fit, fh))
+        summary += [f"g0 = {fit.g0:.10g}", f"zeta = {fit.zeta:.10g}",
+                    f"rms = {fit.rms:.10g}"]
+        print(f"g0 = {fit.g0:.6g}  zeta = {fit.zeta:.6g}  rms = {fit.rms:.3g}")
+    return summary, 2 if failures else 0
+
+
+def _predict(cfg: RunConfig):
+    """predict: evaluate or invert the Gaussian law; runs no pulse."""
+    fit = FitResult(g0=cfg.g0, zeta=cfg.zeta, rms=0.0)
+    with _as_config_error():
+        if cfg.ratio is not None:
+            value = predict_g(cfg.ratio, fit)
+            print(f"g({cfg.ratio:g}) = {value:.6g}")
+            return [f"ratio = {cfg.ratio:.10g}", f"g = {value:.10g}"], 0
+        value = invert_g(cfg.coherence, fit)
+        print(f"ratio(g = {cfg.coherence:g}) = {value:.6g}")
+        return [f"g = {cfg.coherence:.10g}", f"ratio = {value:.10g}"], 0
+
+
+# subcommand -> (help text, handler: cfg -> (summary lines, exit status))
+COMMANDS = {"single": ("density matrix and coherence for one pulse", _one_pulse),
+            "evolve": ("single + beat-signal trace", _one_pulse),
+            "buildup": ("cumulative saddle-sum build-up trace", _one_pulse),
+            "sweep": ("coherence versus pulse duration", _sweep),
+            "fit": ("Gaussian-law fit of a sweep", _sweep),
+            "predict": ("evaluate or invert the Gaussian law", _predict)}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the exit status."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    summary = []       # below the header, which is built last
-    cycles = SINGLE_CYCLES if cfg.cycles is None else cfg.cycles
-    status = 0
-
-    if cfg.command in ("single", "evolve", "buildup"):
-        species = _species_list(cfg)[0]
-        pulse = Pulse.from_lab(cfg.wavelength_nm, cycle_list(cycles)[0],
-                               cfg.intensity_wcm2)
-        grid = MomentumGrid.build(pulse.omega, **_grid_kw(cfg))
-        summary += [f"tau_p_fs = {pulse.tau_p_fs:.6g}",
-                    f"tau_fwhm_fs = {pulse.fwhm_fs():.6g}",
-                    f"species = {species.name}",
-                    f"tau_b_fs = {species.beat_period_fs:.6g}",
-                    f"gamma_j32 = {pulse.keldysh_gamma(species.kappa(3)):.6g}",
-                    f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}"]
-        if cfg.command == "buildup":
-            trace = buildup(pulse, species, grid)
-            _write(cfg, "buildup.csv", trace.write_csv)
-            rho = trace.final
-        else:
-            rho = build_density_matrix(pulse, species, grid)
-        _write(cfg, "densmat.csv", rho.write_csv)
-        g = coherence_degree(rho)
-        s_bar, delta_s = signal_parameters(rho)
-        summary.append(f"w = {rho.w:.10g}")
-        summary.append(f"g = {g:.10g}")
-        summary.append(f"S_bar = {s_bar:.10g}")
-        summary.append(f"Delta_S = {delta_s:.10g}")
-        summary.append(f"contrast = {delta_s / s_bar:.10g}")
-        if cfg.command == "evolve":
-            t_max = (2.0 * species.beat_period_fs if cfg.t_max_fs is None
-                     else cfg.t_max_fs)
-            times = np.linspace(0.0, t_max, cfg.n_samples)
-            tr = signal_trace(rho, species, times, beta=cfg.beta_rad)
-            _write(cfg, "trace.csv", tr.write_csv)
-            summary.append(f"beta_rad = {cfg.beta_rad:g}")
-            summary.append(f"trace_period_fs = {tr.period_fs:.6g}")
-
-    elif cfg.command in ("sweep", "fit"):
-        points = None
-        if cfg.command == "fit" and cfg.sweep_csv:
-            with (open(cfg.sweep_csv, encoding="utf-8") as fh,
-                  _as_config_error(f"sweep CSV {cfg.sweep_csv}: ")):
-                points = read_sweep_csv(fh)
-            summary.append(f"sweep_csv = {cfg.sweep_csv} ({len(points)} points)")
-        if points is None:
-            species = _species_list(cfg)
-            points, failures = coherence_sweep(
-                species, cfg.wavelength_nm, cfg.intensity_wcm2,
-                cycles=None if cfg.cycles is None else cycle_list(cfg.cycles),
-                threads=cfg.threads, **_grid_kw(cfg))
-            if cfg.cycles is None:
-                cycles = _default_cycles(species)
-            _write(cfg, "sweep.csv", lambda fh: write_sweep_csv(points, fh))
-            summary.append(f"sweep points = {len(points)}")
-            for name, n, exc in failures:
-                summary.append(f"FAILED {name} N={n}: {exc}")
-                print(f"sweep point {name} N={n} failed: {exc}", file=sys.stderr)
-            if failures:
-                status = 2
-        if cfg.command == "fit":
-            with _as_config_error():
-                fit = gaussian_fit(points)
-            _write(cfg, "fit.csv", lambda fh: write_fit_csv(fit, fh))
-            summary.append(f"g0 = {fit.g0:.10g}")
-            summary.append(f"zeta = {fit.zeta:.10g}")
-            summary.append(f"rms = {fit.rms:.10g}")
-            print(f"g0 = {fit.g0:.6g}  zeta = {fit.zeta:.6g}  rms = {fit.rms:.3g}")
-
-    elif cfg.command == "predict":
-        fit = FitResult(g0=cfg.g0, zeta=cfg.zeta, rms=0.0)
-        with _as_config_error():
-            if cfg.ratio is not None:
-                value = predict_g(cfg.ratio, fit)
-                summary.append(f"ratio = {cfg.ratio:.10g}")
-                summary.append(f"g = {value:.10g}")
-                print(f"g({cfg.ratio:g}) = {value:.6g}")
-            else:
-                value = invert_g(cfg.coherence, fit)
-                summary.append(f"g = {cfg.coherence:.10g}")
-                summary.append(f"ratio = {value:.10g}")
-                print(f"ratio(g = {cfg.coherence:g}) = {value:.6g}")
-
-    header = [f"sowp {__version__} command={cfg.command}"]
-    # predict reads only the law, and a fit of a sweep CSV only the CSV
-    if cfg.command != "predict" and not (cfg.command == "fit" and cfg.sweep_csv):
-        header += [f"wavelength_nm = {cfg.wavelength_nm:g}",
-                   f"intensity_wcm2 = {cfg.intensity_wcm2:g}",
-                   f"cycles = {cycles}",
-                   f"grid = {cfg.n_energy} x {cfg.n_theta} x {cfg.n_phi} "
-                   f"({cfg.phi_mode} phi)"]
-    _write(cfg, "summary.txt",
-           lambda fh: fh.write("\n".join(header + summary) + "\n"))
+    summary, status = COMMANDS[cfg.command][1](cfg)
+    lines = [f"sowp {__version__} command={cfg.command}"] + summary
+    _write(cfg, "summary.txt", lambda fh: fh.write("\n".join(lines) + "\n"))
     return status
 
 

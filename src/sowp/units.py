@@ -21,8 +21,8 @@ TWO_PI = 2.0 * math.pi
 def wavelength_to_omega(wavelength_nm: float) -> float:
     """Carrier angular frequency (a.u.) of light with the given vacuum
     wavelength, omega = 2 pi c / lambda."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_nm} nm")
+    if not 0 < wavelength_nm < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength_nm} nm")
     freq_hz = SPEED_OF_LIGHT_CM_S / (wavelength_nm * 1e-7)
     return TWO_PI * freq_hz * (AU_TIME_FS * 1e-15)
 
@@ -30,16 +30,16 @@ def wavelength_to_omega(wavelength_nm: float) -> float:
 def intensity_to_field(intensity_wcm2: float) -> float:
     """Peak electric-field amplitude F0 (a.u.) for the given intensity,
     F0 = sqrt(I / I_atomic)."""
-    if intensity_wcm2 < 0:
-        raise ValueError(f"intensity must be non-negative, got {intensity_wcm2}")
+    if not 0 <= intensity_wcm2 < math.inf:
+        raise ValueError(f"intensity must be non-negative and finite, got {intensity_wcm2}")
     return math.sqrt(intensity_wcm2 / ATOMIC_INTENSITY_WCM2)
 
 
 def splitting_to_beat_period(splitting_cm1: float) -> float:
     """Quantum-beat period (fs) of two levels separated by the given
     wavenumber splitting, tau_b = 1/(c * Delta)."""
-    if splitting_cm1 <= 0:
-        raise ValueError(f"splitting must be positive, got {splitting_cm1} cm^-1")
+    if not 0 < splitting_cm1 < math.inf:
+        raise ValueError(f"splitting must be positive and finite, got {splitting_cm1} cm^-1")
     return 1e15 / (SPEED_OF_LIGHT_CM_S * splitting_cm1)
 
 

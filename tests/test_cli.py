@@ -292,11 +292,27 @@ class TestSweepAndFit:
         rc = run_cli("sweep", "--species", "f,cl", "--cycles", "2..3",
                      *FAST_GRID, "--threads", "2", "--out-dir", str(out))
         assert rc == 2
-        failed = [line.split(":")[0] for line in
-                  (out / "summary.txt").read_text().splitlines()
+        failed = [line for line in (out / "summary.txt").read_text().splitlines()
                   if line.startswith("FAILED")]
-        assert failed == ["FAILED F N=2", "FAILED F N=3", "FAILED Cl N=2",
-                          "FAILED Cl N=3"]
+        assert failed == [f"FAILED {name} N={n}: forced failure"
+                          for name in ("F", "Cl") for n in (2, 3)]
+
+    def test_fit_of_too_few_surviving_points_is_numerical_exit(
+            self, tmp_path, monkeypatch, capsys):
+        # three cycles asked for, one lost: the sweep failed, not the input
+        def fail_at_3(sp, lam, intensity, n, grid_kw):
+            if n == 3:
+                raise NumericalError("forced failure")
+            return _law_point(sp, lam, intensity, n, grid_kw)
+
+        monkeypatch.setattr(analysis, "_sweep_one", fail_at_3)
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--species", "f", "--cycles", "2..4",
+                       *FAST_GRID, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "sweep point F N=3 failed: forced failure"
+        assert err[-1] == ("numerical failure: 1 of 3 sweep points failed, "
+                           "too few left to fit")
 
     @pytest.mark.parametrize("args, cycles", [
         (["sweep"], "default (F 2..18, Cl 2..18, Br 2..8)"),
@@ -448,15 +464,29 @@ FROZEN_FLAGS = {
 }
 
 
-def test_subcommand_flags_and_types_frozen():
-    parser = _build_parser()
-    (sub,) = [a for a in parser._actions
+def _subcommands():
+    (sub,) = [a for a in _build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def test_subcommand_flags_and_types_frozen():
+    sub = _subcommands()
     found = {name: {opt: (action.type or str).__name__
                     for action in p._actions if action.nargs != 0
                     for opt in action.option_strings}
              for name, p in sub.choices.items()}
     assert found == FROZEN_FLAGS
+
+
+def test_subcommand_help_texts_frozen():
+    assert [(a.dest, a.help) for a in _subcommands()._choices_actions] == [
+        ("single", "density matrix and coherence for one pulse"),
+        ("evolve", "single + beat-signal trace"),
+        ("buildup", "cumulative saddle-sum build-up trace"),
+        ("sweep", "coherence versus pulse duration"),
+        ("fit", "Gaussian-law fit of a sweep"),
+        ("predict", "evaluate or invert the Gaussian law")]
 
 
 class TestRunConfigValidation:

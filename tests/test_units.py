@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sowp import units
+from sowp.pulse import Pulse
 
 # the wavelength (nm) of unit angular frequency, from the tabulated constants
 LAM_UNIT = (units.TWO_PI * units.SPEED_OF_LIGHT_CM_S
@@ -71,6 +72,24 @@ class TestBeatPeriod:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             units.splitting_to_beat_period(0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("convert, quantity", [
+    (units.wavelength_to_omega, "wavelength"),
+    (units.intensity_to_field, "intensity"),
+    (units.splitting_to_beat_period, "splitting"),
+], ids=["wavelength", "intensity", "splitting"])
+def test_rejects_non_finite(convert, quantity, value):
+    with pytest.raises(ValueError, match=quantity):
+        convert(value)
+
+
+def test_pulse_from_infinite_wavelength_names_it():
+    # an infinite wavelength gave omega = 0 and then A0 = F0/0
+    with pytest.raises(ValueError, match="wavelength"):
+        Pulse.from_lab(math.inf, 8, 1e13)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e9))
