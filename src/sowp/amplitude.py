@@ -26,7 +26,7 @@ from math import sqrt, pi
 import numpy as np
 
 from sowp.pulse import Pulse
-from sowp.saddle import saddle_batch
+from sowp.saddle import _action_coefficients, _solved_lines, saddle_batch
 from sowp.species import Species
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
@@ -120,14 +120,16 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
     ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
     analysis).  Given ``consume``, returns None after calling
-    consume(nodes, rows) per final-pass block of the j = 1/2 channel:
-    ``nodes`` slices the flattened nodes, and ``rows`` holds their four
-    sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
+    consume(nodes, rows) per final-pass block of the j = 1/2 channel and
+    per block of their mirror images on unsolved lines: ``nodes`` indexes
+    the flattened nodes (a slice or an index array), ``rows`` holds their
+    four sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
     ``saddle_batch`` is summed as it is evaluated, so the j = 3/2 rows are
     all that is held per node besides the saddle times.
     """
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
+    pperp2 = pperp * pperp
     saddle_sum = np.cumsum if cumulative else np.sum
     tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
     pperp_ = pperp.reshape((-1,) + (1,) * len(tail))   # by flat node
@@ -139,24 +141,51 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         def consume(nodes, rows):
             flat[:, nodes] = rows
 
-    def channel_sums(j2, nodes, block, out):
-        """Rows (j2, 0) and (j2, 1) of one final-pass block, into out."""
+    def channel_sums(j2, nodes, block):
+        """Rows (j2, 0) and (j2, 1) of one final-pass block."""
         core = np.exp(1j * block.action) * block.prefactor
+        out = np.empty((2,) + block.t.shape[:-1] + tail, dtype=complex)
         saddle_sum(core * block.vz, axis=-1, out=out[0])
         saddle_sum(core, axis=-1, out=out[1])
         out[1] *= pperp_[nodes]
         out *= -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
+        return out
+
+    # p_z -> -p_z maps t to tau_p - conj(t) (sowp.saddle), and s to exp(i S_tau)
+    # sigma conj(s): S_tau = (p^2/2 - E_j + lin) tau_p, sigma -1 on (j, 1) rows
+    n_lines = pz.shape[-1]
+    mirrored = pz.ndim == 2 and _solved_lines(pz, pperp2) < n_lines
+    shape = (len(SUM_ROWS), -1) + (1,) * len(tail)
+    energy = np.array([[species.e_bound(j2)] for j2, _ in SUM_ROWS])
+    s_tau = ((0.5 * (pz * pz + pperp2).ravel() - energy
+              + _action_coefficients(pulse)[0]) * pulse.tau_p).reshape(shape)
+    sigma = np.array([1 - 2 * ml for _, ml in SUM_ROWS]).reshape(shape)
+
+    def reflected(nodes, rows):
+        """The sums at -p_z of the nodes' sums ``rows``; partial sums there
+        are images of suffix sums here, total - prefix_{2N-k}."""
+        image = rows.conj()
+        if cumulative:      # in place: no further temporary of the block's size
+            np.conjugate(rows[..., -2::-1], out=image[..., :-1])
+            np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
+        return np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
 
     held = np.empty((2, pz.size) + tail, dtype=complex)   # the j = 3/2 rows
-    saddle_batch(pulse, species.e_bound(3), pz, pperp * pperp,
-                 lambda nodes, block: channel_sums(3, nodes, block,
-                                                   held[:, nodes]))
+
+    def hold(nodes, block):
+        held[:, nodes] = channel_sums(3, nodes, block)
+    saddle_batch(pulse, species.e_bound(3), pz, pperp2, hold)
 
     def stream(nodes, block):
-        j32 = held[:, nodes]
-        rows = np.empty((len(SUM_ROWS),) + j32.shape[1:], dtype=complex)
-        rows[:2] = j32
-        channel_sums(1, nodes, block, rows[2:])
+        rows = np.concatenate([held[:, nodes], channel_sums(1, nodes, block)])
+        image = reflected(nodes, rows)
+        # p_z = 0 is its own image: its edge saddle counts half at each end
+        centre = pz.ravel()[nodes] == 0
+        rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])
         consume(nodes, rows)
-    saddle_batch(pulse, species.e_bound(1), pz, pperp * pperp, stream)
+        if mirrored:    # and the images on the unsolved lines
+            partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
+            has = partner > nodes   # all but the p_z = 0 line
+            consume(partner[has], image if has.all() else image[:, has])
+    saddle_batch(pulse, species.e_bound(1), pz, pperp2, stream)
     return sums

@@ -62,22 +62,24 @@ tau_p - conj(t) of those at (p_z, p_perp^2).  When the 2-D inputs are
 exact mirror images across their columns (pz[:, ::-1] == -pz and
 pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
 are symmetric), only the first ceil(n_lines/2) lines are continued, the
-p_z = 0 line included when n_lines is odd, and each remaining line is
-filled from its partner by that map, with the root order reversed so that
-it is sorted by Re t too.  Otherwise every line is continued.
+p_z = 0 line included when n_lines is odd.  Given a consumer, only these
+are stored and final-passed, and the consumer maps its results to the
+other lines; without one, each other line is filled from its partner by
+that map, root order reversed.  Otherwise every line is continued.
 
-Final pass.  Whether solved or mirrored, every node's v_z, residual, S''
-and action are evaluated from its own t, in one loop over blocks of at
-most FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
+Final pass.  Every stored node's v_z, residual, S'' and action are
+evaluated from its own t, in one loop over blocks of at most
+FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
 whose nodes all pass the root-set and |S''| contracts gets its prefactor
 1/sqrt(-i S'') (principal branch, Re >= 0) and goes straight to its
 consumer: the caller's consume callback, or a copy into a SaddleBatch.
 From the first block that fails on, only each node's worst residual and
 smallest |S''| are evaluated, and the whole batch is validated from them:
 SaddleError names the first failing node (p_z, p_perp^2) in flat order
-and the channel energy, and neither that node's block nor any later one
-reaches the consumer.  A batch whose blocks all pass is not validated
-again: every node has passed the same checks.
+and the channel energy (mirror images fail with their partners, which come
+first), and neither that node's block nor any later one reaches the
+consumer.  A batch whose blocks all pass is not validated again: every
+node has passed the same checks.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -287,18 +289,12 @@ def _predicted_seeds(ts, s, r, k):
 def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
     """Roots along axis 0 of 2-D point arrays by predictor-corrector
     continuation (see the module docstring); shape pz.shape + (2N+2,),
-    sorted by Re t.
-
-    Lines that mirror each other (p_z -> -p_z at equal p_perp^2, column j
-    against column n_lines-1-j) are continued once: the saddles at -p_z are
-    tau_p - conj(t) of those at p_z.
+    sorted by Re t.  Mirror-image lines are continued once: column
+    n_lines-1-j holds tau_p - conj(t) of column j (the mirror rule).
     """
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
-    solved = n_lines
-    if (np.array_equal(pz[:, ::-1], -pz)
-            and np.array_equal(pperp2[:, ::-1], pperp2)):
-        solved = (n_lines + 1) // 2
+    solved = _solved_lines(pz, pperp2)
     t = np.empty(pz.shape + (deg,), dtype=complex)
     ts, pz, pperp2 = t[:, :solved], pz[:, :solved], pperp2[:, :solved]
     s = np.sqrt(pz * pz + pperp2)
@@ -318,9 +314,17 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
                                           bpp2[failed, 0])
         ts[rows] = roots.reshape(k, solved, deg)
         r += k
-    partners = ts[:, :n_lines - solved][:, ::-1, ::-1]
-    t[:, solved:] = pulse.tau_p - np.conj(partners)
+    mirrored = np.conj(ts[:, :n_lines - solved][:, ::-1, ::-1], out=t[:, solved:])
+    np.subtract(pulse.tau_p, mirrored, out=mirrored)
     return t
+
+
+def _solved_lines(pz, pperp2) -> int:
+    """The leading lines of 2-D inputs that are solved: ceil(n_lines/2) of
+    exact mirror images (see the module docstring), else all n_lines."""
+    mirror = (np.array_equal(pz[:, ::-1], -pz)
+              and np.array_equal(pperp2[:, ::-1], pperp2))
+    return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
 
 
 def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
@@ -331,7 +335,8 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     continuation paths along axis 0 (see the module docstring).  Returns a
     SaddleBatch with fields of shape pz.shape + (2N+2,), or, given
     ``consume``, None after calling consume(nodes, block) per block of the
-    final pass: ``nodes`` slices the flattened nodes, ``block`` is their
+    final pass: ``nodes`` indexes the flattened nodes (a slice, or an index
+    array when mirrored lines are left to the consumer), ``block`` is their
     SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the first
     node that fails the residual, count, distinctness, or curvature
     contracts.
@@ -344,9 +349,16 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     pperp2 = np.atleast_1d(np.asarray(pperp2, dtype=float))
     if pz.shape != pperp2.shape:
         raise ValueError("pz and pperp2 must have the same shape")
+    index, copies = None, 1   # solved flat nodes, grid nodes per solved node
     if pz.ndim == 1:
         t = _solve_points(pulse, e_bound, pz, pperp2)
     elif pz.ndim == 2:
+        n_lines = pz.shape[1]
+        solved = n_lines if consume is None else _solved_lines(pz, pperp2)
+        if solved < n_lines:    # the consumer maps the mirrored lines itself
+            index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
+            copies = 1 + (index % n_lines < n_lines - solved)
+            pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
         t = _continue_lines(pulse, e_bound, pz, pperp2)
     else:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
@@ -382,11 +394,12 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
         if passed:
             act = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
             prefactor = 1.0 / np.sqrt(-1j * s2)
-            consume(sl, SaddleBatch(tb, vz, act, s2, prefactor, residual))
+            consume(sl if index is None else index[sl],
+                    SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if not passed:   # name the first failing node of the whole batch
         _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst,
-                        s2min)
+                        s2min, copies)
     return batch
 
 
@@ -420,15 +433,17 @@ def _node(pz, pperp2, e_bound) -> str:
     return f"at p_z = {pz:.6g}, p_perp^2 = {pperp2:.6g}, e_bound = {e_bound:.8g}"
 
 
-def _validate_batch(pulse, e_bound, pz, pperp2, t, residual, s2):
+def _validate_batch(pulse, e_bound, pz, pperp2, t, residual, s2, copies=1):
     """Raise for the first point (in flat order) that breaks a contract;
-    the error carries that point's sorted roots."""
+    the error carries its sorted roots.  Each point counts ``copies`` nodes."""
+    copies = np.broadcast_to(copies, pz.shape)
     for bad, value, message in _contract_checks(pulse, t, residual):
         if bad.any():
             i = int(np.argmax(bad))
             raise SaddleError(
                 f"{message.format(value[i])} {_node(pz[i], pperp2[i], e_bound)} "
-                f"({int(bad.sum())} of {bad.size} points)", roots=t[i])
+                f"({int(copies[bad].sum())} of {int(copies.sum())} points)",
+                roots=t[i])
     s2min = np.abs(s2).min(axis=-1)
     bad = ~(s2min >= DEGENERATE_S2_TOL)
     if bad.any():

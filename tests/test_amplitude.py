@@ -237,16 +237,41 @@ class TestDetachmentAmplitude:
 
 def batch_sums(pulse, species, pz, pperp, cumulative):
     """The four saddle sums rebuilt from whole-batch SaddleBatch fields, in
-    the operation order of amplitude_profiles."""
+    the operation order of amplitude_profiles.  At p_z = 0 one saddle lies
+    on the edge Re t = 0 of the strip, which also holds it as Re t = tau_p:
+    there the sums are the mean of the two root sets, the edge saddle first
+    in one and, moved by tau_p, last in the other."""
     saddle_sum = np.cumsum if cumulative else np.sum
     pperp_ = pperp[..., None] if cumulative else pperp
+    centre = pz == 0
     rows = []
     for j2 in (3, 1):
         batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
         core = np.exp(1j * batch.action) * batch.prefactor
+        vz = batch.vz
+        if centre.any():
+            t, c, vz_c = batch.t[centre], core[centre], vz[centre]
+            first = t.real[:, 0] < pulse.tau_p - t.real[:, -1]
+            edge = np.where(first, 0, -1)
+            at = np.arange(len(t)), edge
+            moved = t[at] + np.where(first, pulse.tau_p, -pulse.tau_p)
+            c_moved = np.exp(1j * saddle._action_terms(
+                pulse, moved, 0.0, (pperp * pperp)[centre],
+                species.e_bound(j2))) * batch.prefactor[centre][at]
+            other_c = np.where(first[:, None], np.roll(c, -1, axis=-1),
+                               np.roll(c, 1, axis=-1))
+            other_vz = np.where(first[:, None], np.roll(vz_c, -1, axis=-1),
+                                np.roll(vz_c, 1, axis=-1))
+            other_c[np.arange(len(t)), np.where(first, -1, 0)] = c_moved
         scale = -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
-        rows += [saddle_sum(core * batch.vz, axis=-1) * scale,
-                 saddle_sum(core, axis=-1) * pperp_ * scale]
+        pair = [saddle_sum(core * vz, axis=-1) * scale,
+                saddle_sum(core, axis=-1) * pperp_ * scale]
+        if centre.any():
+            others = (saddle_sum(other_c * other_vz, axis=-1) * scale,
+                      saddle_sum(other_c, axis=-1) * pperp_[centre] * scale)
+            for row, other in zip(pair, others):
+                row[centre] = 0.5 * (row[centre] + other)
+        rows += pair
     return np.array(rows)
 
 
@@ -287,13 +312,22 @@ class TestStreamedFinalPass:
         # blocks of 7 nodes: many blocks and a partial last one
         monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
                             7 * (2 * n_cycles + 2) + 1)
-        np.testing.assert_array_equal(
-            amplitude_profiles(pulse, species_f, pz, pperp, cumulative),
-            batch_sums(pulse, species_f, pz, pperp, cumulative))
+        got = amplitude_profiles(pulse, species_f, pz, pperp, cumulative)
+        want = batch_sums(pulse, species_f, pz, pperp, cumulative)
+        # the solved lines off p_z = 0 to the bit; the p_z = 0 line and the
+        # mirrored lines, which amplitude_profiles takes from the reflection
+        # identity, to the rounding of an action of up to 2500 (N = 18):
+        # 1.6e-13 x max measured, where each side is about 6e-14 off the
+        # sums from long-double actions
+        solved = np.s_[:] if layout == "points" else np.s_[:, :, :pz.shape[1] // 2]
+        np.testing.assert_array_equal(got[solved], want[solved])
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=2e-13 * np.abs(want).max())
 
     def test_peak_memory_is_bounded(self, species_f):
-        """Traced peak of one default-grid F matrix at N = 18 within 3.5
-        times one channel's saddle times (whole-grid fields need 7.6)."""
+        """Traced peak of one default-grid F matrix at N = 18 within 1.5
+        times one channel's saddle times (whole-grid fields need 7.6, and
+        storing the mirrored lines' saddle times as well 2.1)."""
         pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega))
         t_nbytes = pz.size * (2 * pulse.n_cycles + 2) * np.dtype(complex).itemsize
@@ -304,22 +338,31 @@ class TestStreamedFinalPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
+        assert peak <= 1.5 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
 
     PZ = np.array([0.05, 0.3, -0.2])
     PPERP = np.sqrt(np.array([0.0, 0.04, 0.09]))
 
+    @pytest.mark.parametrize("layout", ["three", "even", "odd"])
     @pytest.mark.parametrize("tol, value", [
         ("RESIDUAL_TOL", 0.0), ("DISTINCT_TOL", 1e6), ("DEGENERATE_S2_TOL", 1e6),
     ])
     def test_contract_failure_matches_saddle_batch(self, ref_pulse, species_f,
-                                                    monkeypatch, tol, value):
+                                                    monkeypatch, tol, value,
+                                                    layout):
+        # the same node, contract, value and count of failing nodes in the
+        # whole grid, mirrored lines included
+        pz, pperp = ((self.PZ, self.PPERP) if layout == "three"
+                     else self.nodes(ref_pulse, layout))
         monkeypatch.setattr(saddle, tol, value)
-        with pytest.raises(SaddleError) as expected:
-            saddle_batch(ref_pulse, species_f.e_bound(3), self.PZ,
-                         self.PPERP * self.PPERP)
-        with pytest.raises(SaddleError) as streamed:
-            amplitude_profiles(ref_pulse, species_f, self.PZ, self.PPERP)
+        # on lines, a tolerance no row meets re-seeds every row, and Newton
+        # may overflow on the way
+        with pytest.raises(SaddleError) as expected, np.errstate(
+                over="ignore", invalid="ignore"):
+            saddle_batch(ref_pulse, species_f.e_bound(3), pz, pperp * pperp)
+        with pytest.raises(SaddleError) as streamed, np.errstate(
+                over="ignore", invalid="ignore"):
+            amplitude_profiles(ref_pulse, species_f, pz, pperp)
         assert type(streamed.value) is type(expected.value)
         assert str(streamed.value) == str(expected.value)
         np.testing.assert_array_equal(streamed.value.roots, expected.value.roots)
@@ -341,11 +384,14 @@ class TestStreamedFinalPass:
         with pytest.raises(DegenerateSaddleError, match=r"\|S''\| = 0\.000e\+00") as info:
             saddle_batch(ref_pulse, e_bound, pz, pperp * pperp,
                          lambda nodes, block: handed.append(nodes))
-        flat_index = np.ravel_multi_index(node, pz.shape)
         assert f"p_z = {pz[node]:.6g}," in str(info.value)
         np.testing.assert_array_equal(info.value.roots, good.t[node])
-        assert handed and [r.stop for r in handed] == list(
-            range(10, flat_index // 10 * 10 + 1, 10))
+        # the blocks run over the solved lines, the first four of seven: the
+        # consumer is handed the flat nodes of each block before the node's
+        solved = np.arange(pz.size).reshape(pz.shape)[:, :4].ravel()
+        before = np.ravel_multi_index(node, (pz.shape[0], 4)) // 10 * 10
+        assert handed and [len(nodes) for nodes in handed] == [10] * (before // 10)
+        np.testing.assert_array_equal(np.concatenate(handed), solved[:before])
         with pytest.raises(DegenerateSaddleError) as streamed:
             amplitude_profiles(ref_pulse, species_f, pz, pperp)
         assert str(streamed.value) == str(info.value)

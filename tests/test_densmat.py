@@ -135,6 +135,25 @@ class TestStreamedGram:
         np.testing.assert_allclose(trace.final.matrix, stack[-1], rtol=0,
                                    atol=atol)
 
+    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("n_cycles", [2, 8])
+    def test_points_and_lines_agree_on_an_odd_grid(self, species_f, n_cycles,
+                                                   cumulative):
+        # the same nodes as independent points (each seeded alone, nothing
+        # mirrored) and as lines (half continued, half mirrored), with a
+        # p_z = 0 line whose edge saddle either solve may place at Re t = 0
+        # or at tau_p
+        pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=40, n_theta=15)
+        pz, pperp, weights = grid_nodes(grid)
+        gram = Gram(weights, 2 * n_cycles + 2 if cumulative else 1)
+        amplitude_profiles(pulse, species_f, pz.ravel(), pperp.ravel(),
+                           cumulative=cumulative, consume=gram)
+        points = gram_to_rho(gram.matrix, grid)
+        lines = streamed_rho(pulse, species_f, grid, cumulative)
+        np.testing.assert_allclose(points, lines, rtol=0,
+                                   atol=1e-12 * np.abs(lines).max())
+
     def test_buildup_peak_memory_is_bounded(self, ref_pulse, species_f,
                                             ref_grid):
         """Traced peak of the F build-up at N = 8 on the default grid

@@ -102,6 +102,16 @@ class TestCentreReality:
         if name != "Br" or n_cycles <= 2:
             assert off < 0
 
+    @pytest.mark.parametrize("n_cycles", [2, 8])
+    def test_real_at_pulse_centre_with_a_pz_zero_line(self, n_cycles):
+        # odd n_theta puts a line at p_z = 0, whose edge saddle at Re t = 0
+        # is also the one at Re t = tau_p: it counts half at each
+        species = get_species("F")
+        pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=40, n_theta=15)
+        assert centre_coherence(build_density_matrix(pulse, species, grid),
+                                species, pulse) < 0
+
     def test_buildup_final_real_at_pulse_centre(self, ref_buildup, ref_pulse,
                                                 species_f):
         assert centre_coherence(ref_buildup["F"].final, species_f,

@@ -379,6 +379,41 @@ class TestMirror:
             np.concatenate([w for _, w in seen]),
             expected.residual.reshape(-1, deg).max(axis=-1, keepdims=True))
 
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_consumer_path_validates_each_solved_node(self, pulse, monkeypatch,
+                                                      n_theta):
+        # given a consumer, the final pass runs over the solved lines only:
+        # the gate sees every solved node's roots and worst residual exactly
+        # once, in flat order, and no mirrored node, and the consumer gets
+        # the solved nodes' flat indices in the whole grid
+        pz, pp2 = radial_lines(pulse, n_theta=n_theta)
+        deg = 2 * pulse.n_cycles + 2
+        solved = (n_theta + 1) // 2
+        expected = saddle_batch(pulse, E_F, pz, pp2)
+        t = saddle._continue_lines(pulse, E_F, pz[:, :solved], pp2[:, :solved])
+        monkeypatch.setattr(saddle, "_continue_lines", lambda *args: t)
+        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 7 * deg)
+        seen, handed = [], []
+        checks = saddle._contract_checks
+
+        def recording(pu, roots, residual):
+            seen.append((roots.copy(), residual.copy()))
+            return checks(pu, roots, residual)
+
+        monkeypatch.setattr(saddle, "_contract_checks", recording)
+        saddle_batch(pulse, E_F, pz, pp2,
+                     lambda nodes, block: handed.append(nodes))
+        assert len(seen) == -(-t.size // deg // 7)
+        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]),
+                                      t.reshape(-1, deg))
+        np.testing.assert_array_equal(
+            np.concatenate([w for _, w in seen]),
+            expected.residual[:, :solved].reshape(-1, deg).max(
+                axis=-1, keepdims=True))
+        np.testing.assert_array_equal(
+            np.concatenate(handed),
+            np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel())
+
     def test_failing_batch_is_validated_whole(self, pulse, monkeypatch):
         # a block that fails the gate sends the whole batch, every node of
         # it, to one validation, which raises for the first failing node
@@ -387,9 +422,9 @@ class TestMirror:
         seen = []
         validate = saddle._validate_batch
 
-        def recording(pu, e_bound, pz_, pp2_, t, residual, s2):
+        def recording(pu, e_bound, pz_, pp2_, t, residual, s2, *copies):
             seen.append((pz_.copy(), pp2_.copy(), t.shape))
-            return validate(pu, e_bound, pz_, pp2_, t, residual, s2)
+            return validate(pu, e_bound, pz_, pp2_, t, residual, s2, *copies)
 
         monkeypatch.setattr(saddle, "_validate_batch", recording)
         with pytest.raises(DegenerateSaddleError):
