@@ -120,7 +120,7 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
     ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
     analysis).  Given ``consume``, returns None after calling
-    consume(nodes, rows) per final-pass block of the j = 1/2 channel and
+    consume(nodes, rows) per evaluated block of the j = 1/2 channel and
     per block of their mirror images on unsolved lines: ``nodes`` indexes
     the flattened nodes (a slice or an index array), ``rows`` holds their
     four sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
@@ -142,7 +142,7 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
             flat[:, nodes] = rows
 
     def channel_sums(j2, nodes, block):
-        """Rows (j2, 0) and (j2, 1) of one final-pass block."""
+        """Rows (j2, 0) and (j2, 1) of one evaluated block."""
         core = np.exp(1j * block.action) * block.prefactor
         out = np.empty((2,) + block.t.shape[:-1] + tail, dtype=complex)
         saddle_sum(core * block.vz, axis=-1, out=out[0])

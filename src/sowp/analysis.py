@@ -28,7 +28,7 @@ from sowp.species import Species
 DEFAULT_SWEEP_CYCLES = {"f": range(2, 19), "cl": range(2, 19), "br": range(2, 9)}
 BUILDUP_PROBE_P = 0.05
 FIT_MAX_ITERATIONS = 200   # Gauss-Newton steps before a FitError
-FIT_STEP_TOL = 1e-10       # convergence: largest (g0, zeta) step
+FIT_STEP_TOL = 1e-10       # convergence: largest full (g0, zeta) step
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,23 @@ def gaussian_fit(points) -> FitResult:
         resid = g - g0 * model
         jac = np.column_stack([-model, g0 * r * r * model])
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        # halve the step while it increases the residual norm
+        done = max(abs(step[0]), abs(step[1])) < FIT_STEP_TOL
+        # halve the step until it lowers the residual norm; the last step,
+        # and one that no halving helps, is taken whole: the norm is flat
+        # to rounding there, and only full steps converge
         scale = 1.0
         base = float(resid @ resid)
-        for _ in range(30):
+        for _ in range(0 if done else 30):
             cand = (g0 + scale * step[0], zeta + scale * step[1])
             res_c = g - cand[0] * np.exp(-cand[1] * r * r)
-            if float(res_c @ res_c) <= base or scale < 1e-8:
+            if float(res_c @ res_c) < base:
                 break
             scale *= 0.5
+        else:
+            scale = 1.0
         g0, zeta = g0 + scale * step[0], zeta + scale * step[1]
         trace.append((g0, zeta))
-        if max(abs(scale * step[0]), abs(scale * step[1])) < FIT_STEP_TOL:
+        if done:
             break
     else:
         raise FitError(f"Gauss-Newton did not converge in {FIT_MAX_ITERATIONS} "

@@ -197,7 +197,7 @@ class Gram:
 
     def __call__(self, nodes, rows) -> None:
         """Add the sums ``rows`` (shape (4, n) or (4, n, K)) of the flat
-        nodes ``nodes`` (a slice)."""
+        nodes ``nodes`` (a slice or an index array)."""
         w = self.weights[nodes]
         s = rows.reshape(rows.shape[0], rows.shape[1], -1)   # (4, n, K)
         # one partial sum at a time: no temporary of the block's size

@@ -24,11 +24,14 @@ are found:
 
 * 1-D: independent points, every one seeded by eigenvalues.
 * 2-D, shape (n_path, n_lines): n_lines continuation paths along axis 0
-  (the density matrix passes the radial lines of its grid this way).  Row
-  0 is seeded by eigenvalues in one stacked call; later rows are found by
-  predictor-corrector continuation.  An eigensolve costs O(deg^3) per
-  node, a Newton step O(deg), so a line costs one eigensolve instead of
-  n_path.
+  (the density matrix passes the radial lines of its grid this way).  The
+  first node of row 0 is seeded by eigenvalues, every other node by
+  predictor-corrector continuation from it.  An eigensolve costs O(deg^3)
+  per node, a Newton step O(deg), so a batch costs one eigensolve, plus
+  one per node that fails the contracts below.  On a MomentumGrid row 0
+  is the innermost circle (|p| = 3e-5 a.u. on the default grid), whose
+  nodes share nearly the same saddles.  (A row across p_z = 0 re-seeds
+  the nodes of the other sign: the saddle near Re t = 0 leaves the strip.)
 
 Either way every solved row is stored sorted by Re t, the one root order
 of the package, and the predictor extrapolates the k-th root of each row
@@ -37,12 +40,13 @@ along a line would only give Newton a poorer seed and, at worst, an
 eigenvalue re-seed through the contract check below: a cost in time, not
 a wrong root set.
 
-Predictor.  Rows 1 and 2 start Newton from the previous row's roots.  From
-row 3 on, each root is extrapolated from the three previous rows by the
-quadratic Lagrange polynomial in the path parameter s = sqrt(p_z^2 +
-p_perp^2) (|p| on a MomentumGrid), which needs no evaluation of A.  A
-column falls back to the previous row's roots when the s values of those
-three rows are not distinct (the weights would not be finite).
+Predictor.  Row 0 starts Newton from the roots of its first node, rows 1
+and 2 from the previous row's roots.  From row 3 on, each root is
+extrapolated from the three previous rows by the quadratic Lagrange
+polynomial in the path parameter s = sqrt(p_z^2 + p_perp^2) (|p| on a
+MomentumGrid), which needs no evaluation of A.  A column falls back to the
+previous row's roots when the s values of those three rows are not
+distinct (the weights would not be finite).
 
 Corrector.  Rows from 3 on are polished in blocks of ROW_BLOCK_ROWS
 consecutive rows per Newton call, all predicted from the same three rows;
@@ -63,18 +67,21 @@ exact mirror images across their columns (pz[:, ::-1] == -pz and
 pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
 are symmetric), only the first ceil(n_lines/2) lines are continued, the
 p_z = 0 line included when n_lines is odd.  Given a consumer, only these
-are stored and final-passed, and the consumer maps its results to the
-other lines; without one, each other line is filled from its partner by
-that map, root order reversed.  Otherwise every line is continued.
+are stored and evaluated, and the consumer maps its results to the other
+lines; without one, each row block of the other lines is filled from its
+partners by that map, root order reversed, and evaluated from its own t.
+Otherwise every line is continued.
 
-Final pass.  Every stored node's v_z, residual, S'' and action are
-evaluated from its own t, in one loop over blocks of at most
-FINAL_BLOCK_ELEMS roots that each build their phasors once.  A block
-whose nodes all pass the root-set and |S''| contracts gets its prefactor
-1/sqrt(-i S'') (principal branch, Re >= 0) and goes straight to its
+Evaluation.  Newton's last step has evaluated the phasors, v_z and |S'|
+at the roots it returns, sorted with them by Re t.  Each row block (for
+1-D inputs, the one Newton call) is evaluated from these; a node that
+eigenvalues re-seed, from those of its own Newton call.  S'' = v_z A'
+gates the block: one whose nodes all pass the root-set and |S''|
+contracts gets its action and prefactor 1/sqrt(-i S'') (principal
+branch, Re >= 0) from the same phasors and goes straight to its
 consumer: the caller's consume callback, or a copy into a SaddleBatch.
 From the first block that fails on, only each node's worst residual and
-smallest |S''| are evaluated, and the whole batch is validated from them:
+smallest |S''| are kept, and the whole batch is validated from them:
 SaddleError names the first failing node (p_z, p_perp^2) in flat order
 and the channel energy (mirror images fail with their partners, which come
 first), and neither that node's block nor any later one reaches the
@@ -100,7 +107,6 @@ DEGENERATE_S2_TOL = 1e-6   # min |S''| before the plain formula is distrusted
 NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
-FINAL_BLOCK_ELEMS = 16_384   # roots per block of the final evaluation pass
 ROW_BLOCK_ROWS = 10          # continued rows per Newton call
 
 
@@ -226,22 +232,29 @@ def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
     return np.where(np.abs(w) < 1.0, t, np.conj(t))
 
 
+def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2):
+    """((t, u, z, 1/u, 1/z, v_z), S'(t)) with v_z = p_z + A(t), for points
+    pz, pperp2 that broadcast against t."""
+    phasors = pulse.phasors(t)
+    vz = pz + pulse.vector_potential(t, phasors=phasors)
+    return (t, *phasors, vz), 0.5 * (vz * vz + pperp2) - e_bound
+
+
 def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
     """Damped Newton polish of S'(t) = 0 from start values t of shape
     (n, 2N+2), for points pz, pperp2 of shape (n, 1).
 
     Stops when every |S'| is at most NEWTON_STOP_TOL or after
-    NEWTON_ITERATIONS steps; returns (t, |S'(t)|).
+    NEWTON_ITERATIONS steps.  Returns the fields of the last evaluation,
+    (t, u, z, 1/u, 1/z, v_z, |S'|), each sorted by Re t.
     """
     step_cap = 0.25 * np.pi / pulse.omega
     for it in range(NEWTON_ITERATIONS + 1):
-        phasors = pulse.phasors(t)
-        vz = pz + pulse.vector_potential(t, phasors=phasors)
-        f = 0.5 * (vz * vz + pperp2) - e_bound
+        fields, f = _evaluated(pulse, e_bound, t, pz, pperp2)
         residual = np.abs(f)
         if it == NEWTON_ITERATIONS or (residual <= NEWTON_STOP_TOL).all():
-            return t, residual
-        fp = vz * pulse.vector_potential_derivative(t, phasors=phasors)
+            return _sorted_by_real(*fields, residual)
+        fp = fields[-1] * pulse.vector_potential_derivative(t, phasors=fields[1:5])
         with np.errstate(divide="ignore", invalid="ignore"):
             dt = np.where(fp != 0, -f / fp, 0.0)
         mag = np.abs(dt)
@@ -250,16 +263,24 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
 
 
 def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
-    """Eigenvalue-seeded, Newton-polished roots of 1-D independent points,
-    shape (n, 2N+2), sorted by Re t."""
+    """Eigenvalue-seeded, Newton-polished roots of 1-D independent points:
+    the fields of _newton, shape (n, 2N+2)."""
     seeds = _eigvals_seeds(pulse, e_bound, pz, pperp2)
-    roots, _ = _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
-    return _sorted_by_real(roots)[0]
+    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
+
+
+def _failed(pulse: Pulse, fields):
+    """The nodes of the fields of _newton that break a root-set contract."""
+    return np.logical_or.reduce(
+        [bad for bad, _, _ in _contract_checks(pulse, fields[0], fields[-1])])
 
 
 def _sorted_by_real(t, *fields):
     """t and every field reordered by increasing Re t along the last axis."""
-    order = np.argsort(t.real, axis=-1)
+    re = t.real
+    if (re[..., 1:] > re[..., :-1]).all():      # as continued roots mostly are
+        return (t,) + fields
+    order = np.argsort(re, axis=-1)
     return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
 
 
@@ -286,37 +307,47 @@ def _predicted_seeds(ts, s, r, k):
     return np.where(fallback[:, None], prev, pred)
 
 
-def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2):
-    """Roots along axis 0 of 2-D point arrays by predictor-corrector
-    continuation (see the module docstring); shape pz.shape + (2N+2,),
-    sorted by Re t.  Mirror-image lines are continued once: column
-    n_lines-1-j holds tau_p - conj(t) of column j (the mirror rule).
-    """
-    n_path, n_lines = pz.shape
-    deg = 2 * pulse.n_cycles + 2
-    solved = _solved_lines(pz, pperp2)
-    t = np.empty(pz.shape + (deg,), dtype=complex)
-    ts, pz, pperp2 = t[:, :solved], pz[:, :solved], pperp2[:, :solved]
-    s = np.sqrt(pz * pz + pperp2)
-    ts[0] = _solve_points(pulse, e_bound, pz[0], pperp2[0])
-    r = 1
+def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, t, solved,
+                    finish):
+    """Continue the roots of the first ``solved`` lines of 2-D points into
+    t, shape pz.shape + (2N+2,) (see the module docstring), calling
+    finish(nodes, fields, failed) per row block with the nodes' flat
+    indices in t, the fields of _newton and the contract failures; the
+    mirror images on t's other lines follow their partners' block."""
+    n_path, n_lines, deg = t.shape
+    flat = np.arange(n_path * n_lines).reshape(n_path, n_lines)
+    ts = t[:, :solved]
+    s = np.sqrt(pz * pz + pperp2)[:, :solved]
+    r = 0
     while r < n_path:
         k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
-        bpz, bpp2 = pz[rows].reshape(-1, 1), pperp2[rows].reshape(-1, 1)
-        seeds = _predicted_seeds(ts, s, r, k).reshape(-1, deg)
-        roots, residual = _sorted_by_real(
-            *_newton(pulse, e_bound, seeds, bpz, bpp2))
-        checks = _contract_checks(pulse, roots, residual)
-        failed = np.logical_or.reduce([bad for bad, _, _ in checks])
+        bpz, bpp2 = (a[rows, :solved].reshape(-1, 1) for a in (pz, pperp2))
+        if r == 0:      # from the roots of the row's first node
+            first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
+            seeds = np.repeat(first, solved, axis=0)
+        else:
+            seeds = _predicted_seeds(ts, s, r, k).reshape(-1, deg)
+        fields = _newton(pulse, e_bound, seeds, bpz, bpp2)
+        failed = _failed(pulse, fields)
         if failed.any():
-            roots[failed] = _solve_points(pulse, e_bound, bpz[failed, 0],
-                                          bpp2[failed, 0])
-        ts[rows] = roots.reshape(k, solved, deg)
+            again = _solve_points(pulse, e_bound, bpz[failed, 0], bpp2[failed, 0])
+            for field, new in zip(fields, again):
+                field[failed] = new
+            failed[failed] = _failed(pulse, again)
+        ts[rows] = fields[0].reshape(k, solved, deg)
+        finish(flat[rows, :solved].ravel(), fields, failed)
+        if solved < n_lines:
+            images = np.conj(ts[rows, :n_lines - solved][:, ::-1, ::-1],
+                             out=t[rows, solved:])
+            np.subtract(pulse.tau_p, images, out=images)
+            fields, f = _evaluated(pulse, e_bound, images.reshape(-1, deg),
+                                   *(a[rows, solved:].reshape(-1, 1)
+                                     for a in (pz, pperp2)))
+            fields += (np.abs(f),)
+            finish(flat[rows, solved:].ravel(), fields, _failed(pulse, fields))
+        del fields, seeds   # the next block's Newton call is the peak of memory
         r += k
-    mirrored = np.conj(ts[:, :n_lines - solved][:, ::-1, ::-1], out=t[:, solved:])
-    np.subtract(pulse.tau_p, mirrored, out=mirrored)
-    return t
 
 
 def _solved_lines(pz, pperp2) -> int:
@@ -334,11 +365,11 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     1-D (or scalar) inputs are independent points.  2-D inputs are
     continuation paths along axis 0 (see the module docstring).  Returns a
     SaddleBatch with fields of shape pz.shape + (2N+2,), or, given
-    ``consume``, None after calling consume(nodes, block) per block of the
-    final pass: ``nodes`` indexes the flattened nodes (a slice, or an index
-    array when mirrored lines are left to the consumer), ``block`` is their
-    SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the first
-    node that fails the residual, count, distinctness, or curvature
+    ``consume``, None after calling consume(nodes, block) per evaluated
+    block (a row block of 2-D inputs, all points of 1-D ones): ``nodes``
+    indexes the flattened nodes (a slice or an index array), ``block`` is
+    their SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the
+    first node that fails the residual, count, distinctness, or curvature
     contracts.
     """
     if e_bound >= 0:
@@ -349,21 +380,23 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     pperp2 = np.atleast_1d(np.asarray(pperp2, dtype=float))
     if pz.shape != pperp2.shape:
         raise ValueError("pz and pperp2 must have the same shape")
-    index, copies = None, 1   # solved flat nodes, grid nodes per solved node
+    deg = 2 * pulse.n_cycles + 2
+    index, copies = None, 1   # stored flat nodes, grid nodes per stored node
     if pz.ndim == 1:
-        t = _solve_points(pulse, e_bound, pz, pperp2)
+        fields = _solve_points(pulse, e_bound, pz, pperp2)
+        t = fields[0]
     elif pz.ndim == 2:
         n_lines = pz.shape[1]
-        solved = n_lines if consume is None else _solved_lines(pz, pperp2)
-        if solved < n_lines:    # the consumer maps the mirrored lines itself
+        solved = _solved_lines(pz, pperp2)
+        if consume is not None and solved < n_lines:
+            # the consumer maps the mirrored lines itself
             index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
             copies = 1 + (index % n_lines < n_lines - solved)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        t = _continue_lines(pulse, e_bound, pz, pperp2)
+        t = np.empty(pz.shape + (deg,), dtype=complex)
     else:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
-    deg = t.shape[-1]
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
         batch = SaddleBatch(t, *(np.empty_like(t) for _ in range(4)),
@@ -372,34 +405,33 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
         def consume(nodes, block):
             for name in SaddleBatch.__slots__[1:]:
                 getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
-    t = t.reshape(-1, deg)
-    pz, pperp2 = pz.reshape(-1, 1), pperp2.reshape(-1, 1)
-    worst, s2min = np.empty((2, t.shape[0], 1))   # per node: max |S'|, min |S''|
+    flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
+    worst, s2min = np.empty((2, flat_pz.size, 1))   # per node: max |S'|, min |S''|
     passed = True
-    # every node is evaluated from its own t, in bounded blocks of rows
-    rows = max(1, FINAL_BLOCK_ELEMS // deg)
-    for i0 in range(0, t.shape[0], rows):
-        sl = slice(i0, i0 + rows)
-        tb, pzb, pp2b = t[sl], pz[sl], pperp2[sl]
-        phasors = pulse.phasors(tb)
-        vz = pzb + pulse.vector_potential(tb, phasors=phasors)
-        residual = np.abs(0.5 * (vz * vz + pp2b) - e_bound)
+
+    def finish(nodes, fields, failed):
+        """Evaluate a block and hand it to the consumer, unless it or an
+        earlier block broke a contract (then keep its contract values)."""
+        nonlocal passed
+        tb, *phasors, vz, residual = fields
         s2 = vz * pulse.vector_potential_derivative(tb, phasors=phasors)
-        worst[sl] = residual.max(axis=-1, keepdims=True)
-        s2min[sl] = np.abs(s2).min(axis=-1, keepdims=True)
-        # from the first block that breaks a contract on, only the contract
-        # values are evaluated, for the whole-batch error below
-        passed = passed and (s2min[sl] >= DEGENERATE_S2_TOL).all() and not any(
-            bad.any() for bad, _, _ in _contract_checks(pulse, tb, worst[sl]))
+        worst[nodes] = residual.max(axis=-1, keepdims=True)
+        s2min[nodes] = low = np.abs(s2).min(axis=-1, keepdims=True)
+        passed = passed and not failed.any() and (low >= DEGENERATE_S2_TOL).all()
         if passed:
-            act = _action_terms(pulse, tb, pzb, pp2b, e_bound, phasors=phasors)
+            act = _action_terms(pulse, tb, flat_pz[nodes, None],
+                                flat_pp2[nodes, None], e_bound, phasors=phasors)
             prefactor = 1.0 / np.sqrt(-1j * s2)
-            consume(sl if index is None else index[sl],
+            consume(nodes if index is None else index[nodes],
                     SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
+    if pz.ndim == 1:
+        finish(slice(None), fields, _failed(pulse, fields))
+    else:
+        _continue_lines(pulse, e_bound, pz, pperp2, t, solved, finish)
     if not passed:   # name the first failing node of the whole batch
-        _validate_batch(pulse, e_bound, pz.ravel(), pperp2.ravel(), t, worst,
-                        s2min, copies)
+        _validate_batch(pulse, e_bound, flat_pz, flat_pp2, t.reshape(-1, deg),
+                        worst, s2min, copies)
     return batch
 
 

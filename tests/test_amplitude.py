@@ -13,7 +13,7 @@ from sowp.analysis import buildup
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
 from sowp.densmat import MomentumGrid, build_density_matrix, grid_nodes
-from sowp.saddle import SaddlePoint, find_saddles, saddle_batch
+from sowp.saddle import SaddleBatch, SaddlePoint, find_saddles, saddle_batch
 from sowp.species import Species, get_species
 
 SQ34 = np.sqrt(3.0 / (4.0 * np.pi))
@@ -286,7 +286,7 @@ def flat_derivative_at(monkeypatch, target):
 
 
 class TestStreamedFinalPass:
-    """amplitude_profiles adds each block of the saddle final pass into its
+    """amplitude_profiles adds each evaluated block of saddle_batch into its
     sums; the SaddleBatch fields are the reference it must equal."""
 
     @pytest.fixture(scope="class")
@@ -309,9 +309,8 @@ class TestStreamedFinalPass:
                                           n_cycles, layout, cumulative):
         pulse = coarse[n_cycles]
         pz, pperp = self.nodes(pulse, layout)
-        # blocks of 7 nodes: many blocks and a partial last one
-        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
-                            7 * (2 * n_cycles + 2) + 1)
+        # blocks of 3 rows from row 3 on: many blocks and a partial last one
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROWS", 3)
         got = amplitude_profiles(pulse, species_f, pz, pperp, cumulative)
         want = batch_sums(pulse, species_f, pz, pperp, cumulative)
         # the solved lines off p_z = 0 to the bit; the p_z = 0 line and the
@@ -375,11 +374,12 @@ class TestStreamedFinalPass:
         # consumer
         e_bound = species_f.e_bound(3)
         pz, pperp = self.nodes(ref_pulse, "odd")
+        # rows 0, 1 and 2, then blocks of two rows: the node's row 9 starts
+        # the seventh block
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROWS", 2)
         good = saddle_batch(ref_pulse, e_bound, pz, pperp * pperp)
         node = (9, 2)
         flat_derivative_at(monkeypatch, good.t[node][4])
-        deg = 2 * ref_pulse.n_cycles + 2
-        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 10 * deg)
         handed = []
         with pytest.raises(DegenerateSaddleError, match=r"\|S''\| = 0\.000e\+00") as info:
             saddle_batch(ref_pulse, e_bound, pz, pperp * pperp,
@@ -388,13 +388,26 @@ class TestStreamedFinalPass:
         np.testing.assert_array_equal(info.value.roots, good.t[node])
         # the blocks run over the solved lines, the first four of seven: the
         # consumer is handed the flat nodes of each block before the node's
-        solved = np.arange(pz.size).reshape(pz.shape)[:, :4].ravel()
-        before = np.ravel_multi_index(node, (pz.shape[0], 4)) // 10 * 10
-        assert handed and [len(nodes) for nodes in handed] == [10] * (before // 10)
-        np.testing.assert_array_equal(np.concatenate(handed), solved[:before])
+        solved = np.arange(pz.size).reshape(pz.shape)[:, :4]
+        assert [len(nodes) for nodes in handed] == [4, 4, 4, 8, 8, 8]
+        np.testing.assert_array_equal(np.concatenate(handed),
+                                      solved[:node[0]].ravel())
         with pytest.raises(DegenerateSaddleError) as streamed:
             amplitude_profiles(ref_pulse, species_f, pz, pperp)
         assert str(streamed.value) == str(info.value)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 6), (0, 7), (4, 0)])
+def test_empty_inputs_give_empty_results(ref_pulse, species_f, shape):
+    # no points, no rows or no lines: empty fields and sums, no error
+    deg = 2 * ref_pulse.n_cycles + 2
+    pz = np.zeros(shape)
+    batch = saddle_batch(ref_pulse, species_f.e_bound(3), pz, pz)
+    for name in SaddleBatch.__slots__:
+        assert getattr(batch, name).shape == shape + (deg,), name
+    assert amplitude_profiles(ref_pulse, species_f, pz, pz).shape == (4,) + shape
+    assert amplitude_profiles(ref_pulse, species_f, pz, pz,
+                              cumulative=True).shape == (4,) + shape + (deg,)
 
 
 def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,

@@ -68,6 +68,19 @@ class TestGaussianFit:
         with pytest.raises(FitError):
             gaussian_fit([(0.1, 0.2), (0.5, 0.5), (1.0, 0.9), (1.5, 0.99)])
 
+    def test_rounding_of_g_does_not_move_zeta(self):
+        # the points of the frozen fit run (F, N = 2..4, 48 x 16 x 4 grid),
+        # where the residual norm is flat to rounding over about 4e-9 in
+        # zeta: each g moved by up to 3 ulp leaves zeta at the minimiser
+        ratios = (0.052953264, 0.079429896, 0.105906528)
+        g = np.array([0.8802946658368812, 0.8800184710602073, 0.8717213311262038])
+        zeta = gaussian_fit(list(zip(ratios, g))).zeta
+        assert f"{zeta:.10g}" == "1.209869456"
+        for ulps in np.ndindex(7, 7, 7):
+            moved = g + (np.array(ulps) - 3) * np.spacing(g)
+            assert gaussian_fit(list(zip(ratios, moved))).zeta == pytest.approx(
+                zeta, rel=1e-12, abs=0), ulps
+
 
 class TestGaussianLaw:
     @pytest.mark.parametrize("ratio, expected", [

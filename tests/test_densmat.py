@@ -101,9 +101,9 @@ class TestAssemble:
 
 class TestStreamedGram:
     """build_density_matrix and buildup add each block of saddle sums into
-    their Gram matrices as it arrives.  The reference is the same call at
-    the default FINAL_BLOCK_ELEMS, which on these grids is one block: the
-    Gram of the whole grid's held sums.  Many blocks agree with it to
+    their Gram matrices as it arrives.  The reference is one Gram call on
+    the whole grid's held sums (amplitude_profiles without a consumer), at
+    the same row blocks, so the same roots: many blocks agree with it to
     roundoff (the node sums run in blocks)."""
 
     @pytest.mark.parametrize("phi_mode", ["analytic", "numeric"])
@@ -114,13 +114,16 @@ class TestStreamedGram:
         pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         grid = MomentumGrid.build(pulse.omega, n_energy=20, n_theta=n_theta,
                                   n_phi=6, phi_mode=phi_mode)
-        nodes = grid.p_nodes.size * grid.u_nodes.size
-        assert nodes * (2 * n_cycles + 2) <= saddle.FINAL_BLOCK_ELEMS
-        held = streamed_rho(pulse, species_f, grid)[0]
-        stack = streamed_rho(pulse, species_f, grid, cumulative=True)
-        # blocks of 7 nodes: many blocks and a partial last one
-        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS",
-                            7 * (2 * n_cycles + 2))
+        # blocks of 3 rows from row 3 on: many blocks and a partial last one
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROWS", 3)
+        pz, pperp, weights = grid_nodes(grid)
+        held = []
+        for cumulative in (False, True):
+            sums = amplitude_profiles(pulse, species_f, pz, pperp, cumulative)
+            gram = Gram(weights, sums.shape[-1] if cumulative else 1)
+            gram(slice(None), sums.reshape(sums.shape[0], pz.size, -1))
+            held.append(gram_to_rho(gram.matrix, grid))
+        (held,), stack = held
 
         np.testing.assert_allclose(
             build_density_matrix(pulse, species_f, grid).matrix, held,

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -7,7 +6,7 @@ import pytest
 
 from scalar_oracle import action, action_derivative
 from sowp import saddle
-from sowp.densmat import MomentumGrid, grid_nodes
+from sowp.densmat import MomentumGrid, build_density_matrix, grid_nodes
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles, saddle_batch
@@ -181,15 +180,22 @@ def record_newton(monkeypatch, collapse=None):
     newton = saddle._newton
 
     def recording(pulse, e_bound, t, pz, pperp2):
-        roots, residual = newton(pulse, e_bound, t, pz, pperp2)
+        roots, *fields = newton(pulse, e_bound, t, pz, pperp2)
         if collapse is not None and len(calls) == collapse[0]:
             roots = roots.copy()
             roots[collapse[1], 1] = roots[collapse[1], 0]
         calls.append((t.copy(), roots.copy()))
-        return roots, residual
+        return (roots, *fields)
 
     monkeypatch.setattr(saddle, "_newton", recording)
     return calls
+
+
+def row_blocks(n_path):
+    """The rows of each Newton call along continued lines: rows 0, 1 and 2
+    alone, then ROW_BLOCK_ROWS rows at a time."""
+    starts = [0, 1, 2] + list(range(3, n_path, saddle.ROW_BLOCK_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_path])]
 
 
 def assert_same_roots_modulo_period(a, b, period):
@@ -225,14 +231,32 @@ class TestContinuation:
 
     def test_far_neighbours_are_reseeded(self, pulse, monkeypatch):
         # without the last column the lines are not mirror images, so every
-        # line is continued and row 0 seeds all of them; the first block
-        # call returns one node with two equal roots, which fails the
-        # distinctness contract and is re-seeded
+        # line is continued.  Row 0 starts from the roots of its first node
+        # (p_z < 0); at the nodes of the other sign of p_z, Newton carries
+        # the root near Re t = 0 out of the strip, so eigvals re-seeds them.
+        # Calls 0-4 solve the first node, row 0, those nodes and rows 1 and
+        # 2; call 5, the first block, returns one node with two equal roots,
+        # which fails the distinctness contract and is re-seeded
         pz, pp2 = (a[:, :-1] for a in radial_lines(pulse))
         seeded = count_seeds(monkeypatch)
-        record_newton(monkeypatch, collapse=(3, 5))
+        record_newton(monkeypatch, collapse=(5, 5))
         lines = saddle_batch(pulse, E_F, pz, pp2)
-        assert sum(seeded) > pz.shape[1]   # more than row 0
+        assert seeded == [1, int((pz[0] > 0).sum()), 1]
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+
+    def test_failed_row_zero_node_is_reseeded(self, pulse, monkeypatch):
+        # row 0 starts from the first node's roots (call 0); its Newton
+        # call (call 1) returns node 3 with two equal roots, so eigvals
+        # re-seeds it (call 2), and its line continues from there
+        pz, pp2 = radial_lines(pulse)
+        solved = pz.shape[1] // 2
+        seeded = count_seeds(monkeypatch)
+        calls = record_newton(monkeypatch, collapse=(1, 3))
+        lines = saddle_batch(pulse, E_F, pz, pp2)
+        assert seeded == [1, 1]
+        assert [len(seeds) for seeds, _ in calls[:3]] == [1, solved, 1]
+        np.testing.assert_array_equal(calls[1][0],
+                                      np.repeat(calls[0][1], solved, axis=0))
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
 
     def test_shuffled_rows_match_independent_points(self, pulse, rng):
@@ -255,13 +279,14 @@ class TestPredictor:
         solved, col = pz.shape[1] // 2, 2
         k = saddle.ROW_BLOCK_ROWS
         assert 1 < k < pz.shape[0] - 3
-        # call 3 polishes the first block (rows 3..3+k-1); its last row has
-        # two equal roots in column col, so call 4 re-seeds that node
-        calls = record_newton(monkeypatch, collapse=(3, (k - 1) * solved + col))
+        # call 0 solves the first node, calls 1-3 rows 0-2, call 4 the first
+        # block (rows 3..3+k-1); its last row has two equal roots in column
+        # col, so call 5 re-seeds that node
+        calls = record_newton(monkeypatch, collapse=(4, (k - 1) * solved + col))
         lines = saddle_batch(pulse, E_F, pz, pp2)
-        assert len(calls[4][0]) == 1
+        assert len(calls[5][0]) == 1
         assert (np.diff(lines.t.real, axis=-1) > 0).all()
-        # the stored rows are the returned ones; the next block (call 5)
+        # the stored rows are the returned ones; the next block (call 6)
         # seeds every column, the re-seeded one included, by the quadratic
         # through the last three rows in s = |p|, root by root in Re t order
         r = 3 + k
@@ -272,7 +297,7 @@ class TestPredictor:
                    (x - s0) * (x - s1) / ((s2 - s0) * (s2 - s1)))
         last = lines.t[r - 3:r, :solved]
         expected = sum(w[..., None] * t for w, t in zip(weights, last))
-        seeds = calls[5][0].reshape(k, solved, deg)
+        seeds = calls[6][0].reshape(k, solved, deg)
         np.testing.assert_allclose(seeds, expected, rtol=1e-12, atol=0)
         assert not np.array_equal(seeds[0, col], last[-1, col])
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
@@ -298,8 +323,8 @@ class TestPredictor:
         deg = 2 * n_cycles + 2
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
         n_path, solved = pz.shape[0], pz.shape[1] // 2
-        block = saddle.ROW_BLOCK_ROWS
         calls = record_newton(monkeypatch)
+        seeded = count_seeds(monkeypatch)
         evaluated = []
         vector_potential = Pulse.vector_potential
 
@@ -311,27 +336,39 @@ class TestPredictor:
         for sp in (species_f, species_cl, species_br):
             for j2 in (3, 1):
                 calls.clear()
+                seeded.clear()
                 evaluated.clear()
-                saddle_batch(pu, sp.e_bound(j2), pz, pperp * pperp)
-                # row 0, rows 1 and 2 alone, then blocks: no line is
+                saddle_batch(pu, sp.e_bound(j2), pz, pperp * pperp,
+                             lambda nodes, block: None)
+                # the first node, then one call per row block: no node is
                 # re-seeded, which also means the roots kept their Re t
                 # order, the one the predictor extrapolates in
-                assert len(calls) == 3 + math.ceil((n_path - 3) / block), \
-                    (sp.name, j2)
-                # the final pass evaluates A once at every node; seeding
-                # each row with the previous row's roots cost 3.92
-                # evaluations per root for F, j = 3/2
-                newton = sum(evaluated) - pz.size * deg
-                assert newton < 3.5 * n_path * solved * deg, (sp.name, j2)
+                assert len(calls) == 1 + len(row_blocks(n_path)), (sp.name, j2)
+                assert seeded == [1], (sp.name, j2)
+                # A is evaluated only by Newton, 2.92 times per root; an
+                # evaluation pass of its own after Newton made that 3.9
+                assert sum(evaluated) < 3.0 * n_path * solved * deg, (sp.name, j2)
+
+    def test_one_eigensolve_per_channel(self, monkeypatch, species_f):
+        # on a MomentumGrid every solved line is continued from row 0, and
+        # row 0 from the roots of its first node: one eigenvalue problem
+        # per channel, so two per density matrix
+        pu = Pulse.from_lab(1800.0, 18, 1.3e13)
+        seeded = count_seeds(monkeypatch)
+        build_density_matrix(pu, species_f, MomentumGrid.build(pu.omega))
+        assert seeded == [1, 1]
 
 
 class TestMirror:
     @pytest.mark.parametrize("n_theta", [16, 15])
     def test_symmetric_lines_solve_half(self, pulse, monkeypatch, n_theta):
         pz, pp2 = radial_lines(pulse, n_theta=n_theta)
-        seeded = count_seeds(monkeypatch)
+        calls = record_newton(monkeypatch)
         lines = saddle_batch(pulse, E_F, pz, pp2)
-        assert sum(seeded) == (n_theta + 1) // 2
+        # the first node, then the rows of the first ceil(n_theta/2) lines
+        assert [len(seeds) for seeds, _ in calls] == [1] + [
+            len(range(pz.shape[0])[rows]) * ((n_theta + 1) // 2)
+            for rows in row_blocks(pz.shape[0])]
         # column n_theta-1-j holds tau_p - conj(t) of column j, in
         # reversed order of Re t
         for j in range(n_theta // 2):
@@ -343,22 +380,20 @@ class TestMirror:
         pz, pp2 = radial_lines(pulse)
         pp2 = pp2.copy()
         pp2[:, 0] *= 1.0 + 1e-12   # p_perp^2 no longer mirrors exactly
-        seeded = count_seeds(monkeypatch)
+        calls = record_newton(monkeypatch)
         saddle_batch(pulse, E_F, pz, pp2)
-        assert sum(seeded) == pz.shape[1]
+        rows = [len(range(pz.shape[0])[r]) for r in row_blocks(pz.shape[0])]
+        # the first node, row 0, eigvals for the nodes of row 0 at the
+        # other sign of p_z (see test_far_neighbours_are_reseeded), rows
+        # 1, 2, ... of every line
+        assert [len(seeds) for seeds, _ in calls] == [
+            1, pz.shape[1], int((pz[0] > 0).sum())] + [
+            k * pz.shape[1] for k in rows[1:]]
 
-    def test_every_node_is_validated(self, pulse, monkeypatch):
-        # the per-block contract gate of the final pass sees every node's
-        # roots and worst residual exactly once, in flat order, mirrored
-        # nodes included; a batch that passes it is not validated again
-        pz, pp2 = radial_lines(pulse)
-        deg = 2 * pulse.n_cycles + 2
-        expected = saddle_batch(pulse, E_F, pz, pp2)
-        t = saddle._continue_lines(pulse, E_F, pz, pp2)
-        # only the final pass calls the gate from here on, in blocks of 7
-        # nodes: many blocks and a partial last one
-        monkeypatch.setattr(saddle, "_continue_lines", lambda *args: t)
-        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 7 * deg)
+    @staticmethod
+    def record_checks(monkeypatch):
+        """Wrap saddle._contract_checks; the returned list gets the roots
+        and |S'| of every call, and a passing batch is not validated."""
         seen = []
         checks = saddle._contract_checks
 
@@ -371,48 +406,49 @@ class TestMirror:
 
         monkeypatch.setattr(saddle, "_contract_checks", recording)
         monkeypatch.setattr(saddle, "_validate_batch", validate)
-        saddle_batch(pulse, E_F, pz, pp2)
-        assert len(seen) == -(-pz.size // 7)
-        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]),
-                                      t.reshape(-1, deg))
-        np.testing.assert_array_equal(
-            np.concatenate([w for _, w in seen]),
-            expected.residual.reshape(-1, deg).max(axis=-1, keepdims=True))
+        return seen
+
+    def test_every_node_is_validated(self, pulse, monkeypatch):
+        # the contract gate sees every node's roots and |S'| exactly once:
+        # per row block, the solved lines from Newton, then the mirrored
+        # lines from their own t; a batch that passes it is not validated
+        # again
+        pz, pp2 = radial_lines(pulse)
+        deg = 2 * pulse.n_cycles + 2
+        solved = pz.shape[1] // 2
+        seen = self.record_checks(monkeypatch)
+        batch = saddle_batch(pulse, E_F, pz, pp2)
+        order = [(rows, cols) for rows in row_blocks(pz.shape[0])
+                 for cols in (np.s_[:solved], np.s_[solved:])]
+        assert len(seen) == len(order)
+        for (roots, residual), (rows, cols) in zip(seen, order):
+            np.testing.assert_array_equal(roots, batch.t[rows, cols].reshape(-1, deg))
+            np.testing.assert_array_equal(
+                residual, batch.residual[rows, cols].reshape(-1, deg))
 
     @pytest.mark.parametrize("n_theta", [16, 15])
     def test_consumer_path_validates_each_solved_node(self, pulse, monkeypatch,
                                                       n_theta):
-        # given a consumer, the final pass runs over the solved lines only:
-        # the gate sees every solved node's roots and worst residual exactly
-        # once, in flat order, and no mirrored node, and the consumer gets
-        # the solved nodes' flat indices in the whole grid
+        # given a consumer, only the solved lines are evaluated: the gate
+        # sees every solved node's roots and |S'| exactly once, per row
+        # block, and no mirrored node, and the consumer gets the solved
+        # nodes' flat indices in the whole grid, block by block
         pz, pp2 = radial_lines(pulse, n_theta=n_theta)
         deg = 2 * pulse.n_cycles + 2
         solved = (n_theta + 1) // 2
         expected = saddle_batch(pulse, E_F, pz, pp2)
-        t = saddle._continue_lines(pulse, E_F, pz[:, :solved], pp2[:, :solved])
-        monkeypatch.setattr(saddle, "_continue_lines", lambda *args: t)
-        monkeypatch.setattr(saddle, "FINAL_BLOCK_ELEMS", 7 * deg)
-        seen, handed = [], []
-        checks = saddle._contract_checks
-
-        def recording(pu, roots, residual):
-            seen.append((roots.copy(), residual.copy()))
-            return checks(pu, roots, residual)
-
-        monkeypatch.setattr(saddle, "_contract_checks", recording)
+        seen, handed = self.record_checks(monkeypatch), []
         saddle_batch(pulse, E_F, pz, pp2,
                      lambda nodes, block: handed.append(nodes))
-        assert len(seen) == -(-t.size // deg // 7)
-        np.testing.assert_array_equal(np.concatenate([r for r, _ in seen]),
-                                      t.reshape(-1, deg))
-        np.testing.assert_array_equal(
-            np.concatenate([w for _, w in seen]),
-            expected.residual[:, :solved].reshape(-1, deg).max(
-                axis=-1, keepdims=True))
-        np.testing.assert_array_equal(
-            np.concatenate(handed),
-            np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel())
+        blocks = row_blocks(pz.shape[0])
+        flat = np.arange(pz.size).reshape(pz.shape)
+        assert len(seen) == len(handed) == len(blocks)
+        for (roots, residual), nodes, rows in zip(seen, handed, blocks):
+            np.testing.assert_array_equal(
+                roots, expected.t[rows, :solved].reshape(-1, deg))
+            np.testing.assert_array_equal(
+                residual, expected.residual[rows, :solved].reshape(-1, deg))
+            np.testing.assert_array_equal(nodes, flat[rows, :solved].ravel())
 
     def test_failing_batch_is_validated_whole(self, pulse, monkeypatch):
         # a block that fails the gate sends the whole batch, every node of
@@ -437,10 +473,10 @@ class TestMirror:
 
 def test_one_phasor_build_per_evaluation(monkeypatch):
     """One default-grid channel at N = 18: each Newton step builds the
-    phasors once, for A and A'; the final pass once per block, for A, A'
-    and the action."""
+    phasors once, for A and A'; S'' and the action of a solved node take
+    the phasors of its last Newton step, so only the mirrored lines that
+    a SaddleBatch holds build theirs, once per row block."""
     pu = Pulse.from_lab(1800.0, 18, 1.3e13)
-    deg = 2 * pu.n_cycles + 2
     pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
     builds = {True: 0, False: 0}      # keyed by: inside _newton
     evaluations = []                  # Pulse.vector_potential inside _newton
@@ -467,10 +503,13 @@ def test_one_phasor_build_per_evaluation(monkeypatch):
     monkeypatch.setattr(Pulse, "phasors", counting_phasors)
     monkeypatch.setattr(Pulse, "vector_potential", counting_a)
     monkeypatch.setattr(saddle, "_newton", flagged_newton)
-    saddle_batch(pu, E_F, pz, pperp * pperp)
-    rows = saddle.FINAL_BLOCK_ELEMS // deg
-    assert builds[False] == math.ceil(pz.size / rows)
-    assert evaluations and builds[True] == len(evaluations)
+    for consume, outside in ((lambda nodes, block: None, 0),
+                             (None, len(row_blocks(pz.shape[0])))):
+        builds.update({True: 0, False: 0})
+        evaluations.clear()
+        saddle_batch(pu, E_F, pz, pperp * pperp, consume)
+        assert builds[False] == outside
+        assert evaluations and builds[True] == len(evaluations)
 
 
 def test_final_pass_memory_is_bounded():
