@@ -125,7 +125,7 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     the flattened nodes (a slice or an index array), ``rows`` holds their
     four sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
     ``saddle_batch`` is summed as it is evaluated, so the j = 3/2 rows are
-    all that is held per node besides the saddle times.
+    all that is held per node.
     """
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))

@@ -10,7 +10,6 @@ onto one curve well described by
 fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 """
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +133,11 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     # omega depends on the wavelength alone: one read-only grid serves all
     grid = MomentumGrid.build(units.wavelength_to_omega(wavelength_nm),
                               **grid_kw)
+    # imported here: it costs every other command about 7 ms of start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     points, failures = [], []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_sweep_one, sp, wavelength_nm, intensity_wcm2,
                                n, grid) for sp, n in jobs]
         for (sp, n), future in zip(jobs, futures):

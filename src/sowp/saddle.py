@@ -30,8 +30,9 @@ are found:
   per node, a Newton step O(deg), so a batch costs one eigensolve, plus
   one per node that fails the contracts below.  On a MomentumGrid row 0
   is the innermost circle (|p| = 3e-5 a.u. on the default grid), whose
-  nodes share nearly the same saddles.  (A row across p_z = 0 re-seeds
-  the nodes of the other sign: the saddle near Re t = 0 leaves the strip.)
+  nodes share nearly the same saddles.  A row 0 across p_z = 0 seeds the
+  nodes of the other sign from the mirror image of those roots (see the
+  mirror rule below), so that the saddle near Re t = 0 stays in the strip.
 
 Either way every solved row is stored sorted by Re t, the one root order
 of the package, and the predictor extrapolates the k-th root of each row
@@ -42,23 +43,29 @@ a wrong root set.
 
 Predictor.  Row 0 starts Newton from the roots of its first node, rows 1
 and 2 from the previous row's roots.  From row 3 on, each root is
-extrapolated from the three previous rows by the quadratic Lagrange
-polynomial in the path parameter s = sqrt(p_z^2 + p_perp^2) (|p| on a
-MomentumGrid), which needs no evaluation of A.  A column falls back to the
-previous row's roots when the s values of those three rows are not
-distinct (the weights would not be finite).
+extrapolated by the Lagrange polynomial in the path parameter
+s = sqrt(p_z^2 + p_perp^2) (|p| on a MomentumGrid) through the last
+min(r, PREDICTOR_ROWS) rows: the quadratic at row 3, degree 6 from row 7
+on.  It needs no evaluation of A, and its seeds are close enough for one
+Newton step on nearly every root.  A column falls back to the previous
+row's roots when two of those s coincide (the weights would not be
+finite), or when the prediction moves a root by more than tau_p/4: a root
+that re-seeds flipped between the two ends of the strip (see the mirror
+rule) would otherwise be extrapolated far outside it.
 
 Corrector.  Rows from 3 on are polished in blocks of ROW_BLOCK_ROWS
-consecutive rows per Newton call, all predicted from the same three rows;
-how far the predictor reaches depends on rows, not on the degree.  Each
-Newton step builds the phasors of its t once, for A and A'.  After each
-row or block, every node is checked against the root-set contracts:
-residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and
-neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
-exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
-complete set.  A node that fails (a root jumped to a neighbour or to a
-periodic image) is re-seeded by eigenvalues, and its line continues from
-the re-seeded roots, which are sorted like every other row.
+consecutive rows per Newton call, all predicted from the same rows; how
+far the predictor reaches depends on rows, not on the degree.  Only the
+rows the predictor reads are kept, in a window of PREDICTOR_ROWS +
+ROW_BLOCK_ROWS rows.  Each Newton step builds the phasors of its t once,
+for A and A'.  After each row or block, every node is checked against
+the root-set contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0,
+0 <= Re t <= tau_p, and neighbours in Re t at least DISTINCT_TOL apart.
+Since the strip holds exactly 2N+2 saddles, 2N+2 distinct roots passing
+these checks are the complete set.  A node that fails (a root jumped to
+a neighbour or to a periodic image) is re-seeded by eigenvalues, and its
+line continues from the re-seeded roots, which are sorted like every
+other row.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -80,13 +87,15 @@ gates the block: one whose nodes all pass the root-set and |S''|
 contracts gets its action and prefactor 1/sqrt(-i S'') (principal
 branch, Re >= 0) from the same phasors and goes straight to its
 consumer: the caller's consume callback, or a copy into a SaddleBatch.
-From the first block that fails on, only each node's worst residual and
-smallest |S''| are kept, and the whole batch is validated from them:
-SaddleError names the first failing node (p_z, p_perp^2) in flat order
-and the channel energy (mirror images fail with their partners, which come
-first), and neither that node's block nor any later one reaches the
-consumer.  A batch whose blocks all pass is not validated again: every
-node has passed the same checks.
+Every block records per node its worst residual, smallest Im t, strip
+edge, smallest gap and smallest |S''|, and per contract the roots of its
+first failing node.  From the first block that fails on, no block reaches
+the consumer, and after the last one SaddleError names, for the first
+contract in the order above (|S''| last) that any node breaks, the
+first such node (p_z, p_perp^2) in flat order, the channel energy, its
+roots and the number of failing grid nodes (mirror images fail with
+their partners, which come first).  Given a consumer, no saddle times
+are held beyond the window.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -103,11 +112,13 @@ from sowp.pulse import SIDEBANDS, Pulse
 
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
+STRIP_SLACK = 1e-9         # Re t may leave [0, tau_p] by this times tau_p
 DEGENERATE_S2_TOL = 1e-6   # min |S''| before the plain formula is distrusted
 NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
 ROW_BLOCK_ROWS = 10          # continued rows per Newton call
+PREDICTOR_ROWS = 7           # rows the predictor extrapolates from
 
 
 @dataclass(frozen=True)
@@ -269,10 +280,10 @@ def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
     return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
 
 
-def _failed(pulse: Pulse, fields):
-    """The nodes of the fields of _newton that break a root-set contract."""
-    return np.logical_or.reduce(
-        [bad for bad, _, _ in _contract_checks(pulse, fields[0], fields[-1])])
+def _failed(pulse: Pulse, values):
+    """The nodes of the _contract_values ``values`` that break a root-set
+    contract."""
+    return np.logical_or.reduce([bad for bad, _, _ in _contract_checks(pulse, values)])
 
 
 def _sorted_by_real(t, *fields):
@@ -284,70 +295,75 @@ def _sorted_by_real(t, *fields):
     return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
 
 
-def _predicted_seeds(ts, s, r, k):
-    """Newton seeds for rows r..r+k-1 of the continued lines ts, whose rows
-    are sorted by Re t; shape (k, n_lines, 2N+2): quadratic Lagrange
-    extrapolation of each root in the path parameter s from rows r-3..r-1,
-    or row r-1's roots in a column where that is not possible (see the
-    module docstring).
+def _predicted_seeds(prev, s_prev, x, bound):
+    """Newton seeds at the path parameters x, shape (k, n_lines), from the
+    rows prev at s_prev, shapes (m, n_lines, 2N+2) and (m, n_lines), sorted
+    by Re t: for m >= 3 the Lagrange polynomial through them in s, root by
+    root, or the last row's roots in a column where two s coincide or a
+    root would move by more than ``bound`` (see the module docstring);
+    shape (k, n_lines, 2N+2).
     """
-    prev = ts[r - 1]
-    if r < 3:
-        return np.repeat(prev[None], k, axis=0)
-    s0, s1, s2 = s[r - 3], s[r - 2], s[r - 1]
-    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-    fallback = (d01 == 0) | (d02 == 0) | (d12 == 0)
-    x = s[r:r + k]
-    # unit denominators where a column falls back keep the weights finite
-    w0 = (x - s1) * (x - s2) / np.where(fallback, 1.0, d01 * d02)
-    w1 = (x - s0) * (x - s2) / np.where(fallback, 1.0, -d01 * d12)
-    w2 = (x - s0) * (x - s1) / np.where(fallback, 1.0, d02 * d12)
-    pred = (w0[..., None] * ts[r - 3] + w1[..., None] * ts[r - 2]
-            + w2[..., None] * prev)
-    return np.where(fallback[:, None], prev, pred)
+    last = prev[-1]
+    if len(prev) < 3:
+        return np.repeat(last[None], len(x), axis=0)
+    off = ~np.eye(len(prev), dtype=bool)[..., None]     # (j, i, 1): i != j
+    denom = np.where(off, s_prev[:, None] - s_prev, 1.0).prod(axis=1)
+    fallback = (denom == 0).any(axis=0)
+    # weights[k, j, c] = prod_{i != j} (x_kc - s_ic) / denom_jc, applied as
+    # one (k, m) matrix per column c
+    numer = np.where(off, x[:, None, None] - s_prev, 1.0).prod(axis=2)
+    weights = numer / np.where(fallback, 1.0, denom)
+    pred = (weights.transpose(2, 0, 1) @ prev.transpose(1, 0, 2)).transpose(1, 0, 2)
+    fallback |= (np.abs(pred - last) > bound).any(axis=(0, 2))
+    return np.where(fallback[:, None], last, pred)
 
 
-def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, t, solved,
-                    finish):
-    """Continue the roots of the first ``solved`` lines of 2-D points into
-    t, shape pz.shape + (2N+2,) (see the module docstring), calling
-    finish(nodes, fields, failed) per row block with the nodes' flat
-    indices in t, the fields of _newton and the contract failures; the
-    mirror images on t's other lines follow their partners' block."""
-    n_path, n_lines, deg = t.shape
-    flat = np.arange(n_path * n_lines).reshape(n_path, n_lines)
-    ts = t[:, :solved]
+def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, solved, finish):
+    """Continue the roots of the first ``solved`` lines of 2-D points (see
+    the module docstring), calling finish(nodes, fields, values) per row
+    block with the nodes' flat indices in pz, the fields of _newton and
+    their _contract_values; the mirror images on the other lines follow
+    their partners' block.  Only the rows the predictor reads are kept."""
+    n_path, n_lines = pz.shape
+    deg = 2 * pulse.n_cycles + 2
+    flat = np.arange(pz.size).reshape(pz.shape)
     s = np.sqrt(pz * pz + pperp2)[:, :solved]
-    r = 0
+    window = np.empty((PREDICTOR_ROWS + ROW_BLOCK_ROWS, solved, deg), dtype=complex)
+    kept, r = 0, 0      # window[:kept] holds rows r - kept .. r - 1
     while r < n_path:
         k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = (a[rows, :solved].reshape(-1, 1) for a in (pz, pperp2))
-        if r == 0:      # from the roots of the row's first node
+        if r == 0:      # from the roots of the row's first node, or their image
             first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
             seeds = np.repeat(first, solved, axis=0)
+            seeds[bpz[:, 0] * bpz[:1, 0] < 0] = pulse.tau_p - np.conj(first[:, ::-1])
         else:
-            seeds = _predicted_seeds(ts, s, r, k).reshape(-1, deg)
+            seeds = _predicted_seeds(window[:kept], s[r - kept:r], s[rows],
+                                     pulse.tau_p / 4).reshape(-1, deg)
         fields = _newton(pulse, e_bound, seeds, bpz, bpp2)
-        failed = _failed(pulse, fields)
+        values = _contract_values(pulse, fields)
+        failed = _failed(pulse, values)
         if failed.any():
             again = _solve_points(pulse, e_bound, bpz[failed, 0], bpp2[failed, 0])
             for field, new in zip(fields, again):
                 field[failed] = new
-            failed[failed] = _failed(pulse, again)
-        ts[rows] = fields[0].reshape(k, solved, deg)
-        finish(flat[rows, :solved].ravel(), fields, failed)
+            values[:, failed] = _contract_values(pulse, again)
+        block = window[kept:kept + k]
+        block[...] = fields[0].reshape(k, solved, deg)
+        finish(flat[rows, :solved].ravel(), fields, values)
         if solved < n_lines:
-            images = np.conj(ts[rows, :n_lines - solved][:, ::-1, ::-1],
-                             out=t[rows, solved:])
+            images = np.conj(block[:, :n_lines - solved][:, ::-1, ::-1])
             np.subtract(pulse.tau_p, images, out=images)
             fields, f = _evaluated(pulse, e_bound, images.reshape(-1, deg),
                                    *(a[rows, solved:].reshape(-1, 1)
                                      for a in (pz, pperp2)))
             fields += (np.abs(f),)
-            finish(flat[rows, solved:].ravel(), fields, _failed(pulse, fields))
+            finish(flat[rows, solved:].ravel(), fields, _contract_values(pulse, fields))
         del fields, seeds   # the next block's Newton call is the peak of memory
-        r += k
+        held = min(kept + k, PREDICTOR_ROWS)
+        window[:held] = window[kept + k - held:kept + k]
+        kept, r = held, r + k
 
 
 def _solved_lines(pz, pperp2) -> int:
@@ -384,7 +400,6 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     index, copies = None, 1   # stored flat nodes, grid nodes per stored node
     if pz.ndim == 1:
         fields = _solve_points(pulse, e_bound, pz, pperp2)
-        t = fields[0]
     elif pz.ndim == 2:
         n_lines = pz.shape[1]
         solved = _solved_lines(pz, pperp2)
@@ -393,31 +408,39 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
             index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
             copies = 1 + (index % n_lines < n_lines - solved)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        t = np.empty(pz.shape + (deg,), dtype=complex)
     else:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
-        batch = SaddleBatch(t, *(np.empty_like(t) for _ in range(4)),
-                            np.empty(t.shape))
+        batch = SaddleBatch(*(np.empty(pz.shape + (deg,), dtype=complex)
+                              for _ in range(5)), np.empty(pz.shape + (deg,)))
 
         def consume(nodes, block):
-            for name in SaddleBatch.__slots__[1:]:
+            for name in SaddleBatch.__slots__:
                 getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
-    worst, s2min = np.empty((2, flat_pz.size, 1))   # per node: max |S'|, min |S''|
+    stored = np.arange(flat_pz.size)
+    record = np.empty((5, flat_pz.size))   # per node: contract values, min |S''|
+    failing = {}    # per contract: its first failing node so far and its roots
     passed = True
 
-    def finish(nodes, fields, failed):
+    def finish(nodes, fields, values):
         """Evaluate a block and hand it to the consumer, unless it or an
-        earlier block broke a contract (then keep its contract values)."""
+        earlier block broke a contract; record its contract values."""
         nonlocal passed
         tb, *phasors, vz, residual = fields
         s2 = vz * pulse.vector_potential_derivative(tb, phasors=phasors)
-        worst[nodes] = residual.max(axis=-1, keepdims=True)
-        s2min[nodes] = low = np.abs(s2).min(axis=-1, keepdims=True)
-        passed = passed and not failed.any() and (low >= DEGENERATE_S2_TOL).all()
+        low = np.abs(s2).min(axis=-1)
+        record[:4, nodes], record[4, nodes] = values, low
+        checks = [bad for bad, _, _ in _contract_checks(pulse, values)]
+        for kind, bad in enumerate(checks + [~(low >= DEGENERATE_S2_TOL)]):
+            if bad.any():
+                passed = False
+                i = int(np.argmax(bad))
+                # mirrored lines follow their row block: not always later
+                if stored[nodes][i] < failing.get(kind, (np.inf,))[0]:
+                    failing[kind] = stored[nodes][i], tb[i].copy()
         if passed:
             act = _action_terms(pulse, tb, flat_pz[nodes, None],
                                 flat_pp2[nodes, None], e_bound, phasors=phasors)
@@ -426,35 +449,39 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
                     SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
-        finish(slice(None), fields, _failed(pulse, fields))
+        finish(slice(None), fields, _contract_values(pulse, fields))
     else:
-        _continue_lines(pulse, e_bound, pz, pperp2, t, solved, finish)
+        _continue_lines(pulse, e_bound, pz, pperp2, solved, finish)
     if not passed:   # name the first failing node of the whole batch
-        _validate_batch(pulse, e_bound, flat_pz, flat_pp2, t.reshape(-1, deg),
-                        worst, s2min, copies)
+        _raise_first_failure(pulse, e_bound, flat_pz, flat_pp2, record,
+                             failing, copies)
     return batch
 
 
-def _contract_checks(pulse: Pulse, t, residual):
-    """The root-set contracts per point, for roots sorted by Re t along the
-    last axis and |S'| in the same layout.
-
-    Returns (failure mask, value, message template) per contract; masks and
-    values have shape t.shape[:-1].  A NaN root fails every check.
-    """
-    eps = 1e-9 * pulse.tau_p
-    worst = residual.max(axis=-1)
-    im = t.imag.min(axis=-1)
+def _contract_values(pulse: Pulse, fields):
+    """Per point of the fields of _newton (roots t sorted by Re t along the
+    last axis, ..., |S'|): max |S'|, min Im t, the strip edge (Re t of the
+    last root, or of the first when it lies below the strip) and the
+    smallest gap between neighbours; shape (4,) + t.shape[:-1]."""
+    t, residual = fields[0], fields[-1]
     first, last = t.real[..., 0], t.real[..., -1]
-    inside_lo = first >= -eps
-    gap = np.abs(np.diff(t, axis=-1)).min(axis=-1)
+    return np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
+                     np.where(first >= -STRIP_SLACK * pulse.tau_p, last, first),
+                     np.abs(np.diff(t, axis=-1)).min(axis=-1)])
+
+
+def _contract_checks(pulse: Pulse, values):
+    """(failure mask, value, message template) per root-set contract, from
+    _contract_values, in the order errors report them.  A NaN root fails
+    every check."""
+    worst, im, edge, gap = values
+    eps = STRIP_SLACK * pulse.tau_p
     return (
         (~(worst <= RESIDUAL_TOL), worst,
          f"saddle residual {{:.3e}} exceeds {RESIDUAL_TOL}; grid or intensity "
          f"outside the validated regime"),
         (~(im > 0), im, "saddle with Im t = {:.3e} <= 0"),
-        (~(inside_lo & (last <= pulse.tau_p + eps)),
-         np.where(inside_lo, last, first),
+        (~((edge >= -eps) & (edge <= pulse.tau_p + eps)), edge,
          f"saddle at Re t = {{:.6g}} outside 0 <= Re t <= tau_p = {pulse.tau_p:.6g}"),
         (~(gap >= DISTINCT_TOL), gap,
          f"saddle pair separated by {{:.3e}} < {DISTINCT_TOL}"),
@@ -465,24 +492,22 @@ def _node(pz, pperp2, e_bound) -> str:
     return f"at p_z = {pz:.6g}, p_perp^2 = {pperp2:.6g}, e_bound = {e_bound:.8g}"
 
 
-def _validate_batch(pulse, e_bound, pz, pperp2, t, residual, s2, copies=1):
-    """Raise for the first point (in flat order) that breaks a contract;
-    the error carries its sorted roots.  Each point counts ``copies`` nodes."""
+def _raise_first_failure(pulse, e_bound, pz, pperp2, record, failing, copies):
+    """Raise for the first point (in flat order) of the first contract that
+    the recorded values break, with the roots kept for it in ``failing``.
+    Each point counts ``copies`` nodes."""
     copies = np.broadcast_to(copies, pz.shape)
-    for bad, value, message in _contract_checks(pulse, t, residual):
+    for kind, (bad, value, message) in enumerate(_contract_checks(pulse, record[:4])):
         if bad.any():
             i = int(np.argmax(bad))
             raise SaddleError(
                 f"{message.format(value[i])} {_node(pz[i], pperp2[i], e_bound)} "
                 f"({int(copies[bad].sum())} of {int(copies.sum())} points)",
-                roots=t[i])
-    s2min = np.abs(s2).min(axis=-1)
-    bad = ~(s2min >= DEGENERATE_S2_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DegenerateSaddleError(
-            f"|S''| = {s2min[i]:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
-            f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=t[i])
+                roots=failing[kind][1])
+    i = int(np.argmax(~(record[4] >= DEGENERATE_S2_TOL)))
+    raise DegenerateSaddleError(
+        f"|S''| = {record[4, i]:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
+        f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=failing[4][1])
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

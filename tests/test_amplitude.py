@@ -324,9 +324,11 @@ class TestStreamedFinalPass:
                                    atol=2e-13 * np.abs(want).max())
 
     def test_peak_memory_is_bounded(self, species_f):
-        """Traced peak of one default-grid F matrix at N = 18 within 1.5
-        times one channel's saddle times (whole-grid fields need 7.6, and
-        storing the mirrored lines' saddle times as well 2.1)."""
+        """Traced peak of one default-grid F matrix at N = 18 within 1.0
+        times one channel's saddle times, though none are held past their
+        row block (whole-grid fields need 7.6, the saddle times of the
+        solved lines alone 1.3; the row blocks' fields and the continuation
+        window take 0.84)."""
         pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega))
         t_nbytes = pz.size * (2 * pulse.n_cycles + 2) * np.dtype(complex).itemsize
@@ -337,7 +339,7 @@ class TestStreamedFinalPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
+        assert peak <= 1.0 * t_nbytes, f"peak {peak / t_nbytes:.2f} x t.nbytes"
 
     PZ = np.array([0.05, 0.3, -0.2])
     PPERP = np.sqrt(np.array([0.0, 0.04, 0.09]))
