@@ -58,7 +58,7 @@ consecutive rows per Newton call, all predicted from the same rows; how
 far the predictor reaches depends on rows, not on the degree.  Only the
 rows the predictor reads are kept, in a window of PREDICTOR_ROWS +
 ROW_BLOCK_ROWS rows.  Each Newton step builds the phasors of its t once,
-for A and A'.  After each row or block, every node is checked against
+for A and A'.  After each row or block, every node is checked once against
 the root-set contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0,
 0 <= Re t <= tau_p, and neighbours in Re t at least DISTINCT_TOL apart.
 Since the strip holds exactly 2N+2 saddles, 2N+2 distinct roots passing
@@ -72,12 +72,10 @@ real on the real axis, so the saddles at (-p_z, p_perp^2) are
 tau_p - conj(t) of those at (p_z, p_perp^2).  When the 2-D inputs are
 exact mirror images across their columns (pz[:, ::-1] == -pz and
 pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
-are symmetric), only the first ceil(n_lines/2) lines are continued, the
-p_z = 0 line included when n_lines is odd.  Given a consumer, only these
-are stored and evaluated, and the consumer maps its results to the other
-lines; without one, each row block of the other lines is filled from its
-partners by that map, root order reversed, and evaluated from its own t.
-Otherwise every line is continued.
+are symmetric) and a consumer is given, only the first ceil(n_lines/2)
+lines are continued and evaluated, the p_z = 0 line included when n_lines
+is odd, and the consumer maps its results to the other lines.  Otherwise
+every line is continued.
 
 Evaluation.  Newton's last step has evaluated the phasors, v_z and |S'|
 at the roots it returns, sorted with them by Re t.  Each row block (for
@@ -88,14 +86,15 @@ contracts gets its action and prefactor 1/sqrt(-i S'') (principal
 branch, Re >= 0) from the same phasors and goes straight to its
 consumer: the caller's consume callback, or a copy into a SaddleBatch.
 Every block records per node its worst residual, smallest Im t, strip
-edge, smallest gap and smallest |S''|, and per contract the roots of its
-first failing node.  From the first block that fails on, no block reaches
-the consumer, and after the last one SaddleError names, for the first
-contract in the order above (|S''| last) that any node breaks, the
-first such node (p_z, p_perp^2) in flat order, the channel energy, its
-roots and the number of failing grid nodes (mirror images fail with
-their partners, which come first).  Given a consumer, no saddle times
-are held beyond the window.
+edge, smallest gap and smallest |S''|.  Blocks arrive in flat order, so
+the first node seen to break a contract is its first in flat order, and
+its roots are kept.  From the first block that fails on, no block
+reaches the consumer, and after the last one SaddleError names, for the
+first contract in the order above (|S''| last) that any node breaks,
+that node (p_z, p_perp^2), the channel energy, its roots and the number
+of failing grid nodes (given a consumer, a node counts twice when its
+mirror image is not solved).  Given a consumer, no saddle times are held
+beyond the window.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -280,10 +279,10 @@ def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
     return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
 
 
-def _failed(pulse: Pulse, values):
-    """The nodes of the _contract_values ``values`` that break a root-set
-    contract."""
-    return np.logical_or.reduce([bad for bad, _, _ in _contract_checks(pulse, values)])
+def _failures(pulse: Pulse, values):
+    """The failure mask of each root-set contract on the _contract_values
+    ``values``, in the order of _contract_checks."""
+    return [bad for bad, _, _ in _contract_checks(pulse, values)]
 
 
 def _sorted_by_real(t, *fields):
@@ -318,48 +317,40 @@ def _predicted_seeds(prev, s_prev, x, bound):
     return np.where(fallback[:, None], last, pred)
 
 
-def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, solved, finish):
-    """Continue the roots of the first ``solved`` lines of 2-D points (see
-    the module docstring), calling finish(nodes, fields, values) per row
-    block with the nodes' flat indices in pz, the fields of _newton and
-    their _contract_values; the mirror images on the other lines follow
-    their partners' block.  Only the rows the predictor reads are kept."""
+def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish):
+    """Continue the roots along every line of 2-D points (see the module
+    docstring), calling finish(nodes, fields, values, bad) per row block
+    with the slice of its nodes in the flattened pz, the fields of _newton,
+    their _contract_values and the _failures on these.  Only the rows the
+    predictor reads are kept."""
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
-    flat = np.arange(pz.size).reshape(pz.shape)
-    s = np.sqrt(pz * pz + pperp2)[:, :solved]
-    window = np.empty((PREDICTOR_ROWS + ROW_BLOCK_ROWS, solved, deg), dtype=complex)
+    s = np.sqrt(pz * pz + pperp2)
+    window = np.empty((PREDICTOR_ROWS + ROW_BLOCK_ROWS, n_lines, deg), dtype=complex)
     kept, r = 0, 0      # window[:kept] holds rows r - kept .. r - 1
     while r < n_path:
         k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
-        bpz, bpp2 = (a[rows, :solved].reshape(-1, 1) for a in (pz, pperp2))
+        bpz, bpp2 = (a[rows].reshape(-1, 1) for a in (pz, pperp2))
         if r == 0:      # from the roots of the row's first node, or their image
             first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
-            seeds = np.repeat(first, solved, axis=0)
+            seeds = np.repeat(first, n_lines, axis=0)
             seeds[bpz[:, 0] * bpz[:1, 0] < 0] = pulse.tau_p - np.conj(first[:, ::-1])
         else:
             seeds = _predicted_seeds(window[:kept], s[r - kept:r], s[rows],
                                      pulse.tau_p / 4).reshape(-1, deg)
         fields = _newton(pulse, e_bound, seeds, bpz, bpp2)
         values = _contract_values(pulse, fields)
-        failed = _failed(pulse, values)
+        bad = _failures(pulse, values)
+        failed = np.logical_or.reduce(bad)
         if failed.any():
             again = _solve_points(pulse, e_bound, bpz[failed, 0], bpp2[failed, 0])
             for field, new in zip(fields, again):
                 field[failed] = new
             values[:, failed] = _contract_values(pulse, again)
-        block = window[kept:kept + k]
-        block[...] = fields[0].reshape(k, solved, deg)
-        finish(flat[rows, :solved].ravel(), fields, values)
-        if solved < n_lines:
-            images = np.conj(block[:, :n_lines - solved][:, ::-1, ::-1])
-            np.subtract(pulse.tau_p, images, out=images)
-            fields, f = _evaluated(pulse, e_bound, images.reshape(-1, deg),
-                                   *(a[rows, solved:].reshape(-1, 1)
-                                     for a in (pz, pperp2)))
-            fields += (np.abs(f),)
-            finish(flat[rows, solved:].ravel(), fields, _contract_values(pulse, fields))
+            bad = _failures(pulse, values)
+        window[kept:kept + k] = fields[0].reshape(k, n_lines, deg)
+        finish(slice(r * n_lines, (r + k) * n_lines), fields, values, bad)
         del fields, seeds   # the next block's Newton call is the peak of memory
         held = min(kept + k, PREDICTOR_ROWS)
         window[:held] = window[kept + k - held:kept + k]
@@ -367,8 +358,9 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, solved, finish):
 
 
 def _solved_lines(pz, pperp2) -> int:
-    """The leading lines of 2-D inputs that are solved: ceil(n_lines/2) of
-    exact mirror images (see the module docstring), else all n_lines."""
+    """The leading lines of 2-D inputs that are solved given a consumer:
+    ceil(n_lines/2) of exact mirror images (see the module docstring), else
+    all n_lines."""
     mirror = (np.array_equal(pz[:, ::-1], -pz)
               and np.array_equal(pperp2[:, ::-1], pperp2))
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
@@ -397,13 +389,12 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     if pz.shape != pperp2.shape:
         raise ValueError("pz and pperp2 must have the same shape")
     deg = 2 * pulse.n_cycles + 2
-    index, copies = None, 1   # stored flat nodes, grid nodes per stored node
+    index, copies = None, 1   # solved flat nodes, grid nodes per solved node
     if pz.ndim == 1:
         fields = _solve_points(pulse, e_bound, pz, pperp2)
     elif pz.ndim == 2:
         n_lines = pz.shape[1]
-        solved = _solved_lines(pz, pperp2)
-        if consume is not None and solved < n_lines:
+        if consume is not None and (solved := _solved_lines(pz, pperp2)) < n_lines:
             # the consumer maps the mirrored lines itself
             index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
             copies = 1 + (index % n_lines < n_lines - solved)
@@ -420,28 +411,20 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
             for name in SaddleBatch.__slots__:
                 getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
-    stored = np.arange(flat_pz.size)
     record = np.empty((5, flat_pz.size))   # per node: contract values, min |S''|
-    failing = {}    # per contract: its first failing node so far and its roots
-    passed = True
+    failing = {}    # per contract: the roots of its first failing node
 
-    def finish(nodes, fields, values):
+    def finish(nodes, fields, values, bad):
         """Evaluate a block and hand it to the consumer, unless it or an
         earlier block broke a contract; record its contract values."""
-        nonlocal passed
         tb, *phasors, vz, residual = fields
         s2 = vz * pulse.vector_potential_derivative(tb, phasors=phasors)
         low = np.abs(s2).min(axis=-1)
         record[:4, nodes], record[4, nodes] = values, low
-        checks = [bad for bad, _, _ in _contract_checks(pulse, values)]
-        for kind, bad in enumerate(checks + [~(low >= DEGENERATE_S2_TOL)]):
-            if bad.any():
-                passed = False
-                i = int(np.argmax(bad))
-                # mirrored lines follow their row block: not always later
-                if stored[nodes][i] < failing.get(kind, (np.inf,))[0]:
-                    failing[kind] = stored[nodes][i], tb[i].copy()
-        if passed:
+        for kind, fails in enumerate(bad + [~(low >= DEGENERATE_S2_TOL)]):
+            if kind not in failing and fails.any():
+                failing[kind] = tb[int(np.argmax(fails))].copy()
+        if not failing:
             act = _action_terms(pulse, tb, flat_pz[nodes, None],
                                 flat_pp2[nodes, None], e_bound, phasors=phasors)
             prefactor = 1.0 / np.sqrt(-1j * s2)
@@ -449,10 +432,11 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
                     SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
-        finish(slice(None), fields, _contract_values(pulse, fields))
+        values = _contract_values(pulse, fields)
+        finish(slice(None), fields, values, _failures(pulse, values))
     else:
-        _continue_lines(pulse, e_bound, pz, pperp2, solved, finish)
-    if not passed:   # name the first failing node of the whole batch
+        _continue_lines(pulse, e_bound, pz, pperp2, finish)
+    if failing:     # name the first failing node of the whole batch
         _raise_first_failure(pulse, e_bound, flat_pz, flat_pp2, record,
                              failing, copies)
     return batch
@@ -503,11 +487,11 @@ def _raise_first_failure(pulse, e_bound, pz, pperp2, record, failing, copies):
             raise SaddleError(
                 f"{message.format(value[i])} {_node(pz[i], pperp2[i], e_bound)} "
                 f"({int(copies[bad].sum())} of {int(copies.sum())} points)",
-                roots=failing[kind][1])
+                roots=failing[kind])
     i = int(np.argmax(~(record[4] >= DEGENERATE_S2_TOL)))
     raise DegenerateSaddleError(
         f"|S''| = {record[4, i]:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
-        f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=failing[4][1])
+        f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=failing[4])
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

@@ -313,11 +313,13 @@ class TestStreamedFinalPass:
         monkeypatch.setattr(saddle, "ROW_BLOCK_ROWS", 3)
         got = amplitude_profiles(pulse, species_f, pz, pperp, cumulative)
         want = batch_sums(pulse, species_f, pz, pperp, cumulative)
-        # the solved lines off p_z = 0 to the bit; the p_z = 0 line and the
-        # mirrored lines, which amplitude_profiles takes from the reflection
-        # identity, to the rounding of an action of up to 2500 (N = 18):
-        # 1.6e-13 x max measured, where each side is about 6e-14 off the
-        # sums from long-double actions
+        # want solves every line directly, so on the mirrored lines this
+        # checks the reflection identity s(-p_z) = exp(i S_tau) sigma
+        # conj(s(p_z)) that amplitude_profiles maps its solved lines with.
+        # The solved lines off p_z = 0 agree to the bit; the p_z = 0 line
+        # and the mirrored lines to the rounding of an action of up to 2500
+        # (N = 18): 1.6e-13 x max measured, where each side is about 6e-14
+        # off the sums from long-double actions
         solved = np.s_[:] if layout == "points" else np.s_[:, :, :pz.shape[1] // 2]
         np.testing.assert_array_equal(got[solved], want[solved])
         np.testing.assert_allclose(got, want, rtol=0,

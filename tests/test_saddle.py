@@ -155,7 +155,23 @@ def assert_same_saddles(lines, points, columns=slice(None)):
             getattr(lines, name)[:, columns],
             getattr(points, name).reshape(lines.t.shape)[:, columns],
             rtol=1e-10, atol=0, err_msg=name)
-    assert lines.residual.max() < 1e-10
+    assert lines.residual[:, columns].max() < 1e-10
+
+
+def consumed_batch(pulse, pz, pp2):
+    """saddle_batch given a consumer, the path of the density matrix: a
+    SaddleBatch of the whole grid that holds the blocks the consumer is
+    handed, NaN on the lines it does not solve."""
+    deg = 2 * pulse.n_cycles + 2
+    batch = saddle.SaddleBatch(*(np.full(pz.shape + (deg,), np.nan, dtype=dtype)
+                                 for dtype in [complex] * 5 + [float]))
+
+    def keep(nodes, block):
+        for name in saddle.SaddleBatch.__slots__:
+            getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
+
+    saddle_batch(pulse, E_F, pz, pp2, keep)
+    return batch
 
 
 def count_seeds(monkeypatch):
@@ -248,19 +264,21 @@ class TestContinuation:
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
 
     def test_failed_row_zero_node_is_reseeded(self, pulse, monkeypatch):
-        # row 0 starts from the first node's roots (call 0); its Newton
-        # call (call 1) returns node 3 with two equal roots, so eigvals
-        # re-seeds it (call 2), and its line continues from there
+        # on the consumer path: row 0 of the solved lines starts from the
+        # first node's roots (call 0); its Newton call (call 1) returns
+        # node 3 with two equal roots, so eigvals re-seeds it (call 2), and
+        # its line continues from there
         pz, pp2 = radial_lines(pulse)
         solved = pz.shape[1] // 2
         seeded = count_seeds(monkeypatch)
         calls = record_newton(monkeypatch, collapse=(1, 3))
-        lines = saddle_batch(pulse, E_F, pz, pp2)
+        lines = consumed_batch(pulse, pz, pp2)
         assert seeded == [1, 1]
         assert [len(seeds) for seeds, _ in calls[:3]] == [1, solved, 1]
         np.testing.assert_array_equal(calls[1][0],
                                       np.repeat(calls[0][1], solved, axis=0))
-        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()),
+                            columns=np.s_[:solved])
 
     def test_shuffled_rows_match_independent_points(self, pulse, rng):
         pz, pp2 = (a[:, :-1] for a in radial_lines(pulse))
@@ -282,13 +300,14 @@ class TestPredictor:
         solved, col = pz.shape[1] // 2, 2
         k = saddle.ROW_BLOCK_ROWS
         assert 1 < k < pz.shape[0] - 3
-        # call 0 solves the first node, calls 1-3 rows 0-2, call 4 the first
-        # block (rows 3..3+k-1); its last row has two equal roots in column
-        # col, so call 5 re-seeds that node
+        # on the consumer path: call 0 solves the first node, calls 1-3
+        # rows 0-2 of the solved lines, call 4 the first block (rows
+        # 3..3+k-1); its last row has two equal roots in column col, so
+        # call 5 re-seeds that node
         calls = record_newton(monkeypatch, collapse=(4, (k - 1) * solved + col))
-        lines = saddle_batch(pulse, E_F, pz, pp2)
+        lines = consumed_batch(pulse, pz, pp2)
         assert len(calls[5][0]) == 1
-        assert (np.diff(lines.t.real, axis=-1) > 0).all()
+        assert (np.diff(lines.t[:, :solved].real, axis=-1) > 0).all()
         # the stored rows are the returned ones; the next block (call 6)
         # seeds every column, the re-seeded one included, by the Lagrange
         # polynomial through the last PREDICTOR_ROWS rows in s = |p|, root
@@ -309,7 +328,8 @@ class TestPredictor:
         # summation orders agree to rounding of that sum, not of the seed
         assert (np.abs(seeds - expected) <= 1e-14 * scale).all()
         assert not np.array_equal(seeds[0, col], last[-1, col])
-        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()))
+        assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()),
+                            columns=np.s_[:solved])
 
     @pytest.mark.parametrize("rows", [
         np.r_[0:5, 4, 4, 5:40],                # repeated rows: equal s
@@ -353,19 +373,26 @@ class TestPredictor:
         n_path, solved = pz.shape[0], pz.shape[1] // 2
         calls = record_newton(monkeypatch)
         seeded = count_seeds(monkeypatch)
-        evaluated = []
+        evaluated, checked = [], []
         vector_potential = Pulse.vector_potential
+        contract_checks = saddle._contract_checks
 
         def counting(self, t, phasors=None):
             evaluated.append(np.size(t))
             return vector_potential(self, t, phasors=phasors)
 
+        def counting_checks(pu, values):
+            checked.append(values.shape[1])
+            return contract_checks(pu, values)
+
         monkeypatch.setattr(Pulse, "vector_potential", counting)
+        monkeypatch.setattr(saddle, "_contract_checks", counting_checks)
         for sp in (species_f, species_cl, species_br):
             for j2 in (3, 1):
                 calls.clear()
                 seeded.clear()
                 evaluated.clear()
+                checked.clear()
                 saddle_batch(pu, sp.e_bound(j2), pz, pperp * pperp,
                              lambda nodes, block: None)
                 # the first node, then one call per row block: no node is
@@ -373,6 +400,9 @@ class TestPredictor:
                 # order, the one the predictor extrapolates in
                 assert len(calls) == 1 + len(row_blocks(n_path)), (sp.name, j2)
                 assert seeded == [1], (sp.name, j2)
+                # and the contracts are checked once per row block
+                assert checked == [len(range(n_path)[rows]) * solved
+                                   for rows in row_blocks(n_path)], (sp.name, j2)
                 # A is evaluated only by Newton, 2.02 times per root: one
                 # step from nearly every predicted seed (the quadratic
                 # predictor needed two, 2.92 evaluations per root)
@@ -391,19 +421,30 @@ class TestPredictor:
 class TestMirror:
     @pytest.mark.parametrize("n_theta", [16, 15])
     def test_symmetric_lines_solve_half(self, pulse, monkeypatch, n_theta):
+        # the first node, then the rows of the first ceil(n_theta/2) lines
+        # given a consumer, of every line without one
         pz, pp2 = radial_lines(pulse, n_theta=n_theta)
         calls = record_newton(monkeypatch)
-        lines = saddle_batch(pulse, E_F, pz, pp2)
-        # the first node, then the rows of the first ceil(n_theta/2) lines
-        assert [len(seeds) for seeds, _ in calls] == [1] + [
-            len(range(pz.shape[0])[rows]) * ((n_theta + 1) // 2)
-            for rows in row_blocks(pz.shape[0])]
-        # column n_theta-1-j holds tau_p - conj(t) of column j, in
-        # reversed order of Re t
+        rows = [len(range(pz.shape[0])[r]) for r in row_blocks(pz.shape[0])]
+        for consume, lines in ((lambda nodes, block: None, (n_theta + 1) // 2),
+                               (None, n_theta)):
+            calls.clear()
+            batch = saddle_batch(pulse, E_F, pz, pp2, consume)
+            assert [len(seeds) for seeds, _ in calls] == [1] + [
+                k * lines for k in rows]
+        # the mirrored lines, solved like the others, hold the images: column
+        # n_theta-1-j is tau_p - conj(t) of column j, in reversed order of
+        # Re t, to rounding.  The p_z = 0 line is its own image, modulo
+        # tau_p (see test_lines_match_independent_points)
+        t = batch.t
         for j in range(n_theta // 2):
-            np.testing.assert_array_equal(
-                lines.t[:, n_theta - 1 - j],
-                (pulse.tau_p - np.conj(lines.t[:, j]))[:, ::-1])
+            np.testing.assert_allclose(
+                t[:, n_theta - 1 - j], (pulse.tau_p - np.conj(t[:, j]))[:, ::-1],
+                rtol=0, atol=1e-10 * pulse.tau_p, err_msg=str(j))
+        if n_theta % 2:
+            mid = t[:, n_theta // 2]
+            assert_same_roots_modulo_period(mid, pulse.tau_p - np.conj(mid),
+                                            pulse.tau_p)
 
     def test_asymmetric_lines_solve_all(self, pulse, monkeypatch):
         pz, pp2 = radial_lines(pulse)
@@ -433,21 +474,18 @@ class TestMirror:
         return seen
 
     def test_every_node_is_validated(self, pulse, monkeypatch):
-        # the contract gate sees every node's roots and |S'| exactly once:
-        # per row block, the solved lines from Newton, then the mirrored
-        # lines from their own t
+        # without a consumer, the contract gate sees every node's roots and
+        # |S'| exactly once, per row block of all lines, in flat order
         pz, pp2 = radial_lines(pulse)
         deg = 2 * pulse.n_cycles + 2
-        solved = pz.shape[1] // 2
         seen = self.record_checks(monkeypatch)
         batch = saddle_batch(pulse, E_F, pz, pp2)
-        order = [(rows, cols) for rows in row_blocks(pz.shape[0])
-                 for cols in (np.s_[:solved], np.s_[solved:])]
-        assert len(seen) == len(order)
-        for (roots, residual), (rows, cols) in zip(seen, order):
-            np.testing.assert_array_equal(roots, batch.t[rows, cols].reshape(-1, deg))
-            np.testing.assert_array_equal(
-                residual, batch.residual[rows, cols].reshape(-1, deg))
+        blocks = row_blocks(pz.shape[0])
+        assert len(seen) == len(blocks)
+        for (roots, residual), rows in zip(seen, blocks):
+            np.testing.assert_array_equal(roots, batch.t[rows].reshape(-1, deg))
+            np.testing.assert_array_equal(residual,
+                                          batch.residual[rows].reshape(-1, deg))
 
     @pytest.mark.parametrize("n_theta", [16, 15])
     def test_consumer_path_validates_each_solved_node(self, pulse, monkeypatch,
@@ -491,42 +529,44 @@ class TestMirror:
 
 
     def test_mirrored_node_failing_alone_is_named(self, pulse, monkeypatch):
-        # in the first block, mirrored node m (row 3) fails the residual
-        # contract on its own, and solved node b (row 8, evaluated before m)
-        # fails it too.  m comes first in flat order, so the error names m,
-        # with its roots
+        # in the first block, node m on a mirrored line (row 3) and node b
+        # on a solved line (row 8) return a root moved off the saddle, from
+        # every Newton call, re-seeds included.  Without a consumer every
+        # line is solved: m comes first in flat order, so the error names
+        # m, failing alone, and counts m and b.  Given one, m is not solved
+        # (its partner passes), so the error names b and counts b with its
+        # mirror image
         pz, pp2 = radial_lines(pulse)
-        m, b = (3, 12), (8, 1)
+        m, b, shift = (3, 12), (8, 1), 1e-4
         good = saddle_batch(pulse, E_F, pz, pp2)
-        evaluated, newton = saddle._evaluated, saddle._newton
+        newton = saddle._newton
 
-        def off_at_m(pu, e_bound, t, pz_, pp2_):
-            fields, f = evaluated(pu, e_bound, t, pz_, pp2_)
-            return fields, f + ((pz_ == pz[m]) & (pp2_ == pp2[m]))
-
-        def off_at_b(pu, e_bound, t, pz_, pp2_):
+        def off_at_m_and_b(pu, e_bound, t, pz_, pp2_):
             roots = newton(pu, e_bound, t, pz_, pp2_)[0].copy()
-            roots[(pz_[:, 0] == pz[b]) & (pp2_[:, 0] == pp2[b]), 0] += 1e-4
-            fields, f = evaluated(pu, e_bound, roots, pz_, pp2_)
+            for n in (m, b):
+                roots[(pz_[:, 0] == pz[n]) & (pp2_[:, 0] == pp2[n]), 0] += shift
+            fields, f = saddle._evaluated(pu, e_bound, roots, pz_, pp2_)
             return (*fields, np.abs(f))
 
-        monkeypatch.setattr(saddle, "_evaluated", off_at_m)
-        monkeypatch.setattr(saddle, "_newton", off_at_b)
-        with pytest.raises(SaddleError) as info:
-            saddle_batch(pulse, E_F, pz, pp2)
-        message = str(info.value)
-        assert message.startswith("saddle residual")
-        assert f"p_z = {pz[m]:.6g}," in message
-        # m, b and b's mirror image
-        assert message.endswith(f"(3 of {pz.size} points)")
-        np.testing.assert_array_equal(info.value.roots, good.t[m])
+        monkeypatch.setattr(saddle, "_newton", off_at_m_and_b)
+        for consume, node in ((None, m), (lambda nodes, block: None, b)):
+            with pytest.raises(SaddleError) as info:
+                saddle_batch(pulse, E_F, pz, pp2, consume)
+            message = str(info.value)
+            assert message.startswith("saddle residual")
+            assert f"p_z = {pz[node]:.6g}, p_perp^2 = {pp2[node]:.6g}," in message
+            assert message.endswith(f"(2 of {pz.size} points)")
+            expected = good.t[node].copy()
+            expected[0] += shift
+            np.testing.assert_allclose(info.value.roots, expected, rtol=0,
+                                       atol=1e-10 * pulse.tau_p)
 
 
 def test_one_phasor_build_per_evaluation(monkeypatch):
     """One default-grid channel at N = 18: each Newton step builds the
-    phasors once, for A and A'; S'' and the action of a solved node take
-    the phasors of its last Newton step, so only the mirrored lines that
-    a SaddleBatch holds build theirs, once per row block."""
+    phasors once, for A and A'; S'' and the action of every node take the
+    phasors of its last Newton step, so none are built outside Newton,
+    with a consumer or without."""
     pu = Pulse.from_lab(1800.0, 18, 1.3e13)
     pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
     builds = {True: 0, False: 0}      # keyed by: inside _newton
@@ -554,12 +594,11 @@ def test_one_phasor_build_per_evaluation(monkeypatch):
     monkeypatch.setattr(Pulse, "phasors", counting_phasors)
     monkeypatch.setattr(Pulse, "vector_potential", counting_a)
     monkeypatch.setattr(saddle, "_newton", flagged_newton)
-    for consume, outside in ((lambda nodes, block: None, 0),
-                             (None, len(row_blocks(pz.shape[0])))):
+    for consume in (lambda nodes, block: None, None):
         builds.update({True: 0, False: 0})
         evaluations.clear()
         saddle_batch(pu, E_F, pz, pperp * pperp, consume)
-        assert builds[False] == outside
+        assert builds[False] == 0
         assert evaluations and builds[True] == len(evaluations)
 
 
@@ -631,8 +670,9 @@ class TestSaddleErrors:
         # node a (row 5) returns two equal roots and node b (row 20) a root
         # moved off the saddle, from every Newton call, re-seeds included.
         # The residual contract comes first, so both paths name b with its
-        # roots and count it with its mirror image; only the blocks before
-        # a's reach the consumer
+        # roots.  Given a consumer, b counts with its mirror image, which
+        # is not solved; without one, b's image is solved and passes, so b
+        # counts alone.  Only the blocks before a's reach the consumer
         pz, pp2 = radial_lines(pulse)
         solved, a, b, shift = pz.shape[1] // 2, (5, 2), (20, 3), 1e-4
         good = saddle_batch(pulse, E_F, pz, pp2)
@@ -653,17 +693,19 @@ class TestSaddleErrors:
                          lambda nodes, block: handed.append(nodes))
         with pytest.raises(SaddleError) as whole:
             saddle_batch(pulse, E_F, pz, pp2)
-        message = str(windowed.value)
-        assert message.startswith("saddle residual")
-        assert f"p_z = {pz[b]:.6g}, p_perp^2 = {pp2[b]:.6g}," in message
-        assert message.endswith(f"(2 of {pz.size} points)")
         expected = good.t[b].copy()
         expected[0] += shift
-        np.testing.assert_allclose(windowed.value.roots, expected, rtol=0,
-                                   atol=1e-10 * pulse.tau_p)
+        for info, count in ((windowed, 2), (whole, 1)):
+            message = str(info.value)
+            assert message.startswith("saddle residual")
+            assert f"p_z = {pz[b]:.6g}, p_perp^2 = {pp2[b]:.6g}," in message
+            assert message.endswith(f"({count} of {pz.size} points)")
+            np.testing.assert_allclose(info.value.roots, expected, rtol=0,
+                                       atol=1e-10 * pulse.tau_p)
         np.testing.assert_array_equal(
             np.concatenate(handed),
             np.arange(pz.size).reshape(pz.shape)[:3, :solved].ravel())
         assert type(whole.value) is type(windowed.value)
-        assert str(whole.value) == message
+        assert (str(whole.value).rsplit("(", 1)[0]
+                == str(windowed.value).rsplit("(", 1)[0])
         np.testing.assert_array_equal(whole.value.roots, windowed.value.roots)
