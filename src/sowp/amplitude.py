@@ -123,7 +123,8 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     consume(nodes, rows) per evaluated block of the j = 1/2 channel and
     per block of their mirror images on unsolved lines: ``nodes`` indexes
     the flattened nodes (a slice or an index array), ``rows`` holds their
-    four sums, shape (4, nodes) or (4, nodes, 2N+2).  Each block of
+    four sums, shape (4, nodes) or (4, nodes, 2N+2), valid only during
+    the call (``Gram`` adds them in at once).  Each block of
     ``saddle_batch`` is summed as it is evaluated, so the j = 3/2 rows are
     all that is held per node.
     """
@@ -141,12 +142,15 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         def consume(nodes, rows):
             flat[:, nodes] = rows
 
-    def channel_sums(j2, nodes, block):
-        """Rows (j2, 0) and (j2, 1) of one evaluated block."""
-        core = np.exp(1j * block.action) * block.prefactor
-        out = np.empty((2,) + block.t.shape[:-1] + tail, dtype=complex)
-        saddle_sum(core * block.vz, axis=-1, out=out[0])
+    def channel_sums(j2, nodes, block, out=None):
+        """Rows (j2, 0) and (j2, 1) of one evaluated block, into ``out``
+        if given; one temporary of the block's size."""
+        if out is None:
+            out = np.empty((2, len(block.t)) + tail, dtype=complex)
+        core = np.multiply(1j, block.action)
+        core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
         saddle_sum(core, axis=-1, out=out[1])
+        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=out[0])
         out[1] *= pperp_[nodes]
         out *= -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
         return out
@@ -170,14 +174,18 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
             np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
         return np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
 
-    held = np.empty((2, pz.size) + tail, dtype=complex)   # the j = 3/2 rows
+    # the j = 3/2 rows per block: saddle_batch hands over the same blocks
+    # of both channels in the same order
+    held = []
 
     def hold(nodes, block):
-        held[:, nodes] = channel_sums(3, nodes, block)
+        held.append(channel_sums(3, nodes, block))
     saddle_batch(pulse, species.e_bound(3), pz, pperp2, hold)
 
     def stream(nodes, block):
-        rows = np.concatenate([held[:, nodes], channel_sums(1, nodes, block)])
+        rows = np.empty((len(SUM_ROWS), len(block.t)) + tail, dtype=complex)
+        rows[:2] = held.pop(0)
+        channel_sums(1, nodes, block, rows[2:])
         image = reflected(nodes, rows)
         # p_z = 0 is its own image: its edge saddle counts half at each end
         centre = pz.ravel()[nodes] == 0

@@ -115,7 +115,8 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N) on a pool of ``threads`` (>= 1) worker
     threads; package errors (SowpError) are collected per point, not raised;
-    any other exception propagates.
+    any other exception propagates.  Points are started longest pulse
+    first.
 
     ``cycles``: iterable of N applied to every species (default: 2..18 for
     F and Cl, 2..8 for Br; ConfigError for a species with no default
@@ -138,11 +139,14 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
 
     points, failures = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_sweep_one, sp, wavelength_nm, intensity_wcm2,
-                               n, grid) for sp, n in jobs]
-        for (sp, n), future in zip(jobs, futures):
+        # longest pulses first, so that no long one is left to run alone at
+        # the end; collected in input order
+        futures = {i: pool.submit(_sweep_one, jobs[i][0], wavelength_nm,
+                                  intensity_wcm2, jobs[i][1], grid)
+                   for i in sorted(range(len(jobs)), key=lambda i: -jobs[i][1])}
+        for i, (sp, n) in enumerate(jobs):
             try:
-                points.append(future.result())
+                points.append(futures[i].result())
             except SowpError as exc:   # aggregate per-point failures
                 failures.append((sp.name, n, exc))
     return points, failures

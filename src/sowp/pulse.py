@@ -25,6 +25,7 @@ phasors once (Pulse.phasors) and passes them to each.
 """
 
 from dataclasses import dataclass, field
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -32,6 +33,16 @@ from sowp import units
 
 FWHM_FACTOR = 0.364  # intensity FWHM of a sin^2 envelope, as fraction of tau_p
 SIDEBANDS = (0, 1, -1)  # r of the sinusoids at omega (1 + r/N) in A(t)
+
+
+_UFUNCS = {add: np.add, sub: np.subtract, mul: np.multiply, truediv: np.divide}
+
+
+def _into(op, a, b, out=None):
+    """op(a, b) for op in _UFUNCS, written into the array ``out`` if given;
+    without it, the expression itself, so that numpy scalars keep their
+    own scalar arithmetic, bit for bit."""
+    return op(a, b) if out is None else _UFUNCS[op](a, b, out=out)
 
 
 @dataclass(frozen=True)
@@ -85,41 +96,51 @@ class Pulse:
         """FWHM of the intensity envelope, 0.364 tau_p, in fs."""
         return units.au_to_fs(FWHM_FACTOR * self.tau_p)
 
-    def phasors(self, t):
+    def phasors(self, t, out=None):
         """(u, z, 1/u, 1/z) for the array t, with z = exp(i omega t / N)
-        and u = z^N = exp(i omega t) built by repeated squaring."""
-        z = np.exp((1j * self.omega / self.n_cycles) * t)
+        and u = z^N = exp(i omega t) built by repeated squaring; written
+        into the four complex arrays ``out`` of t's shape if given."""
+        buf, z, v, y = (None,) * 4 if out is None else out
+        z = np.exp(np.multiply(1j * self.omega / self.n_cycles, t, out=z), out=z)
         u = z
         for bit in bin(self.n_cycles)[3:]:
-            u = u * u
+            u = _into(mul, u, u, buf)
             if bit == "1":
-                u = u * z
-        return u, z, 1.0 / u, 1.0 / z
+                u = _into(mul, u, z, buf)
+        return u, z, _into(truediv, 1.0, u, v), _into(truediv, 1.0, z, y)
 
-    @staticmethod
-    def _as_input(t, out):
-        """out as a real array for real t, and as a scalar for scalar t."""
+    def _sinusoids(self, t, phasors, coef, combine, factor, out):
+        """factor (u (c0 + c1 z + c2 y) combine v (c0 + c1 y + c2 z)) at t
+        for coef (c0, c1, c2), the form of A and A': real for real t, a
+        scalar for scalar t, and in ``out`` (see vector_potential) if given."""
+        t = np.asarray(t)
+        u, z, v, y = self.phasors(t) if phasors is None else phasors
+        c0, c1, c2 = coef
+        res, p_out, q_out = (None,) * 3 if out is None else out
+        p = _into(mul, c1, z, p_out)
+        p += c0
+        p += _into(mul, c2, y, res)
+        q = _into(mul, c1, y, q_out)
+        q += c0
+        q += _into(mul, c2, z, res)
+        p = _into(combine, _into(mul, u, p, p_out), _into(mul, v, q, q_out), p_out)
+        value = _into(mul, factor, p, res)
         if not np.iscomplexobj(t):
-            out = out.real.copy()
-        return out[()] if out.ndim == 0 else out
+            value = value.real.copy()
+        return value[()] if value.ndim == 0 else value
 
-    def vector_potential(self, t, phasors=None):
+    def vector_potential(self, t, phasors=None, out=None):
         """A_z(t) for real or complex t (scalar or ndarray); phasors, if
-        given, must be self.phasors(t)."""
-        t = np.asarray(t)
-        u, z, v, y = self.phasors(t) if phasors is None else phasors
-        a0, a1, a2 = self.sidebands
-        out = -0.5j * (u * (a0 + a1 * z + a2 * y) - v * (a0 + a1 * y + a2 * z))
-        return self._as_input(t, out)
+        given, must be self.phasors(t).  For complex t, ``out`` may give
+        three complex arrays of t's shape: the result is written into the
+        first, and the other two are overwritten."""
+        return self._sinusoids(t, phasors, self.sidebands, sub, -0.5j, out)
 
-    def vector_potential_derivative(self, t, phasors=None):
-        """dA/dt = -F(t); phasors as for vector_potential."""
-        t = np.asarray(t)
-        u, z, v, y = self.phasors(t) if phasors is None else phasors
-        a0, a1, a2 = (a * (self.omega * (1.0 + r / self.n_cycles))
-                      for a, r in zip(self.sidebands, SIDEBANDS))
-        out = 0.5 * (u * (a0 + a1 * z + a2 * y) + v * (a0 + a1 * y + a2 * z))
-        return self._as_input(t, out)
+    def vector_potential_derivative(self, t, phasors=None, out=None):
+        """dA/dt = -F(t); phasors and out as for vector_potential."""
+        coef = [a * (self.omega * (1.0 + r / self.n_cycles))
+                for a, r in zip(self.sidebands, SIDEBANDS)]
+        return self._sinusoids(t, phasors, coef, add, 0.5, out)
 
     def electric_field(self, t):
         """F_z(t) = -dA/dt, analytic for complex t."""

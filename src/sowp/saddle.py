@@ -96,6 +96,13 @@ of failing grid nodes (given a consumer, a node counts twice when its
 mirror image is not solved).  Given a consumer, no saddle times are held
 beyond the window.
 
+Buffers.  Newton and the evaluation write into one set of block arrays per
+saddle_batch call (_workspace), sized for its largest block, so the row
+blocks allocate no array of their size and the C heap is not trimmed and
+faulted in again from block to block.  A block handed to the consumer is
+therefore valid only during that call.  Eigenvalue re-seeds and the first
+node of row 0 are solved in buffers of their own.
+
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
 a trigonometric polynomial with ten frequencies that are multiples of
@@ -103,11 +110,12 @@ omega/N, from the same phasors as A(t) (see _action_coefficients).
 """
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 import numpy as np
 
 from sowp.errors import SaddleError, DegenerateSaddleError
-from sowp.pulse import SIDEBANDS, Pulse
+from sowp.pulse import SIDEBANDS, Pulse, _into
 
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
@@ -160,27 +168,45 @@ def _action_coefficients(pulse):
     return lin, c, b, g
 
 
-def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None):
+def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None):
     """Closed-form action (see _action_coefficients) from the phasors
     z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
     (pulse.phasors(t), built here unless given); t is real or complex, and
-    pz and pperp2 broadcast against t.
+    pz and pperp2 broadcast against t.  For complex t, ``out`` may give
+    four complex arrays of t's shape: the action is written into the
+    first, and the others are overwritten.
 
     Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
     """
     lin, c, b, g = _action_coefficients(pulse)
     u, z, v, y = pulse.phasors(t) if phasors is None else phasors
-    z2, y2, u2, v2 = z * z, y * y, u * u, v * v
-    s = (0.5 * (pz * pz + pperp2) - e_bound + lin) * t
-    # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2); not in place, so that s
-    # becomes complex when t is real
-    s = s + pz * (c[0] * (1.0 - 0.5 * (u * y + v * z))
-                  + c[1] * (1.0 - 0.5 * (u + v))
-                  + c[2] * (1.0 - 0.5 * (u * z + v * y)))
+    res, w_out, h_out, q_out = (None,) * 4 if out is None else out
+    s = _into(mul, 0.5 * (pz * pz + pperp2) - e_bound + lin, t, res)
+
+    def cosines(cr, x, x_inv, buf):     # cr (1 - (x + x_inv) / 2)
+        half = _into(mul, 0.5, _into(add, x, x_inv, buf), buf)
+        return _into(mul, cr, _into(sub, 1.0, half, buf), buf)
+
+    # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2); into res, not in place, so
+    # that s becomes complex when t is real
+    w = cosines(c[0], _into(mul, u, y, w_out), _into(mul, v, z, h_out), w_out)
+    w += cosines(c[1], u, v, h_out)
+    w += cosines(c[2], _into(mul, u, z, h_out), _into(mul, v, y, q_out), h_out)
+    s = _into(add, s, _into(mul, pz, w, w_out), res)
     # sin(k w t) = (z^k - y^k) / 2i; for k = 2N + r, z^k = u^2 z^r
-    high_u = g[0] * y2 + g[1] * y + g[2] + g[3] * z + g[4] * z2
-    high_v = g[0] * z2 + g[1] * z + g[2] + g[3] * y + g[4] * y2
-    s += -0.5j * (b[1] * (z - y) + b[2] * (z2 - y2) + u2 * high_u - v2 * high_v)
+    w = _into(mul, b[1], _into(sub, z, y, w_out), w_out)
+    w += _into(mul, b[2], _into(sub, _into(mul, z, z, h_out),
+                                _into(mul, y, y, q_out), h_out), h_out)
+    for up, down, carrier, combine in ((z, y, u, add), (y, z, v, sub)):
+        # carrier^2 (g[0] down^2 + g[1] down + g[2] + g[3] up + g[4] up^2)
+        h = _into(mul, g[0], _into(mul, down, down, h_out), h_out)
+        h += _into(mul, g[1], down, q_out)
+        h += g[2]
+        h += _into(mul, g[3], up, q_out)
+        h += _into(mul, g[4], _into(mul, up, up, q_out), q_out)
+        w = _into(combine, w, _into(mul, _into(mul, carrier, carrier, q_out), h,
+                                    h_out), w_out)
+    s += _into(mul, -0.5j, w, w_out)
     return s
 
 
@@ -242,41 +268,66 @@ def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
     return np.where(np.abs(w) < 1.0, t, np.conj(t))
 
 
-def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2):
+def _workspace(n, deg):
+    """Block buffers for up to n points, each of shape (n, deg): complex
+    seeds, t, u, z, 1/u, 1/z, v_z, S', step and two scratch (S'', the
+    prefactor and the action reuse the last five), and float |S'| and
+    scratch.  Callers take views of their first rows."""
+    return np.empty((11, n, deg), dtype=complex), np.empty((2, n, deg))
+
+
+def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2, out=None):
     """((t, u, z, 1/u, 1/z, v_z), S'(t)) with v_z = p_z + A(t), for points
-    pz, pperp2 that broadcast against t."""
-    phasors = pulse.phasors(t)
-    vz = pz + pulse.vector_potential(t, phasors=phasors)
-    return (t, *phasors, vz), 0.5 * (vz * vz + pperp2) - e_bound
+    pz, pperp2 that broadcast against t; written into the eight complex
+    arrays ``out`` of t's shape (u, z, 1/u, 1/z, v_z, S' and two scratch)
+    if given."""
+    u, z, v, y, vz, f, x1, x2 = (None,) * 8 if out is None else out
+    phasors = pulse.phasors(t, out=(u, z, v, y))
+    vz = np.add(pz, pulse.vector_potential(t, phasors=phasors, out=(vz, x1, x2)),
+                out=vz)
+    f = np.multiply(vz, vz, out=f)
+    f += pperp2
+    f = np.multiply(0.5, f, out=f)
+    f -= e_bound
+    return (t, *phasors, vz), f
 
 
-def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2):
+def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
     """Damped Newton polish of S'(t) = 0 from start values t of shape
-    (n, 2N+2), for points pz, pperp2 of shape (n, 1).
+    (n, 2N+2), for points pz, pperp2 of shape (n, 1), in the buffers
+    ``work`` of _workspace; t itself is not written to.
 
     Stops when every |S'| is at most NEWTON_STOP_TOL or after
     NEWTON_ITERATIONS steps.  Returns the fields of the last evaluation,
-    (t, u, z, 1/u, 1/z, v_z, |S'|), each sorted by Re t.
+    (t, u, z, 1/u, 1/z, v_z, |S'|), each sorted by Re t (in work's buffers
+    unless sorting moved them).
     """
+    (_, tk, *fields, d, x1, x2), (residual, mag) = (w[:, :len(t)] for w in work)
     step_cap = 0.25 * np.pi / pulse.omega
+    tk[...] = t
     for it in range(NEWTON_ITERATIONS + 1):
-        fields, f = _evaluated(pulse, e_bound, t, pz, pperp2)
-        residual = np.abs(f)
+        evaluated, f = _evaluated(pulse, e_bound, tk, pz, pperp2, out=(*fields, x1, x2))
+        residual = np.abs(f, out=residual)
         if it == NEWTON_ITERATIONS or (residual <= NEWTON_STOP_TOL).all():
-            return _sorted_by_real(*fields, residual)
-        fp = fields[-1] * pulse.vector_potential_derivative(t, phasors=fields[1:5])
+            return _sorted_by_real(*evaluated, residual)
+        fp = np.multiply(evaluated[-1], pulse.vector_potential_derivative(
+            tk, phasors=evaluated[1:5], out=(d, x1, x2)), out=d)
+        # dt = -f / fp (0 where fp = 0), scaled down to at most step_cap
         with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(fp != 0, -f / fp, 0.0)
-        mag = np.abs(dt)
-        scale = np.where(mag > step_cap, step_cap / np.where(mag > 0, mag, 1.0), 1.0)
-        t = t + dt * scale
+            dt = np.divide(np.negative(f, out=f), fp, out=f)
+            dt[fp == 0] = 0.0
+            scale = np.minimum(np.divide(step_cap, np.abs(dt, out=mag), out=mag),
+                               1.0, out=mag)
+        tk += np.multiply(dt, scale, out=dt)
 
 
-def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2):
+def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2, work=None):
     """Eigenvalue-seeded, Newton-polished roots of 1-D independent points:
-    the fields of _newton, shape (n, 2N+2)."""
+    the fields of _newton, shape (n, 2N+2), in ``work`` or, by default, in
+    buffers of their own."""
     seeds = _eigvals_seeds(pulse, e_bound, pz, pperp2)
-    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None])
+    work = _workspace(*seeds.shape) if work is None else work
+    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None], work=work)
 
 
 def _failures(pulse: Pulse, values):
@@ -294,17 +345,20 @@ def _sorted_by_real(t, *fields):
     return tuple(np.take_along_axis(a, order, axis=-1) for a in (t,) + fields)
 
 
-def _predicted_seeds(prev, s_prev, x, bound):
+def _predicted_seeds(prev, s_prev, x, bound, out):
     """Newton seeds at the path parameters x, shape (k, n_lines), from the
     rows prev at s_prev, shapes (m, n_lines, 2N+2) and (m, n_lines), sorted
     by Re t: for m >= 3 the Lagrange polynomial through them in s, root by
     root, or the last row's roots in a column where two s coincide or a
     root would move by more than ``bound`` (see the module docstring);
-    shape (k, n_lines, 2N+2).
+    written into the first of ``out``, a complex array of shape
+    (k, n_lines, 2N+2), a complex and a float one of that shape for scratch.
     """
+    pred, diff, mag = out
     last = prev[-1]
     if len(prev) < 3:
-        return np.repeat(last[None], len(x), axis=0)
+        pred[...] = last
+        return pred
     off = ~np.eye(len(prev), dtype=bool)[..., None]     # (j, i, 1): i != j
     denom = np.where(off, s_prev[:, None] - s_prev, 1.0).prod(axis=1)
     fallback = (denom == 0).any(axis=0)
@@ -312,15 +366,19 @@ def _predicted_seeds(prev, s_prev, x, bound):
     # one (k, m) matrix per column c
     numer = np.where(off, x[:, None, None] - s_prev, 1.0).prod(axis=2)
     weights = numer / np.where(fallback, 1.0, denom)
-    pred = (weights.transpose(2, 0, 1) @ prev.transpose(1, 0, 2)).transpose(1, 0, 2)
-    fallback |= (np.abs(pred - last) > bound).any(axis=(0, 2))
-    return np.where(fallback[:, None], last, pred)
+    np.matmul(weights.transpose(2, 0, 1), prev.transpose(1, 0, 2),
+              out=pred.transpose(1, 0, 2))
+    moved = np.abs(np.subtract(pred, last, out=diff), out=mag)
+    fallback |= (moved > bound).any(axis=(0, 2))
+    pred[:, fallback] = last[fallback]
+    return pred
 
 
-def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish):
+def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish, work):
     """Continue the roots along every line of 2-D points (see the module
     docstring), calling finish(nodes, fields, values, bad) per row block
-    with the slice of its nodes in the flattened pz, the fields of _newton,
+    with the slice of its nodes in the flattened pz, the fields of _newton
+    (in the buffers ``work`` of _workspace, which the next block reuses),
     their _contract_values and the _failures on these.  Only the rows the
     predictor reads are kept."""
     n_path, n_lines = pz.shape
@@ -332,18 +390,21 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish):
         k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = (a[rows].reshape(-1, 1) for a in (pz, pperp2))
+        # the seeds and two scratch arrays, free until Newton starts
+        (seeds, scratch, *_), (_, mag, *_) = (w[:, :k * n_lines] for w in work)
         if r == 0:      # from the roots of the row's first node, or their image
+            # (solved in buffers of its own, so copied here)
             first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
-            seeds = np.repeat(first, n_lines, axis=0)
+            seeds[...] = first
             seeds[bpz[:, 0] * bpz[:1, 0] < 0] = pulse.tau_p - np.conj(first[:, ::-1])
         else:
-            seeds = _predicted_seeds(window[:kept], s[r - kept:r], s[rows],
-                                     pulse.tau_p / 4).reshape(-1, deg)
-        fields = _newton(pulse, e_bound, seeds, bpz, bpp2)
+            _predicted_seeds(window[:kept], s[r - kept:r], s[rows], pulse.tau_p / 4,
+                             [a.reshape(k, n_lines, deg) for a in (seeds, scratch, mag)])
+        fields = _newton(pulse, e_bound, seeds, bpz, bpp2, work=work)
         values = _contract_values(pulse, fields)
         bad = _failures(pulse, values)
         failed = np.logical_or.reduce(bad)
-        if failed.any():
+        if failed.any():    # in buffers of their own, not the block's
             again = _solve_points(pulse, e_bound, bpz[failed, 0], bpp2[failed, 0])
             for field, new in zip(fields, again):
                 field[failed] = new
@@ -351,7 +412,6 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish):
             bad = _failures(pulse, values)
         window[kept:kept + k] = fields[0].reshape(k, n_lines, deg)
         finish(slice(r * n_lines, (r + k) * n_lines), fields, values, bad)
-        del fields, seeds   # the next block's Newton call is the peak of memory
         held = min(kept + k, PREDICTOR_ROWS)
         window[:held] = window[kept + k - held:kept + k]
         kept, r = held, r + k
@@ -376,7 +436,9 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     ``consume``, None after calling consume(nodes, block) per evaluated
     block (a row block of 2-D inputs, all points of 1-D ones): ``nodes``
     indexes the flattened nodes (a slice or an index array), ``block`` is
-    their SaddleBatch.  Raises SaddleError/DegenerateSaddleError naming the
+    their SaddleBatch, valid only during the call (the next block reuses
+    its arrays; ``Gram`` and ``amplitude_profiles`` use it at once, and
+    without ``consume`` it is copied into the result).  Raises SaddleError/DegenerateSaddleError naming the
     first node that fails the residual, count, distinctness, or curvature
     contracts.
     """
@@ -390,17 +452,18 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
         raise ValueError("pz and pperp2 must have the same shape")
     deg = 2 * pulse.n_cycles + 2
     index, copies = None, 1   # solved flat nodes, grid nodes per solved node
-    if pz.ndim == 1:
-        fields = _solve_points(pulse, e_bound, pz, pperp2)
-    elif pz.ndim == 2:
+    if pz.ndim == 2:
         n_lines = pz.shape[1]
         if consume is not None and (solved := _solved_lines(pz, pperp2)) < n_lines:
             # the consumer maps the mirrored lines itself
             index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
             copies = 1 + (index % n_lines < n_lines - solved)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-    else:
+    elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
+    # sized for the largest block: all points, or ROW_BLOCK_ROWS rows
+    work = _workspace(pz.size if pz.ndim == 1 else
+                      min(ROW_BLOCK_ROWS, pz.shape[0]) * pz.shape[1], deg)
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
@@ -418,24 +481,31 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
         """Evaluate a block and hand it to the consumer, unless it or an
         earlier block broke a contract; record its contract values."""
         tb, *phasors, vz, residual = fields
-        s2 = vz * pulse.vector_potential_derivative(tb, phasors=phasors)
-        low = np.abs(s2).min(axis=-1)
+        # the buffers Newton leaves free: seeds, S', step and scratch
+        (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = (
+            w[:, :len(tb)] for w in work)
+        s2 = np.multiply(vz, pulse.vector_potential_derivative(
+            tb, phasors=phasors, out=(s2, pre, act)), out=s2)
+        low = np.abs(s2, out=mag).min(axis=-1)
         record[:4, nodes], record[4, nodes] = values, low
         for kind, fails in enumerate(bad + [~(low >= DEGENERATE_S2_TOL)]):
             if kind not in failing and fails.any():
                 failing[kind] = tb[int(np.argmax(fails))].copy()
         if not failing:
             act = _action_terms(pulse, tb, flat_pz[nodes, None],
-                                flat_pp2[nodes, None], e_bound, phasors=phasors)
-            prefactor = 1.0 / np.sqrt(-1j * s2)
+                                flat_pp2[nodes, None], e_bound, phasors=phasors,
+                                out=(act, x, free, pre))
+            prefactor = np.divide(1.0, np.sqrt(np.multiply(-1j, s2, out=pre), out=pre),
+                                  out=pre)
             consume(nodes if index is None else index[nodes],
                     SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
+        fields = _solve_points(pulse, e_bound, pz, pperp2, work)
         values = _contract_values(pulse, fields)
         finish(slice(None), fields, values, _failures(pulse, values))
     else:
-        _continue_lines(pulse, e_bound, pz, pperp2, finish)
+        _continue_lines(pulse, e_bound, pz, pperp2, finish, work)
     if failing:     # name the first failing node of the whole batch
         _raise_first_failure(pulse, e_bound, flat_pz, flat_pp2, record,
                              failing, copies)

@@ -248,6 +248,23 @@ class TestCoherenceSweep:
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
                             threads=threads)
 
+    def test_longest_pulses_run_first(self, species_f, species_cl, monkeypatch):
+        # one thread runs the points in submission order: descending N,
+        # species order among equal N; the points come back in input order
+        ran = []
+
+        def recording(sp, lam, intensity, n, grid):
+            ran.append((sp.name, n))
+            return SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01)
+
+        monkeypatch.setattr(analysis, "_sweep_one", recording)
+        pts, failures = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13,
+                                        cycles=[3, 2, 5], threads=1)
+        assert failures == []
+        assert ran == [("F", 5), ("Cl", 5), ("F", 3), ("Cl", 3), ("F", 2), ("Cl", 2)]
+        assert [(p.species, p.n_cycles) for p in pts] == [
+            ("F", 3), ("F", 2), ("F", 5), ("Cl", 3), ("Cl", 2), ("Cl", 5)]
+
     def test_no_worker_threads_rejected(self, species_f):
         with pytest.raises(ValueError):
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=0)

@@ -123,6 +123,44 @@ class TestSuppliedPhasors:
         np.testing.assert_allclose(real, cplx, rtol=1e-15, atol=0)
 
 
+class TestOutBuffers:
+    """Phasors, A, A' and the action written into caller buffers equal the
+    allocating forms bit for bit; real and scalar t keep their types."""
+
+    T = np.linspace(0.0, 2000.0, 12).reshape(3, 4) + 1j * np.linspace(1.0, 190.0, 4)
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 8, 18])
+    def test_bit_identical(self, n_cycles):
+        pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        t = self.T
+        bufs = np.empty((8,) + t.shape, dtype=complex)
+        phasors = pulse.phasors(t, out=bufs[:4])
+        for got, want in zip(phasors, pulse.phasors(t)):
+            assert got.tobytes() == want.tobytes()
+        # u = z^N is built in the first buffer unless N = 1 (u = z)
+        assert all(np.shares_memory(a, b) for a, b in zip(phasors[1:], bufs[1:4]))
+        for f in (pulse.vector_potential, pulse.vector_potential_derivative):
+            got = f(t, phasors=phasors, out=bufs[4:7])
+            assert np.shares_memory(got, bufs[4])
+            assert got.tobytes() == f(t).tobytes()
+        e_bound = get_species("F").e_bound(3)
+        pz, pperp2 = np.array([[0.21], [-0.3], [0.0]]), np.array([[0.05], [0.0], [0.1]])
+        got = _action_terms(pulse, t, pz, pperp2, e_bound, phasors=phasors,
+                            out=bufs[4:8])
+        assert np.shares_memory(got, bufs[4])
+        assert got.tobytes() == _action_terms(pulse, t, pz, pperp2, e_bound).tobytes()
+
+    def test_real_and_scalar_t_keep_their_types(self, pulse):
+        real = self.T.real
+        for f in (pulse.vector_potential, pulse.vector_potential_derivative):
+            assert isinstance(f(1234.5), np.float64)
+            assert isinstance(f(1234.5 + 37.25j), np.complex128)
+            a = f(real)
+            assert isinstance(a, np.ndarray) and a.dtype == float
+            b = f(real, out=np.empty((3,) + real.shape, dtype=complex))
+            assert b.dtype == float and b.tobytes() == a.tobytes()
+
+
 class TestElectricField:
     def test_zero_at_start(self, pulse):
         assert pulse.electric_field(0.0) == pytest.approx(0.0, abs=1e-15)

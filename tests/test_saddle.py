@@ -195,8 +195,8 @@ def record_newton(monkeypatch, collapse=None):
     calls = []
     newton = saddle._newton
 
-    def recording(pulse, e_bound, t, pz, pperp2):
-        roots, *fields = newton(pulse, e_bound, t, pz, pperp2)
+    def recording(pulse, e_bound, t, pz, pperp2, **kwargs):
+        roots, *fields = newton(pulse, e_bound, t, pz, pperp2, **kwargs)
         if collapse is not None and len(calls) == collapse[0]:
             roots = roots.copy()
             roots[collapse[1], 1] = roots[collapse[1], 0]
@@ -278,6 +278,24 @@ class TestContinuation:
         np.testing.assert_array_equal(calls[1][0],
                                       np.repeat(calls[0][1], solved, axis=0))
         assert_same_saddles(lines, saddle_batch(pulse, E_F, pz.ravel(), pp2.ravel()),
+                            columns=np.s_[:solved])
+
+    def test_reseed_inside_a_block_keeps_the_block(self, monkeypatch):
+        # N = 18, on the consumer path: call 4 is the first full block (rows
+        # 3 .. 3 + ROW_BLOCK_ROWS - 1) and returns one node in its middle
+        # with two equal roots.  Call 5 re-seeds it in buffers of its own and
+        # the block's fields take its roots; every node the consumer gets,
+        # that block's included, equals the independent point solve
+        pu = Pulse.from_lab(1800.0, 18, 1.3e13)
+        pz, pp2 = radial_lines(pu)
+        solved, k = pz.shape[1] // 2, saddle.ROW_BLOCK_ROWS
+        assert pz.shape[0] >= 3 + k
+        seeded = count_seeds(monkeypatch)
+        calls = record_newton(monkeypatch, collapse=(4, (k // 2) * solved + 3))
+        lines = consumed_batch(pu, pz, pp2)
+        assert seeded == [1, 1]
+        assert [len(seeds) for seeds, _ in calls[4:6]] == [k * solved, 1]
+        assert_same_saddles(lines, saddle_batch(pu, E_F, pz.ravel(), pp2.ravel()),
                             columns=np.s_[:solved])
 
     def test_shuffled_rows_match_independent_points(self, pulse, rng):
@@ -377,9 +395,9 @@ class TestPredictor:
         vector_potential = Pulse.vector_potential
         contract_checks = saddle._contract_checks
 
-        def counting(self, t, phasors=None):
+        def counting(self, t, phasors=None, **kwargs):
             evaluated.append(np.size(t))
-            return vector_potential(self, t, phasors=phasors)
+            return vector_potential(self, t, phasors=phasors, **kwargs)
 
         def counting_checks(pu, values):
             checked.append(values.shape[1])
@@ -541,8 +559,8 @@ class TestMirror:
         good = saddle_batch(pulse, E_F, pz, pp2)
         newton = saddle._newton
 
-        def off_at_m_and_b(pu, e_bound, t, pz_, pp2_):
-            roots = newton(pu, e_bound, t, pz_, pp2_)[0].copy()
+        def off_at_m_and_b(pu, e_bound, t, pz_, pp2_, **kwargs):
+            roots = newton(pu, e_bound, t, pz_, pp2_, **kwargs)[0].copy()
             for n in (m, b):
                 roots[(pz_[:, 0] == pz[n]) & (pp2_[:, 0] == pp2[n]), 0] += shift
             fields, f = saddle._evaluated(pu, e_bound, roots, pz_, pp2_)
@@ -575,19 +593,19 @@ def test_one_phasor_build_per_evaluation(monkeypatch):
     phasors, newton = Pulse.phasors, saddle._newton
     vector_potential = Pulse.vector_potential
 
-    def counting_phasors(self, t):
+    def counting_phasors(self, t, **kwargs):
         builds[inside[0]] += 1
-        return phasors(self, t)
+        return phasors(self, t, **kwargs)
 
     def counting_a(self, t, **kwargs):
         if inside[0]:
             evaluations.append(np.size(t))
         return vector_potential(self, t, **kwargs)
 
-    def flagged_newton(*args):
+    def flagged_newton(*args, **kwargs):
         inside[0] = True
         try:
-            return newton(*args)
+            return newton(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -652,8 +670,8 @@ class TestSaddleErrors:
         good = saddle_batch(pulse, E_F, self.PZ, self.PP2)
         newton = saddle._newton
 
-        def corrupting(*args):
-            t, *fields = newton(*args)
+        def corrupting(*args, **kwargs):
+            t, *fields = newton(*args, **kwargs)
             t = t.copy()
             t[1] = corrupt(t[1], pulse)
             return (t, *fields)
@@ -678,8 +696,8 @@ class TestSaddleErrors:
         good = saddle_batch(pulse, E_F, pz, pp2)
         newton = saddle._newton
 
-        def corrupting(pu, e_bound, t, pz_, pp2_):
-            roots = newton(pu, e_bound, t, pz_, pp2_)[0].copy()
+        def corrupting(pu, e_bound, t, pz_, pp2_, **kwargs):
+            roots = newton(pu, e_bound, t, pz_, pp2_, **kwargs)[0].copy()
             at = [(pz_[:, 0] == pz[n]) & (pp2_[:, 0] == pp2[n]) for n in (a, b)]
             roots[at[0], 1] = roots[at[0], 0]
             roots[at[1], 0] += shift
