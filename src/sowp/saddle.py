@@ -391,7 +391,7 @@ def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish, work):
         rows = slice(r, r + k)
         bpz, bpp2 = (a[rows].reshape(-1, 1) for a in (pz, pperp2))
         # the seeds and two scratch arrays, free until Newton starts
-        (seeds, scratch, *_), (_, mag, *_) = (w[:, :k * n_lines] for w in work)
+        (seeds, scratch, *_), (_, mag) = (w[:, :k * n_lines] for w in work)
         if r == 0:      # from the roots of the row's first node, or their image
             # (solved in buffers of its own, so copied here)
             first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
@@ -438,9 +438,9 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     indexes the flattened nodes (a slice or an index array), ``block`` is
     their SaddleBatch, valid only during the call (the next block reuses
     its arrays; ``Gram`` and ``amplitude_profiles`` use it at once, and
-    without ``consume`` it is copied into the result).  Raises SaddleError/DegenerateSaddleError naming the
-    first node that fails the residual, count, distinctness, or curvature
-    contracts.
+    without ``consume`` it is copied into the result).  Raises
+    SaddleError/DegenerateSaddleError naming the first node that fails the
+    residual, count, distinctness, or curvature contracts.
     """
     if e_bound >= 0:
         raise ValueError(f"e_bound must be negative, got {e_bound}")
