@@ -120,13 +120,12 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
     ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
     analysis).  Given ``consume``, returns None after calling
-    consume(nodes, rows) per evaluated block of the j = 1/2 channel and
-    per block of their mirror images on unsolved lines: ``nodes`` indexes
-    the flattened nodes (a slice or an index array), ``rows`` holds their
-    four sums, shape (4, nodes) or (4, nodes, 2N+2), valid only during
-    the call (``Gram`` adds them in at once).  Each block of
-    ``saddle_batch`` is summed as it is evaluated, so the j = 3/2 rows are
-    all that is held per node.
+    consume(nodes, rows) per evaluated block of ``saddle_batch``, which
+    solves both channels in one pass, and per block of their mirror images
+    on unsolved lines: ``nodes`` indexes the flattened nodes (a slice or an
+    index array), ``rows`` holds their four sums, shape (4, nodes) or
+    (4, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
+    once), so no sums are held per node.
     """
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
@@ -142,19 +141,6 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         def consume(nodes, rows):
             flat[:, nodes] = rows
 
-    def channel_sums(j2, nodes, block, out=None):
-        """Rows (j2, 0) and (j2, 1) of one evaluated block, into ``out``
-        if given; one temporary of the block's size."""
-        if out is None:
-            out = np.empty((2, len(block.t)) + tail, dtype=complex)
-        core = np.multiply(1j, block.action)
-        core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
-        saddle_sum(core, axis=-1, out=out[1])
-        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=out[0])
-        out[1] *= pperp_[nodes]
-        out *= -((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
-        return out
-
     # p_z -> -p_z maps t to tau_p - conj(t) (sowp.saddle), and s to exp(i S_tau)
     # sigma conj(s): S_tau = (p^2/2 - E_j + lin) tau_p, sigma -1 on (j, 1) rows
     n_lines = pz.shape[-1]
@@ -164,6 +150,8 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     s_tau = ((0.5 * (pz * pz + pperp2).ravel() - energy
               + _action_coefficients(pulse)[0]) * pulse.tau_p).reshape(shape)
     sigma = np.array([1 - 2 * ml for _, ml in SUM_ROWS]).reshape(shape)
+    factor = np.array([-((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
+                       for j2, _ in SUM_ROWS]).reshape(shape)
 
     def reflected(nodes, rows):
         """The sums at -p_z of the nodes' sums ``rows``; partial sums there
@@ -174,18 +162,17 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
             np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
         return np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
 
-    # the j = 3/2 rows per block: saddle_batch hands over the same blocks
-    # of both channels in the same order
-    held = []
-
-    def hold(nodes, block):
-        held.append(channel_sums(3, nodes, block))
-    saddle_batch(pulse, species.e_bound(3), pz, pperp2, hold)
-
     def stream(nodes, block):
-        rows = np.empty((len(SUM_ROWS), len(block.t)) + tail, dtype=complex)
-        rows[:2] = held.pop(0)
-        channel_sums(1, nodes, block, rows[2:])
+        # the four sums of a block of both channels, with one temporary of
+        # the block's size: rows (j, 0) and (j, 1) per channel j
+        rows = np.empty((2, 2, block.t.shape[1]) + tail, dtype=complex)
+        core = np.multiply(1j, block.action)
+        core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
+        saddle_sum(core, axis=-1, out=rows[:, 1])
+        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=rows[:, 0])
+        rows = rows.reshape((len(SUM_ROWS), -1) + tail)
+        rows[1::2] *= pperp_[nodes]
+        rows *= factor
         image = reflected(nodes, rows)
         # p_z = 0 is its own image: its edge saddle counts half at each end
         centre = pz.ravel()[nodes] == 0
@@ -195,5 +182,5 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
             partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
             has = partner > nodes   # all but the p_z = 0 line
             consume(partner[has], image if has.all() else image[:, has])
-    saddle_batch(pulse, species.e_bound(1), pz, pperp2, stream)
+    saddle_batch(pulse, energy[::2, 0], pz, pperp2, stream)   # j = 3/2 and 1/2
     return sums

@@ -15,9 +15,9 @@ saddles with Im t > 0 and 0 <= Re t <= tau_p, with no search heuristics.
 
 Root finding.  Companion-matrix eigenvalues (numpy.linalg.eigvals, stacked
 in chunks of at most EIG_CHUNK_ELEMS matrix entries) seed a damped Newton
-polish of the exact saddle condition.  Newton stops as soon as the largest
-|S'| of the points being polished is at most NEWTON_STOP_TOL, 100x inside
-RESIDUAL_TOL, and after NEWTON_ITERATIONS steps at the latest.
+polish of the exact saddle condition.  Newton stops moving the points of
+a channel as soon as their largest |S'| is at most NEWTON_STOP_TOL, 100x
+inside RESIDUAL_TOL, and after NEWTON_ITERATIONS steps at the latest.
 
 The shape of the momentum arrays given to saddle_batch selects how seeds
 are found:
@@ -27,12 +27,13 @@ are found:
   (the density matrix passes the radial lines of its grid this way).  The
   first node of row 0 is seeded by eigenvalues, every other node by
   predictor-corrector continuation from it.  An eigensolve costs O(deg^3)
-  per node, a Newton step O(deg), so a batch costs one eigensolve, plus
-  one per node that fails the contracts below.  On a MomentumGrid row 0
-  is the innermost circle (|p| = 3e-5 a.u. on the default grid), whose
-  nodes share nearly the same saddles.  A row 0 across p_z = 0 seeds the
-  nodes of the other sign from the mirror image of those roots (see the
-  mirror rule below), so that the saddle near Re t = 0 stays in the strip.
+  per node, a Newton step O(deg), so a batch costs one eigensolve per
+  channel, plus one per node that fails the contracts below.  On a
+  MomentumGrid row 0 is the innermost circle (|p| = 3e-5 a.u. on the
+  default grid), whose nodes share nearly the same saddles.  A row 0
+  across p_z = 0 seeds the nodes of the other sign from the mirror image
+  of those roots (see the mirror rule below), so that the saddle near
+  Re t = 0 stays in the strip.
 
 Either way every solved row is stored sorted by Re t, the one root order
 of the package, and the predictor extrapolates the k-th root of each row
@@ -53,19 +54,21 @@ finite), or when the prediction moves a root by more than tau_p/4: a root
 that re-seeds flipped between the two ends of the strip (see the mirror
 rule) would otherwise be extrapolated far outside it.
 
-Corrector.  Rows from 3 on are polished in blocks of ROW_BLOCK_ROWS
-consecutive rows per Newton call, all predicted from the same rows; how
-far the predictor reaches depends on rows, not on the degree.  Only the
-rows the predictor reads are kept, in a window of PREDICTOR_ROWS +
-ROW_BLOCK_ROWS rows.  Each Newton step builds the phasors of its t once,
-for A and A'.  After each row or block, every node is checked once against
-the root-set contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0,
-0 <= Re t <= tau_p, and neighbours in Re t at least DISTINCT_TOL apart.
-Since the strip holds exactly 2N+2 saddles, 2N+2 distinct roots passing
-these checks are the complete set.  A node that fails (a root jumped to
-a neighbour or to a periodic image) is re-seeded by eigenvalues, and its
-line continues from the re-seeded roots, which are sorted like every
-other row.
+Corrector.  The lines of all channel energies given form one set: a row or
+block gets one predictor, Newton, contract and evaluation call, and row
+0's first nodes share one eigvals call.  Rows from 3 on are polished
+ROW_BLOCK_ROWS per Newton call, all predicted from the same rows, or fewer
+so that a block holds at most ROW_BLOCK_ROOTS roots (5 rows of both
+channels at N = 18 on the default grid).  Only the rows the predictor
+reads are kept, in a window of PREDICTOR_ROWS rows and a block.  Each
+Newton step builds the phasors of its t once, for A and A'.  After each
+row or block, every node is checked once against the root-set contracts:
+residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and
+neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
+exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
+complete set.  A node that fails (a root jumped to a neighbour or to a
+periodic image) is re-seeded by eigenvalues at its own channel energy, and
+its line continues from the re-seeded roots, sorted like every other row.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -90,11 +93,12 @@ edge, smallest gap and smallest |S''|.  Blocks arrive in flat order, so
 the first node seen to break a contract is its first in flat order, and
 its roots are kept.  From the first block that fails on, no block
 reaches the consumer, and after the last one SaddleError names, for the
-first contract in the order above (|S''| last) that any node breaks,
-that node (p_z, p_perp^2), the channel energy, its roots and the number
-of failing grid nodes (given a consumer, a node counts twice when its
-mirror image is not solved).  Given a consumer, no saddle times are held
-beyond the window.
+first channel given with a failing node and the first contract in the
+order above (|S''| last) that any of its nodes breaks, that node
+(p_z, p_perp^2), the channel energy, its roots and the number of the
+channel's failing grid nodes (given a consumer, a node counts twice when
+its mirror image is not solved), as for that channel alone.  Given a
+consumer, no saddle times are held beyond the window.
 
 Buffers.  Newton and the evaluation write into one set of block arrays per
 saddle_batch call (_workspace), sized for its largest block, so the row
@@ -124,7 +128,8 @@ DEGENERATE_S2_TOL = 1e-6   # min |S''| before the plain formula is distrusted
 NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
-ROW_BLOCK_ROWS = 10          # continued rows per Newton call
+ROW_BLOCK_ROWS = 10          # continued rows per Newton call, at most
+ROW_BLOCK_ROOTS = 12_160     # and roots of all channels, unless a row has more
 PREDICTOR_ROWS = 7           # rows the predictor extrapolates from
 
 
@@ -168,17 +173,18 @@ def _action_coefficients(pulse):
     return lin, c, b, g
 
 
-def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None):
-    """Closed-form action (see _action_coefficients) from the phasors
-    z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
-    (pulse.phasors(t), built here unless given); t is real or complex, and
-    pz and pperp2 broadcast against t.  For complex t, ``out`` may give
-    four complex arrays of t's shape: the action is written into the
-    first, and the others are overwritten.
+def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None,
+                  coefficients=None):
+    """Closed-form action (see _action_coefficients, or ``coefficients``,
+    their value) from the phasors z = exp(i omega t / N), u = exp(i omega t)
+    and their reciprocals y, v (pulse.phasors(t), built here unless given);
+    t is real or complex, and pz, pperp2 and e_bound broadcast against t.
+    For complex t, ``out`` may give four complex arrays of t's shape: the
+    action is written into the first, and the others are overwritten.
 
     Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
     """
-    lin, c, b, g = _action_coefficients(pulse)
+    lin, c, b, g = coefficients or _action_coefficients(pulse)
     u, z, v, y = pulse.phasors(t) if phasors is None else phasors
     res, w_out, h_out, q_out = (None,) * 4 if out is None else out
     s = _into(mul, 0.5 * (pz * pz + pperp2) - e_bound + lin, t, res)
@@ -238,13 +244,14 @@ def _polynomial_coefficients(pulse: Pulse):
     return coef, m
 
 
-def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
-    """Unpolished saddle times from companion-matrix eigenvalues for 1-D
-    point arrays; shape (n, 2N+2)."""
+def _eigvals_seeds(pulse: Pulse, e_bound, pz, pperp2):
+    """Unpolished saddle times from companion-matrix eigenvalues for
+    energies and points that broadcast together; shape theirs + (2N+2,)."""
     coef, m = _polynomial_coefficients(pulse)
     deg = 2 * m
     lead = coef[deg]
     c = -pz + 1j * np.sqrt(-2.0 * e_bound + pperp2)  # '+' branch constant
+    shape, c = c.shape, c.ravel()
 
     # companion matrix in the np.roots layout: only the w^m column entry
     # depends on c
@@ -253,9 +260,9 @@ def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
     base[0, :] = -coef[::-1][1:] / lead
     const_entry = base[0, deg - 1 - m]
 
-    w = np.empty((pz.size, deg), dtype=complex)
+    w = np.empty((c.size, deg), dtype=complex)
     rows = max(1, EIG_CHUNK_ELEMS // (deg * deg))
-    for i0 in range(0, pz.size, rows):
+    for i0 in range(0, c.size, rows):
         sl = slice(i0, i0 + rows)
         comp = np.broadcast_to(base, (c[sl].size, deg, deg)).copy()
         comp[:, 0, deg - 1 - m] = const_entry + c[sl] / lead
@@ -265,15 +272,21 @@ def _eigvals_seeds(pulse: Pulse, e_bound: float, pz, pperp2):
     # outside: reflect to the '-' branch
     theta = np.angle(w) % (2.0 * np.pi)
     t = (pulse.n_cycles / pulse.omega) * (theta - 1j * np.log(np.abs(w)))
-    return np.where(np.abs(w) < 1.0, t, np.conj(t))
+    return np.where(np.abs(w) < 1.0, t, np.conj(t)).reshape(shape + (deg,))
 
 
 def _workspace(n, deg):
     """Block buffers for up to n points, each of shape (n, deg): complex
     seeds, t, u, z, 1/u, 1/z, v_z, S', step and two scratch (S'', the
     prefactor and the action reuse the last five), and float |S'| and
-    scratch.  Callers take views of their first rows."""
+    scratch.  Callers take views of their first rows (_views)."""
     return np.empty((11, n, deg), dtype=complex), np.empty((2, n, deg))
+
+
+def _views(work, shape):
+    """The first rows of the buffers ``work`` of _workspace, each of ``shape``."""
+    n = int(np.prod(shape[:-1]))
+    return [w[:, :n].reshape(w.shape[:1] + shape) for w in work]
 
 
 def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2, out=None):
@@ -294,21 +307,22 @@ def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2, out=None):
 
 def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
     """Damped Newton polish of S'(t) = 0 from start values t of shape
-    (n, 2N+2), for points pz, pperp2 of shape (n, 1), in the buffers
-    ``work`` of _workspace; t itself is not written to.
+    (..., n, 2N+2), for e_bound, pz, pperp2 that broadcast against t, in the
+    buffers ``work`` of _workspace; t itself is not written to.
 
-    Stops when every |S'| is at most NEWTON_STOP_TOL or after
-    NEWTON_ITERATIONS steps.  Returns the fields of the last evaluation,
-    (t, u, z, 1/u, 1/z, v_z, |S'|), each sorted by Re t (in work's buffers
-    unless sorting moved them).
+    A channel (t's leading axis, if any) stops once its |S'| are all at
+    most NEWTON_STOP_TOL, every one after NEWTON_ITERATIONS steps.  Returns
+    the fields of the last evaluation, (t, u, z, 1/u, 1/z, v_z, |S'|), each
+    sorted by Re t (in work's buffers unless sorting moved them).
     """
-    (_, tk, *fields, d, x1, x2), (residual, mag) = (w[:, :len(t)] for w in work)
+    (_, tk, *fields, d, x1, x2), (residual, mag) = _views(work, t.shape)
     step_cap = 0.25 * np.pi / pulse.omega
     tk[...] = t
     for it in range(NEWTON_ITERATIONS + 1):
         evaluated, f = _evaluated(pulse, e_bound, tk, pz, pperp2, out=(*fields, x1, x2))
         residual = np.abs(f, out=residual)
-        if it == NEWTON_ITERATIONS or (residual <= NEWTON_STOP_TOL).all():
+        going = ~(residual <= NEWTON_STOP_TOL).all(axis=(-2, -1), keepdims=True)
+        if it == NEWTON_ITERATIONS or not going.any():
             return _sorted_by_real(*evaluated, residual)
         fp = np.multiply(evaluated[-1], pulse.vector_potential_derivative(
             tk, phasors=evaluated[1:5], out=(d, x1, x2)), out=d)
@@ -318,16 +332,17 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
             dt[fp == 0] = 0.0
             scale = np.minimum(np.divide(step_cap, np.abs(dt, out=mag), out=mag),
                                1.0, out=mag)
-        tk += np.multiply(dt, scale, out=dt)
+        np.add(tk, np.multiply(dt, scale, out=dt), out=tk, where=going)
 
 
-def _solve_points(pulse: Pulse, e_bound: float, pz, pperp2, work=None):
-    """Eigenvalue-seeded, Newton-polished roots of 1-D independent points:
-    the fields of _newton, shape (n, 2N+2), in ``work`` or, by default, in
-    buffers of their own."""
+def _solve_points(pulse: Pulse, e_bound, pz, pperp2, work=None):
+    """Eigenvalue-seeded, Newton-polished roots of the 1-D independent points
+    at the energies e_bound (an array that broadcasts against them): the
+    fields of _newton, in ``work`` or, by default, in buffers of their own."""
     seeds = _eigvals_seeds(pulse, e_bound, pz, pperp2)
-    work = _workspace(*seeds.shape) if work is None else work
-    return _newton(pulse, e_bound, seeds, pz[:, None], pperp2[:, None], work=work)
+    work = _workspace(seeds[..., 0].size, seeds.shape[-1]) if work is None else work
+    return _newton(pulse, e_bound[..., None], seeds, pz[:, None], pperp2[:, None],
+                   work=work)
 
 
 def _failures(pulse: Pulse, values):
@@ -347,73 +362,80 @@ def _sorted_by_real(t, *fields):
 
 def _predicted_seeds(prev, s_prev, x, bound, out):
     """Newton seeds at the path parameters x, shape (k, n_lines), from the
-    rows prev at s_prev, shapes (m, n_lines, 2N+2) and (m, n_lines), sorted
-    by Re t: for m >= 3 the Lagrange polynomial through them in s, root by
-    root, or the last row's roots in a column where two s coincide or a
-    root would move by more than ``bound`` (see the module docstring);
-    written into the first of ``out``, a complex array of shape
-    (k, n_lines, 2N+2), a complex and a float one of that shape for scratch.
+    rows prev at s_prev, shapes (..., m, n_lines, 2N+2) (per channel) and
+    (m, n_lines), sorted by Re t: for m >= 3 the Lagrange polynomial through
+    them in s, root by root, or the last row's roots in a column where two
+    s coincide or a root would move by more than ``bound`` (see the module
+    docstring); written into the first of ``out``, a complex array of shape
+    (..., k, n_lines, 2N+2), a complex and a float one of that shape for
+    scratch.
     """
     pred, diff, mag = out
-    last = prev[-1]
-    if len(prev) < 3:
+    last = prev[..., -1:, :, :]
+    if len(s_prev) < 3:
         pred[...] = last
         return pred
-    off = ~np.eye(len(prev), dtype=bool)[..., None]     # (j, i, 1): i != j
+    off = ~np.eye(len(s_prev), dtype=bool)[..., None]     # (j, i, 1): i != j
     denom = np.where(off, s_prev[:, None] - s_prev, 1.0).prod(axis=1)
     fallback = (denom == 0).any(axis=0)
     # weights[k, j, c] = prod_{i != j} (x_kc - s_ic) / denom_jc, applied as
     # one (k, m) matrix per column c
     numer = np.where(off, x[:, None, None] - s_prev, 1.0).prod(axis=2)
     weights = numer / np.where(fallback, 1.0, denom)
-    np.matmul(weights.transpose(2, 0, 1), prev.transpose(1, 0, 2),
-              out=pred.transpose(1, 0, 2))
+    np.matmul(weights.transpose(2, 0, 1), np.swapaxes(prev, -3, -2),
+              out=np.swapaxes(pred, -3, -2))
     moved = np.abs(np.subtract(pred, last, out=diff), out=mag)
-    fallback |= (moved > bound).any(axis=(0, 2))
-    pred[:, fallback] = last[fallback]
+    fallback = fallback | (moved > bound).any(axis=(-3, -1))
+    np.copyto(pred, last, where=fallback[..., None, :, None])
     return pred
 
 
-def _continue_lines(pulse: Pulse, e_bound: float, pz, pperp2, finish, work):
+def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
     """Continue the roots along every line of 2-D points (see the module
-    docstring), calling finish(nodes, fields, values, bad) per row block
-    with the slice of its nodes in the flattened pz, the fields of _newton
-    (in the buffers ``work`` of _workspace, which the next block reuses),
-    their _contract_values and the _failures on these.  Only the rows the
+    docstring) for the energies e_bound, shape (1,) or (C, 1) for C
+    channels, ``block`` rows per Newton call from row 3 on, calling
+    finish(nodes, fields, values, bad) per row block with the slice of its
+    nodes in the flattened pz, the fields of _newton (in the buffers
+    ``work`` of _workspace, which the next block reuses), their
+    _contract_values and the _failures on these.  Only the rows the
     predictor reads are kept."""
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
+    ch = e_bound.shape[:-1]     # () or (C,): the leading axis of every block
     s = np.sqrt(pz * pz + pperp2)
-    window = np.empty((PREDICTOR_ROWS + ROW_BLOCK_ROWS, n_lines, deg), dtype=complex)
-    kept, r = 0, 0      # window[:kept] holds rows r - kept .. r - 1
+    window = np.empty(ch + (PREDICTOR_ROWS + block, n_lines, deg), dtype=complex)
+    kept, r = 0, 0      # window[..., :kept, :, :] holds rows r - kept .. r - 1
     while r < n_path:
-        k = 1 if r < 3 else min(ROW_BLOCK_ROWS, n_path - r)
+        k = 1 if r < 3 else min(block, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = (a[rows].reshape(-1, 1) for a in (pz, pperp2))
         # the seeds and two scratch arrays, free until Newton starts
-        (seeds, scratch, *_), (_, mag) = (w[:, :k * n_lines] for w in work)
+        (seeds, scratch, *_), (_, mag) = _views(work, ch + (k * n_lines, deg))
         if r == 0:      # from the roots of the row's first node, or their image
             # (solved in buffers of its own, so copied here)
             first = _solve_points(pulse, e_bound, bpz[:1, 0], bpp2[:1, 0])[0]
             seeds[...] = first
-            seeds[bpz[:, 0] * bpz[:1, 0] < 0] = pulse.tau_p - np.conj(first[:, ::-1])
+            image = bpz[:, 0] * bpz[:1, 0] < 0
+            seeds[..., image, :] = pulse.tau_p - np.conj(first[..., ::-1])
         else:
-            _predicted_seeds(window[:kept], s[r - kept:r], s[rows], pulse.tau_p / 4,
-                             [a.reshape(k, n_lines, deg) for a in (seeds, scratch, mag)])
-        fields = _newton(pulse, e_bound, seeds, bpz, bpp2, work=work)
+            _predicted_seeds(window[..., :kept, :, :], s[r - kept:r], s[rows],
+                             pulse.tau_p / 4, [a.reshape(ch + (k, n_lines, deg))
+                                               for a in (seeds, scratch, mag)])
+        fields = _newton(pulse, e_bound[..., None], seeds, bpz, bpp2, work=work)
         values = _contract_values(pulse, fields)
         bad = _failures(pulse, values)
         failed = np.logical_or.reduce(bad)
-        if failed.any():    # in buffers of their own, not the block's
-            again = _solve_points(pulse, e_bound, bpz[failed, 0], bpp2[failed, 0])
+        if failed.any():    # in buffers of their own, each at its own energy
+            again = _solve_points(pulse, *(np.broadcast_to(a, failed.shape)[failed]
+                                           for a in (e_bound, bpz[:, 0], bpp2[:, 0])))
             for field, new in zip(fields, again):
                 field[failed] = new
             values[:, failed] = _contract_values(pulse, again)
             bad = _failures(pulse, values)
-        window[kept:kept + k] = fields[0].reshape(k, n_lines, deg)
+        window[..., kept:kept + k, :, :] = fields[0].reshape(ch + (k, n_lines, deg))
         finish(slice(r * n_lines, (r + k) * n_lines), fields, values, bad)
         held = min(kept + k, PREDICTOR_ROWS)
-        window[:held] = window[kept + k - held:kept + k]
+        window[..., :held, :, :] = window[..., kept + k - held:kept + k, :, :]
         kept, r = held, r + k
 
 
@@ -426,24 +448,27 @@ def _solved_lines(pz, pperp2) -> int:
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
 
 
-def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
+def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                  consume=None) -> SaddleBatch | None:
-    """Find all 2N+2 saddles for each (pz, pperp2) point.
+    """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
+    e_bound, a number or a sequence (channels solved in one pass).
 
     1-D (or scalar) inputs are independent points.  2-D inputs are
     continuation paths along axis 0 (see the module docstring).  Returns a
-    SaddleBatch with fields of shape pz.shape + (2N+2,), or, given
-    ``consume``, None after calling consume(nodes, block) per evaluated
-    block (a row block of 2-D inputs, all points of 1-D ones): ``nodes``
-    indexes the flattened nodes (a slice or an index array), ``block`` is
-    their SaddleBatch, valid only during the call (the next block reuses
-    its arrays; ``Gram`` and ``amplitude_profiles`` use it at once, and
-    without ``consume`` it is copied into the result).  Raises
+    SaddleBatch with fields of shape e_bound's + pz.shape + (2N+2,), or,
+    given ``consume``, None after calling consume(nodes, block) per
+    evaluated block (a row block of 2-D inputs, all points of 1-D ones):
+    ``nodes`` indexes the flattened nodes (a slice or an index array),
+    ``block`` is their SaddleBatch, valid only during the call (the next
+    block reuses its arrays; ``Gram`` and ``amplitude_profiles`` use it at
+    once, and without ``consume`` it is copied into the result).  Raises
     SaddleError/DegenerateSaddleError naming the first node that fails the
-    residual, count, distinctness, or curvature contracts.
+    residual, count, distinctness, or curvature contracts, in the first
+    channel that fails one (its count is of that channel's nodes).
     """
-    if e_bound >= 0:
-        raise ValueError(f"e_bound must be negative, got {e_bound}")
+    energy = np.asarray(e_bound, dtype=float)
+    if energy.ndim > 1 or energy.size == 0 or (energy >= 0).any():
+        raise ValueError(f"e_bound must be one or more negative energies, got {e_bound}")
     if pulse.a0 == 0.0:
         raise SaddleError("no saddle points for a zero-amplitude pulse")
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -451,6 +476,7 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
     if pz.shape != pperp2.shape:
         raise ValueError("pz and pperp2 must have the same shape")
     deg = 2 * pulse.n_cycles + 2
+    e = energy[..., None]       # broadcasts against a block's nodes
     index, copies = None, 1   # solved flat nodes, grid nodes per solved node
     if pz.ndim == 2:
         n_lines = pz.shape[1]
@@ -459,56 +485,65 @@ def saddle_batch(pulse: Pulse, e_bound: float, pz, pperp2,
             index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
             copies = 1 + (index % n_lines < n_lines - solved)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
+        block = max(1, min(ROW_BLOCK_ROWS,   # rows per block from row 3 on
+                           ROW_BLOCK_ROOTS // max(1, e.size * pz.shape[1] * deg)))
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
-    # sized for the largest block: all points, or ROW_BLOCK_ROWS rows
-    work = _workspace(pz.size if pz.ndim == 1 else
-                      min(ROW_BLOCK_ROWS, pz.shape[0]) * pz.shape[1], deg)
+    # sized for the largest block: all points, or ``block`` rows
+    work = _workspace(e.size * (pz.size if pz.ndim == 1 else
+                                min(block, pz.shape[0]) * pz.shape[1]), deg)
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
-        batch = SaddleBatch(*(np.empty(pz.shape + (deg,), dtype=complex)
-                              for _ in range(5)), np.empty(pz.shape + (deg,)))
+        shape = energy.shape + pz.shape + (deg,)
+        batch = SaddleBatch(*(np.empty(shape, dtype=complex) for _ in range(5)),
+                            np.empty(shape))
 
         def consume(nodes, block):
             for name in SaddleBatch.__slots__:
-                getattr(batch, name).reshape(-1, deg)[nodes] = getattr(block, name)
+                getattr(batch, name).reshape(energy.shape + (-1, deg))[
+                    ..., nodes, :] = getattr(block, name)
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
-    record = np.empty((5, flat_pz.size))   # per node: contract values, min |S''|
-    failing = {}    # per contract: the roots of its first failing node
+    record = np.empty((5,) + energy.shape + flat_pz.shape)  # contract values, min |S''|
+    failing = [{} for _ in e]   # per channel and contract: its first failing roots
+    coefficients = _action_coefficients(pulse)
 
     def finish(nodes, fields, values, bad):
         """Evaluate a block and hand it to the consumer, unless it or an
         earlier block broke a contract; record its contract values."""
         tb, *phasors, vz, residual = fields
         # the buffers Newton leaves free: seeds, S', step and scratch
-        (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = (
-            w[:, :len(tb)] for w in work)
+        (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = _views(work, tb.shape)
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, pre, act)), out=s2)
         low = np.abs(s2, out=mag).min(axis=-1)
-        record[:4, nodes], record[4, nodes] = values, low
+        record[:4, ..., nodes], record[4, ..., nodes] = values, low
         for kind, fails in enumerate(bad + [~(low >= DEGENERATE_S2_TOL)]):
-            if kind not in failing and fails.any():
-                failing[kind] = tb[int(np.argmax(fails))].copy()
-        if not failing:
+            for fail, mask, roots in zip(failing, fails.reshape(e.size, -1),
+                                         tb.reshape(e.size, -1, deg)):
+                if kind not in fail and mask.any():
+                    fail[kind] = roots[int(np.argmax(mask))].copy()
+        if not any(failing):
             act = _action_terms(pulse, tb, flat_pz[nodes, None],
-                                flat_pp2[nodes, None], e_bound, phasors=phasors,
-                                out=(act, x, free, pre))
+                                flat_pp2[nodes, None], e[..., None],
+                                phasors=phasors, out=(act, x, free, pre),
+                                coefficients=coefficients)
             prefactor = np.divide(1.0, np.sqrt(np.multiply(-1j, s2, out=pre), out=pre),
                                   out=pre)
             consume(nodes if index is None else index[nodes],
                     SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
-        fields = _solve_points(pulse, e_bound, pz, pperp2, work)
+        fields = _solve_points(pulse, e, pz, pperp2, work)
         values = _contract_values(pulse, fields)
         finish(slice(None), fields, values, _failures(pulse, values))
     else:
-        _continue_lines(pulse, e_bound, pz, pperp2, finish, work)
-    if failing:     # name the first failing node of the whole batch
-        _raise_first_failure(pulse, e_bound, flat_pz, flat_pp2, record,
-                             failing, copies)
+        _continue_lines(pulse, e, pz, pperp2, block, finish, work)
+    records = record.reshape(5, e.size, -1).swapaxes(0, 1)
+    for fail, e_c, record_c in zip(failing, e.ravel(), records):
+        if fail:    # name the first failing node of the channel's batch
+            _raise_first_failure(pulse, e_c, flat_pz, flat_pp2, record_c, fail,
+                                 copies)
     return batch
 
 
@@ -525,20 +560,20 @@ def _contract_values(pulse: Pulse, fields):
 
 
 def _contract_checks(pulse: Pulse, values):
-    """(failure mask, value, message template) per root-set contract, from
-    _contract_values, in the order errors report them.  A NaN root fails
-    every check."""
+    """(failure mask, value, message template, formatted only on the error
+    path) per root-set contract, from _contract_values, in the order errors
+    report them.  A NaN root fails every check."""
     worst, im, edge, gap = values
     eps = STRIP_SLACK * pulse.tau_p
     return (
         (~(worst <= RESIDUAL_TOL), worst,
-         f"saddle residual {{:.3e}} exceeds {RESIDUAL_TOL}; grid or intensity "
-         f"outside the validated regime"),
+         "saddle residual {:.3e} exceeds {residual_tol}; grid or intensity "
+         "outside the validated regime"),
         (~(im > 0), im, "saddle with Im t = {:.3e} <= 0"),
         (~((edge >= -eps) & (edge <= pulse.tau_p + eps)), edge,
-         f"saddle at Re t = {{:.6g}} outside 0 <= Re t <= tau_p = {pulse.tau_p:.6g}"),
+         "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}"),
         (~(gap >= DISTINCT_TOL), gap,
-         f"saddle pair separated by {{:.3e}} < {DISTINCT_TOL}"),
+         "saddle pair separated by {:.3e} < {distinct_tol}"),
     )
 
 
@@ -554,8 +589,10 @@ def _raise_first_failure(pulse, e_bound, pz, pperp2, record, failing, copies):
     for kind, (bad, value, message) in enumerate(_contract_checks(pulse, record[:4])):
         if bad.any():
             i = int(np.argmax(bad))
+            message = message.format(value[i], residual_tol=RESIDUAL_TOL,
+                                     distinct_tol=DISTINCT_TOL, tau_p=pulse.tau_p)
             raise SaddleError(
-                f"{message.format(value[i])} {_node(pz[i], pperp2[i], e_bound)} "
+                f"{message} {_node(pz[i], pperp2[i], e_bound)} "
                 f"({int(copies[bad].sum())} of {int(copies.sum())} points)",
                 roots=failing[kind])
     i = int(np.argmax(~(record[4] >= DEGENERATE_S2_TOL)))

@@ -416,9 +416,9 @@ def test_empty_inputs_give_empty_results(ref_pulse, species_f, shape):
 
 def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
                                                   monkeypatch):
-    """The traced benchmark counts the nodes of each channel at
-    sowp.amplitude.saddle_batch from its third positional argument: one call
-    per channel and matrix, with the whole 2-D p_z grid.  It also requires
+    """The traced benchmark counts the nodes at sowp.amplitude.saddle_batch
+    from its third positional argument: one call per matrix, for both
+    channel energies, with the whole 2-D p_z grid.  It also requires
     the spans of amplitude_profiles at its sowp.densmat and sowp.analysis
     import sites: build_density_matrix and buildup call it once each."""
     grid = MomentumGrid.build(ref_pulse.omega, n_energy=12, n_theta=4)
@@ -439,11 +439,10 @@ def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
     build_density_matrix(ref_pulse, species_f, grid)
     buildup(ref_pulse, species_f, grid)
     assert [name for name, _ in calls] == [
-        "sowp.densmat", "sowp.amplitude", "sowp.amplitude",
-        "sowp.analysis", "sowp.amplitude", "sowp.amplitude"]
+        "sowp.densmat", "sowp.amplitude", "sowp.analysis", "sowp.amplitude"]
     solves = [args for name, args in calls if name == "sowp.amplitude"]
-    assert [args[1] for args in solves] == [species_f.e_bound(3),
-                                            species_f.e_bound(1)] * 2
+    assert [list(args[1]) for args in solves] == [[species_f.e_bound(3),
+                                                   species_f.e_bound(1)]] * 2
     for args in solves:
         assert args[0] is ref_pulse
         np.testing.assert_array_equal(args[2], pz)

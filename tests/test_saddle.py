@@ -6,10 +6,12 @@ import pytest
 
 from scalar_oracle import action, action_derivative
 from sowp import saddle
+from sowp.amplitude import amplitude_profiles
 from sowp.densmat import MomentumGrid, build_density_matrix, grid_nodes
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles, saddle_batch
+from sowp.species import get_species
 
 E_F = -0.12499200  # F- ground-channel energy, a.u.
 
@@ -429,11 +431,11 @@ class TestPredictor:
     def test_one_eigensolve_per_channel(self, monkeypatch, species_f):
         # on a MomentumGrid every solved line is continued from row 0, and
         # row 0 from the roots of its first node: one eigenvalue problem
-        # per channel, so two per density matrix
+        # per channel, both in one eigvals call, so two per density matrix
         pu = Pulse.from_lab(1800.0, 18, 1.3e13)
         seeded = count_seeds(monkeypatch)
         build_density_matrix(pu, species_f, MomentumGrid.build(pu.omega))
-        assert seeded == [1, 1]
+        assert seeded == [2]
 
 
 class TestMirror:
@@ -727,3 +729,185 @@ class TestSaddleErrors:
         assert (str(whole.value).rsplit("(", 1)[0]
                 == str(windowed.value).rsplit("(", 1)[0])
         np.testing.assert_array_equal(whole.value.roots, windowed.value.roots)
+
+
+class TestChannels:
+    """saddle_batch given a sequence of channel energies continues the
+    lines of all channels in one pass; each channel gets what a call with
+    its energy alone gets."""
+
+    @staticmethod
+    def solve(pulse, e_bound, pz, pp2, consumer):
+        """The SaddleBatch of the call, without a consumer or collected from
+        the blocks one is handed (NaN on the lines it does not solve)."""
+        if not consumer:
+            return saddle_batch(pulse, e_bound, pz, pp2)
+        deg = 2 * pulse.n_cycles + 2
+        shape = np.shape(e_bound) + pz.shape + (deg,)
+        batch = saddle.SaddleBatch(*(np.full(shape, np.nan, dtype=dtype)
+                                     for dtype in [complex] * 5 + [float]))
+
+        def keep(nodes, block):
+            for name in saddle.SaddleBatch.__slots__:
+                field = getattr(batch, name).reshape(np.shape(e_bound) + (-1, deg))
+                field[..., nodes, :] = getattr(block, name)
+
+        saddle_batch(pulse, e_bound, pz, pp2, keep)
+        return batch
+
+    @staticmethod
+    def nodes(pulse, layout):
+        pz, pp2 = radial_lines(pulse, n_energy=20, n_theta=7)
+        return (pz.ravel()[::3], pp2.ravel()[::3]) if layout == "points" else (pz, pp2)
+
+    @pytest.mark.parametrize("consumer", [False, True])
+    @pytest.mark.parametrize("layout", ["points", "lines"])
+    @pytest.mark.parametrize("n_cycles", [2, 8, 18])
+    @pytest.mark.parametrize("name", ["F", "Br"])
+    def test_two_channels_equal_two_calls(self, name, n_cycles, layout,
+                                          consumer):
+        # on a coarse grid a block of both channels has the rows of a block
+        # of one, so every field agrees to the bit
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        energies = [get_species(name).e_bound(j2) for j2 in (3, 1)]
+        pz, pp2 = self.nodes(pu, layout)
+        both = self.solve(pu, energies, pz, pp2, consumer)
+        for channel, e_bound in enumerate(energies):
+            alone = self.solve(pu, e_bound, pz, pp2, consumer)
+            for field in saddle.SaddleBatch.__slots__:
+                np.testing.assert_array_equal(getattr(both, field)[channel],
+                                              getattr(alone, field), err_msg=field)
+
+    @pytest.mark.parametrize("n_cycles", [8, 18])
+    def test_smaller_blocks_agree_to_rounding(self, monkeypatch, n_cycles):
+        # a root budget of three rows of both channels: one channel alone
+        # takes six rows per block, so the blocks differ, and a block's
+        # Newton steps with them.  The roots agree to the Newton stopping
+        # tolerance; 1/sqrt(-i S'') magnifies that to up to 2.7e-12 relative
+        # (measured; the same as one channel in blocks of 5 and 10 rows)
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        deg = 2 * n_cycles + 2
+        energies = [get_species("Br").e_bound(j2) for j2 in (3, 1)]
+        pz, pp2 = self.nodes(pu, "lines")
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", 3 * 2 * pz.shape[1] * deg)
+        calls = record_newton(monkeypatch)
+        both = saddle_batch(pu, energies, pz, pp2)
+        assert [seeds.shape[:2] for seeds, _ in calls[4:6]] == [(2, 3 * pz.shape[1])] * 2
+        for channel, e_bound in enumerate(energies):
+            calls.clear()
+            alone = saddle_batch(pu, e_bound, pz, pp2)
+            assert len(calls[4][0]) == 6 * pz.shape[1]
+            for field, rtol in (("t", 1e-12), ("action", 1e-12),
+                                ("prefactor", 1e-11)):
+                np.testing.assert_allclose(getattr(both, field)[channel],
+                                           getattr(alone, field), rtol=rtol,
+                                           atol=0, err_msg=field)
+
+    @pytest.mark.parametrize("n_cycles, rows", [(2, 10), (18, 5)])
+    def test_block_holds_both_channels_within_the_root_budget(
+            self, monkeypatch, species_f, n_cycles, rows):
+        # the density-matrix call on the default grid: after the first
+        # nodes and rows 0-2, blocks of `rows` rows of both channels' solved
+        # lines, ten at N = 2; at N = 18 no Newton call and no workspace
+        # holds more than ROW_BLOCK_ROOTS roots
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        deg = 2 * n_cycles + 2
+        pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
+        n_path, solved = pz.shape[0], pz.shape[1] // 2
+        calls, workspaces = record_newton(monkeypatch), []
+        workspace = saddle._workspace
+
+        def recording(n, deg):
+            workspaces.append(n)
+            return workspace(n, deg)
+
+        monkeypatch.setattr(saddle, "_workspace", recording)
+        amplitude_profiles(pu, species_f, pz, pperp, consume=lambda nodes, rows: None)
+        starts = [0, 1, 2] + list(range(3, n_path, rows))
+        ks = [b - a for a, b in zip(starts, starts[1:] + [n_path])]
+        assert [seeds.shape for seeds, _ in calls] == [(2, 1, deg)] + [
+            (2, k * solved, deg) for k in ks]
+        assert max(ks) == rows
+        if n_cycles == 18:
+            assert max(seeds.size for seeds, _ in calls) <= saddle.ROW_BLOCK_ROOTS
+            assert max(workspaces) * deg <= saddle.ROW_BLOCK_ROOTS
+
+    @pytest.mark.parametrize("e_bound", [[], [[E_F]], [E_F, 0.0]])
+    def test_rejects_other_energies(self, pulse, e_bound):
+        with pytest.raises(ValueError, match="negative energies"):
+            saddle_batch(pulse, e_bound, np.zeros(3), np.zeros(3))
+
+    PZ = np.array([0.05, 0.3, -0.2])
+    PP2 = np.array([0.0, 0.04, 0.09])
+
+    @staticmethod
+    def corrupt(monkeypatch, pz, pp2, faults):
+        """Newton returns the roots of each (energy, node, how) of
+        ``faults`` corrupted, from every call, re-seeds included: 'shift'
+        moves its first root off the saddle (the residual contract fails),
+        'equal' repeats it (distinctness fails)."""
+        newton = saddle._newton
+
+        def corrupting(pu, e_bound, t, pz_, pp2_, **kwargs):
+            roots = newton(pu, e_bound, t, pz_, pp2_, **kwargs)[0].copy()
+            for energy, node, how in faults:
+                at = np.broadcast_to((e_bound[..., 0] == energy) & (pz_[:, 0] == pz[node])
+                                     & (pp2_[:, 0] == pp2[node]), roots.shape[:-1])
+                if how == "shift":
+                    roots[at, 0] += 1e-4
+                else:
+                    roots[at, 1] = roots[at, 0]
+            fields, f = saddle._evaluated(pu, e_bound, roots, pz_, pp2_)
+            return (*fields, np.abs(f))
+
+        monkeypatch.setattr(saddle, "_newton", corrupting)
+
+    @pytest.mark.parametrize("layout", ["three", "lines"])
+    @pytest.mark.parametrize("consumer", [False, True])
+    def test_j12_failure_names_its_channel(self, pulse, species_f, monkeypatch,
+                                           layout, consumer):
+        # only j = 1/2 fails: the error is the one its energy alone raises,
+        # naming E_1/2 and counting the nodes of one channel
+        e32, e12 = species_f.e_bound(3), species_f.e_bound(1)
+        pz, pp2 = (self.PZ, self.PP2) if layout == "three" else radial_lines(pulse)
+        node = 1 if layout == "three" else (5, 2)
+        self.corrupt(monkeypatch, pz, pp2, [(e12, node, "shift")])
+        consume = (lambda nodes, block: None) if consumer else None
+        with pytest.raises(SaddleError) as both:
+            saddle_batch(pulse, [e32, e12], pz, pp2, consume)
+        with pytest.raises(SaddleError) as alone:
+            saddle_batch(pulse, e12, pz, pp2, consume)
+        saddle_batch(pulse, e32, pz, pp2, consume)     # j = 3/2 alone passes
+        message = str(both.value)
+        assert message == str(alone.value)
+        assert message.startswith("saddle residual")
+        assert f"e_bound = {e12:.8g}" in message
+        count = 2 if consumer and layout == "lines" else 1
+        assert message.endswith(f"({count} of {pz.size} points)")
+        np.testing.assert_array_equal(both.value.roots, alone.value.roots)
+
+    @pytest.mark.parametrize("consumer", [False, True])
+    def test_j32_failure_outranks_j12_failure(self, pulse, species_f,
+                                              monkeypatch, consumer):
+        # j = 1/2 breaks the residual contract, which comes first, at an
+        # earlier node; j = 3/2 breaks only distinctness, later.  The error
+        # is still the one j = 3/2 alone raises
+        e32, e12 = species_f.e_bound(3), species_f.e_bound(1)
+        pz, pp2 = radial_lines(pulse)
+        self.corrupt(monkeypatch, pz, pp2, [(e12, (4, 1), "shift"),
+                                            (e32, (20, 3), "equal")])
+        handed = []
+        consume = (lambda nodes, block: handed.append(nodes)) if consumer else None
+        with pytest.raises(SaddleError) as both:
+            saddle_batch(pulse, [e32, e12], pz, pp2, consume)
+        if consumer:    # the j = 1/2 failure in rows 3-12 stops both channels
+            solved = np.arange(pz.size).reshape(pz.shape)[:, :pz.shape[1] // 2]
+            np.testing.assert_array_equal(np.concatenate(handed), solved[:3].ravel())
+        with pytest.raises(SaddleError) as alone:
+            saddle_batch(pulse, e32, pz, pp2, consume)
+        message = str(both.value)
+        assert message == str(alone.value)
+        assert message.startswith("saddle pair separated")
+        assert f"p_z = {pz[20, 3]:.6g}," in message
+        assert f"e_bound = {e32:.8g}" in message
+        np.testing.assert_array_equal(both.value.roots, alone.value.roots)
