@@ -153,27 +153,28 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     factor = np.array([-((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
                        for j2, _ in SUM_ROWS]).reshape(shape)
 
-    def reflected(nodes, rows):
-        """The sums at -p_z of the nodes' sums ``rows``; partial sums there
-        are images of suffix sums here, total - prefix_{2N-k}."""
-        image = rows.conj()
-        if cumulative:      # in place: no further temporary of the block's size
-            np.conjugate(rows[..., -2::-1], out=image[..., :-1])
-            np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
-        return np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
+    blocks = {}     # by name, grown to the largest block: no heap churn per block
+    def buffer(name, shape):
+        size = int(np.prod(shape))
+        if name not in blocks or blocks[name].size < size:
+            blocks[name] = np.empty(size, dtype=complex)
+        return blocks[name][:size].reshape(shape)
 
     def stream(nodes, block):
-        # the four sums of a block of both channels, with one temporary of
-        # the block's size: rows (j, 0) and (j, 1) per channel j
-        rows = np.empty((2, 2, block.t.shape[1]) + tail, dtype=complex)
-        core = np.multiply(1j, block.action)
+        # the four sums of a block of both channels: rows (j, 0) and (j, 1)
+        rows = buffer("rows", (len(SUM_ROWS), block.t.shape[1]) + tail)
+        core = np.multiply(1j, block.action, out=buffer("core", block.action.shape))
         core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
-        saddle_sum(core, axis=-1, out=rows[:, 1])
-        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=rows[:, 0])
-        rows = rows.reshape((len(SUM_ROWS), -1) + tail)
+        saddle_sum(core, axis=-1, out=rows[1::2])
+        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=rows[::2])
         rows[1::2] *= pperp_[nodes]
         rows *= factor
-        image = reflected(nodes, rows)
+        # the sums at -p_z: partial sums there image suffix sums here, total - prefix_{2N-k}
+        image = np.conjugate(rows, out=buffer("image", rows.shape))
+        if cumulative:
+            np.conjugate(rows[..., -2::-1], out=image[..., :-1])
+            np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
+        np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
         # p_z = 0 is its own image: its edge saddle counts half at each end
         centre = pz.ravel()[nodes] == 0
         rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])

@@ -203,6 +203,30 @@ def test_warm_matrix_does_not_churn_the_heap():
     assert faults <= 1500, f"{faults} minor page faults"
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the bound is for glibc's heap")
+def test_first_buildup_does_not_churn_the_heap():
+    """The first default-grid F build-up at N = 8 in a fresh process (each
+    CLI run) takes at most 4 000 minor page faults.  amplitude_profiles
+    writes a block's sums, images and summand into buffers of the call, so
+    glibc, whose trim threshold is still low in a fresh process, does not
+    trim the heap after one block and fault it in again for the next.
+    Measured: 1 300 to 2 700, by where sowp is installed (the heap layout
+    moves with the path); 6 600 to 7 200 when every block allocated them."""
+    code = ("import resource\n"
+            "from sowp import Pulse, get_species\n"
+            "from sowp.analysis import buildup\n"
+            "pulse, f = Pulse.from_lab(1800.0, 8, 1.3e13), get_species('F')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "buildup(pulse, f)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = os.path.dirname(os.path.dirname(sowp.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    faults = int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert faults <= 4000, f"{faults} minor page faults"
+
+
 class TestBuildDensityMatrix:
     def test_zero_field(self, species_f):
         # one rule for both entry points: the saddle layer's SaddleError
