@@ -19,6 +19,11 @@ interference peaks.
 Spherical harmonics follow the Condon-Shortley convention; final spin
 states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
+
+Species differ only in E_j, kappa_j and B, so the saddle sums of several
+species at one pulse come from one saddle_batch pass over all their
+channels (amplitude_profiles given a sequence).  species_passes decides
+where that pays: where it takes fewer row blocks than one pass each.
 """
 
 from math import sqrt, pi
@@ -26,7 +31,8 @@ from math import sqrt, pi
 import numpy as np
 
 from sowp.pulse import Pulse
-from sowp.saddle import _action_coefficients, _solved_lines, saddle_batch
+from sowp.saddle import (_action_coefficients, _row_blocks, _solved_lines,
+                         saddle_batch)
 from sowp.species import Species
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
@@ -104,11 +110,32 @@ def _channel_coefficients() -> np.ndarray:
 CHANNEL_COEF = _channel_coefficients()
 
 
-def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
+def species_passes(pulse: Pulse, group, pz, pperp):
+    """The species of the sequence ``group`` as amplitude_profiles calls on
+    the (pz, pperp) momenta: one call for all when that takes fewer Newton
+    calls (row blocks of ``saddle_batch``) than one call per species, else
+    one each, so also on a tie.  Channels of several species share a block
+    only while ROW_BLOCK_ROOTS leaves it enough rows."""
+    pz = np.atleast_1d(np.asarray(pz, dtype=float))
+    if len(group) < 2 or pz.ndim != 2:      # 1-D points: one Newton call per pass
+        return [tuple(group)]
+    pperp = np.asarray(pperp, dtype=float)
+    lines = _solved_lines(pz, pperp * pperp)
+
+    def calls(species):
+        return _row_blocks(2 * species, pz.shape[0], lines, 2 * pulse.n_cycles + 2)[1]
+
+    if calls(len(group)) < len(group) * calls(1):
+        return [tuple(group)]
+    return [(sp,) for sp in group]
+
+
+def amplitude_profiles(pulse: Pulse, species, pz, pperp,
                        cumulative: bool = False, consume=None):
-    """The four saddle sums of SUM_ROWS at phi = 0 on an array of
-    (pz, pperp) momenta: 1-D independent points, or 2-D lines whose
-    saddles are continued along axis 0 (see ``saddle_batch``).
+    """The four saddle sums of SUM_ROWS at phi = 0 of one Species, or of
+    each of a sequence of them, on an array of (pz, pperp) momenta: 1-D
+    independent points, or 2-D lines whose saddles are continued along
+    axis 0 (see ``saddle_batch``).
 
     A channel sees the saddles only through m_l: Y_10 carries v_z, Y_1+-1
     carries p_perp.  Row (j, 0) is sum_mu core_mu v_z,mu and row (j, 1) is
@@ -117,41 +144,45 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
     amplitudes; at azimuth phi each is that times exp(i m_l phi), since the
     saddle set and the action do not depend on phi.
 
-    Returns shape (4,) + pz.shape, or (4,) + pz.shape + (2N+2,) when
-    ``cumulative`` (partial sums over saddles sorted by Re t, for build-up
-    analysis).  Given ``consume``, returns None after calling
-    consume(nodes, rows) per evaluated block of ``saddle_batch``, which
-    solves both channels in one pass, and per block of their mirror images
-    on unsolved lines: ``nodes`` indexes the flattened nodes (a slice or an
-    index array), ``rows`` holds their four sums, shape (4, nodes) or
-    (4, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
+    One ``saddle_batch`` call solves the (E_3/2, E_1/2) of every species,
+    in species order, in one pass.  Returns shape (4S,) + pz.shape for S
+    species (4 rows per species, in SUM_ROWS order within each), or
+    (4S,) + pz.shape + (2N+2,) when ``cumulative`` (partial sums over
+    saddles sorted by Re t, for build-up analysis).  Given ``consume``,
+    returns None after calling consume(nodes, rows) per evaluated block of
+    ``saddle_batch`` and per block of their mirror images on unsolved
+    lines: ``nodes`` indexes the flattened nodes (a slice or an index
+    array), ``rows`` holds their 4S sums, shape (4S, nodes) or
+    (4S, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
     once), so no sums are held per node.
     """
+    group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
     pperp2 = pperp * pperp
     saddle_sum = np.cumsum if cumulative else np.sum
     tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
     pperp_ = pperp.reshape((-1,) + (1,) * len(tail))   # by flat node
+    n_rows = len(SUM_ROWS) * len(group)
     sums = None
-    if consume is None:     # the default consumer fills the four sums
-        sums = np.empty((len(SUM_ROWS),) + pz.shape + tail, dtype=complex)
-        flat = sums.reshape((len(SUM_ROWS), -1) + tail)   # a view
+    if consume is None:     # the default consumer fills the sums
+        sums = np.empty((n_rows,) + pz.shape + tail, dtype=complex)
+        flat = sums.reshape((n_rows, -1) + tail)   # a view
 
         def consume(nodes, rows):
             flat[:, nodes] = rows
 
     # p_z -> -p_z maps t to tau_p - conj(t) (sowp.saddle), and s to exp(i S_tau)
-    # sigma conj(s): S_tau = (p^2/2 - E_j + lin) tau_p, sigma -1 on (j, 1) rows
+    # sigma conj(s): S_tau = ((p^2/2 - E_j) + lin) tau_p, sigma -1 on (j, 1) rows
     n_lines = pz.shape[-1]
     mirrored = pz.ndim == 2 and _solved_lines(pz, pperp2) < n_lines
-    shape = (len(SUM_ROWS), -1) + (1,) * len(tail)
-    energy = np.array([[species.e_bound(j2)] for j2, _ in SUM_ROWS])
-    s_tau = ((0.5 * (pz * pz + pperp2).ravel() - energy
-              + _action_coefficients(pulse)[0]) * pulse.tau_p).reshape(shape)
-    sigma = np.array([1 - 2 * ml for _, ml in SUM_ROWS]).reshape(shape)
-    factor = np.array([-((2.0 * pi) ** 1.5) * species.b_au / (1j * species.kappa(j2))
-                       for j2, _ in SUM_ROWS]).reshape(shape)
+    shape = (n_rows, -1) + (1,) * len(tail)
+    energy = np.array([[sp.e_bound(j2)] for sp in group for j2, _ in SUM_ROWS])
+    lin = _action_coefficients(pulse)[0]
+    flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
+    sigma = np.array([1 - 2 * ml for _ in group for _, ml in SUM_ROWS]).reshape(shape)
+    factor = np.array([-((2.0 * pi) ** 1.5) * sp.b_au / (1j * sp.kappa(j2))
+                       for sp in group for j2, _ in SUM_ROWS]).reshape(shape)
 
     blocks = {}     # by name, grown to the largest block: no heap churn per block
     def buffer(name, shape):
@@ -161,8 +192,8 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         return blocks[name][:size].reshape(shape)
 
     def stream(nodes, block):
-        # the four sums of a block of both channels: rows (j, 0) and (j, 1)
-        rows = buffer("rows", (len(SUM_ROWS), block.t.shape[1]) + tail)
+        # the sums of a block of all channels: rows (j, 0) and (j, 1)
+        rows = buffer("rows", (n_rows, block.t.shape[1]) + tail)
         core = np.multiply(1j, block.action, out=buffer("core", block.action.shape))
         core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
         saddle_sum(core, axis=-1, out=rows[1::2])
@@ -174,14 +205,18 @@ def amplitude_profiles(pulse: Pulse, species: Species, pz, pperp,
         if cumulative:
             np.conjugate(rows[..., -2::-1], out=image[..., :-1])
             np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
-        np.multiply(sigma * np.exp(1j * s_tau[:, nodes]), image, out=image)
+        pz_b = flat_pz[nodes]
+        s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy + lin)
+                 * pulse.tau_p).reshape(shape)
+        np.multiply(sigma * np.exp(1j * s_tau), image, out=image)
         # p_z = 0 is its own image: its edge saddle counts half at each end
-        centre = pz.ravel()[nodes] == 0
+        centre = pz_b == 0
         rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])
         consume(nodes, rows)
         if mirrored:    # and the images on the unsolved lines
             partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
             has = partner > nodes   # all but the p_z = 0 line
             consume(partner[has], image if has.all() else image[:, has])
-    saddle_batch(pulse, energy[::2, 0], pz, pperp2, stream)   # j = 3/2 and 1/2
+    # (E_3/2, E_1/2) of each species
+    saddle_batch(pulse, energy[::2, 0], pz, pperp2, stream)
     return sums

@@ -8,6 +8,8 @@ onto one curve well described by
     g(r) = g0 exp(-zeta r^2),      r = tau_fwhm / tau_beat,
 
 fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
+The sweep runs one job per pulse for all its species, so that their
+density matrices can share one saddle pass (see build_density_matrix).
 """
 
 from dataclasses import dataclass
@@ -100,23 +102,40 @@ def buildup(pulse: Pulse, species: Species,
         final=warn_if_saturated(DensityMatrix(rho[-1])))
 
 
-def _sweep_one(species: Species, wavelength_nm: float, intensity_wcm2: float,
-               n_cycles: int, grid: MomentumGrid) -> SweepPoint:
+def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
+                 n_cycles: int, grid: MomentumGrid) -> list:
+    """The sweep points of the sequence ``species`` at one pulse, in order:
+    per species its SweepPoint, or the SowpError it raised.  Their density
+    matrices come from one build_density_matrix call (one saddle pass where
+    that cuts the row blocks); if it raises, each species is solved alone,
+    so each gets the point or error it gets alone."""
     pulse = Pulse.from_lab(wavelength_nm, n_cycles, intensity_wcm2)
-    rho = build_density_matrix(pulse, species, grid)
     tau_fwhm = pulse.fwhm_fs()
-    return SweepPoint(
-        species=species.name, n_cycles=n_cycles, tau_fwhm_fs=tau_fwhm,
-        ratio=tau_fwhm / species.beat_period_fs,
-        g=coherence_degree(rho), w=rho.w)
+    rhos = None
+    if len(species) > 1:
+        try:
+            rhos = build_density_matrix(pulse, species, grid)
+        except SowpError:
+            pass    # solved one by one below
+    outcomes = []
+    for k, sp in enumerate(species):
+        try:
+            rho = build_density_matrix(pulse, sp, grid) if rhos is None else rhos[k]
+            outcomes.append(SweepPoint(
+                species=sp.name, n_cycles=n_cycles, tau_fwhm_fs=tau_fwhm,
+                ratio=tau_fwhm / sp.beat_period_fs, g=coherence_degree(rho),
+                w=rho.w))
+        except SowpError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N) on a pool of ``threads`` (>= 1) worker
-    threads; package errors (SowpError) are collected per point, not raised;
-    any other exception propagates.  Points are started longest pulse
-    first.
+    threads, one job per pulse (N) for all its species (_sweep_pulse);
+    package errors (SowpError) are collected per point, not raised; any
+    other exception propagates.  Jobs are started longest pulse first.
 
     ``cycles``: iterable of N applied to every species (default: 2..18 for
     F and Cl, 2..8 for Br; ConfigError for a species with no default
@@ -130,6 +149,9 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
             raise ConfigError(f"no default cycle range for species {sp.name!r}; "
                               f"give the cycle counts (--cycles)")
         jobs.extend((sp, int(n)) for n in ns)
+    pulses = {}     # N -> the positions in jobs of its points
+    for i, (_, n) in enumerate(jobs):
+        pulses.setdefault(n, []).append(i)
 
     # omega depends on the wavelength alone: one read-only grid serves all
     grid = MomentumGrid.build(units.wavelength_to_omega(wavelength_nm),
@@ -137,18 +159,25 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     # imported here: it costs every other command about 7 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    points, failures = [], []
+    outcomes = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # longest pulses first, so that no long one is left to run alone at
         # the end; collected in input order
-        futures = {i: pool.submit(_sweep_one, jobs[i][0], wavelength_nm,
-                                  intensity_wcm2, jobs[i][1], grid)
-                   for i in sorted(range(len(jobs)), key=lambda i: -jobs[i][1])}
-        for i, (sp, n) in enumerate(jobs):
+        futures = {n: pool.submit(_sweep_pulse, [jobs[i][0] for i in pulses[n]],
+                                  wavelength_nm, intensity_wcm2, n, grid)
+                   for n in sorted(pulses, reverse=True)}
+        for n, positions in pulses.items():
             try:
-                points.append(futures[i].result())
-            except SowpError as exc:   # aggregate per-point failures
-                failures.append((sp.name, n, exc))
+                results = futures[n].result()
+            except SowpError as exc:    # the job failed for all its points
+                results = [exc] * len(positions)
+            outcomes.update(zip(positions, results))
+    points, failures = [], []
+    for i, (sp, n) in enumerate(jobs):
+        if isinstance(outcomes[i], SowpError):     # aggregate per-point failures
+            failures.append((sp.name, n, outcomes[i]))
+        else:
+            points.append(outcomes[i])
     return points, failures
 
 

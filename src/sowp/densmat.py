@@ -16,7 +16,10 @@ Every channel amplitude is a constant times one of the four saddle sums of
 matrices to density matrices.  ``build_density_matrix`` and ``buildup``
 pass a ``Gram`` to ``amplitude_profiles`` as its consumer, so each block
 of nodes is added in as soon as its four sums exist and no sums array of
-the whole grid is held.
+the whole grid is held.  Given several species, ``build_density_matrix``
+solves them in the passes of ``species_passes``: a shared pass streams
+four sums per species into one Gram, whose diagonal 4x4 blocks are the
+species' Gram matrices.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, SUM_ROWS,
-                            amplitude_profiles)
+                            amplitude_profiles, species_passes)
 from sowp.errors import (CoherenceUndefinedError, NumericalError,
                          ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -185,21 +188,23 @@ def _selection(grid: MomentumGrid) -> np.ndarray:
 
 
 class Gram:
-    """Weighted 4x4 Gram matrices G_ab = sum_nodes w conj(s_a) s_b of the
-    four saddle sums, one per partial sum, added up block by block: a
-    consumer for ``amplitude_profiles``.  ``matrix`` has shape
-    (partial_sums, 4, 4)."""
+    """Weighted Gram matrices G_ab = sum_nodes w conj(s_a) s_b of the saddle
+    sums of ``species`` species (4 per species), one per partial sum, added
+    up block by block: a consumer for ``amplitude_profiles``.  ``matrix``
+    has shape (partial_sums, 4 species, 4 species); each species' 4x4
+    diagonal block is its Gram matrix."""
 
-    def __init__(self, weights: np.ndarray, partial_sums: int = 1):
+    def __init__(self, weights: np.ndarray, partial_sums: int = 1,
+                 species: int = 1):
         self.weights = np.ravel(weights)
-        self.matrix = np.zeros((partial_sums, len(SUM_ROWS), len(SUM_ROWS)),
-                               dtype=complex)
+        rows = len(SUM_ROWS) * species
+        self.matrix = np.zeros((partial_sums, rows, rows), dtype=complex)
 
     def __call__(self, nodes, rows) -> None:
-        """Add the sums ``rows`` (shape (4, n) or (4, n, K)) of the flat
+        """Add the sums ``rows`` (shape (4S, n) or (4S, n, K)) of the flat
         nodes ``nodes`` (a slice or an index array)."""
         w = self.weights[nodes]
-        s = rows.reshape(rows.shape[0], rows.shape[1], -1)   # (4, n, K)
+        s = rows.reshape(rows.shape[0], rows.shape[1], -1)   # (4S, n, K)
         # one partial sum at a time: no temporary of the block's size
         for k, gram in enumerate(self.matrix):
             gram += (s[..., k].conj() * w) @ s[..., k].T
@@ -216,13 +221,23 @@ def gram_to_rho(gram: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     return rho
 
 
-def build_density_matrix(pulse: Pulse, species: Species,
-                         grid: MomentumGrid = None) -> DensityMatrix:
+def build_density_matrix(pulse: Pulse, species, grid: MomentumGrid = None):
     """Integrate amplitude products over the momentum grid (the default
-    grid of ``MomentumGrid.build`` unless given)."""
+    grid of ``MomentumGrid.build`` unless given).  ``species`` is one
+    Species, or a sequence of them, for a tuple of their matrices in the
+    same order, solved in the passes of ``species_passes``."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
-    gram = Gram(weights)
-    amplitude_profiles(pulse, species, pz, pperp, consume=gram)
-    return warn_if_saturated(DensityMatrix(gram_to_rho(gram.matrix, grid)[0]))
+    one = isinstance(species, Species)
+    group = (species,) if one else tuple(species)
+    rhos = []
+    for part in species_passes(pulse, group, pz, pperp):
+        gram = Gram(weights, species=len(part))
+        amplitude_profiles(pulse, part, pz, pperp, consume=gram)
+        for k in range(0, gram.matrix.shape[-1], len(SUM_ROWS)):
+            own = slice(k, k + len(SUM_ROWS))   # the species' diagonal block
+            rhos.append(DensityMatrix(gram_to_rho(gram.matrix[:, own, own], grid)[0]))
+    for rho in rhos:    # once all are built, so a failing pass warns of none
+        warn_if_saturated(rho)
+    return rhos[0] if one else tuple(rhos)

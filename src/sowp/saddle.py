@@ -59,7 +59,8 @@ block gets one predictor, Newton, contract and evaluation call, and row
 0's first nodes share one eigvals call.  Rows from 3 on are polished
 ROW_BLOCK_ROWS per Newton call, all predicted from the same rows, or fewer
 so that a block holds at most ROW_BLOCK_ROOTS roots (5 rows of both
-channels at N = 18 on the default grid).  Only the rows the predictor
+channels at N = 18 on the default grid; _row_blocks is this rule, and
+counts the Newton calls it makes).  Only the rows the predictor
 reads are kept, in a window of PREDICTOR_ROWS rows and a block.  Each
 Newton step builds the phasors of its t once, for A and A'.  After each
 row or block, every node is checked once against the root-set contracts:
@@ -88,22 +89,23 @@ gates the block: one whose nodes all pass the root-set and |S''|
 contracts gets its action and prefactor 1/sqrt(-i S'') (principal
 branch, Re >= 0) from the same phasors and goes straight to its
 consumer: the caller's consume callback, or a copy into a SaddleBatch.
-Every block records per node its worst residual, smallest Im t, strip
-edge, smallest gap and smallest |S''|.  Blocks arrive in flat order, so
-the first node seen to break a contract is its first in flat order, and
-its roots are kept.  From the first block that fails on, no block
-reaches the consumer, and after the last one SaddleError names, for the
-first channel given with a failing node and the first contract in the
-order above (|S''| last) that any of its nodes breaks, that node
-(p_z, p_perp^2), the channel energy, its roots and the number of the
-channel's failing grid nodes (given a consumer, a node counts twice when
-its mirror image is not solved), as for that channel alone.  Given a
-consumer, no saddle times are held beyond the window.
+Failures are named without a whole-grid record: per channel and
+contract, a block that breaks it adds its failing grid nodes to a count
+(given a consumer, a node counts twice when its mirror image is not
+solved) and, the first time, keeps its first failing node: the value,
+(p_z, p_perp^2) and roots.  Blocks arrive in flat order, so that node is
+the contract's first in flat order.  From the first block that fails on,
+no block reaches the consumer, and after the last one SaddleError names,
+for the first channel given with a failing node and the first contract
+in the order above (|S''| last) that any of its nodes breaks, that node,
+the channel energy, its roots and the count, as for that channel alone.
+Given a consumer, no array of the grid's size is held: saddle times live
+in the window and the block buffers only.
 
-Buffers.  Newton and the evaluation write into one set of block arrays per
-saddle_batch call (_workspace), sized for its largest block, so the row
-blocks allocate no array of their size and the C heap is not trimmed and
-faulted in again from block to block.  A block handed to the consumer is
+Buffers.  Newton, the root-gap contract and the evaluation write into one
+set of block arrays per saddle_batch call (_workspace), sized for its
+largest block, so the row blocks allocate no array of their size and the
+C heap is not trimmed and faulted in again from block to block.  A block handed to the consumer is
 therefore valid only during that call.  Eigenvalue re-seeds and the first
 node of row 0 are solved in buffers of their own.
 
@@ -345,12 +347,6 @@ def _solve_points(pulse: Pulse, e_bound, pz, pperp2, work=None):
                    work=work)
 
 
-def _failures(pulse: Pulse, values):
-    """The failure mask of each root-set contract on the _contract_values
-    ``values``, in the order of _contract_checks."""
-    return [bad for bad, _, _ in _contract_checks(pulse, values)]
-
-
 def _sorted_by_real(t, *fields):
     """t and every field reordered by increasing Re t along the last axis."""
     re = t.real
@@ -394,15 +390,19 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
     """Continue the roots along every line of 2-D points (see the module
     docstring) for the energies e_bound, shape (1,) or (C, 1) for C
     channels, ``block`` rows per Newton call from row 3 on, calling
-    finish(nodes, fields, values, bad) per row block with the slice of its
-    nodes in the flattened pz, the fields of _newton (in the buffers
-    ``work`` of _workspace, which the next block reuses), their
-    _contract_values and the _failures on these.  Only the rows the
-    predictor reads are kept."""
+    finish(nodes, points, fields, values, bad) per row block with the slice
+    of its nodes in the flattened pz, their (p_z, p_perp^2), each of shape
+    (nodes, 1), the fields of _newton (in the buffers ``work`` of
+    _workspace, which the next block reuses), their _contract_values and
+    the _contract_checks on these.  Only the rows the predictor reads are
+    kept."""
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
     ch = e_bound.shape[:-1]     # () or (C,): the leading axis of every block
-    s = np.sqrt(pz * pz + pperp2)
+
+    def path(rows):             # the path parameter s = |p| of rows
+        return np.sqrt(pz[rows] * pz[rows] + pperp2[rows])
+
     window = np.empty(ch + (PREDICTOR_ROWS + block, n_lines, deg), dtype=complex)
     kept, r = 0, 0      # window[..., :kept, :, :] holds rows r - kept .. r - 1
     while r < n_path:
@@ -418,12 +418,13 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
             image = bpz[:, 0] * bpz[:1, 0] < 0
             seeds[..., image, :] = pulse.tau_p - np.conj(first[..., ::-1])
         else:
-            _predicted_seeds(window[..., :kept, :, :], s[r - kept:r], s[rows],
-                             pulse.tau_p / 4, [a.reshape(ch + (k, n_lines, deg))
-                                               for a in (seeds, scratch, mag)])
+            _predicted_seeds(window[..., :kept, :, :], path(slice(r - kept, r)),
+                             path(rows), pulse.tau_p / 4,
+                             [a.reshape(ch + (k, n_lines, deg))
+                              for a in (seeds, scratch, mag)])
         fields = _newton(pulse, e_bound[..., None], seeds, bpz, bpp2, work=work)
-        values = _contract_values(pulse, fields)
-        bad = _failures(pulse, values)
+        values = _contract_values(pulse, fields, work)
+        bad = _contract_checks(pulse, values)
         failed = np.logical_or.reduce(bad)
         if failed.any():    # in buffers of their own, each at its own energy
             again = _solve_points(pulse, *(np.broadcast_to(a, failed.shape)[failed]
@@ -431,9 +432,9 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
             for field, new in zip(fields, again):
                 field[failed] = new
             values[:, failed] = _contract_values(pulse, again)
-            bad = _failures(pulse, values)
+            bad = _contract_checks(pulse, values)
         window[..., kept:kept + k, :, :] = fields[0].reshape(ch + (k, n_lines, deg))
-        finish(slice(r * n_lines, (r + k) * n_lines), fields, values, bad)
+        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, values, bad)
         held = min(kept + k, PREDICTOR_ROWS)
         window[..., :held, :, :] = window[..., kept + k - held:kept + k, :, :]
         kept, r = held, r + k
@@ -446,6 +447,17 @@ def _solved_lines(pz, pperp2) -> int:
     mirror = (np.array_equal(pz[:, ::-1], -pz)
               and np.array_equal(pperp2[:, ::-1], pperp2))
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
+
+
+def _row_blocks(channels: int, n_path: int, n_lines: int, deg: int):
+    """(rows per Newton call from row 3 on, Newton calls) of continuing
+    n_path rows of n_lines lines of ``channels`` channels with deg roots
+    each: rows 0, 1 and 2 alone, then ROW_BLOCK_ROWS rows per call, or
+    fewer so that a call holds at most ROW_BLOCK_ROOTS roots, unless a row
+    has more."""
+    rows = max(1, min(ROW_BLOCK_ROWS,
+                      ROW_BLOCK_ROOTS // max(1, channels * n_lines * deg)))
+    return rows, min(n_path, 3) + -(-max(0, n_path - 3) // rows)
 
 
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
@@ -477,16 +489,14 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         raise ValueError("pz and pperp2 must have the same shape")
     deg = 2 * pulse.n_cycles + 2
     e = energy[..., None]       # broadcasts against a block's nodes
-    index, copies = None, 1   # solved flat nodes, grid nodes per solved node
+    total = pz.size             # grid nodes, mirrored ones included
+    n_lines = solved = None     # lines of 2-D inputs, and those solved
     if pz.ndim == 2:
-        n_lines = pz.shape[1]
-        if consume is not None and (solved := _solved_lines(pz, pperp2)) < n_lines:
-            # the consumer maps the mirrored lines itself
-            index = np.arange(pz.size).reshape(pz.shape)[:, :solved].ravel()
-            copies = 1 + (index % n_lines < n_lines - solved)
+        n_lines = solved = pz.shape[1]
+        if consume is not None:     # the consumer maps the mirrored lines itself
+            solved = _solved_lines(pz, pperp2)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        block = max(1, min(ROW_BLOCK_ROWS,   # rows per block from row 3 on
-                           ROW_BLOCK_ROOTS // max(1, e.size * pz.shape[1] * deg)))
+        block = _row_blocks(e.size, pz.shape[0], solved, deg)[0]
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
     # sized for the largest block: all points, or ``block`` rows
@@ -503,102 +513,128 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
             for name in SaddleBatch.__slots__:
                 getattr(batch, name).reshape(energy.shape + (-1, deg))[
                     ..., nodes, :] = getattr(block, name)
-    flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
-    record = np.empty((5,) + energy.shape + flat_pz.shape)  # contract values, min |S''|
-    failing = [{} for _ in e]   # per channel and contract: its first failing roots
+
+    def placed(nodes):
+        """The grid's flat nodes of the solved flat nodes ``nodes``, and the
+        grid nodes each stands for: itself, and its unsolved mirror image."""
+        if solved == n_lines:
+            return nodes, 1
+        row, line = np.divmod(np.arange(nodes.start, nodes.stop), solved)
+        return row * n_lines + line, 1 + (line < n_lines - solved)
+
+    # per channel and contract: the value, p_z, p_perp^2 and roots of its
+    # first failing node, and the number of its failing grid nodes
+    failing = [{} for _ in e]
+    counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
     coefficients = _action_coefficients(pulse)
 
-    def finish(nodes, fields, values, bad):
+    def finish(nodes, points, fields, values, bad):
         """Evaluate a block and hand it to the consumer, unless it or an
-        earlier block broke a contract; record its contract values."""
+        earlier block broke a contract; note its failing nodes."""
         tb, *phasors, vz, residual = fields
         # the buffers Newton leaves free: seeds, S', step and scratch
         (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = _views(work, tb.shape)
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, pre, act)), out=s2)
         low = np.abs(s2, out=mag).min(axis=-1)
-        record[:4, ..., nodes], record[4, ..., nodes] = values, low
-        for kind, fails in enumerate(bad + [~(low >= DEGENERATE_S2_TOL)]):
-            for fail, mask, roots in zip(failing, fails.reshape(e.size, -1),
-                                         tb.reshape(e.size, -1, deg)):
-                if kind not in fail and mask.any():
-                    fail[kind] = roots[int(np.argmax(mask))].copy()
+        index, copies = placed(nodes)
+        for kind, (fails, value) in enumerate(zip(bad + [~(low >= DEGENERATE_S2_TOL)],
+                                                  [*values, low])):
+            if not fails.any():
+                continue
+            for fail, count, mask, value_c, roots in zip(
+                    failing, counts, fails.reshape(e.size, -1),
+                    value.reshape(e.size, -1), tb.reshape(e.size, -1, deg)):
+                if mask.any():
+                    count[kind] += np.broadcast_to(copies, mask.shape)[mask].sum()
+                    if kind not in fail:
+                        i = int(np.argmax(mask))
+                        fail[kind] = (value_c[i], points[0][i, 0], points[1][i, 0],
+                                      roots[i].copy())
         if not any(failing):
-            act = _action_terms(pulse, tb, flat_pz[nodes, None],
-                                flat_pp2[nodes, None], e[..., None],
-                                phasors=phasors, out=(act, x, free, pre),
-                                coefficients=coefficients)
+            act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
+                                out=(act, x, free, pre), coefficients=coefficients)
             prefactor = np.divide(1.0, np.sqrt(np.multiply(-1j, s2, out=pre), out=pre),
                                   out=pre)
-            consume(nodes if index is None else index[nodes],
-                    SaddleBatch(tb, vz, act, s2, prefactor, residual))
+            consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
         fields = _solve_points(pulse, e, pz, pperp2, work)
-        values = _contract_values(pulse, fields)
-        finish(slice(None), fields, values, _failures(pulse, values))
+        values = _contract_values(pulse, fields, work)
+        finish(slice(None), (pz[:, None], pperp2[:, None]), fields, values,
+               _contract_checks(pulse, values))
     else:
         _continue_lines(pulse, e, pz, pperp2, block, finish, work)
-    records = record.reshape(5, e.size, -1).swapaxes(0, 1)
-    for fail, e_c, record_c in zip(failing, e.ravel(), records):
+    for fail, count, e_c in zip(failing, counts, e.ravel()):
         if fail:    # name the first failing node of the channel's batch
-            _raise_first_failure(pulse, e_c, flat_pz, flat_pp2, record_c, fail,
-                                 copies)
+            _raise_first_failure(pulse, e_c, fail, count, total)
     return batch
 
 
-def _contract_values(pulse: Pulse, fields):
+def _contract_values(pulse: Pulse, fields, work=None):
     """Per point of the fields of _newton (roots t sorted by Re t along the
     last axis, ..., |S'|): max |S'|, min Im t, the strip edge (Re t of the
     last root, or of the first when it lies below the strip) and the
-    smallest gap between neighbours; shape (4,) + t.shape[:-1]."""
+    smallest gap between neighbours; shape (4,) + t.shape[:-1].  Given the
+    buffers ``work`` of _workspace that hold ``fields``, the gaps are
+    written into the seeds and the float scratch, which Newton leaves free."""
     t, residual = fields[0], fields[-1]
     first, last = t.real[..., 0], t.real[..., -1]
+    if work is None:
+        gap = np.abs(np.diff(t, axis=-1))
+    else:
+        # neighbours in flat order: on contiguous operands numpy needs no
+        # buffers of its own.  The last of each row crosses into the next
+        # row and is left out
+        flat, n = t.reshape(-1), t.size
+        diff = work[0][0].reshape(-1)[:n]
+        np.subtract(flat[1:], flat[:-1], out=diff[:-1])
+        diff[-1:] = 0.0
+        gap = np.abs(diff, out=work[1][1].reshape(-1)[:n]).reshape(t.shape)[..., :-1]
     return np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
                      np.where(first >= -STRIP_SLACK * pulse.tau_p, last, first),
-                     np.abs(np.diff(t, axis=-1)).min(axis=-1)])
+                     gap.min(axis=-1)])
+
+
+_CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report them
+    "saddle residual {:.3e} exceeds {residual_tol}; grid or intensity "
+    "outside the validated regime",
+    "saddle with Im t = {:.3e} <= 0",
+    "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}",
+    "saddle pair separated by {:.3e} < {distinct_tol}",
+)
 
 
 def _contract_checks(pulse: Pulse, values):
-    """(failure mask, value, message template, formatted only on the error
-    path) per root-set contract, from _contract_values, in the order errors
-    report them.  A NaN root fails every check."""
+    """The failure mask of each root-set contract on the _contract_values
+    ``values``, in the order of _CONTRACT_MESSAGES.  A NaN root fails every
+    check."""
     worst, im, edge, gap = values
     eps = STRIP_SLACK * pulse.tau_p
-    return (
-        (~(worst <= RESIDUAL_TOL), worst,
-         "saddle residual {:.3e} exceeds {residual_tol}; grid or intensity "
-         "outside the validated regime"),
-        (~(im > 0), im, "saddle with Im t = {:.3e} <= 0"),
-        (~((edge >= -eps) & (edge <= pulse.tau_p + eps)), edge,
-         "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}"),
-        (~(gap >= DISTINCT_TOL), gap,
-         "saddle pair separated by {:.3e} < {distinct_tol}"),
-    )
+    return [~(worst <= RESIDUAL_TOL), ~(im > 0),
+            ~((edge >= -eps) & (edge <= pulse.tau_p + eps)),
+            ~(gap >= DISTINCT_TOL)]
 
 
 def _node(pz, pperp2, e_bound) -> str:
     return f"at p_z = {pz:.6g}, p_perp^2 = {pperp2:.6g}, e_bound = {e_bound:.8g}"
 
 
-def _raise_first_failure(pulse, e_bound, pz, pperp2, record, failing, copies):
-    """Raise for the first point (in flat order) of the first contract that
-    the recorded values break, with the roots kept for it in ``failing``.
-    Each point counts ``copies`` nodes."""
-    copies = np.broadcast_to(copies, pz.shape)
-    for kind, (bad, value, message) in enumerate(_contract_checks(pulse, record[:4])):
-        if bad.any():
-            i = int(np.argmax(bad))
-            message = message.format(value[i], residual_tol=RESIDUAL_TOL,
-                                     distinct_tol=DISTINCT_TOL, tau_p=pulse.tau_p)
-            raise SaddleError(
-                f"{message} {_node(pz[i], pperp2[i], e_bound)} "
-                f"({int(copies[bad].sum())} of {int(copies.sum())} points)",
-                roots=failing[kind])
-    i = int(np.argmax(~(record[4] >= DEGENERATE_S2_TOL)))
+def _raise_first_failure(pulse, e_bound, failing, counts, total):
+    """Raise for the first contract in ``failing`` (by contract: the value,
+    p_z, p_perp^2 and roots of its first failing node; |S''| last), with
+    counts[contract] of ``total`` grid nodes failing it."""
+    kind = min(failing)
+    value, pz, pperp2, roots = failing[kind]
+    if kind < len(_CONTRACT_MESSAGES):
+        message = _CONTRACT_MESSAGES[kind].format(
+            value, residual_tol=RESIDUAL_TOL, distinct_tol=DISTINCT_TOL,
+            tau_p=pulse.tau_p)
+        raise SaddleError(f"{message} {_node(pz, pperp2, e_bound)} "
+                          f"({counts[kind]} of {total} points)", roots=roots)
     raise DegenerateSaddleError(
-        f"|S''| = {record[4, i]:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
-        f"saddles {_node(pz[i], pperp2[i], e_bound)}", roots=failing[4])
+        f"|S''| = {value:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
+        f"saddles {_node(pz, pperp2, e_bound)}", roots=roots)
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

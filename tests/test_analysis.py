@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import sowp.analysis as analysis
+from sowp import amplitude, saddle
 from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
-from sowp.densmat import MomentumGrid, coherence_degree, family
-from sowp.errors import ConfigError, FitError, NumericalError, SaturationWarning
+from sowp.densmat import (MomentumGrid, build_density_matrix, coherence_degree,
+                          family)
+from sowp.errors import (ConfigError, FitError, NumericalError, SaddleError,
+                         SaturationWarning)
 from sowp.pulse import Pulse
 from sowp.species import get_species
 
@@ -222,14 +225,14 @@ class TestCoherenceSweep:
             assert (a.g, a.w) == (b.g, b.w)
 
     def test_failures_collected(self, species_f, monkeypatch):
-        real = analysis._sweep_one
+        real = analysis._sweep_pulse
 
-        def flaky(sp, lam, intensity, n, grid_kw):
+        def flaky(group, lam, intensity, n, grid):
             if n == 3:
                 raise NumericalError("forced")
-            return real(sp, lam, intensity, n, grid_kw)
+            return real(group, lam, intensity, n, grid)
 
-        monkeypatch.setattr(analysis, "_sweep_one", flaky)
+        monkeypatch.setattr(analysis, "_sweep_pulse", flaky)
         pts, failures = coherence_sweep([species_f], 1800.0, 1.3e13,
                                         cycles=[2, 3, 4], n_energy=48,
                                         n_theta=16)
@@ -238,32 +241,72 @@ class TestCoherenceSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_errors_propagate(self, species_f, monkeypatch, threads):
-        def broken(sp, lam, intensity, n, grid_kw):
+        def broken(group, lam, intensity, n, grid):
             if n == 3:
                 raise TypeError("forced")
-            return SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
 
-        monkeypatch.setattr(analysis, "_sweep_one", broken)
+        monkeypatch.setattr(analysis, "_sweep_pulse", broken)
         with pytest.raises(TypeError, match="forced"):
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
                             threads=threads)
 
     def test_longest_pulses_run_first(self, species_f, species_cl, monkeypatch):
-        # one thread runs the points in submission order: descending N,
-        # species order among equal N; the points come back in input order
+        # one thread runs the jobs in submission order: descending N, one
+        # job per N with its species in order; the points come back in
+        # input order
         ran = []
 
-        def recording(sp, lam, intensity, n, grid):
-            ran.append((sp.name, n))
-            return SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01)
+        def recording(group, lam, intensity, n, grid):
+            ran.extend((sp.name, n) for sp in group)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
 
-        monkeypatch.setattr(analysis, "_sweep_one", recording)
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
         pts, failures = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13,
                                         cycles=[3, 2, 5], threads=1)
         assert failures == []
         assert ran == [("F", 5), ("Cl", 5), ("F", 3), ("Cl", 3), ("F", 2), ("Cl", 2)]
         assert [(p.species, p.n_cycles) for p in pts] == [
             ("F", 3), ("F", 2), ("F", 5), ("Cl", 3), ("Cl", 2), ("Cl", 5)]
+
+    def test_failing_species_leaves_its_group(self, species_f, species_cl,
+                                              species_br, monkeypatch):
+        # every Cl j = 3/2 root is moved off its saddle by every Newton call,
+        # re-seeds included: the grouped pass raises, so each species is
+        # solved alone; F and Br keep their points, and Cl's error is the
+        # one it raises alone
+        kw = dict(cycles=[2], n_energy=24, n_theta=8)
+        group = [species_f, species_cl, species_br]
+        good, _ = coherence_sweep(group, 1800.0, 1.3e13, **kw)
+        e_cl, newton = species_cl.e_bound(3), saddle._newton
+
+        def off_for_cl(pu, e_bound, t, pz, pp2, **kwargs):
+            roots = newton(pu, e_bound, t, pz, pp2, **kwargs)[0].copy()
+            roots[np.broadcast_to(e_bound[..., 0] == e_cl, roots.shape[:-1]), 0] += 1e-4
+            fields, f = saddle._evaluated(pu, e_bound, roots, pz, pp2)
+            return (*fields, np.abs(f))
+
+        passes, batch = [], amplitude.saddle_batch
+
+        def counting(pulse, e_bound, *args):
+            passes.append(len(e_bound))
+            return batch(pulse, e_bound, *args)
+
+        monkeypatch.setattr(saddle, "_newton", off_for_cl)
+        monkeypatch.setattr(amplitude, "saddle_batch", counting)
+        points, failures = coherence_sweep(group, 1800.0, 1.3e13, **kw)
+        assert passes == [6, 2, 2, 2]
+        assert points == [good[0], good[2]]
+        [(name, n, exc)] = failures
+        assert (name, n) == ("Cl", 2)
+        pulse = Pulse.from_lab(1800.0, 2, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=24, n_theta=8)
+        with pytest.raises(SaddleError) as alone:
+            build_density_matrix(pulse, species_cl, grid)
+        assert type(exc) is type(alone.value)
+        assert str(exc) == str(alone.value)
+        assert str(exc).startswith("saddle residual")
+        np.testing.assert_array_equal(exc.roots, alone.value.roots)
 
     def test_no_worker_threads_rejected(self, species_f):
         with pytest.raises(ValueError):

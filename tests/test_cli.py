@@ -272,10 +272,10 @@ class TestSweepAndFit:
         assert outs[0] == outs[1]
 
     def test_sweep_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(sp, lam, intensity, n, grid_kw):
+        def boom(group, lam, intensity, n, grid):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(analysis, "_sweep_one", boom)
+        monkeypatch.setattr(analysis, "_sweep_pulse", boom)
         out = tmp_path / "fail"
         rc = run_cli("sweep", "--species", "f", "--cycles", "2..3",
                      *FAST_GRID, "--out-dir", str(out))
@@ -284,10 +284,10 @@ class TestSweepAndFit:
         assert (out / "summary.txt").read_text().count("FAILED") == 2
 
     def test_failures_listed_in_job_order(self, tmp_path, monkeypatch):
-        def boom(sp, lam, intensity, n, grid_kw):
+        def boom(group, lam, intensity, n, grid):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(analysis, "_sweep_one", boom)
+        monkeypatch.setattr(analysis, "_sweep_pulse", boom)
         out = tmp_path / "fail"
         rc = run_cli("sweep", "--species", "f,cl", "--cycles", "2..3",
                      *FAST_GRID, "--threads", "2", "--out-dir", str(out))
@@ -300,12 +300,12 @@ class TestSweepAndFit:
     def test_fit_of_too_few_surviving_points_is_numerical_exit(
             self, tmp_path, monkeypatch, capsys):
         # three cycles asked for, one lost: the sweep failed, not the input
-        def fail_at_3(sp, lam, intensity, n, grid_kw):
+        def fail_at_3(group, lam, intensity, n, grid):
             if n == 3:
                 raise NumericalError("forced failure")
-            return _law_point(sp, lam, intensity, n, grid_kw)
+            return _law_points(group, lam, intensity, n, grid)
 
-        monkeypatch.setattr(analysis, "_sweep_one", fail_at_3)
+        monkeypatch.setattr(analysis, "_sweep_pulse", fail_at_3)
         out = tmp_path / "fit"
         assert run_cli("fit", "--species", "f", "--cycles", "2..4",
                        *FAST_GRID, "--out-dir", str(out)) == 2
@@ -319,7 +319,7 @@ class TestSweepAndFit:
         (["fit", "--species", "f"], "default (F 2..18)"),
     ], ids=["sweep", "fit"])
     def test_default_ranges_in_summary(self, tmp_path, monkeypatch, args, cycles):
-        monkeypatch.setattr(analysis, "_sweep_one", _law_point)
+        monkeypatch.setattr(analysis, "_sweep_pulse", _law_points)
         out = tmp_path / "default"
         assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 0
         lines = (out / "summary.txt").read_text().splitlines()
@@ -333,7 +333,7 @@ class TestSweepAndFit:
     def test_programmatic_sweep_obeys_cycles(self, tmp_path, monkeypatch,
                                              cycles, ns, text):
         # a RunConfig built in code, not by parse_config
-        monkeypatch.setattr(analysis, "_sweep_one", _law_point)
+        monkeypatch.setattr(analysis, "_sweep_pulse", _law_points)
         cfg = RunConfig(command="sweep", species="br", cycles=cycles,
                         out_dir=str(tmp_path)).validate()
         assert run(cfg) == 0
@@ -366,11 +366,12 @@ class TestSweepAndFit:
         assert not (out / "summary.txt").exists()
 
 
-def _law_point(sp, lam, intensity, n, grid_kw):
-    """Stand-in for analysis._sweep_one: a point on the Gaussian law."""
+def _law_points(group, lam, intensity, n, grid):
+    """Stand-in for analysis._sweep_pulse: per species a point on the
+    Gaussian law."""
     ratio = 0.1 * n
-    return SweepPoint(sp.name, n, 1.0, ratio,
-                      0.89 * np.exp(-1.15 * ratio * ratio), 0.01)
+    return [SweepPoint(sp.name, n, 1.0, ratio,
+                       0.89 * np.exp(-1.15 * ratio * ratio), 0.01) for sp in group]
 
 
 XQ_RECORD = "name = Xq\nea_ev = 3.0\nsplitting_cm1 = 500\nb_au = 1.0\nl = 1\n"
