@@ -8,8 +8,9 @@ onto one curve well described by
     g(r) = g0 exp(-zeta r^2),      r = tau_fwhm / tau_beat,
 
 fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
-The sweep runs one job per pulse for all its species, so that their
-density matrices can share one saddle pass (see build_density_matrix).
+The sweep runs one job per saddle pass: the species of one pulse share a
+job where species_passes groups them into one pass, else each species of
+that pulse is a job of its own.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sowp import units
-from sowp.amplitude import amplitude_profiles
+from sowp.amplitude import amplitude_profiles, species_passes
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
                           build_density_matrix, coherence_degree, family,
                           gram_to_rho, grid_nodes, warn_if_saturated)
@@ -133,7 +134,7 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N) on a pool of ``threads`` (>= 1) worker
-    threads, one job per pulse (N) for all its species (_sweep_pulse);
+    threads, one job (_sweep_pulse) per saddle pass of species_passes;
     package errors (SowpError) are collected per point, not raised; any
     other exception propagates.  Jobs are started longest pulse first.
 
@@ -156,19 +157,30 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     # omega depends on the wavelength alone: one read-only grid serves all
     grid = MomentumGrid.build(units.wavelength_to_omega(wavelength_nm),
                               **grid_kw)
+    # one job per saddle pass, so that the passes of a split pulse run in
+    # parallel; longest pulses first, so that no long one is left to run
+    # alone at the end.  species_passes keeps the species order
+    pz, pperp, _ = grid_nodes(grid)
+    passes = []     # (N, positions in jobs of the pass's points)
+    for n in sorted(pulses, reverse=True):
+        group = [jobs[i][0] for i in pulses[n]]
+        parts = species_passes(Pulse.from_lab(wavelength_nm, n, intensity_wcm2),
+                               group, pz, pperp)
+        start = 0
+        for part in parts:
+            passes.append((n, pulses[n][start:start + len(part)]))
+            start += len(part)
     # imported here: it costs every other command about 7 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
 
     outcomes = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # longest pulses first, so that no long one is left to run alone at
-        # the end; collected in input order
-        futures = {n: pool.submit(_sweep_pulse, [jobs[i][0] for i in pulses[n]],
-                                  wavelength_nm, intensity_wcm2, n, grid)
-                   for n in sorted(pulses, reverse=True)}
-        for n, positions in pulses.items():
+        futures = [pool.submit(_sweep_pulse, [jobs[i][0] for i in positions],
+                               wavelength_nm, intensity_wcm2, n, grid)
+                   for n, positions in passes]
+        for (_, positions), future in zip(passes, futures):
             try:
-                results = futures[n].result()
+                results = future.result()
             except SowpError as exc:    # the job failed for all its points
                 results = [exc] * len(positions)
             outcomes.update(zip(positions, results))

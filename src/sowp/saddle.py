@@ -577,20 +577,21 @@ def _contract_values(pulse: Pulse, fields, work=None):
     last root, or of the first when it lies below the strip) and the
     smallest gap between neighbours; shape (4,) + t.shape[:-1].  Given the
     buffers ``work`` of _workspace that hold ``fields``, the gaps are
-    written into the seeds and the float scratch, which Newton leaves free."""
+    written into the seeds and the float scratch, which Newton leaves free;
+    else into buffers of their own."""
     t, residual = fields[0], fields[-1]
     first, last = t.real[..., 0], t.real[..., -1]
+    flat, n = t.reshape(-1), t.size
     if work is None:
-        gap = np.abs(np.diff(t, axis=-1))
+        diff, gap = np.empty(n, complex), np.empty(n)
     else:
-        # neighbours in flat order: on contiguous operands numpy needs no
-        # buffers of its own.  The last of each row crosses into the next
-        # row and is left out
-        flat, n = t.reshape(-1), t.size
-        diff = work[0][0].reshape(-1)[:n]
-        np.subtract(flat[1:], flat[:-1], out=diff[:-1])
-        diff[-1:] = 0.0
-        gap = np.abs(diff, out=work[1][1].reshape(-1)[:n]).reshape(t.shape)[..., :-1]
+        diff, gap = work[0][0].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
+    # neighbours in flat order: on contiguous operands numpy needs no
+    # buffers of its own.  The last of each row crosses into the next row
+    # and is left out
+    np.subtract(flat[1:], flat[:-1], out=diff[:-1])
+    diff[-1:] = 0.0
+    gap = np.abs(diff, out=gap).reshape(t.shape)[..., :-1]
     return np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
                      np.where(first >= -STRIP_SLACK * pulse.tau_p, last, first),
                      gap.min(axis=-1)])
