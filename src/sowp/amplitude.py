@@ -30,7 +30,7 @@ from math import sqrt, pi
 
 import numpy as np
 
-from sowp.pulse import Pulse
+from sowp.pulse import Pulse, expi
 from sowp.saddle import (_action_coefficients, _row_blocks, _solved_lines,
                          saddle_batch)
 from sowp.species import Species
@@ -180,7 +180,6 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     energy = np.array([[sp.e_bound(j2)] for sp in group for j2, _ in SUM_ROWS])
     lin = _action_coefficients(pulse)[0]
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
-    sigma = np.array([1 - 2 * ml for _ in group for _, ml in SUM_ROWS]).reshape(shape)
     factor = np.array([-((2.0 * pi) ** 1.5) * sp.b_au / (1j * sp.kappa(j2))
                        for sp in group for j2, _ in SUM_ROWS]).reshape(shape)
 
@@ -194,8 +193,10 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     def stream(nodes, block):
         # the sums of a block of all channels: rows (j, 0) and (j, 1)
         rows = buffer("rows", (n_rows, block.t.shape[1]) + tail)
-        core = np.multiply(1j, block.action, out=buffer("core", block.action.shape))
-        core = np.multiply(np.exp(core, out=core), block.prefactor, out=core)
+        # block.t and block.s2, which the sums do not read, are expi's scratch
+        core = expi(block.action, out=buffer("core", block.action.shape),
+                    scratch=(block.t, block.s2))
+        core = np.multiply(core, block.prefactor, out=core)
         saddle_sum(core, axis=-1, out=rows[1::2])
         saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=rows[::2])
         rows[1::2] *= pperp_[nodes]
@@ -208,7 +209,11 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         pz_b = flat_pz[nodes]
         s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy + lin)
                  * pulse.tau_p).reshape(shape)
-        np.multiply(sigma * np.exp(1j * s_tau), image, out=image)
+        np.negative(image[1::2], out=image[1::2])      # sigma, on the (j, 1) rows
+        # exp(i S_tau) into the memory of core, t and s2, which nothing reads now
+        spare = [a.reshape(-1)[:s_tau.size].reshape(s_tau.shape)
+                 for a in (core, block.t, block.s2)]
+        np.multiply(expi(s_tau, out=spare[0], scratch=spare[1:]), image, out=image)
         # p_z = 0 is its own image: its edge saddle counts half at each end
         centre = pz_b == 0
         rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])

@@ -11,9 +11,10 @@ which expands into the carrier and two sidebands (Pulse.sidebands holds a_r),
 
 A(t) and dA/dt are evaluated in phasor form: with z = exp(i omega t / N)
 and u = z^N = exp(i omega t), each sinusoid is (u z^r - 1/(u z^r)) / 2i
-and each cosine (u z^r + 1/(u z^r)) / 2.  One evaluation costs one complex
-exponential, a few products and two reciprocals for all three, for real
-and complex t alike (real t returns the real part).
+and each cosine (u z^r + 1/(u z^r)) / 2.  One evaluation costs one expi
+call for z and 1/z, and a few products (u and 1/u by repeated squaring)
+for all three, for real and complex t alike (real t returns the real
+part).
 Unlike the product form, the sinusoid sum has no catastrophic cancellation
 when |Im t| is large, and it makes the action integral a finite sum of
 elementary antiderivatives (see ``sowp.saddle``).  The electric field is
@@ -22,10 +23,29 @@ carrier peak at the envelope maximum).
 
 A caller that needs A, dA/dt and the action at the same t builds the
 phasors once (Pulse.phasors) and passes them to each.
+
+expi.  numpy runs complex exp and 1/z element by element through scalar
+libm: on a block of 12 160 roots (N = 18, 2 vCPUs, numpy 2.4) exp takes
+440-710 us and 1/z 65-110 us, against about 10 us for a complex product;
+the real sin and cos are no faster (about 220-240 us each), so splitting
+exp(i a) into cos + i sin does not help.  expi(a) builds exp(i a) from
+numpy's vectorised real ufuncs and one take instead, in about 200 us, and
+exp(-i a) with it for about 50 us more:
+
+* Re a = k 2 pi / 2^10 + r, |r| <= pi / 2^10, by a two-part Cody-Waite
+  reduction (fdlibm's split of 2 pi, scaled by 2^-10);
+* exp(i Re a) = T_k (cos r + i sin r) with the table entry
+  T_k = exp(2 pi i k / 2^10) and the polynomials of cos r to r^4 and of
+  sin r to r^5 (truncation error below 1e-18);
+* exp(i a) = exp(i Re a) exp(-Im a), exp(-i a) = conj(exp(i Re a)) / exp(-Im a).
+
+Measured against mpmath: 4.3e-16 relative at most (numpy's exp 2.2e-16)
+for |Re a| up to 1e4, as the actions reach |S| ~ 2500 at N = 18.
 """
 
 from dataclasses import dataclass, field
-from operator import add, mul, sub, truediv
+from math import cos, sin
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -35,7 +55,7 @@ FWHM_FACTOR = 0.364  # intensity FWHM of a sin^2 envelope, as fraction of tau_p
 SIDEBANDS = (0, 1, -1)  # r of the sinusoids at omega (1 + r/N) in A(t)
 
 
-_UFUNCS = {add: np.add, sub: np.subtract, mul: np.multiply, truediv: np.divide}
+_UFUNCS = {add: np.add, sub: np.subtract, mul: np.multiply}
 
 
 def _into(op, a, b, out=None):
@@ -43,6 +63,73 @@ def _into(op, a, b, out=None):
     without it, the expression itself, so that numpy scalars keep their
     own scalar arithmetic, bit for bit."""
     return op(a, b) if out is None else _UFUNCS[op](a, b, out=out)
+
+
+# Re a = k 2 pi / 2^10 + r by fdlibm's two-part 2 pi scaled by 2^-10: HI has
+# 31 bits, so k HI is exact for |k| < 2^22.  x + SHIFT rounds x to an
+# integer, held in the low bits of the double
+_EXPI_HI = float.fromhex("0x1.921fb544p-8")
+_EXPI_LO = float.fromhex("0x1.0b4611a626331p-42")
+_EXPI_SHIFT = 1.5 * 2.0 ** 52
+# exp(2 pi i k / 2^10), k = 0 .. 1023: the cosine and sine of the double
+# k HI, rotated by the remaining angle k LO to first order
+_EXPI_TABLE = np.array([complex(cos(k * _EXPI_HI) - sin(k * _EXPI_HI) * k * _EXPI_LO,
+                                sin(k * _EXPI_HI) + cos(k * _EXPI_HI) * k * _EXPI_LO)
+                        for k in range(1024)])
+
+
+def _halves(c):
+    """The two float arrays of c's shape in the memory of the complex
+    array c (of a copy, unless c is contiguous)."""
+    f = c.reshape(-1).view(float)
+    return f[:c.size].reshape(c.shape), f[c.size:].reshape(c.shape)
+
+
+def expi(a, out=None, inverse=None, scratch=None):
+    """exp(i a) for a real or complex array (or scalar) a, from real ufuncs
+    and one table lookup (see the module docstring); written into the
+    complex array ``out`` of a's shape if given, and exp(-i a) into the
+    complex array ``inverse`` if given.  ``scratch`` may give two complex
+    arrays of a's shape to overwrite, else they are allocated; a may be
+    ``out`` or ``inverse`` itself."""
+    a = np.asarray(a)
+    if out is None:
+        out = np.empty(a.shape, dtype=complex)
+    if scratch is None:
+        scratch = [np.empty(a.shape, dtype=complex) for _ in range(2)]
+    (k, c), (index, s) = (_halves(w) for w in scratch)
+    index = index.view(np.int64)
+    x = a.real
+    # k = round(x / (2 pi / 2^10)), and k mod 2^10 from the low bits of k + SHIFT
+    k = np.multiply(x, 1.0 / _EXPI_HI, out=k)
+    k += _EXPI_SHIFT
+    np.bitwise_and(k.view(np.int64), 1023, out=index)
+    k -= _EXPI_SHIFT
+    r = np.subtract(x, np.multiply(k, _EXPI_HI, out=c), out=c)
+    r -= np.multiply(k, _EXPI_LO, out=k)
+    r2 = np.multiply(r, r, out=k)
+    # sin r = r (1 - r^2/6 + r^4/120) and cos r = 1 - r^2/2 + r^4/24
+    s = np.multiply(r2, 1.0 / 120.0, out=s)
+    s -= 1.0 / 6.0
+    s *= r2
+    s *= r
+    s += r
+    c = np.multiply(r2, 1.0 / 24.0, out=c)
+    c -= 0.5
+    c *= r2
+    c += 1.0
+    # exp(i a) = T (cos r + i sin r) e, exp(-i a) = conj(T (cos r + i sin r)) / e
+    # for e = exp(-Im a) and the table entry T
+    e = np.exp(np.negative(a.imag, out=k), out=k) if np.iscomplexobj(a) else 1.0
+    if inverse is not None:
+        np.divide(c, e, out=inverse.real)
+        np.divide(s, e, out=inverse.imag)
+    np.multiply(c, e, out=out.real)
+    np.multiply(s, e, out=out.imag)
+    table = np.take(_EXPI_TABLE, index, out=scratch[0], mode="wrap")
+    if inverse is not None:
+        np.conjugate(np.multiply(inverse, table, out=inverse), out=inverse)
+    return np.multiply(out, table, out=out)
 
 
 @dataclass(frozen=True)
@@ -97,17 +184,29 @@ class Pulse:
         return units.au_to_fs(FWHM_FACTOR * self.tau_p)
 
     def phasors(self, t, out=None):
-        """(u, z, 1/u, 1/z) for the array t, with z = exp(i omega t / N)
-        and u = z^N = exp(i omega t) built by repeated squaring; written
-        into the four complex arrays ``out`` of t's shape if given."""
-        buf, z, v, y = (None,) * 4 if out is None else out
-        z = np.exp(np.multiply(1j * self.omega / self.n_cycles, t, out=z), out=z)
-        u = z
-        for bit in bin(self.n_cycles)[3:]:
-            u = _into(mul, u, u, buf)
-            if bit == "1":
-                u = _into(mul, u, z, buf)
-        return u, z, _into(truediv, 1.0, u, v), _into(truediv, 1.0, z, y)
+        """(u, z, 1/u, 1/z) for the array t: z = exp(i omega t / N) and 1/z
+        from one expi, u = z^N and 1/u = (1/z)^N by repeated squaring;
+        written into the four complex arrays ``out`` of t's shape if given
+        (expi takes its scratch from the first and third)."""
+        t = np.asarray(t)
+        if out is None:
+            out = [np.empty(t.shape, dtype=complex) for _ in range(4)]
+        buf, z, v, y = out
+        arg = _into(mul, self.omega / self.n_cycles, t,
+                    z if np.iscomplexobj(t) else None)
+        z = expi(arg, out=z, inverse=y, scratch=(buf, v))
+
+        def power(x, into):     # x^N by repeated squaring, into ``into``
+            p = x
+            for bit in bin(self.n_cycles)[3:]:
+                p = np.multiply(p, p, out=into)
+                if bit == "1":
+                    p = np.multiply(p, x, out=into)
+            return p
+        u = power(z, buf)       # z itself for N = 1
+        if power(y, v) is y:    # N = 1: 1/u in its own array all the same
+            np.copyto(v, y)
+        return u, z, v, y
 
     def _sinusoids(self, t, phasors, coef, combine, factor, out):
         """factor (u (c0 + c1 z + c2 y) combine v (c0 + c1 y + c2 z)) at t

@@ -86,9 +86,14 @@ at the roots it returns, sorted with them by Re t.  Each row block (for
 1-D inputs, the one Newton call) is evaluated from these; a node that
 eigenvalues re-seed, from those of its own Newton call.  S'' = v_z A'
 gates the block: one whose nodes all pass the root-set and |S''|
-contracts gets its action and prefactor 1/sqrt(-i S'') (principal
-branch, Re >= 0) from the same phasors and goes straight to its
-consumer: the caller's consume callback, or a copy into a SaddleBatch.
+contracts gets its action from the same phasors and its prefactor
+1/sqrt(-i S'') (principal branch, Re >= 0) from _rsqrt, and goes straight
+to its consumer: the caller's consume callback, or a copy into a
+SaddleBatch.  _rsqrt builds 1/sqrt from real ufuncs: numpy's complex sqrt
+and 1/z run element by element through scalar libm, about 500 us and
+100 us on a block of 12 160 roots (N = 18), against about 170 us for
+_rsqrt, which is within 2.7e-16 of it relative (measured against mpmath;
+1/np.sqrt 3.3e-16).
 Failures are named without a whole-grid record: per channel and
 contract, a block that breaks it adds its failing grid nodes to a count
 (given a consumer, a node counts twice when its mirror image is not
@@ -121,7 +126,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from sowp.errors import SaddleError, DegenerateSaddleError
-from sowp.pulse import SIDEBANDS, Pulse, _into
+from sowp.pulse import SIDEBANDS, Pulse, _halves, _into
 
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
@@ -297,7 +302,7 @@ def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2, out=None):
     arrays ``out`` of t's shape (u, z, 1/u, 1/z, v_z, S' and two scratch)
     if given."""
     u, z, v, y, vz, f, x1, x2 = (None,) * 8 if out is None else out
-    phasors = pulse.phasors(t, out=(u, z, v, y))
+    phasors = pulse.phasors(t, out=None if out is None else (u, z, v, y))
     vz = np.add(pz, pulse.vector_potential(t, phasors=phasors, out=(vz, x1, x2)),
                 out=vz)
     f = np.multiply(vz, vz, out=f)
@@ -335,6 +340,36 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
             scale = np.minimum(np.divide(step_cap, np.abs(dt, out=mag), out=mag),
                                1.0, out=mag)
         np.add(tk, np.multiply(dt, scale, out=dt), out=tk, where=going)
+
+
+def _rsqrt(x, out, scratch):
+    """The principal 1/sqrt(x) of the complex array x, 1e-154 < |x| < 1e154
+    (|x|^2 a normal double), from real ufuncs (see the module docstring),
+    written into ``out`` (x itself may be ``out``), with the two
+    complex arrays ``scratch`` of x's shape overwritten.  With r = |x| and
+    rho = sqrt((r + |Re x|)/2), sqrt(x) is rho + i Im x / (2 rho) where
+    Re x >= 0, else |Im x| / (2 rho) + i copysign(rho, Im x), free of
+    cancellation, and 1/sqrt(x) = conj(sqrt(x)) / r."""
+    (r, rho), (eta, big) = (_halves(w) for w in scratch)
+    re, im = x.real, x.imag
+    r = np.sqrt(np.add(np.multiply(re, re, out=r), np.multiply(im, im, out=rho),
+                       out=r), out=r)
+    rho = np.add(np.abs(re, out=rho), r, out=rho)
+    rho *= 0.5
+    rho = np.sqrt(rho, out=rho)
+    # -Im x / (2 rho r) and rho / r, the parts of conj(sqrt(x)) / r
+    eta = np.divide(np.divide(im, rho, out=eta), r, out=eta)
+    eta *= -0.5
+    rho /= r
+    # rho goes to the real part where Re x >= 0, eta elsewhere; as rho >=
+    # |eta|, max(+-copysign(rho, Re x), |eta|) picks the real part for +
+    # and the modulus of the imaginary part for -
+    big = np.copysign(rho, re, out=big)
+    small = np.abs(eta, out=rho)
+    np.maximum(big, small, out=out.real)
+    np.maximum(np.negative(big, out=big), small, out=big)
+    np.copysign(big, eta, out=out.imag)
+    return out
 
 
 def _solve_points(pulse: Pulse, e_bound, pz, pperp2, work=None):
@@ -472,8 +507,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     evaluated block (a row block of 2-D inputs, all points of 1-D ones):
     ``nodes`` indexes the flattened nodes (a slice or an index array),
     ``block`` is their SaddleBatch, valid only during the call (the next
-    block reuses its arrays; ``Gram`` and ``amplitude_profiles`` use it at
-    once, and without ``consume`` it is copied into the result).  Raises
+    block reuses its arrays, so the consumer may overwrite them; ``Gram``
+    and ``amplitude_profiles`` use it at once, and without ``consume`` it
+    is copied into the result).  Raises
     SaddleError/DegenerateSaddleError naming the first node that fails the
     residual, count, distinctness, or curvature contracts, in the first
     channel that fails one (its count is of that channel's nodes).
@@ -554,8 +590,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         if not any(failing):
             act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
                                 out=(act, x, free, pre), coefficients=coefficients)
-            prefactor = np.divide(1.0, np.sqrt(np.multiply(-1j, s2, out=pre), out=pre),
-                                  out=pre)
+            prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (free, x))
             consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:

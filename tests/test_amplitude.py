@@ -11,7 +11,7 @@ from sowp import amplitude, analysis, densmat, saddle
 from sowp.amplitude import CHANNELS, amplitude_profiles, clebsch_gordan
 from sowp.analysis import buildup
 from sowp.errors import DegenerateSaddleError, SaddleError
-from sowp.pulse import Pulse
+from sowp.pulse import Pulse, expi
 from sowp.densmat import MomentumGrid, build_density_matrix, grid_nodes
 from sowp.saddle import SaddleBatch, SaddlePoint, find_saddles, saddle_batch
 from sowp.species import Species, get_species
@@ -247,7 +247,7 @@ def batch_sums(pulse, species, pz, pperp, cumulative):
     rows = []
     for j2 in (3, 1):
         batch = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
-        core = np.exp(1j * batch.action) * batch.prefactor
+        core = expi(batch.action) * batch.prefactor
         vz = batch.vz
         if centre.any():
             t, c, vz_c = batch.t[centre], core[centre], vz[centre]
@@ -255,7 +255,7 @@ def batch_sums(pulse, species, pz, pperp, cumulative):
             edge = np.where(first, 0, -1)
             at = np.arange(len(t)), edge
             moved = t[at] + np.where(first, pulse.tau_p, -pulse.tau_p)
-            c_moved = np.exp(1j * saddle._action_terms(
+            c_moved = expi(saddle._action_terms(
                 pulse, moved, 0.0, (pperp * pperp)[centre],
                 species.e_bound(j2))) * batch.prefactor[centre][at]
             other_c = np.where(first[:, None], np.roll(c, -1, axis=-1),
@@ -446,6 +446,38 @@ def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
     for args in solves:
         assert args[0] is ref_pulse
         np.testing.assert_array_equal(args[2], pz)
+
+
+def test_evaluated_block_allocates_nothing_of_its_size(species_f, monkeypatch):
+    """From the prefactor of a row block (N = 18, both F channels, 20
+    nodes: each block array 24 KB) to its consumer, the kernels take their
+    scratch from the block and the stream's buffers: once those buffers
+    have grown, a block's traced peak above entry stays at a few KB (about
+    6 KB, of it about 2 KB in _rsqrt)."""
+    pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
+    # 2 of 4 lines solved: rows 0-2 alone, then three blocks of 10 rows
+    pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega, n_energy=33, n_theta=4))
+    rsqrt, entry, peaks = saddle._rsqrt, [], []
+
+    def entered(x, out, scratch):
+        entry.append((tracemalloc.get_traced_memory()[0], x.nbytes))
+        tracemalloc.reset_peak()
+        return rsqrt(x, out, scratch)
+
+    def consume(nodes, rows):
+        if len(peaks) < len(entry):     # the solved nodes, not their images
+            peaks.append((len(nodes), tracemalloc.get_traced_memory()[1] - entry[-1][0]))
+
+    monkeypatch.setattr(saddle, "_rsqrt", entered)
+    tracemalloc.start()
+    try:
+        amplitude_profiles(pulse, species_f, pz, pperp, consume=consume)
+    finally:
+        tracemalloc.stop()
+    assert [n for n, _ in peaks] == [2, 2, 2, 20, 20, 20]
+    block_bytes = entry[-1][1]
+    # the last two blocks: the stream's buffers have the block's size
+    assert all(peak <= 8192 < block_bytes / 2 for _, peak in peaks[4:]), peaks
 
 
 # --- time-integral oracle ---------------------------------------------------
