@@ -22,8 +22,7 @@ summed coherently over it.
 
 Species differ only in E_j, kappa_j and B, so the saddle sums of several
 species at one pulse come from one saddle_batch pass over all their
-channels (amplitude_profiles given a sequence).  species_passes decides
-where that pays: where it takes fewer row blocks than one pass each.
+channels (amplitude_profiles given a sequence).
 """
 
 from math import sqrt, pi
@@ -31,8 +30,7 @@ from math import sqrt, pi
 import numpy as np
 
 from sowp.pulse import Pulse, expi
-from sowp.saddle import (_action_coefficients, _row_blocks, _solved_lines,
-                         saddle_batch)
+from sowp.saddle import _action_coefficients, _solved_lines, saddle_batch
 from sowp.species import Species
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
@@ -108,26 +106,6 @@ def _channel_coefficients() -> np.ndarray:
 # CHANNELS amplitudes = CHANNEL_COEF @ saddle sums: the Clebsch-Gordan
 # times the Y_{1 m_l} coefficient, in the column of the channel's (j, |m_l|)
 CHANNEL_COEF = _channel_coefficients()
-
-
-def species_passes(pulse: Pulse, group, pz, pperp):
-    """The species of the sequence ``group`` as amplitude_profiles calls on
-    the (pz, pperp) momenta: one call for all when that takes fewer Newton
-    calls (row blocks of ``saddle_batch``) than one call per species, else
-    one each, so also on a tie.  Channels of several species share a block
-    only while ROW_BLOCK_ROOTS leaves it enough rows."""
-    pz = np.atleast_1d(np.asarray(pz, dtype=float))
-    if len(group) < 2 or pz.ndim != 2:      # 1-D points: one Newton call per pass
-        return [tuple(group)]
-    pperp = np.asarray(pperp, dtype=float)
-    lines = _solved_lines(pz, pperp * pperp)
-
-    def calls(species):
-        return _row_blocks(2 * species, pz.shape[0], lines, 2 * pulse.n_cycles + 2)[1]
-
-    if calls(len(group)) < len(group) * calls(1):
-        return [tuple(group)]
-    return [(sp,) for sp in group]
 
 
 def amplitude_profiles(pulse: Pulse, species, pz, pperp,

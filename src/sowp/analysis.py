@@ -8,9 +8,7 @@ onto one curve well described by
     g(r) = g0 exp(-zeta r^2),      r = tau_fwhm / tau_beat,
 
 fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
-The sweep runs one job per saddle pass: the species of one pulse share a
-job where species_passes groups them into one pass, else each species of
-that pulse is a job of its own.
+The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
 from dataclasses import dataclass
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sowp import units
-from sowp.amplitude import amplitude_profiles, species_passes
+from sowp.amplitude import amplitude_profiles
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
                           build_density_matrix, coherence_degree, family,
                           gram_to_rho, grid_nodes, warn_if_saturated)
@@ -107,9 +105,9 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
                  n_cycles: int, grid: MomentumGrid) -> list:
     """The sweep points of the sequence ``species`` at one pulse, in order:
     per species its SweepPoint, or the SowpError it raised.  Their density
-    matrices come from one build_density_matrix call (one saddle pass where
-    that cuts the row blocks); if it raises, each species is solved alone,
-    so each gets the point or error it gets alone."""
+    matrices come from one build_density_matrix call (one saddle pass); if
+    it raises, each species is solved alone, so each gets the point or
+    error it gets alone."""
     pulse = Pulse.from_lab(wavelength_nm, n_cycles, intensity_wcm2)
     tau_fwhm = pulse.fwhm_fs()
     rhos = None
@@ -134,7 +132,7 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N) on a pool of ``threads`` (>= 1) worker
-    threads, one job (_sweep_pulse) per saddle pass of species_passes;
+    threads, one job (_sweep_pulse) per N with its species in order;
     package errors (SowpError) are collected per point, not raised; any
     other exception propagates.  Jobs are started longest pulse first.
 
@@ -157,19 +155,9 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     # omega depends on the wavelength alone: one read-only grid serves all
     grid = MomentumGrid.build(units.wavelength_to_omega(wavelength_nm),
                               **grid_kw)
-    # one job per saddle pass, so that the passes of a split pulse run in
-    # parallel; longest pulses first, so that no long one is left to run
-    # alone at the end.  species_passes keeps the species order
-    pz, pperp, _ = grid_nodes(grid)
-    passes = []     # (N, positions in jobs of the pass's points)
-    for n in sorted(pulses, reverse=True):
-        group = [jobs[i][0] for i in pulses[n]]
-        parts = species_passes(Pulse.from_lab(wavelength_nm, n, intensity_wcm2),
-                               group, pz, pperp)
-        start = 0
-        for part in parts:
-            passes.append((n, pulses[n][start:start + len(part)]))
-            start += len(part)
+    # one job per pulse, longest first, so that no long one is left to run
+    # alone at the end
+    longest_first = sorted(pulses.items(), reverse=True)
     # imported here: it costs every other command about 7 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
 
@@ -177,8 +165,8 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_sweep_pulse, [jobs[i][0] for i in positions],
                                wavelength_nm, intensity_wcm2, n, grid)
-                   for n, positions in passes]
-        for (_, positions), future in zip(passes, futures):
+                   for n, positions in longest_first]
+        for (_, positions), future in zip(longest_first, futures):
             try:
                 results = future.result()
             except SowpError as exc:    # the job failed for all its points

@@ -17,9 +17,8 @@ matrices to density matrices.  ``build_density_matrix`` and ``buildup``
 pass a ``Gram`` to ``amplitude_profiles`` as its consumer, so each block
 of nodes is added in as soon as its four sums exist and no sums array of
 the whole grid is held.  Given several species, ``build_density_matrix``
-solves them in the passes of ``species_passes``: a shared pass streams
-four sums per species into one Gram, whose diagonal 4x4 blocks are the
-species' Gram matrices.
+solves them in one pass that streams four sums per species into one Gram,
+whose diagonal 4x4 blocks are the species' Gram matrices.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, SUM_ROWS,
-                            amplitude_profiles, species_passes)
+                            amplitude_profiles)
 from sowp.errors import (CoherenceUndefinedError, NumericalError,
                          ProbabilityError, SaturationWarning)
 from sowp.pulse import Pulse
@@ -225,19 +224,17 @@ def build_density_matrix(pulse: Pulse, species, grid: MomentumGrid = None):
     """Integrate amplitude products over the momentum grid (the default
     grid of ``MomentumGrid.build`` unless given).  ``species`` is one
     Species, or a sequence of them, for a tuple of their matrices in the
-    same order, solved in the passes of ``species_passes``."""
+    same order, solved in one saddle pass."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
     one = isinstance(species, Species)
     group = (species,) if one else tuple(species)
+    gram = Gram(weights, species=len(group))
+    amplitude_profiles(pulse, group, pz, pperp, consume=gram)
     rhos = []
-    for part in species_passes(pulse, group, pz, pperp):
-        gram = Gram(weights, species=len(part))
-        amplitude_profiles(pulse, part, pz, pperp, consume=gram)
-        for k in range(0, gram.matrix.shape[-1], len(SUM_ROWS)):
-            own = slice(k, k + len(SUM_ROWS))   # the species' diagonal block
-            rhos.append(DensityMatrix(gram_to_rho(gram.matrix[:, own, own], grid)[0]))
-    for rho in rhos:    # once all are built, so a failing pass warns of none
-        warn_if_saturated(rho)
+    for k in range(0, gram.matrix.shape[-1], len(SUM_ROWS)):
+        own = slice(k, k + len(SUM_ROWS))   # the species' diagonal block
+        rhos.append(warn_if_saturated(
+            DensityMatrix(gram_to_rho(gram.matrix[:, own, own], grid)[0])))
     return rhos[0] if one else tuple(rhos)

@@ -54,8 +54,3 @@ class ProbabilityError(NumericalError):
 
 class SaturationWarning(UserWarning):
     """Total detachment probability exceeds 0.5; depletion is neglected."""
-
-
-class GridConvergenceWarning(UserWarning):
-    """The momentum grid or its energy cutoff leaves more of w or g
-    unresolved than tolerated."""

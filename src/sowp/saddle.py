@@ -58,18 +58,19 @@ Corrector.  The lines of all channel energies given form one set: a row or
 block gets one predictor, Newton, contract and evaluation call, and row
 0's first nodes share one eigvals call.  Rows from 3 on are polished
 ROW_BLOCK_ROWS per Newton call, all predicted from the same rows, or fewer
-so that a block holds at most ROW_BLOCK_ROOTS roots (5 rows of both
-channels at N = 18 on the default grid; _row_blocks is this rule, and
-counts the Newton calls it makes).  Only the rows the predictor
-reads are kept, in a window of PREDICTOR_ROWS rows and a block.  Each
-Newton step builds the phasors of its t once, for A and A'.  After each
-row or block, every node is checked once against the root-set contracts:
-residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and
-neighbours in Re t at least DISTINCT_TOL apart.  Since the strip holds
-exactly 2N+2 saddles, 2N+2 distinct roots passing these checks are the
-complete set.  A node that fails (a root jumped to a neighbour or to a
-periodic image) is re-seeded by eigenvalues at its own channel energy, and
-its line continues from the re-seeded roots, sorted like every other row.
+so that each channel's share of a block holds at most ROW_BLOCK_ROOTS
+roots (5 rows at N = 18 on the default grid).  The rows of a block do not
+depend on how many channels share it, so neither do a channel's roots.
+Only the rows the predictor reads are kept, in a window of PREDICTOR_ROWS
+rows and a block.  Each Newton step builds the phasors of its t once, for
+A and A'.  After each row or block, every node is checked once against the
+root-set contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <=
+tau_p, and neighbours in Re t at least DISTINCT_TOL apart.  Since the
+strip holds exactly 2N+2 saddles, 2N+2 distinct roots passing these checks
+are the complete set.  A node that fails (a root jumped to a neighbour or
+to a periodic image) is re-seeded by eigenvalues at its own channel
+energy, and its line continues from the re-seeded roots, sorted like every
+other row.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -136,7 +137,7 @@ NEWTON_ITERATIONS = 12     # cap on Newton steps per polish
 NEWTON_STOP_TOL = 1e-12    # Newton stops once max |S'| is at or below this
 EIG_CHUNK_ELEMS = 4_000_000  # companion-matrix entries per eigvals call
 ROW_BLOCK_ROWS = 10          # continued rows per Newton call, at most
-ROW_BLOCK_ROOTS = 12_160     # and roots of all channels, unless a row has more
+ROW_BLOCK_ROOTS = 6_080      # and roots per channel, unless a row has more
 PREDICTOR_ROWS = 7           # rows the predictor extrapolates from
 
 
@@ -484,17 +485,6 @@ def _solved_lines(pz, pperp2) -> int:
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
 
 
-def _row_blocks(channels: int, n_path: int, n_lines: int, deg: int):
-    """(rows per Newton call from row 3 on, Newton calls) of continuing
-    n_path rows of n_lines lines of ``channels`` channels with deg roots
-    each: rows 0, 1 and 2 alone, then ROW_BLOCK_ROWS rows per call, or
-    fewer so that a call holds at most ROW_BLOCK_ROOTS roots, unless a row
-    has more."""
-    rows = max(1, min(ROW_BLOCK_ROWS,
-                      ROW_BLOCK_ROOTS // max(1, channels * n_lines * deg)))
-    return rows, min(n_path, 3) + -(-max(0, n_path - 3) // rows)
-
-
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                  consume=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
@@ -532,7 +522,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         if consume is not None:     # the consumer maps the mirrored lines itself
             solved = _solved_lines(pz, pperp2)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        block = _row_blocks(e.size, pz.shape[0], solved, deg)[0]
+        # rows 0, 1 and 2 alone, then ``block`` rows per Newton call
+        block = max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, solved * deg)))
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
     # sized for the largest block: all points, or ``block`` rows

@@ -253,8 +253,8 @@ class TestCoherenceSweep:
 
     def test_longest_pulses_run_first(self, species_f, species_cl, monkeypatch):
         # one thread runs the jobs in submission order: descending N, one
-        # job per pass with its species in order (F and Cl share a pass at
-        # these N); the points come back in input order
+        # job per N with its species in order; the points come back in
+        # input order
         ran = []
 
         def recording(group, lam, intensity, n, grid):
@@ -269,11 +269,8 @@ class TestCoherenceSweep:
         assert [(p.species, p.n_cycles) for p in pts] == [
             ("F", 3), ("F", 2), ("F", 5), ("Cl", 3), ("Cl", 2), ("Cl", 5)]
 
-    def test_split_pulse_is_one_job_per_pass(self, species_f, species_cl,
-                                             monkeypatch):
-        # on the default grid F and Cl share a pass at N = 2 and are solved
-        # apart at N = 9: the two passes of N = 9 are jobs of their own, so
-        # that threads can run them side by side
+    def test_one_job_per_pulse(self, species_f, species_cl, monkeypatch):
+        # F and Cl share one job, and so one saddle pass, at every N
         jobs = []
 
         def recording(group, lam, intensity, n, grid):
@@ -284,7 +281,7 @@ class TestCoherenceSweep:
         pts, failures = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13,
                                         cycles=[2, 9], threads=1)
         assert failures == []
-        assert jobs == [(9, ["F"]), (9, ["Cl"]), (2, ["F", "Cl"])]
+        assert jobs == [(9, ["F", "Cl"]), (2, ["F", "Cl"])]
         assert [(p.species, p.n_cycles) for p in pts] == [
             ("F", 2), ("F", 9), ("Cl", 2), ("Cl", 9)]
 

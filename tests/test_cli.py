@@ -271,6 +271,21 @@ class TestSweepAndFit:
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_companion_species_do_not_change_bytes(self, tmp_path):
+        # on 32 solved lines N = 3 fills a row block's root budget, so this
+        # grid shows whether a point depends on the species sharing its pulse
+        rows = []
+        for species in ("f", "f,cl,br"):
+            out = tmp_path / species.replace(",", "_")
+            rc = run_cli("sweep", "--species", species, "--cycles", "3",
+                         "--n-energy", "30", "--n-theta", "64", "--n-phi", "4",
+                         "--out-dir", str(out))
+            assert rc == 0
+            rows.append([line for line in (out / "sweep.csv").read_bytes().splitlines()
+                         if line.startswith(b"F,")])
+        assert len(rows[0]) == 1
+        assert rows[0] == rows[1]
+
     def test_sweep_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(group, lam, intensity, n, grid):
             raise NumericalError("forced failure")

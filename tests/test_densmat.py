@@ -12,7 +12,7 @@ import pytest
 import sowp
 from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp import amplitude, saddle
-from sowp.amplitude import STATES, amplitude_profiles, species_passes
+from sowp.amplitude import STATES, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
                           build_density_matrix, coherence_degree, family,
@@ -229,49 +229,38 @@ def test_first_buildup_does_not_churn_the_heap():
 
 class TestSpeciesPasses:
     """build_density_matrix given several species at one pulse solves them
-    in one saddle_batch pass where that takes fewer row blocks (Newton
-    calls) than one pass each, and apart on a tie (species_passes)."""
+    in one saddle_batch pass, and each gets the matrix it gets alone."""
 
-    @pytest.mark.parametrize("n_cycles, n_theta", [(2, 16), (3, 64)])
+    @pytest.mark.parametrize("n_cycles, n_theta", [(2, 16), (2, 64), (3, 64)])
     def test_grouped_equals_per_species(self, species_f, species_cl, species_br,
                                         n_cycles, n_theta):
+        # at N = 3 on 32 solved lines a root budget shared by six channels
+        # would cut the blocks from ten rows to seven; the budget is per
+        # channel, so the blocks, the roots and the sums are the same
         pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         grid = MomentumGrid.build(pulse.omega, n_energy=30, n_theta=n_theta, n_phi=8)
         group = (species_f, species_cl, species_br)
-        pz, pperp, _ = grid_nodes(grid)
-        assert species_passes(pulse, group, pz, pperp) == [group]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
             grouped = build_density_matrix(pulse, group, grid)
             alone = [build_density_matrix(pulse, sp, grid) for sp in group]
-        # six channels share a block: at N = 2 on 8 solved lines its rows
-        # are the ten of one species' pass, so the roots and sums are the
-        # same; at N = 3 on 32 lines the root budget cuts them to seven, and
-        # Newton stops per block, so the roots move in the last bits
-        lines, deg = n_theta // 2, 2 * n_cycles + 2
-        same_rows = (saddle._row_blocks(6, 30, lines, deg)[0]
-                     == saddle._row_blocks(2, 30, lines, deg)[0])
-        assert same_rows == (n_cycles == 2)
         assert len(grouped) == len(group)
         for got, want in zip(grouped, alone):
-            if same_rows:
-                np.testing.assert_array_equal(got.matrix, want.matrix)
-            else:
-                np.testing.assert_allclose(got.matrix, want.matrix, rtol=0,
-                                           atol=1e-14 * np.abs(want.matrix).max())
+            np.testing.assert_array_equal(got.matrix, want.matrix)
 
     @pytest.mark.parametrize("n_cycles, names, passes", [
         (2, "F Cl Br", [6]),
         (3, "F Cl Br", [6]),
-        (7, "F Cl Br", [2, 2, 2]),     # a tie: 69 Newton calls either way
-        (8, "F Cl Br", [2, 2, 2]),
-        (18, "F Cl Br", [2, 2, 2]),
-        (9, "F Cl", [2, 2]),
+        (7, "F Cl Br", [6]),
+        (8, "F Cl Br", [6]),
+        (18, "F Cl Br", [6]),
+        (9, "F Cl", [4]),
         (10, "F Cl", [4]),
     ])
     def test_pass_rule_on_the_default_grid(self, monkeypatch, n_cycles, names,
                                            passes):
-        # the saddle passes are counted, not solved: the matrices stay zero
+        # one pass of every species' two channels per pulse, whatever N:
+        # the saddle passes are counted, not solved, so the matrices stay zero
         energies = []
         monkeypatch.setattr(amplitude, "saddle_batch",
                             lambda pulse, e_bound, pz, pperp2, consume:
@@ -281,14 +270,6 @@ class TestSpeciesPasses:
         rhos = build_density_matrix(pulse, group, MomentumGrid.build(pulse.omega))
         assert energies == passes
         assert len(rhos) == len(group)
-
-    def test_points_and_one_species_are_one_pass(self, ref_pulse, species_f,
-                                                 species_br):
-        # independent points take one Newton call per pass
-        group = (species_f, species_br)
-        pz, pperp = np.zeros(5), np.full(5, 0.1)
-        assert species_passes(ref_pulse, group, pz, pperp) == [group]
-        assert species_passes(ref_pulse, group[:1], pz[None], pperp[None]) == [group[:1]]
 
 
 class TestBuildDensityMatrix:

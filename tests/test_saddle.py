@@ -210,10 +210,10 @@ def record_newton(monkeypatch, collapse=None):
     return calls
 
 
-def row_blocks(n_path):
+def row_blocks(n_path, rows=None):
     """The rows of each Newton call along continued lines: rows 0, 1 and 2
-    alone, then ROW_BLOCK_ROWS rows at a time."""
-    starts = [0, 1, 2] + list(range(3, n_path, saddle.ROW_BLOCK_ROWS))
+    alone, then ``rows`` (default ROW_BLOCK_ROWS) rows at a time."""
+    starts = [0, 1, 2] + list(range(3, n_path, rows or saddle.ROW_BLOCK_ROWS))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_path])]
 
 
@@ -392,6 +392,8 @@ class TestPredictor:
         deg = 2 * n_cycles + 2
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
         n_path, solved = pz.shape[0], pz.shape[1] // 2
+        # ten rows per block, five at N = 18 (ROW_BLOCK_ROOTS per channel)
+        blocks = row_blocks(n_path, {2: 10, 18: 5}[n_cycles])
         calls = record_newton(monkeypatch)
         seeded = count_seeds(monkeypatch)
         evaluated, checked = [], []
@@ -419,11 +421,11 @@ class TestPredictor:
                 # the first node, then one call per row block: no node is
                 # re-seeded, which also means the roots kept their Re t
                 # order, the one the predictor extrapolates in
-                assert len(calls) == 1 + len(row_blocks(n_path)), (sp.name, j2)
+                assert len(calls) == 1 + len(blocks), (sp.name, j2)
                 assert seeded == [1], (sp.name, j2)
                 # and the contracts are checked once per row block
                 assert checked == [len(range(n_path)[rows]) * solved
-                                   for rows in row_blocks(n_path)], (sp.name, j2)
+                                   for rows in blocks], (sp.name, j2)
                 # A is evaluated only by Newton, 2.02 times per root: one
                 # step from nearly every predicted seed (the quadratic
                 # predictor needed two, 2.92 evaluations per root)
@@ -827,8 +829,8 @@ class TestChannels:
     @pytest.mark.parametrize("name", ["F", "Br"])
     def test_two_channels_equal_two_calls(self, name, n_cycles, layout,
                                           consumer):
-        # on a coarse grid a block of both channels has the rows of a block
-        # of one, so every field agrees to the bit
+        # a block of both channels has the rows of a block of one, so every
+        # field agrees to the bit
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         energies = [get_species(name).e_bound(j2) for j2 in (3, 1)]
         pz, pp2 = self.nodes(pu, layout)
@@ -840,37 +842,58 @@ class TestChannels:
                                               getattr(alone, field), err_msg=field)
 
     @pytest.mark.parametrize("n_cycles", [8, 18])
-    def test_smaller_blocks_agree_to_rounding(self, monkeypatch, n_cycles):
-        # a root budget of three rows of both channels: one channel alone
-        # takes six rows per block, so the blocks differ, and a block's
-        # Newton steps with them.  The roots agree to the Newton stopping
-        # tolerance; 1/sqrt(-i S'') magnifies that to up to 2.7e-12 relative
-        # (measured; the same as one channel in blocks of 5 and 10 rows)
+    def test_binding_budget_holds_the_rows_of_one_channel(self, monkeypatch,
+                                                          n_cycles):
+        # a root budget of three rows per channel: a block of both channels
+        # holds the three rows a block of one holds, so every field agrees
+        # to the bit
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         deg = 2 * n_cycles + 2
         energies = [get_species("Br").e_bound(j2) for j2 in (3, 1)]
         pz, pp2 = self.nodes(pu, "lines")
-        monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", 3 * 2 * pz.shape[1] * deg)
+        monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", 3 * pz.shape[1] * deg)
         calls = record_newton(monkeypatch)
         both = saddle_batch(pu, energies, pz, pp2)
         assert [seeds.shape[:2] for seeds, _ in calls[4:6]] == [(2, 3 * pz.shape[1])] * 2
         for channel, e_bound in enumerate(energies):
             calls.clear()
             alone = saddle_batch(pu, e_bound, pz, pp2)
-            assert len(calls[4][0]) == 6 * pz.shape[1]
-            for field, rtol in (("t", 1e-12), ("action", 1e-12),
-                                ("prefactor", 1e-11)):
-                np.testing.assert_allclose(getattr(both, field)[channel],
-                                           getattr(alone, field), rtol=rtol,
-                                           atol=0, err_msg=field)
+            assert len(calls[4][0]) == 3 * pz.shape[1]
+            for field in saddle.SaddleBatch.__slots__:
+                np.testing.assert_array_equal(getattr(both, field)[channel],
+                                              getattr(alone, field), err_msg=field)
+
+    @pytest.mark.parametrize("n_cycles", [8, 18])
+    def test_smaller_blocks_agree_to_rounding(self, monkeypatch, n_cycles):
+        # root budgets of three and of six rows per channel: the blocks
+        # differ, and a block's Newton steps with them.  The roots agree to
+        # the Newton stopping tolerance; 1/sqrt(-i S'') magnifies that to up
+        # to 2.7e-12 relative (measured; the same as one channel in blocks
+        # of 5 and 10 rows)
+        pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+        deg = 2 * n_cycles + 2
+        energies = [get_species("Br").e_bound(j2) for j2 in (3, 1)]
+        pz, pp2 = self.nodes(pu, "lines")
+        calls = record_newton(monkeypatch)
+        solved = {}
+        for rows in (3, 6):
+            monkeypatch.setattr(saddle, "ROW_BLOCK_ROOTS", rows * pz.shape[1] * deg)
+            calls.clear()
+            solved[rows] = saddle_batch(pu, energies, pz, pp2)
+            assert calls[4][0].shape[:2] == (2, rows * pz.shape[1])
+        for field, rtol in (("t", 1e-12), ("action", 1e-12), ("prefactor", 1e-11)):
+            np.testing.assert_allclose(getattr(solved[3], field),
+                                       getattr(solved[6], field), rtol=rtol,
+                                       atol=0, err_msg=field)
 
     @pytest.mark.parametrize("n_cycles, rows", [(2, 10), (18, 5)])
     def test_block_holds_both_channels_within_the_root_budget(
             self, monkeypatch, species_f, n_cycles, rows):
         # the density-matrix call on the default grid: after the first
         # nodes and rows 0-2, blocks of `rows` rows of both channels' solved
-        # lines, ten at N = 2; at N = 18 no Newton call and no workspace
-        # holds more than ROW_BLOCK_ROOTS roots
+        # lines, ten at N = 2; at N = 18 no Newton call holds more than
+        # ROW_BLOCK_ROOTS roots per channel, nor a workspace for two channels
+        # more than twice that
         pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         deg = 2 * n_cycles + 2
         pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
@@ -890,8 +913,8 @@ class TestChannels:
             (2, k * solved, deg) for k in ks]
         assert max(ks) == rows
         if n_cycles == 18:
-            assert max(seeds.size for seeds, _ in calls) <= saddle.ROW_BLOCK_ROOTS
-            assert max(workspaces) * deg <= saddle.ROW_BLOCK_ROOTS
+            assert max(seeds[0].size for seeds, _ in calls) <= saddle.ROW_BLOCK_ROOTS
+            assert max(workspaces) * deg <= 2 * saddle.ROW_BLOCK_ROOTS
 
     @pytest.mark.parametrize("e_bound", [[], [[E_F]], [E_F, 0.0]])
     def test_rejects_other_energies(self, pulse, e_bound):
