@@ -138,8 +138,14 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
     pperp = np.atleast_1d(np.asarray(pperp, dtype=float))
     pperp2 = pperp * pperp
-    saddle_sum = np.cumsum if cumulative else np.sum
-    tail = (2 * pulse.n_cycles + 2,) if cumulative else ()
+    deg = 2 * pulse.n_cycles + 2
+    tail = (deg,) if cumulative else ()
+    # the saddle sums as one BLAS product per block: with ones, or for the
+    # partial sums with the upper triangle of ones (cumsum's bits); numpy's
+    # sum along a short axis is several times slower
+    summing = np.ones((deg, deg) if cumulative else deg, dtype=complex)
+    if cumulative:
+        summing = np.triu(summing)
     pperp_ = pperp.reshape((-1,) + (1,) * len(tail))   # by flat node
     n_rows = len(SUM_ROWS) * len(group)
     sums = None
@@ -175,15 +181,21 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         core = expi(block.action, out=buffer("core", block.action.shape),
                     scratch=(block.t, block.s2))
         core = np.multiply(core, block.prefactor, out=core)
-        saddle_sum(core, axis=-1, out=rows[1::2])
-        saddle_sum(np.multiply(core, block.vz, out=core), axis=-1, out=rows[::2])
-        rows[1::2] *= pperp_[nodes]
+        np.matmul(core, summing, out=rows[1::2])
+        np.matmul(np.multiply(core, block.vz, out=core), summing, out=rows[::2])
+        # p_perp spread over a row, in the memory of core, which nothing
+        # reads now: numpy buffers a block's worth to broadcast a column
+        spread = core.reshape(-1)[:rows[0].size].reshape(rows.shape[1:])
+        np.copyto(spread, pperp_[nodes])
+        rows[1::2] *= spread
         rows *= factor
-        # the sums at -p_z: partial sums there image suffix sums here, total - prefix_{2N-k}
+        # the sums at -p_z: partial sums there image suffix sums here,
+        # total - prefix_{2N-k}
         image = np.conjugate(rows, out=buffer("image", rows.shape))
-        if cumulative:
-            np.conjugate(rows[..., -2::-1], out=image[..., :-1])
-            np.subtract(image[..., -1:], image[..., :-1], out=image[..., :-1])
+        if cumulative:  # by column: over the whole block numpy buffers a block's worth
+            for k in range(deg - 1):
+                np.conjugate(rows[..., deg - 2 - k], out=image[..., k])
+                np.subtract(image[..., -1], image[..., k], out=image[..., k])
         pz_b = flat_pz[nodes]
         s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy + lin)
                  * pulse.tau_p).reshape(shape)

@@ -64,13 +64,13 @@ depend on how many channels share it, so neither do a channel's roots.
 Only the rows the predictor reads are kept, in a window of PREDICTOR_ROWS
 rows and a block.  Each Newton step builds the phasors of its t once, for
 A and A'.  After each row or block, every node is checked once against the
-root-set contracts: residual |S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <=
-tau_p, and neighbours in Re t at least DISTINCT_TOL apart.  Since the
-strip holds exactly 2N+2 saddles, 2N+2 distinct roots passing these checks
-are the complete set.  A node that fails (a root jumped to a neighbour or
-to a periodic image) is re-seeded by eigenvalues at its own channel
-energy, and its line continues from the re-seeded roots, sorted like every
-other row.
+root-set contracts (by the whole-block gate, see Evaluation): residual
+|S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and neighbours in
+Re t at least DISTINCT_TOL apart.  Since the strip holds exactly 2N+2
+saddles, 2N+2 distinct roots passing these checks are the complete set.  A
+node that fails (a root jumped to a neighbour or to a periodic image) is
+re-seeded by eigenvalues at its own channel energy, and its line continues
+from the re-seeded roots, sorted like every other row.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -90,11 +90,18 @@ gates the block: one whose nodes all pass the root-set and |S''|
 contracts gets its action from the same phasors and its prefactor
 1/sqrt(-i S'') (principal branch, Re >= 0) from _rsqrt, and goes straight
 to its consumer: the caller's consume callback, or a copy into a
-SaddleBatch.  _rsqrt builds 1/sqrt from real ufuncs: numpy's complex sqrt
-and 1/z run element by element through scalar libm, about 500 us and
-100 us on a block of 12 160 roots (N = 18), against about 170 us for
-_rsqrt, which is within 2.7e-16 of it relative (measured against mpmath;
-1/np.sqrt 3.3e-16).
+SaddleBatch.  _rsqrt builds 1/sqrt from real ufuncs, as numpy's complex
+sqrt and 1/z run element by element through scalar libm; it is within
+2.7e-16 of mpmath relative (1/np.sqrt 3.3e-16).
+The gate reduces whole blocks: a block of a short pulse holds many nodes
+of few roots, and numpy reduces along so short an axis many times slower
+than over a whole block.  So a block first takes, over all its roots, max
+|S'|, min Im t, min first and max last Re t (on roots sorted by Re t, the
+strip-edge rule of _contract_values), the smallest neighbour gap (_gaps,
+row crossings left out) and min |S''|.  Only a block that fails one of
+these, as a NaN does, takes the per-node values and masks that name its
+failures, so a failure is named as a per-node check of every block would
+name it.  The predictor's move guard reduces the same way.
 Failures are named without a whole-grid record: per channel and
 contract, a block that breaks it adds its failing grid nodes to a count
 (given a consumer, a node counts twice when its mirror image is not
@@ -111,9 +118,10 @@ in the window and the block buffers only.
 Buffers.  Newton, the root-gap contract and the evaluation write into one
 set of block arrays per saddle_batch call (_workspace), sized for its
 largest block, so the row blocks allocate no array of their size and the
-C heap is not trimmed and faulted in again from block to block.  A block handed to the consumer is
-therefore valid only during that call.  Eigenvalue re-seeds and the first
-node of row 0 are solved in buffers of their own.
+C heap is not trimmed and faulted in again from block to block.  A block
+handed to the consumer is therefore valid only during that call.
+Eigenvalue re-seeds and the first node of row 0 are solved in buffers of
+their own.
 
 The closed-form action uses the elementary antiderivatives of the sinusoid
 expansion with the integration constant fixed so that S(0) = 0, summed as
@@ -417,8 +425,10 @@ def _predicted_seeds(prev, s_prev, x, bound, out):
     np.matmul(weights.transpose(2, 0, 1), np.swapaxes(prev, -3, -2),
               out=np.swapaxes(pred, -3, -2))
     moved = np.abs(np.subtract(pred, last, out=diff), out=mag)
-    fallback = fallback | (moved > bound).any(axis=(-3, -1))
-    np.copyto(pred, last, where=fallback[..., None, :, None])
+    if not moved.max(initial=0.0) <= bound:    # the columns only where a root moved too far
+        fallback = fallback | (moved > bound).any(axis=(-3, -1))
+    if fallback.any():
+        np.copyto(pred, last, where=fallback[..., None, :, None])
     return pred
 
 
@@ -426,12 +436,11 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
     """Continue the roots along every line of 2-D points (see the module
     docstring) for the energies e_bound, shape (1,) or (C, 1) for C
     channels, ``block`` rows per Newton call from row 3 on, calling
-    finish(nodes, points, fields, values, bad) per row block with the slice
-    of its nodes in the flattened pz, their (p_z, p_perp^2), each of shape
+    finish(nodes, points, fields, checks) per row block with the slice of
+    its nodes in the flattened pz, their (p_z, p_perp^2), each of shape
     (nodes, 1), the fields of _newton (in the buffers ``work`` of
-    _workspace, which the next block reuses), their _contract_values and
-    the _contract_checks on these.  Only the rows the predictor reads are
-    kept."""
+    _workspace, which the next block reuses) and their _checked.  Only the
+    rows the predictor reads are kept."""
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
     ch = e_bound.shape[:-1]     # () or (C,): the leading axis of every block
@@ -459,18 +468,18 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
                              [a.reshape(ch + (k, n_lines, deg))
                               for a in (seeds, scratch, mag)])
         fields = _newton(pulse, e_bound[..., None], seeds, bpz, bpp2, work=work)
-        values = _contract_values(pulse, fields, work)
-        bad = _contract_checks(pulse, values)
-        failed = np.logical_or.reduce(bad)
-        if failed.any():    # in buffers of their own, each at its own energy
+        checks = _checked(pulse, fields, work)
+        if checks is not None:  # re-seed, in buffers of their own, each at its own energy
+            values, bad = checks
+            failed = np.logical_or.reduce(bad)
             again = _solve_points(pulse, *(np.broadcast_to(a, failed.shape)[failed]
                                            for a in (e_bound, bpz[:, 0], bpp2[:, 0])))
             for field, new in zip(fields, again):
                 field[failed] = new
             values[:, failed] = _contract_values(pulse, again)
-            bad = _contract_checks(pulse, values)
+            checks = values, _contract_checks(pulse, values)
         window[..., kept:kept + k, :, :] = fields[0].reshape(ch + (k, n_lines, deg))
-        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, values, bad)
+        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks)
         held = min(kept + k, PREDICTOR_ROWS)
         window[..., :held, :, :] = window[..., kept + k - held:kept + k, :, :]
         kept, r = held, r + k
@@ -555,29 +564,33 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
     coefficients = _action_coefficients(pulse)
 
-    def finish(nodes, points, fields, values, bad):
+    def finish(nodes, points, fields, checks):
         """Evaluate a block and hand it to the consumer, unless it or an
-        earlier block broke a contract; note its failing nodes."""
+        earlier block broke a contract; note the failing nodes of a block
+        that breaks one (``checks``, or |S''| over the whole block)."""
         tb, *phasors, vz, residual = fields
         # the buffers Newton leaves free: seeds, S', step and scratch
         (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = _views(work, tb.shape)
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, pre, act)), out=s2)
-        low = np.abs(s2, out=mag).min(axis=-1)
+        size = np.abs(s2, out=mag)
         index, copies = placed(nodes)
-        for kind, (fails, value) in enumerate(zip(bad + [~(low >= DEGENERATE_S2_TOL)],
-                                                  [*values, low])):
-            if not fails.any():
-                continue
-            for fail, count, mask, value_c, roots in zip(
-                    failing, counts, fails.reshape(e.size, -1),
-                    value.reshape(e.size, -1), tb.reshape(e.size, -1, deg)):
-                if mask.any():
-                    count[kind] += np.broadcast_to(copies, mask.shape)[mask].sum()
-                    if kind not in fail:
-                        i = int(np.argmax(mask))
-                        fail[kind] = (value_c[i], points[0][i, 0], points[1][i, 0],
-                                      roots[i].copy())
+        if checks is not None or not size.min(initial=np.inf) >= DEGENERATE_S2_TOL:
+            low = size.min(axis=-1)     # before _contract_values reuses mag
+            values, bad = checks or _node_checks(pulse, fields, work)
+            for kind, (fails, value) in enumerate(zip(
+                    bad + [~(low >= DEGENERATE_S2_TOL)], [*values, low])):
+                if not fails.any():
+                    continue
+                for fail, count, mask, value_c, roots in zip(
+                        failing, counts, fails.reshape(e.size, -1),
+                        value.reshape(e.size, -1), tb.reshape(e.size, -1, deg)):
+                    if mask.any():
+                        count[kind] += np.broadcast_to(copies, mask.shape)[mask].sum()
+                        if kind not in fail:
+                            i = int(np.argmax(mask))
+                            fail[kind] = (value_c[i], points[0][i, 0], points[1][i, 0],
+                                          roots[i].copy())
         if not any(failing):
             act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
                                 out=(act, x, free, pre), coefficients=coefficients)
@@ -586,9 +599,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
 
     if pz.ndim == 1:
         fields = _solve_points(pulse, e, pz, pperp2, work)
-        values = _contract_values(pulse, fields, work)
-        finish(slice(None), (pz[:, None], pperp2[:, None]), fields, values,
-               _contract_checks(pulse, values))
+        finish(slice(None), (pz[:, None], pperp2[:, None]), fields,
+               _checked(pulse, fields, work))
     else:
         _continue_lines(pulse, e, pz, pperp2, block, finish, work)
     for fail, count, e_c in zip(failing, counts, e.ravel()):
@@ -597,16 +609,11 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     return batch
 
 
-def _contract_values(pulse: Pulse, fields, work=None):
-    """Per point of the fields of _newton (roots t sorted by Re t along the
-    last axis, ..., |S'|): max |S'|, min Im t, the strip edge (Re t of the
-    last root, or of the first when it lies below the strip) and the
-    smallest gap between neighbours; shape (4,) + t.shape[:-1].  Given the
-    buffers ``work`` of _workspace that hold ``fields``, the gaps are
-    written into the seeds and the float scratch, which Newton leaves free;
-    else into buffers of their own."""
-    t, residual = fields[0], fields[-1]
-    first, last = t.real[..., 0], t.real[..., -1]
+def _gaps(t, work=None):
+    """|t_{k+1} - t_k| of neighbouring roots t, sorted by Re t along the
+    last axis, and +inf in the last column.  Given the buffers ``work`` of
+    _workspace that hold t, written into the seeds and the float scratch,
+    which Newton leaves free; else into buffers of their own."""
     flat, n = t.reshape(-1), t.size
     if work is None:
         diff, gap = np.empty(n, complex), np.empty(n)
@@ -617,10 +624,44 @@ def _contract_values(pulse: Pulse, fields, work=None):
     # and is left out
     np.subtract(flat[1:], flat[:-1], out=diff[:-1])
     diff[-1:] = 0.0
-    gap = np.abs(diff, out=gap).reshape(t.shape)[..., :-1]
+    gap = np.abs(diff, out=gap).reshape(t.shape)
+    gap[..., -1] = np.inf
+    return gap
+
+
+def _checked(pulse: Pulse, fields, work=None):
+    """None when every point of the fields of _newton (roots t sorted by
+    Re t along the last axis, ..., |S'|) passes the root-set contracts by
+    the whole-block extremes of the module docstring (a NaN fails), else
+    their _node_checks."""
+    t, residual = fields[0], fields[-1]
+    eps = STRIP_SLACK * pulse.tau_p
+    if (residual.max(initial=0.0) <= RESIDUAL_TOL and t.imag.min(initial=np.inf) > 0
+            and t.real[..., 0].min(initial=np.inf) >= -eps
+            and t.real[..., -1].max(initial=-np.inf) <= pulse.tau_p + eps
+            and _gaps(t, work).min(initial=np.inf) >= DISTINCT_TOL):
+        return None
+    return _node_checks(pulse, fields, work)
+
+
+def _node_checks(pulse: Pulse, fields, work=None):
+    """The _contract_values of the fields of _newton and the
+    _contract_checks on these."""
+    values = _contract_values(pulse, fields, work)
+    return values, _contract_checks(pulse, values)
+
+
+def _contract_values(pulse: Pulse, fields, work=None):
+    """Per point of the fields of _newton (roots t sorted by Re t along the
+    last axis, ..., |S'|): max |S'|, min Im t, the strip edge (Re t of the
+    last root, or of the first when it lies below the strip) and the
+    smallest gap between neighbours (_gaps, into ``work`` if given); shape
+    (4,) + t.shape[:-1]."""
+    t, residual = fields[0], fields[-1]
+    first, last = t.real[..., 0], t.real[..., -1]
     return np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
                      np.where(first >= -STRIP_SLACK * pulse.tau_p, last, first),
-                     gap.min(axis=-1)])
+                     _gaps(t, work).min(axis=-1)])
 
 
 _CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report them

@@ -241,7 +241,15 @@ def batch_sums(pulse, species, pz, pperp, cumulative):
     on the edge Re t = 0 of the strip, which also holds it as Re t = tau_p:
     there the sums are the mean of the two root sets, the edge saddle first
     in one and, moved by tau_p, last in the other."""
-    saddle_sum = np.cumsum if cumulative else np.sum
+    deg = 2 * pulse.n_cycles + 2
+    # the sums as amplitude_profiles takes them: one product with ones, or
+    # for the partial sums with the upper triangle of ones
+    summing = (np.triu(np.ones((deg, deg), dtype=complex)) if cumulative
+               else np.ones(deg, dtype=complex))
+
+    def saddle_sum(a, axis):
+        return a @ summing
+
     pperp_ = pperp[..., None] if cumulative else pperp
     centre = pz == 0
     rows = []

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp import amplitude, saddle
 from sowp.amplitude import STATES, amplitude_profiles
 from sowp.analysis import buildup
-from sowp.densmat import (DensityMatrix, Gram, MomentumGrid,
+from sowp.densmat import (DensityMatrix, Gram, MomentumGrid, _gauss_legendre,
                           build_density_matrix, coherence_degree, family,
                           gram_to_rho, grid_nodes, total_probability)
 from sowp.dynamics import pure_state_limit
@@ -69,6 +70,89 @@ class TestMomentumGrid:
         kw = {"omega": ref_pulse.omega, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             MomentumGrid.build(**kw, n_energy=8, n_theta=4)
+
+
+def legendre_rule_oracle(n):
+    """The nonnegative nodes of the n-point Gauss-Legendre rule, ascending,
+    and their weights 2 / ((1 - x^2) P_n'(x)^2), to 30 digits: three Newton
+    steps on the recurrence in mpmath from numpy's leggauss nodes."""
+    nodes, weights = [], []
+    with mpmath.workdps(30):
+        for x in np.polynomial.legendre.leggauss(n)[0][n // 2:]:
+            x = mpmath.mpf(x)
+            for _ in range(3):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, n):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                x, last = x - p1 / dp, x
+            nodes.append(x)
+            weights.append(2 / ((1 - last * last) * dp * dp))
+    return np.array(nodes, dtype=float), np.array(weights, dtype=float)
+
+
+class TestGaussLegendre:
+    """_gauss_legendre, the rule of every MomentumGrid, against a 30-digit
+    oracle, and its exact symmetry, on which the mirror rule of
+    sowp.saddle rests."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 200])
+    def test_matches_oracle(self, n):
+        # measured: nodes within 5.6e-17, weights within 2.6e-16 relative
+        # (leggauss: 2.2e-11 at n = 200 and 1.3e-12 at n = 64)
+        x, w = _gauss_legendre(n)
+        nodes, weights = legendre_rule_oracle(n)
+        assert (np.diff(x) > 0).all()
+        assert np.abs(x[n // 2:] - nodes).max() <= 2e-16
+        assert (np.abs(w[n // 2:] - weights) / weights).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 200])
+    def test_exactly_symmetric(self, n):
+        x, w = _gauss_legendre(n)
+        np.testing.assert_array_equal(x[::-1], -x)
+        np.testing.assert_array_equal(w[::-1], w)
+
+    def test_default_grid_keeps_the_mirror_rule(self, monkeypatch, species_f):
+        # the lines of the default grid are exact mirror images, so half of
+        # them are solved: F at N = 18 makes one saddle pass of 44 Newton
+        # calls (not 88)
+        pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega)
+        pz, pperp, _ = grid_nodes(grid)
+        assert saddle._solved_lines(pz, pperp * pperp) == 32
+        passes, newton_calls = [], []
+        saddle_batch, newton = amplitude.saddle_batch, saddle._newton
+
+        def counting_pass(*args, **kwargs):
+            passes.append(1)
+            return saddle_batch(*args, **kwargs)
+
+        def counting_newton(*args, **kwargs):
+            newton_calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(amplitude, "saddle_batch", counting_pass)
+        monkeypatch.setattr(saddle, "_newton", counting_newton)
+        build_density_matrix(pulse, species_f, grid)
+        assert (len(passes), len(newton_calls)) == (1, 44)
+
+
+def test_grid_build_needs_no_eigensolve():
+    """Building the default grid, in a fresh process, imports no
+    numpy.polynomial and calls no LAPACK eigensolver."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('eigvalsh called')\n"
+            "np.linalg.eigvalsh = refuse\n"
+            "from sowp.densmat import MomentumGrid\n"
+            "MomentumGrid.build(0.0253)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(sowp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 class TestAssemble:

@@ -398,18 +398,18 @@ class TestPredictor:
         seeded = count_seeds(monkeypatch)
         evaluated, checked = [], []
         vector_potential = Pulse.vector_potential
-        contract_checks = saddle._contract_checks
+        checked_fields = saddle._checked
 
         def counting(self, t, phasors=None, **kwargs):
             evaluated.append(np.size(t))
             return vector_potential(self, t, phasors=phasors, **kwargs)
 
-        def counting_checks(pu, values):
-            checked.append(values.shape[1])
-            return contract_checks(pu, values)
+        def counting_gate(pu, fields, *work):
+            checked.append(len(fields[0]))
+            return checked_fields(pu, fields, *work)
 
         monkeypatch.setattr(Pulse, "vector_potential", counting)
-        monkeypatch.setattr(saddle, "_contract_checks", counting_checks)
+        monkeypatch.setattr(saddle, "_checked", counting_gate)
         for sp in (species_f, species_cl, species_br):
             for j2 in (3, 1):
                 calls.clear()
@@ -423,7 +423,8 @@ class TestPredictor:
                 # order, the one the predictor extrapolates in
                 assert len(calls) == 1 + len(blocks), (sp.name, j2)
                 assert seeded == [1], (sp.name, j2)
-                # and the contracts are checked once per row block
+                # and every node reaches the contract gate once, per row
+                # block
                 assert checked == [len(range(n_path)[rows]) * solved
                                    for rows in blocks], (sp.name, j2)
                 # A is evaluated only by Newton, 2.02 times per root: one
@@ -496,12 +497,26 @@ class TestMirror:
         monkeypatch.setattr(saddle, "_contract_values", recording)
         return seen
 
+    @staticmethod
+    def record_gate(monkeypatch):
+        """Wrap saddle._checked, the contract gate of every block; the
+        returned list gets the roots and |S'| of every call."""
+        seen = []
+        checked = saddle._checked
+
+        def recording(pu, fields, *work):
+            seen.append((fields[0].copy(), fields[-1].copy()))
+            return checked(pu, fields, *work)
+
+        monkeypatch.setattr(saddle, "_checked", recording)
+        return seen
+
     def test_every_node_is_validated(self, pulse, monkeypatch):
         # without a consumer, the contract gate sees every node's roots and
         # |S'| exactly once, per row block of all lines, in flat order
         pz, pp2 = radial_lines(pulse)
         deg = 2 * pulse.n_cycles + 2
-        seen = self.record_checks(monkeypatch)
+        seen = self.record_gate(monkeypatch)
         batch = saddle_batch(pulse, E_F, pz, pp2)
         blocks = row_blocks(pz.shape[0])
         assert len(seen) == len(blocks)
@@ -521,7 +536,7 @@ class TestMirror:
         deg = 2 * pulse.n_cycles + 2
         solved = (n_theta + 1) // 2
         expected = saddle_batch(pulse, E_F, pz, pp2)
-        seen, handed = self.record_checks(monkeypatch), []
+        seen, handed = self.record_gate(monkeypatch), []
         saddle_batch(pulse, E_F, pz, pp2,
                      lambda nodes, block: handed.append(nodes))
         blocks = row_blocks(pz.shape[0])
@@ -792,6 +807,62 @@ class TestSaddleErrors:
         assert (str(whole.value).rsplit("(", 1)[0]
                 == str(windowed.value).rsplit("(", 1)[0])
         np.testing.assert_array_equal(whole.value.roots, windowed.value.roots)
+
+
+class TestBlockGate:
+    """The contract gate reduces each block as a whole, and takes per-node
+    values only for a block that fails: one bad node in an otherwise
+    passing block must raise what the per-node gate raises on every
+    block."""
+
+    @pytest.mark.parametrize("consumer", [False, True])
+    @pytest.mark.parametrize("fault", ["nan root", "shifted root", "nan |S'|"])
+    def test_one_bad_node_in_a_late_block(self, pulse, monkeypatch, fault,
+                                          consumer):
+        # node (36, 2), on a solved line in the last block (rows 33-39),
+        # returns one NaN root, one root moved off the saddle, or one NaN
+        # |S'| at intact roots, from every Newton call, re-seeds included.
+        # Each breaks the residual contract first, the last one that alone.
+        # Given a consumer, its mirror image is not solved and counts with
+        # it; without one, the image is solved and passes
+        pz, pp2 = radial_lines(pulse)
+        node, solved = (36, 2), pz.shape[1] // 2
+        assert row_blocks(pz.shape[0])[-1] == slice(33, 40)
+        newton = saddle._newton
+
+        def faulty(pu, e_bound, t, pz_, pp2_, **kwargs):
+            roots = newton(pu, e_bound, t, pz_, pp2_, **kwargs)[0].copy()
+            at = (pz_[:, 0] == pz[node]) & (pp2_[:, 0] == pp2[node])
+            if fault == "nan root":
+                roots[at, 3] = complex(np.nan, np.nan)
+            elif fault == "shifted root":
+                roots[at, 3] += 1e-4
+            fields, f = saddle._evaluated(pu, e_bound, roots, pz_, pp2_)
+            residual = np.abs(f)
+            if fault == "nan |S'|":
+                residual[at, 3] = np.nan
+            return (*fields, residual)
+
+        monkeypatch.setattr(saddle, "_newton", faulty)
+        handed = []
+        consume = (lambda nodes, block: handed.append(nodes)) if consumer else None
+        with pytest.raises(SaddleError) as gated, np.errstate(invalid="ignore"):
+            saddle_batch(pulse, E_F, pz, pp2, consume)
+        # the reference: per-node values and checks on every block
+        monkeypatch.setattr(saddle, "_checked", saddle._node_checks)
+        with pytest.raises(SaddleError) as per_node, np.errstate(invalid="ignore"):
+            saddle_batch(pulse, E_F, pz, pp2, consume and (lambda nodes, block: None))
+        message = str(gated.value)
+        assert message == str(per_node.value)
+        assert message.startswith("saddle residual ")
+        assert ("nan" in message) == (fault != "shifted root")
+        assert f"p_z = {pz[node]:.6g}, p_perp^2 = {pp2[node]:.6g}," in message
+        assert message.endswith(f"({2 if consumer else 1} of {pz.size} points)")
+        np.testing.assert_array_equal(gated.value.roots, per_node.value.roots)
+        if consumer:    # every block before the failing one
+            np.testing.assert_array_equal(
+                np.concatenate(handed),
+                np.arange(pz.size).reshape(pz.shape)[:33, :solved].ravel())
 
 
 class TestChannels:
