@@ -573,10 +573,10 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = _views(work, tb.shape)
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, pre, act)), out=s2)
-        size = np.abs(s2, out=mag)
+        s2_abs = np.abs(s2, out=mag)
         index, copies = placed(nodes)
-        if checks is not None or not size.min(initial=np.inf) >= DEGENERATE_S2_TOL:
-            low = size.min(axis=-1)     # before _contract_values reuses mag
+        if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
+            low = s2_abs.min(axis=-1)   # before _contract_values reuses mag
             values, bad = checks or _node_checks(pulse, fields, work)
             for kind, (fails, value) in enumerate(zip(
                     bad + [~(low >= DEGENERATE_S2_TOL)], [*values, low])):
