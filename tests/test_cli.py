@@ -14,6 +14,7 @@ from sowp.species import default_species_path
 
 FAST_GRID = ["--n-energy", "48", "--n-theta", "16", "--n-phi", "4"]
 SUMMARIES = Path(__file__).parent / "data" / "summaries"
+FROZEN_CSV = Path(__file__).parent / "data" / "csv"
 
 
 def run_cli(*args):
@@ -517,8 +518,9 @@ class TestRunConfigValidation:
             RunConfig(command="single", species="f", threads=0).validate()
 
 
-# summary.txt of each command on FAST_GRID, byte for byte: refactors of the
-# pipeline must not move any printed digit
+# summary.txt and every CSV of each command on FAST_GRID, byte for byte
+# (the CSVs in data/csv/<summary name>/): refactors of the pipeline must not
+# move any printed digit
 FROZEN_SUMMARY_RUNS = {
     "single": ("single", ["single", "--species", "f", *FAST_GRID]),
     "single_numeric_phi": ("single_numeric_phi",
@@ -546,3 +548,8 @@ def test_summary_matches_frozen_copy(tmp_path, capsys, run):
     assert run_cli(*args, "--out-dir", str(out)) == 0
     assert ((out / "summary.txt").read_bytes()
             == (SUMMARIES / f"{frozen}.txt").read_bytes())
+    csvs = sorted(path.name for path in out.glob("*.csv"))
+    assert csvs == sorted(path.name for path in (FROZEN_CSV / frozen).glob("*.csv"))
+    for name in csvs:
+        assert ((out / name).read_bytes()
+                == (FROZEN_CSV / frozen / name).read_bytes()), name
