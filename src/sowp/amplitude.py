@@ -177,9 +177,9 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     def stream(nodes, block):
         # the sums of a block of all channels: rows (j, 0) and (j, 1)
         rows = buffer("rows", (n_rows, block.t.shape[1]) + tail)
-        # block.t and block.s2, which the sums do not read, are expi's scratch
-        core = expi(block.action, out=buffer("core", block.action.shape),
-                    scratch=(block.t, block.s2))
+        # exp(i S) over the action, with block.t and block.s2 as expi's
+        # scratch: the sums read none of them again
+        core = expi(block.action, out=block.action, scratch=(block.t, block.s2))
         core = np.multiply(core, block.prefactor, out=core)
         np.matmul(core, summing, out=rows[1::2])
         np.matmul(np.multiply(core, block.vz, out=core), summing, out=rows[::2])

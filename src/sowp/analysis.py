@@ -92,6 +92,7 @@ def buildup(pulse: Pulse, species: Species,
     probe = find_saddles(pulse, species.e_bound(3),
                          (0.0, 0.0, BUILDUP_PROBE_P))
     t_ref = np.array([sp.t.real for sp in probe])
+    # per saddle: one array call moves F by up to 5.2e-17 at N = 18, and buildup.csv
     field = np.array([pulse.electric_field(t).real for t in t_ref])
 
     pop33, pop31, pop11, coherence = family(rho)

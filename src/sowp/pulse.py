@@ -25,12 +25,10 @@ A caller that needs A, dA/dt and the action at the same t builds the
 phasors once (Pulse.phasors) and passes them to each.
 
 expi.  numpy runs complex exp and 1/z element by element through scalar
-libm: on a block of 12 160 roots (N = 18, 2 vCPUs, numpy 2.4) exp takes
-440-710 us and 1/z 65-110 us, against about 10 us for a complex product;
-the real sin and cos are no faster (about 220-240 us each), so splitting
-exp(i a) into cos + i sin does not help.  expi(a) builds exp(i a) from
-numpy's vectorised real ufuncs and one take instead, in about 200 us, and
-exp(-i a) with it for about 50 us more:
+libm, several times slower than a complex product, and the real sin and
+cos are no faster (timings in the README algorithm note and
+BENCH_kernels.json).  expi(a) builds exp(i a), and exp(-i a) with it, from
+numpy's vectorised real ufuncs and one take instead:
 
 * Re a = k 2 pi / 2^10 + r, |r| <= pi / 2^10, by a two-part Cody-Waite
   reduction (fdlibm's split of 2 pi, scaled by 2^-10);
@@ -45,7 +43,6 @@ for |Re a| up to 1e4, as the actions reach |S| ~ 2500 at N = 18.
 
 from dataclasses import dataclass, field
 from math import cos, sin
-from operator import add, mul, sub
 
 import numpy as np
 
@@ -53,16 +50,6 @@ from sowp import units
 
 FWHM_FACTOR = 0.364  # intensity FWHM of a sin^2 envelope, as fraction of tau_p
 SIDEBANDS = (0, 1, -1)  # r of the sinusoids at omega (1 + r/N) in A(t)
-
-
-_UFUNCS = {add: np.add, sub: np.subtract, mul: np.multiply}
-
-
-def _into(op, a, b, out=None):
-    """op(a, b) for op in _UFUNCS, written into the array ``out`` if given;
-    without it, the expression itself, so that numpy scalars keep their
-    own scalar arithmetic, bit for bit."""
-    return op(a, b) if out is None else _UFUNCS[op](a, b, out=out)
 
 
 # Re a = k 2 pi / 2^10 + r by fdlibm's two-part 2 pi scaled by 2^-10: HI has
@@ -192,8 +179,8 @@ class Pulse:
         if out is None:
             out = [np.empty(t.shape, dtype=complex) for _ in range(4)]
         buf, z, v, y = out
-        arg = _into(mul, self.omega / self.n_cycles, t,
-                    z if np.iscomplexobj(t) else None)
+        arg = np.multiply(self.omega / self.n_cycles, t,
+                          out=z if np.iscomplexobj(t) else None)
         z = expi(arg, out=z, inverse=y, scratch=(buf, v))
 
         def power(x, into):     # x^N by repeated squaring, into ``into``
@@ -216,14 +203,15 @@ class Pulse:
         u, z, v, y = self.phasors(t) if phasors is None else phasors
         c0, c1, c2 = coef
         res, p_out, q_out = (None,) * 3 if out is None else out
-        p = _into(mul, c1, z, p_out)
+        p = np.multiply(c1, z, out=p_out)
         p += c0
-        p += _into(mul, c2, y, res)
-        q = _into(mul, c1, y, q_out)
+        p += np.multiply(c2, y, out=res)
+        q = np.multiply(c1, y, out=q_out)
         q += c0
-        q += _into(mul, c2, z, res)
-        p = _into(combine, _into(mul, u, p, p_out), _into(mul, v, q, q_out), p_out)
-        value = _into(mul, factor, p, res)
+        q += np.multiply(c2, z, out=res)
+        p = combine(np.multiply(u, p, out=p_out), np.multiply(v, q, out=q_out),
+                    out=p_out)
+        value = np.multiply(factor, p, out=res)
         if not np.iscomplexobj(t):
             value = value.real.copy()
         return value[()] if value.ndim == 0 else value
@@ -233,13 +221,13 @@ class Pulse:
         given, must be self.phasors(t).  For complex t, ``out`` may give
         three complex arrays of t's shape: the result is written into the
         first, and the other two are overwritten."""
-        return self._sinusoids(t, phasors, self.sidebands, sub, -0.5j, out)
+        return self._sinusoids(t, phasors, self.sidebands, np.subtract, -0.5j, out)
 
     def vector_potential_derivative(self, t, phasors=None, out=None):
         """dA/dt = -F(t); phasors and out as for vector_potential."""
         coef = [a * (self.omega * (1.0 + r / self.n_cycles))
                 for a, r in zip(self.sidebands, SIDEBANDS)]
-        return self._sinusoids(t, phasors, coef, add, 0.5, out)
+        return self._sinusoids(t, phasors, coef, np.add, 0.5, out)
 
     def electric_field(self, t):
         """F_z(t) = -dA/dt, analytic for complex t."""

@@ -97,11 +97,12 @@ The gate reduces whole blocks: a block of a short pulse holds many nodes
 of few roots, and numpy reduces along so short an axis many times slower
 than over a whole block.  So a block first takes, over all its roots, max
 |S'|, min Im t, min first and max last Re t (on roots sorted by Re t, the
-strip-edge rule of _contract_values), the smallest neighbour gap (_gaps,
-row crossings left out) and min |S''|.  Only a block that fails one of
-these, as a NaN does, takes the per-node values and masks that name its
-failures, so a failure is named as a per-node check of every block would
-name it.  The predictor's move guard reduces the same way.
+strip-edge rule of _node_checks), the smallest neighbour gap (_gaps, row
+crossings left out) and min |S''|.  Only a block that fails one of these,
+as a NaN does, takes _node_checks, the one per-node path, whose values and
+masks name its failures as a per-node check of every block would name
+them.  After its failing nodes are re-seeded, a block is gated again,
+whole.  The predictor's move guard reduces the same way.
 Failures are named without a whole-grid record: per channel and
 contract, a block that breaks it adds its failing grid nodes to a count
 (given a consumer, a node counts twice when its mirror image is not
@@ -130,12 +131,11 @@ omega/N, from the same phasors as A(t) (see _action_coefficients).
 """
 
 from dataclasses import dataclass
-from operator import add, mul, sub
 
 import numpy as np
 
 from sowp.errors import SaddleError, DegenerateSaddleError
-from sowp.pulse import SIDEBANDS, Pulse, _halves, _into
+from sowp.pulse import SIDEBANDS, Pulse, _halves
 
 RESIDUAL_TOL = 1e-10       # max |S'(t)| accepted at a root
 DISTINCT_TOL = 1e-6        # min pairwise |t_i - t_j|
@@ -189,46 +189,45 @@ def _action_coefficients(pulse):
     return lin, c, b, g
 
 
-def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None,
-                  coefficients=None):
-    """Closed-form action (see _action_coefficients, or ``coefficients``,
-    their value) from the phasors z = exp(i omega t / N), u = exp(i omega t)
-    and their reciprocals y, v (pulse.phasors(t), built here unless given);
-    t is real or complex, and pz, pperp2 and e_bound broadcast against t.
-    For complex t, ``out`` may give four complex arrays of t's shape: the
-    action is written into the first, and the others are overwritten.
+def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None):
+    """Closed-form action (see _action_coefficients) from the phasors
+    z = exp(i omega t / N), u = exp(i omega t) and their reciprocals y, v
+    (pulse.phasors(t), built here unless given); t is real or complex, and
+    pz, pperp2 and e_bound broadcast against t.  For complex t, ``out`` may
+    give four complex arrays of t's shape: the action is written into the
+    first, and the others are overwritten.
 
     Every bracket below vanishes exactly at t = 0, so S(0) = 0 exactly.
     """
-    lin, c, b, g = coefficients or _action_coefficients(pulse)
+    lin, c, b, g = _action_coefficients(pulse)
     u, z, v, y = pulse.phasors(t) if phasors is None else phasors
     res, w_out, h_out, q_out = (None,) * 4 if out is None else out
-    s = _into(mul, 0.5 * (pz * pz + pperp2) - e_bound + lin, t, res)
+    mul = np.multiply
+    s = mul(0.5 * (pz * pz + pperp2) - e_bound + lin, t, out=res)
 
     def cosines(cr, x, x_inv, buf):     # cr (1 - (x + x_inv) / 2)
-        half = _into(mul, 0.5, _into(add, x, x_inv, buf), buf)
-        return _into(mul, cr, _into(sub, 1.0, half, buf), buf)
+        half = mul(0.5, np.add(x, x_inv, out=buf), out=buf)
+        return mul(cr, np.subtract(1.0, half, out=buf), out=buf)
 
     # p_z sum_r c[r] (1 - (u z^r + v y^r) / 2); into res, not in place, so
     # that s becomes complex when t is real
-    w = cosines(c[0], _into(mul, u, y, w_out), _into(mul, v, z, h_out), w_out)
+    w = cosines(c[0], mul(u, y, out=w_out), mul(v, z, out=h_out), w_out)
     w += cosines(c[1], u, v, h_out)
-    w += cosines(c[2], _into(mul, u, z, h_out), _into(mul, v, y, q_out), h_out)
-    s = _into(add, s, _into(mul, pz, w, w_out), res)
+    w += cosines(c[2], mul(u, z, out=h_out), mul(v, y, out=q_out), h_out)
+    s = np.add(s, mul(pz, w, out=w_out), out=res)
     # sin(k w t) = (z^k - y^k) / 2i; for k = 2N + r, z^k = u^2 z^r
-    w = _into(mul, b[1], _into(sub, z, y, w_out), w_out)
-    w += _into(mul, b[2], _into(sub, _into(mul, z, z, h_out),
-                                _into(mul, y, y, q_out), h_out), h_out)
-    for up, down, carrier, combine in ((z, y, u, add), (y, z, v, sub)):
+    w = mul(b[1], np.subtract(z, y, out=w_out), out=w_out)
+    w += mul(b[2], np.subtract(mul(z, z, out=h_out), mul(y, y, out=q_out),
+                               out=h_out), out=h_out)
+    for up, down, carrier, combine in ((z, y, u, np.add), (y, z, v, np.subtract)):
         # carrier^2 (g[0] down^2 + g[1] down + g[2] + g[3] up + g[4] up^2)
-        h = _into(mul, g[0], _into(mul, down, down, h_out), h_out)
-        h += _into(mul, g[1], down, q_out)
+        h = mul(g[0], mul(down, down, out=h_out), out=h_out)
+        h += mul(g[1], down, out=q_out)
         h += g[2]
-        h += _into(mul, g[3], up, q_out)
-        h += _into(mul, g[4], _into(mul, up, up, q_out), q_out)
-        w = _into(combine, w, _into(mul, _into(mul, carrier, carrier, q_out), h,
-                                    h_out), w_out)
-    s += _into(mul, -0.5j, w, w_out)
+        h += mul(g[3], up, out=q_out)
+        h += mul(g[4], mul(up, up, out=q_out), out=q_out)
+        w = combine(w, mul(mul(carrier, carrier, out=q_out), h, out=h_out), out=w_out)
+    s += mul(-0.5j, w, out=w_out)
     return s
 
 
@@ -470,14 +469,12 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
         fields = _newton(pulse, e_bound[..., None], seeds, bpz, bpp2, work=work)
         checks = _checked(pulse, fields, work)
         if checks is not None:  # re-seed, in buffers of their own, each at its own energy
-            values, bad = checks
-            failed = np.logical_or.reduce(bad)
+            failed = np.logical_or.reduce(checks[1])
             again = _solve_points(pulse, *(np.broadcast_to(a, failed.shape)[failed]
                                            for a in (e_bound, bpz[:, 0], bpp2[:, 0])))
             for field, new in zip(fields, again):
                 field[failed] = new
-            values[:, failed] = _contract_values(pulse, again)
-            checks = values, _contract_checks(pulse, values)
+            checks = _checked(pulse, fields, work)     # the block gated again
         window[..., kept:kept + k, :, :] = fields[0].reshape(ch + (k, n_lines, deg))
         finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks)
         held = min(kept + k, PREDICTOR_ROWS)
@@ -562,7 +559,6 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     # first failing node, and the number of its failing grid nodes
     failing = [{} for _ in e]
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
-    coefficients = _action_coefficients(pulse)
 
     def finish(nodes, points, fields, checks):
         """Evaluate a block and hand it to the consumer, unless it or an
@@ -576,7 +572,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         s2_abs = np.abs(s2, out=mag)
         index, copies = placed(nodes)
         if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
-            low = s2_abs.min(axis=-1)   # before _contract_values reuses mag
+            low = s2_abs.min(axis=-1)   # before _node_checks reuses mag
             values, bad = checks or _node_checks(pulse, fields, work)
             for kind, (fails, value) in enumerate(zip(
                     bad + [~(low >= DEGENERATE_S2_TOL)], [*values, low])):
@@ -593,7 +589,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                                           roots[i].copy())
         if not any(failing):
             act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
-                                out=(act, x, free, pre), coefficients=coefficients)
+                                out=(act, x, free, pre))
             prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (free, x))
             consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
@@ -609,16 +605,13 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     return batch
 
 
-def _gaps(t, work=None):
+def _gaps(t, work):
     """|t_{k+1} - t_k| of neighbouring roots t, sorted by Re t along the
-    last axis, and +inf in the last column.  Given the buffers ``work`` of
-    _workspace that hold t, written into the seeds and the float scratch,
-    which Newton leaves free; else into buffers of their own."""
+    last axis, and +inf in the last column, written into the seeds and the
+    float scratch of the buffers ``work`` of _workspace of t's block, which
+    Newton leaves free."""
     flat, n = t.reshape(-1), t.size
-    if work is None:
-        diff, gap = np.empty(n, complex), np.empty(n)
-    else:
-        diff, gap = work[0][0].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
+    diff, gap = work[0][0].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
     # neighbours in flat order: on contiguous operands numpy needs no
     # buffers of its own.  The last of each row crosses into the next row
     # and is left out
@@ -629,7 +622,7 @@ def _gaps(t, work=None):
     return gap
 
 
-def _checked(pulse: Pulse, fields, work=None):
+def _checked(pulse: Pulse, fields, work):
     """None when every point of the fields of _newton (roots t sorted by
     Re t along the last axis, ..., |S'|) passes the root-set contracts by
     the whole-block extremes of the module docstring (a NaN fails), else
@@ -644,24 +637,24 @@ def _checked(pulse: Pulse, fields, work=None):
     return _node_checks(pulse, fields, work)
 
 
-def _node_checks(pulse: Pulse, fields, work=None):
-    """The _contract_values of the fields of _newton and the
-    _contract_checks on these."""
-    values = _contract_values(pulse, fields, work)
-    return values, _contract_checks(pulse, values)
-
-
-def _contract_values(pulse: Pulse, fields, work=None):
+def _node_checks(pulse: Pulse, fields, work):
     """Per point of the fields of _newton (roots t sorted by Re t along the
-    last axis, ..., |S'|): max |S'|, min Im t, the strip edge (Re t of the
-    last root, or of the first when it lies below the strip) and the
-    smallest gap between neighbours (_gaps, into ``work`` if given); shape
-    (4,) + t.shape[:-1]."""
+    last axis, ..., |S'|), the one per-node contract path: the values max
+    |S'|, min Im t, the strip edge (Re t of the last root, or of the first
+    when it lies below the strip) and the smallest gap between neighbours
+    (_gaps, into ``work``), shape (4,) + t.shape[:-1], and the failure mask
+    of each root-set contract on them, in the order of _CONTRACT_MESSAGES.
+    A NaN root fails every check."""
     t, residual = fields[0], fields[-1]
+    eps = STRIP_SLACK * pulse.tau_p
     first, last = t.real[..., 0], t.real[..., -1]
-    return np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
-                     np.where(first >= -STRIP_SLACK * pulse.tau_p, last, first),
-                     _gaps(t, work).min(axis=-1)])
+    values = np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
+                       np.where(first >= -eps, last, first),
+                       _gaps(t, work).min(axis=-1)])
+    worst, im, edge, gap = values
+    return values, [~(worst <= RESIDUAL_TOL), ~(im > 0),
+                    ~((edge >= -eps) & (edge <= pulse.tau_p + eps)),
+                    ~(gap >= DISTINCT_TOL)]
 
 
 _CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report them
@@ -671,17 +664,6 @@ _CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report 
     "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}",
     "saddle pair separated by {:.3e} < {distinct_tol}",
 )
-
-
-def _contract_checks(pulse: Pulse, values):
-    """The failure mask of each root-set contract on the _contract_values
-    ``values``, in the order of _CONTRACT_MESSAGES.  A NaN root fails every
-    check."""
-    worst, im, edge, gap = values
-    eps = STRIP_SLACK * pulse.tau_p
-    return [~(worst <= RESIDUAL_TOL), ~(im > 0),
-            ~((edge >= -eps) & (edge <= pulse.tau_p + eps)),
-            ~(gap >= DISTINCT_TOL)]
 
 
 def _node(pz, pperp2, e_bound) -> str:

@@ -485,16 +485,16 @@ class TestMirror:
 
     @staticmethod
     def record_checks(monkeypatch):
-        """Wrap saddle._contract_values; the returned list gets the roots
-        and |S'| of every call."""
+        """Wrap saddle._node_checks, the per-node contract path; the
+        returned list gets the roots and |S'| of every call."""
         seen = []
-        values = saddle._contract_values
+        node_checks = saddle._node_checks
 
         def recording(pu, fields, *work):
             seen.append((fields[0].copy(), fields[-1].copy()))
-            return values(pu, fields, *work)
+            return node_checks(pu, fields, *work)
 
-        monkeypatch.setattr(saddle, "_contract_values", recording)
+        monkeypatch.setattr(saddle, "_node_checks", recording)
         return seen
 
     @staticmethod
