@@ -11,18 +11,14 @@ v.v = 2E = -kappa^2, so |v| continues to +/- i kappa; the square-root branch
 alternates from saddle to saddle, norm_mu = i kappa (-1)^(mu-1), and the
 explicit alternating sign compensates it exactly.  The code uses the
 equivalent fixed +i kappa norm with no extra sign; the literal composition
-is kept in the tests as an oracle, and the convention is validated there
-against direct numerical time integration of the amplitude integral, which
-reproduces both the modulus and the positions of the above-threshold
-interference peaks.
+is kept in the tests as an oracle.  The tests check the sign convention
+against direct numerical time integration of the amplitude: both give the
+same positions of the above-threshold interference peaks.  The modulus is
+offset from the integral (README "Notes on conventions").
 
 Spherical harmonics follow the Condon-Shortley convention; final spin
 states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
-
-Species differ only in E_j, kappa_j and B, so the saddle sums of several
-species at one pulse come from one saddle_batch pass over all their
-channels (amplitude_profiles given a sequence).
 """
 
 from math import sqrt, pi

@@ -11,7 +11,7 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     # one job per pulse, longest first, so that no long one is left to run
     # alone at the end
     longest_first = sorted(pulses.items(), reverse=True)
-    # imported here: it costs every other command about 7 ms of start-up
+    # imported here: the commands that run no sweep skip it at start-up
     from concurrent.futures import ThreadPoolExecutor
 
     outcomes = {}
@@ -257,25 +257,28 @@ def invert_g(g: float, fit: FitResult) -> float:
 
 
 def write_sweep_csv(points, fh) -> None:
-    fh.write("species,n_cycles,tau_fwhm_fs,ratio,g,w\n")
+    """One column per SweepPoint field, in field order; floats to 17 digits."""
+    fh.write(",".join(f.name for f in fields(SweepPoint)) + "\n")
     for p in points:
-        fh.write(f"{p.species},{p.n_cycles},{p.tau_fwhm_fs:.17g},"
-                 f"{p.ratio:.17g},{p.g:.17g},{p.w:.17g}\n")
+        fh.write(",".join(format(getattr(p, f.name), ".17g" if f.type is float else "")
+                          for f in fields(SweepPoint)) + "\n")
 
 
 def read_sweep_csv(fh):
+    """The SweepPoints of a write_sweep_csv file, each value read by its
+    field's type; ValueError on a wrong header, column count or value."""
+    columns = fields(SweepPoint)
     header = fh.readline().strip().split(",")
-    expected = ["species", "n_cycles", "tau_fwhm_fs", "ratio", "g", "w"]
-    if header != expected:
+    if header != [f.name for f in columns]:
         raise ValueError(f"unexpected sweep CSV header {header}")
     points = []
     for line in fh:
         if not line.strip():
             continue
-        sp, n, tau, ratio, g, w = line.strip().split(",")
-        points.append(SweepPoint(species=sp, n_cycles=int(n),
-                                 tau_fwhm_fs=float(tau), ratio=float(ratio),
-                                 g=float(g), w=float(w)))
+        values = line.strip().split(",")
+        if len(values) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns: {line.strip()!r}")
+        points.append(SweepPoint(*(f.type(v) for f, v in zip(columns, values))))
     return points
 
 

@@ -2,33 +2,26 @@
 
     rho_{j'm' jm} = sum_{m_s} int conj(A^{j'm'}_{m_s}) A^{jm}_{m_s} d3p/(2pi)^3
 
-integrated in spherical coordinates up to the photoelectron energy 15 omega.
-The electron spin is traced incoherently (final spin states are
-orthonormal).  Every amplitude carries the azimuthal factor exp(i m_l phi),
-so the phi integral of a product is 2 pi delta_{m_l' m_l}; the 'analytic'
-phi mode uses this identity, while the 'numeric' mode evaluates the phi sum
-with the uniform trapezoid rule, letting one verify that m' != m elements
-vanish within quadrature accuracy rather than by construction.
+integrated in spherical coordinates up to the photoelectron energy
+E_MAX_PHOTONS omega.  The electron spin is traced incoherently (final spin
+states are orthonormal).  Every amplitude carries the azimuthal factor
+exp(i m_l phi), so the phi integral of a product is 2 pi delta_{m_l' m_l};
+the 'analytic' phi mode uses this identity, while the 'numeric' mode
+evaluates the phi sum with the uniform trapezoid rule, letting one verify
+that m' != m elements vanish within quadrature accuracy rather than by
+construction.
 
 Every channel amplitude is a constant times one of the four saddle sums of
 ``amplitude_profiles``, so the node sum is taken once, into their weighted
-4x4 Gram matrix per build-up partial sum, and ``gram_to_rho`` maps Gram
-matrices to density matrices.  ``build_density_matrix`` and ``buildup``
-pass a ``Gram`` to ``amplitude_profiles`` as its consumer, so each block
-of nodes is added in as soon as its four sums exist and no sums array of
-the whole grid is held.  Given several species, ``build_density_matrix``
-solves them in one pass that streams four sums per species into one Gram,
-whose diagonal 4x4 blocks are the species' Gram matrices.
+4x4 Gram matrix per build-up partial sum (``Gram``, a consumer of
+``amplitude_profiles``, so no sums array of the whole grid is held), and
+``gram_to_rho`` maps Gram matrices to density matrices.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
 p^2 volume factor folded into the weights, which integrates the momentum
 volume exactly; the polar one is Gauss-Legendre in cos(theta).  Both rules
-come from ``_gauss_legendre``: Newton on the three-term recurrence from
-Tricomi's node estimates (Hale & Townsend, SIAM J. Sci. Comput. 35, A652
-(2013)), its last step in extended precision, so that nodes and weights
-are within 1.1e-16 of mpmath up to n = 200 (numpy's ``leggauss``: weights
-2.2e-11 off at n = 200, 1.3e-12 at n = 64), with no eigensolve.  Nodes are
-laid out as (n_energy, n_theta) arrays, so each column is a radial line
+come from ``_gauss_legendre``, whose docstring gives their accuracy.  Nodes
+are laid out as (n_energy, n_theta) arrays, so each column is a radial line
 along which the saddle search continues its roots (see ``sowp.saddle``).
 Quadrature sums run over this fixed node ordering, so results are
 reproducible to the bit regardless of how callers parallelize over grid
@@ -68,15 +61,18 @@ def _legendre(n, x):
 
 def _gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton
-    on _legendre from Tricomi's estimates of the nodes, to steps of at most
-    1e-12, then one last step in np.longdouble.  The weight
+    on _legendre from Tricomi's estimates of the nodes (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, A652 (2013)), to steps of at most 1e-12, then
+    one last step in np.longdouble.  The weight
     2 / ((1 - x)(1 + x) P_n'(x)^2) moves by -2x/(1 - x^2) relative per unit
     of x, so near x = +-1 the rounding of a node to double would cost it up
     to 2.8e-13 (n = 200): it is taken at the exact root to first order,
-    from that last step (where np.longdouble is double, about that error
-    is left).  Mirrored as leggauss does, so that x is exactly odd and the
-    weights exactly even: a MomentumGrid's lines are then exact mirror
-    images (see sowp.saddle)."""
+    from that last step.  Against a 30-digit mpmath oracle up to n = 200
+    (TestGaussLegendre) the nodes are within 2e-16 and the weights within
+    4e-16 relative, or 1e-13 where np.longdouble is plain double (numpy's
+    leggauss: 2.2e-11 at n = 200).  Mirrored as leggauss does, so that x is
+    exactly odd and the weights exactly even: a MomentumGrid's lines are
+    then exact mirror images (see sowp.saddle)."""
     theta = np.pi * (4.0 * np.arange(n, 0, -1) - 1.0) / (4 * n + 2)
     x = np.cos(theta) * (1.0 - (n - 1) / (8.0 * n ** 3)
                          - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4))

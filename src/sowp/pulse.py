@@ -23,22 +23,6 @@ carrier peak at the envelope maximum).
 
 A caller that needs A, dA/dt and the action at the same t builds the
 phasors once (Pulse.phasors) and passes them to each.
-
-expi.  numpy runs complex exp and 1/z element by element through scalar
-libm, several times slower than a complex product, and the real sin and
-cos are no faster (timings in the README algorithm note and
-BENCH_kernels.json).  expi(a) builds exp(i a), and exp(-i a) with it, from
-numpy's vectorised real ufuncs and one take instead:
-
-* Re a = k 2 pi / 2^10 + r, |r| <= pi / 2^10, by a two-part Cody-Waite
-  reduction (fdlibm's split of 2 pi, scaled by 2^-10);
-* exp(i Re a) = T_k (cos r + i sin r) with the table entry
-  T_k = exp(2 pi i k / 2^10) and the polynomials of cos r to r^4 and of
-  sin r to r^5 (truncation error below 1e-18);
-* exp(i a) = exp(i Re a) exp(-Im a), exp(-i a) = conj(exp(i Re a)) / exp(-Im a).
-
-Measured against mpmath: 4.3e-16 relative at most (numpy's exp 2.2e-16)
-for |Re a| up to 1e4, as the actions reach |S| ~ 2500 at N = 18.
 """
 
 from dataclasses import dataclass, field
@@ -74,11 +58,14 @@ def _halves(c):
 
 def expi(a, out=None, inverse=None, scratch=None):
     """exp(i a) for a real or complex array (or scalar) a, from real ufuncs
-    and one table lookup (see the module docstring); written into the
-    complex array ``out`` of a's shape if given, and exp(-i a) into the
-    complex array ``inverse`` if given.  ``scratch`` may give two complex
-    arrays of a's shape to overwrite, else they are allocated; a may be
-    ``out`` or ``inverse`` itself."""
+    and one table lookup (the README algorithm note tells how); written
+    into the complex array ``out`` of a's shape if given, and exp(-i a)
+    into the complex array ``inverse`` if given.  ``scratch`` may give two
+    complex arrays of a's shape to overwrite, else they are allocated; a
+    may be ``out`` or ``inverse`` itself.  Within 1e-15 relative of a
+    40-digit mpmath oracle, plus |Re a| 2^-53 for the rounding of a, for
+    |Re a| up to 1e4 (TestExpi; the actions reach |S| ~ 2500 at N = 18):
+    4.3e-16 at most measured, numpy's exp 2.2e-16."""
     a = np.asarray(a)
     if out is None:
         out = np.empty(a.shape, dtype=complex)
@@ -167,7 +154,7 @@ class Pulse:
         return units.au_to_fs(self.tau_p)
 
     def fwhm_fs(self) -> float:
-        """FWHM of the intensity envelope, 0.364 tau_p, in fs."""
+        """FWHM of the intensity envelope, FWHM_FACTOR tau_p, in fs."""
         return units.au_to_fs(FWHM_FACTOR * self.tau_p)
 
     def phasors(self, t, out=None):

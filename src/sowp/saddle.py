@@ -4,130 +4,48 @@ For a momentum p and channel binding energy E < 0 the saddle condition
 
     S'(t) = (1/2) [p + A(t)]^2 - E = 0
 
-factorizes as A(t) = -p_z +/- i q with q = sqrt(kappa^2 + p_perp^2).
-Because A(t) is a finite sum of sinusoids whose frequencies are integer
-multiples of omega/N, substituting w = exp(i omega t / N) turns each branch
-into a polynomial of degree 2N+2 in w.  The roots of the '+' branch alone
-give the complete saddle set: roots inside the unit circle map directly to
-saddles with Im t > 0, and roots outside map to the '-' branch saddles via
-w -> 1/conj(w) (equivalently t -> conj(t)).  This guarantees exactly 2N+2
-saddles with Im t > 0 and 0 <= Re t <= tau_p, with no search heuristics.
+factorizes as A(t) = -p_z +/- i q with q = sqrt(kappa^2 + p_perp^2).  A(t)
+is a finite sum of sinusoids at integer multiples of omega/N, so
+w = exp(i omega t / N) turns the '+' branch into a polynomial of degree
+2N+2 in w.  Its roots inside the unit circle are saddles with Im t > 0, and
+those outside map to the '-' branch saddles by w -> 1/conj(w), that is
+t -> conj(t).  So the strip Im t > 0, 0 <= Re t <= tau_p holds exactly 2N+2
+saddles, and 2N+2 distinct roots in it are the complete set.
 
-Root finding.  Companion-matrix eigenvalues (numpy.linalg.eigvals, stacked
-in chunks of at most EIG_CHUNK_ELEMS matrix entries) seed a damped Newton
-polish of the exact saddle condition.  Newton stops moving the points of
-a channel as soon as their largest |S'| is at most NEWTON_STOP_TOL, 100x
-inside RESIDUAL_TOL, and after NEWTON_ITERATIONS steps at the latest.
+Contracts, in the order errors report them: every root of every node has
+|S'| <= RESIDUAL_TOL, Im t > 0 and 0 <= Re t <= tau_p (to STRIP_SLACK
+tau_p); neighbours in Re t lie at least DISTINCT_TOL apart; and
+|S''| >= DEGENERATE_S2_TOL.  A node of a 2-D input that breaks one of the
+first four is re-seeded once by companion-matrix eigenvalues.
 
-The shape of the momentum arrays given to saddle_batch selects how seeds
-are found:
+Inputs.  1-D momentum arrays are independent points, each seeded by
+eigenvalues.  2-D arrays of shape (n_path, n_lines) are n_lines paths
+continued along axis 0 (the radial lines of a MomentumGrid), seeded by
+eigenvalues at their first node only.  Either way the roots of a node are
+sorted by Re t, the one root order of the package.  The README "Algorithm
+note" tells how the lines are continued, gated and buffered.
 
-* 1-D: independent points, every one seeded by eigenvalues.
-* 2-D, shape (n_path, n_lines): n_lines continuation paths along axis 0
-  (the density matrix passes the radial lines of its grid this way).  The
-  first node of row 0 is seeded by eigenvalues, every other node by
-  predictor-corrector continuation from it.  An eigensolve costs O(deg^3)
-  per node, a Newton step O(deg), so a batch costs one eigensolve per
-  channel, plus one per node that fails the contracts below.  On a
-  MomentumGrid row 0 is the innermost circle (|p| = 3e-5 a.u. on the
-  default grid), whose nodes share nearly the same saddles.  A row 0
-  across p_z = 0 seeds the nodes of the other sign from the mirror image
-  of those roots (see the mirror rule below), so that the saddle near
-  Re t = 0 stays in the strip.
-
-Either way every solved row is stored sorted by Re t, the one root order
-of the package, and the predictor extrapolates the k-th root of each row
-from the k-th roots of the rows before.  Two roots that crossed in Re t
-along a line would only give Newton a poorer seed and, at worst, an
-eigenvalue re-seed through the contract check below: a cost in time, not
-a wrong root set.
-
-Predictor.  Row 0 starts Newton from the roots of its first node, rows 1
-and 2 from the previous row's roots.  From row 3 on, each root is
-extrapolated by the Lagrange polynomial in the path parameter
-s = sqrt(p_z^2 + p_perp^2) (|p| on a MomentumGrid) through the last
-min(r, PREDICTOR_ROWS) rows: the quadratic at row 3, degree 6 from row 7
-on.  It needs no evaluation of A, and its seeds are close enough for one
-Newton step on nearly every root.  A column falls back to the previous
-row's roots when two of those s coincide (the weights would not be
-finite), or when the prediction moves a root by more than tau_p/4: a root
-that re-seeds flipped between the two ends of the strip (see the mirror
-rule) would otherwise be extrapolated far outside it.
-
-Corrector.  The lines of all channel energies given form one set: a row or
-block gets one predictor, Newton, contract and evaluation call, and row
-0's first nodes share one eigvals call.  Rows from 3 on are polished
-ROW_BLOCK_ROWS per Newton call, all predicted from the same rows, or fewer
-so that each channel's share of a block holds at most ROW_BLOCK_ROOTS
-roots (5 rows at N = 18 on the default grid).  The rows of a block do not
-depend on how many channels share it, so neither do a channel's roots.
-Only the rows the predictor reads are kept, in a window of PREDICTOR_ROWS
-rows and a block.  Each Newton step builds the phasors of its t once, for
-A and A'.  After each row or block, every node is checked once against the
-root-set contracts (by the whole-block gate, see Evaluation): residual
-|S'| <= RESIDUAL_TOL, Im t > 0, 0 <= Re t <= tau_p, and neighbours in
-Re t at least DISTINCT_TOL apart.  Since the strip holds exactly 2N+2
-saddles, 2N+2 distinct roots passing these checks are the complete set.  A
-node that fails (a root jumped to a neighbour or to a periodic image) is
-re-seeded by eigenvalues at its own channel energy, and its line continues
-from the re-seeded roots, sorted like every other row.
+Consumers.  Given consume(nodes, block), saddle_batch hands over each
+evaluated block as a SaddleBatch in buffers that the next block reuses, so
+a block is valid only during the call, and the consumer may overwrite it.
+No array of the grid's size is held then.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
-tau_p - conj(t) of those at (p_z, p_perp^2).  When the 2-D inputs are
-exact mirror images across their columns (pz[:, ::-1] == -pz and
-pperp2[:, ::-1] == pperp2, as on every MomentumGrid: Gauss-Legendre nodes
-are symmetric) and a consumer is given, only the first ceil(n_lines/2)
-lines are continued and evaluated, the p_z = 0 line included when n_lines
-is odd, and the consumer maps its results to the other lines.  Otherwise
-every line is continued.
+tau_p - conj(t) of those at (p_z, p_perp^2).  When 2-D inputs are exact
+mirror images across their columns (pz[:, ::-1] == -pz and
+pperp2[:, ::-1] == pperp2, as on every MomentumGrid) and a consumer is
+given, only the first ceil(n_lines/2) lines are solved, the p_z = 0 line
+included when n_lines is odd, and the consumer maps its results to the
+others.  Otherwise every line is solved.
 
-Evaluation.  Newton's last step has evaluated the phasors, v_z and |S'|
-at the roots it returns, sorted with them by Re t.  Each row block (for
-1-D inputs, the one Newton call) is evaluated from these; a node that
-eigenvalues re-seed, from those of its own Newton call.  S'' = v_z A'
-gates the block: one whose nodes all pass the root-set and |S''|
-contracts gets its action from the same phasors and its prefactor
-1/sqrt(-i S'') (principal branch, Re >= 0) from _rsqrt, and goes straight
-to its consumer: the caller's consume callback, or a copy into a
-SaddleBatch.  _rsqrt builds 1/sqrt from real ufuncs, as numpy's complex
-sqrt and 1/z run element by element through scalar libm; it is within
-2.7e-16 of mpmath relative (1/np.sqrt 3.3e-16).
-The gate reduces whole blocks: a block of a short pulse holds many nodes
-of few roots, and numpy reduces along so short an axis many times slower
-than over a whole block.  So a block first takes, over all its roots, max
-|S'|, min Im t, min first and max last Re t (on roots sorted by Re t, the
-strip-edge rule of _node_checks), the smallest neighbour gap (_gaps, row
-crossings left out) and min |S''|.  Only a block that fails one of these,
-as a NaN does, takes _node_checks, the one per-node path, whose values and
-masks name its failures as a per-node check of every block would name
-them.  After its failing nodes are re-seeded, a block is gated again,
-whole.  The predictor's move guard reduces the same way.
-Failures are named without a whole-grid record: per channel and
-contract, a block that breaks it adds its failing grid nodes to a count
-(given a consumer, a node counts twice when its mirror image is not
-solved) and, the first time, keeps its first failing node: the value,
-(p_z, p_perp^2) and roots.  Blocks arrive in flat order, so that node is
-the contract's first in flat order.  From the first block that fails on,
-no block reaches the consumer, and after the last one SaddleError names,
-for the first channel given with a failing node and the first contract
-in the order above (|S''| last) that any of its nodes breaks, that node,
-the channel energy, its roots and the count, as for that channel alone.
-Given a consumer, no array of the grid's size is held: saddle times live
-in the window and the block buffers only.
-
-Buffers.  Newton, the root-gap contract and the evaluation write into one
-set of block arrays per saddle_batch call (_workspace), sized for its
-largest block, so the row blocks allocate no array of their size and the
-C heap is not trimmed and faulted in again from block to block.  A block
-handed to the consumer is therefore valid only during that call.
-Eigenvalue re-seeds and the first node of row 0 are solved in buffers of
-their own.
-
-The closed-form action uses the elementary antiderivatives of the sinusoid
-expansion with the integration constant fixed so that S(0) = 0, summed as
-a trigonometric polynomial with ten frequencies that are multiples of
-omega/N, from the same phasors as A(t) (see _action_coefficients).
+Failures.  Per channel and contract, the failing grid nodes are counted
+(given a consumer, a node whose mirror image is not solved counts twice)
+and the first in flat order is kept.  From the first failing block on, no
+block reaches the consumer.  After the last block, SaddleError (or
+DegenerateSaddleError, for |S''|) names, for the first channel given with
+a failing node and the first contract above that it breaks, that node
+(p_z, p_perp^2), the channel energy, its roots and the count.
 """
 
 from dataclasses import dataclass
@@ -352,12 +270,14 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
 
 def _rsqrt(x, out, scratch):
     """The principal 1/sqrt(x) of the complex array x, 1e-154 < |x| < 1e154
-    (|x|^2 a normal double), from real ufuncs (see the module docstring),
-    written into ``out`` (x itself may be ``out``), with the two
+    (|x|^2 a normal double), from real ufuncs (the README algorithm note
+    says why), written into ``out`` (x itself may be ``out``), with the two
     complex arrays ``scratch`` of x's shape overwritten.  With r = |x| and
     rho = sqrt((r + |Re x|)/2), sqrt(x) is rho + i Im x / (2 rho) where
     Re x >= 0, else |Im x| / (2 rho) + i copysign(rho, Im x), free of
-    cancellation, and 1/sqrt(x) = conj(sqrt(x)) / r."""
+    cancellation, and 1/sqrt(x) = conj(sqrt(x)) / r.  Within 4e-16 relative
+    of a 40-digit mpmath oracle for 1e-6 <= |x| <= 1e6 (TestRsqrt;
+    1/np.sqrt: 3.3e-16)."""
     (r, rho), (eta, big) = (_halves(w) for w in scratch)
     re, im = x.real, x.imag
     r = np.sqrt(np.add(np.multiply(re, re, out=r), np.multiply(im, im, out=rho),
@@ -404,10 +324,9 @@ def _predicted_seeds(prev, s_prev, x, bound, out):
     rows prev at s_prev, shapes (..., m, n_lines, 2N+2) (per channel) and
     (m, n_lines), sorted by Re t: for m >= 3 the Lagrange polynomial through
     them in s, root by root, or the last row's roots in a column where two
-    s coincide or a root would move by more than ``bound`` (see the module
-    docstring); written into the first of ``out``, a complex array of shape
-    (..., k, n_lines, 2N+2), a complex and a float one of that shape for
-    scratch.
+    s coincide or a root would move by more than ``bound``; written into
+    the first of ``out``, a complex array of shape (..., k, n_lines, 2N+2),
+    a complex and a float one of that shape for scratch.
     """
     pred, diff, mag = out
     last = prev[..., -1:, :, :]
@@ -432,9 +351,9 @@ def _predicted_seeds(prev, s_prev, x, bound, out):
 
 
 def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
-    """Continue the roots along every line of 2-D points (see the module
-    docstring) for the energies e_bound, shape (1,) or (C, 1) for C
-    channels, ``block`` rows per Newton call from row 3 on, calling
+    """Continue the roots along every line of 2-D points (as the README
+    algorithm note tells) for the energies e_bound, shape (1,) or (C, 1)
+    for C channels, ``block`` rows per Newton call from row 3 on, calling
     finish(nodes, points, fields, checks) per row block with the slice of
     its nodes in the flattened pz, their (p_z, p_perp^2), each of shape
     (nodes, 1), the fields of _newton (in the buffers ``work`` of
@@ -484,7 +403,7 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
 
 def _solved_lines(pz, pperp2) -> int:
     """The leading lines of 2-D inputs that are solved given a consumer:
-    ceil(n_lines/2) of exact mirror images (see the module docstring), else
+    ceil(n_lines/2) of exact mirror images (the mirror rule), else
     all n_lines."""
     mirror = (np.array_equal(pz[:, ::-1], -pz)
               and np.array_equal(pperp2[:, ::-1], pperp2))
@@ -502,13 +421,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     given ``consume``, None after calling consume(nodes, block) per
     evaluated block (a row block of 2-D inputs, all points of 1-D ones):
     ``nodes`` indexes the flattened nodes (a slice or an index array),
-    ``block`` is their SaddleBatch, valid only during the call (the next
-    block reuses its arrays, so the consumer may overwrite them; ``Gram``
-    and ``amplitude_profiles`` use it at once, and without ``consume`` it
-    is copied into the result).  Raises
-    SaddleError/DegenerateSaddleError naming the first node that fails the
-    residual, count, distinctness, or curvature contracts, in the first
-    channel that fails one (its count is of that channel's nodes).
+    ``block`` is their SaddleBatch, valid only during the call.  Raises
+    SaddleError/DegenerateSaddleError as the module docstring says.
     """
     energy = np.asarray(e_bound, dtype=float)
     if energy.ndim > 1 or energy.size == 0 or (energy >= 0).any():
@@ -625,8 +539,8 @@ def _gaps(t, work):
 def _checked(pulse: Pulse, fields, work):
     """None when every point of the fields of _newton (roots t sorted by
     Re t along the last axis, ..., |S'|) passes the root-set contracts by
-    the whole-block extremes of the module docstring (a NaN fails), else
-    their _node_checks."""
+    the block's extremes: max |S'|, min Im t, the first and last Re t and
+    the smallest gap (a NaN fails); else their _node_checks."""
     t, residual = fields[0], fields[-1]
     eps = STRIP_SLACK * pulse.tau_p
     if (residual.max(initial=0.0) <= RESIDUAL_TOL and t.imag.min(initial=np.inf) > 0

@@ -367,8 +367,10 @@ class TestSweepAndFit:
          "F,4,8.7,0.3,0.6,0.06\n", []),
         (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,0.2,0.7,0.06\n"
          "F,4,8.7,0.3,inf,0.06\n", []),
+        (SWEEP_HEADER + "F,2,4.3,0.1,0.8,0.06\nF,3,6.5,0.2,0.7\n"
+         "F,4,8.7,0.3,0.6,0.06\n", []),
     ], ids=["wrong-header", "not-a-number", "two-points", "repeated-ratios",
-            "nan-ratio", "inf-g"])
+            "nan-ratio", "inf-g", "short-row"])
     def test_bad_fit_input_is_config_error(self, tmp_path, capfd, csv, args):
         if csv is not None:
             (tmp_path / "sweep.csv").write_text(csv)

@@ -98,13 +98,16 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 200])
     def test_matches_oracle(self, n):
-        # measured: nodes within 5.6e-17, weights within 1.0e-16 relative
-        # (leggauss: 2.2e-11 at n = 200 and 1.3e-12 at n = 64)
+        # the bounds the _gauss_legendre docstring states; where
+        # np.longdouble is plain double, the first-order weight correction
+        # is lost and the weights keep the rounding of the nodes
         x, w = _gauss_legendre(n)
         nodes, weights = legendre_rule_oracle(n)
+        weight_tol = (4e-16 if np.finfo(np.longdouble).eps < np.finfo(float).eps
+                      else 1e-13)
         assert (np.diff(x) > 0).all()
         assert np.abs(x[n // 2:] - nodes).max() <= 2e-16
-        assert (np.abs(w[n // 2:] - weights) / weights).max() <= 1e-13
+        assert (np.abs(w[n // 2:] - weights) / weights).max() <= weight_tol
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 200])
     def test_exactly_symmetric(self, n):
