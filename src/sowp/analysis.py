@@ -11,6 +11,7 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -133,15 +134,18 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N) on a pool of ``threads`` (>= 1) worker
-    threads, one job (_sweep_pulse) per N with its species in order;
-    package errors (SowpError) are collected per point, not raised; any
-    other exception propagates.  Jobs are started longest pulse first.
+    threads, the calling one among them, one job (_sweep_pulse) per N with
+    its species in order; package errors (SowpError) are collected per
+    point, not raised; any other exception propagates once every job has
+    run, the first in job order.  Jobs are started longest pulse first.
 
     ``cycles``: iterable of N applied to every species (default: 2..18 for
     F and Cl, 2..8 for Br; ConfigError for a species with no default
     range).  Returns (points, failures), each in (species position, N)
     order whatever ``threads`` is; a failure is (name, N, exc).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = []
     for sp in species_list:
         ns = DEFAULT_SWEEP_CYCLES.get(sp.name.lower()) if cycles is None else cycles
@@ -158,21 +162,37 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                               **grid_kw)
     # one job per pulse, longest first, so that no long one is left to run
     # alone at the end
-    longest_first = sorted(pulses.items(), reverse=True)
-    # imported here: the commands that run no sweep skip it at start-up
-    from concurrent.futures import ThreadPoolExecutor
+    longest_first = iter(enumerate(sorted(pulses.items(), reverse=True)))
+    outcomes, raised, lock = [None] * len(jobs), [], threading.Lock()
 
-    outcomes = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_sweep_pulse, [jobs[i][0] for i in positions],
-                               wavelength_nm, intensity_wcm2, n, grid)
-                   for n, positions in longest_first]
-        for (_, positions), future in zip(longest_first, futures):
+    def work():     # take the next job until none is left
+        while True:
+            with lock:
+                job = next(longest_first, None)
+            if job is None:
+                return
+            k, (n, positions) = job
             try:
-                results = future.result()
+                results = _sweep_pulse([jobs[i][0] for i in positions],
+                                       wavelength_nm, intensity_wcm2, n, grid)
             except SowpError as exc:    # the job failed for all its points
                 results = [exc] * len(positions)
-            outcomes.update(zip(positions, results))
+            except Exception as exc:    # re-raised once every worker is done
+                raised.append((k, exc))
+                continue
+            for i, result in zip(positions, results):
+                outcomes[i] = result
+
+    # the calling thread works too: with one thread, no other is started
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(threads, len(pulses)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if raised:      # the first in job order
+        raise min(raised)[1]
     points, failures = [], []
     for i, (sp, n) in enumerate(jobs):
         if isinstance(outcomes[i], SowpError):     # aggregate per-point failures

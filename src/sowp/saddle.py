@@ -209,11 +209,11 @@ def _eigvals_seeds(pulse: Pulse, e_bound, pz, pperp2):
 
 
 def _workspace(n, deg):
-    """Block buffers for up to n points, each of shape (n, deg): complex
-    seeds, t, u, z, 1/u, 1/z, v_z, S', step and two scratch (S'', the
-    prefactor and the action reuse the last five), and float |S'| and
-    scratch.  Callers take views of their first rows (_views)."""
-    return np.empty((11, n, deg), dtype=complex), np.empty((2, n, deg))
+    """Block buffers for up to n points, each of shape (n, deg): complex t,
+    u, z, 1/u, 1/z, v_z, S', step and two scratch (the action, S'' and the
+    prefactor reuse them: see saddle_batch), and float |S'| and scratch.
+    Callers take views of their first rows (_views)."""
+    return np.empty((10, n, deg), dtype=complex), np.empty((2, n, deg))
 
 
 def _views(work, shape):
@@ -241,16 +241,18 @@ def _evaluated(pulse: Pulse, e_bound: float, t, pz, pperp2, out=None):
 def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
     """Damped Newton polish of S'(t) = 0 from start values t of shape
     (..., n, 2N+2), for e_bound, pz, pperp2 that broadcast against t, in the
-    buffers ``work`` of _workspace; t itself is not written to.
+    buffers ``work`` of _workspace, polishing in their t slot (t is copied
+    there unless it is that slot).
 
     A channel (t's leading axis, if any) stops once its |S'| are all at
     most NEWTON_STOP_TOL, every one after NEWTON_ITERATIONS steps.  Returns
     the fields of the last evaluation, (t, u, z, 1/u, 1/z, v_z, |S'|), each
     sorted by Re t (in work's buffers unless sorting moved them).
     """
-    (_, tk, *fields, d, x1, x2), (residual, mag) = _views(work, t.shape)
+    (tk, *fields, d, x1, x2), (residual, mag) = _views(work, t.shape)
     step_cap = 0.25 * np.pi / pulse.omega
-    tk[...] = t
+    if not np.shares_memory(t, tk):
+        tk[...] = t
     for it in range(NEWTON_ITERATIONS + 1):
         evaluated, f = _evaluated(pulse, e_bound, tk, pz, pperp2, out=(*fields, x1, x2))
         residual = np.abs(f, out=residual)
@@ -366,13 +368,14 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
     def path(rows):             # the path parameter s = |p| of rows
         return np.sqrt(pz[rows] * pz[rows] + pperp2[rows])
 
-    window = np.empty(ch + (PREDICTOR_ROWS + block, n_lines, deg), dtype=complex)
+    window = np.empty(ch + (PREDICTOR_ROWS, n_lines, deg), dtype=complex)
     kept, r = 0, 0      # window[..., :kept, :, :] holds rows r - kept .. r - 1
     while r < n_path:
         k = 1 if r < 3 else min(block, n_path - r)
         rows = slice(r, r + k)
         bpz, bpp2 = (a[rows].reshape(-1, 1) for a in (pz, pperp2))
-        # the seeds and two scratch arrays, free until Newton starts
+        # the seeds, in Newton's t slot, and two scratch arrays, free until
+        # Newton starts
         (seeds, scratch, *_), (_, mag) = _views(work, ch + (k * n_lines, deg))
         if r == 0:      # from the roots of the row's first node, or their image
             # (solved in buffers of its own, so copied here)
@@ -394,10 +397,17 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
             for field, new in zip(fields, again):
                 field[failed] = new
             checks = _checked(pulse, fields, work)     # the block gated again
-        window[..., kept:kept + k, :, :] = fields[0].reshape(ch + (k, n_lines, deg))
-        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks)
+        # the last rows: those kept still read, moved to the front, then the
+        # block's; before finish, whose consumer may overwrite the block's t
         held = min(kept + k, PREDICTOR_ROWS)
-        window[..., :held, :, :] = window[..., kept + k - held:kept + k, :, :]
+        old = max(0, held - k)
+        if kept > old:  # row by row per channel: overlapping rows would be
+            for c in np.ndindex(ch):    # copied through a temporary
+                for i in range(old):
+                    window[c + (i,)] = window[c + (kept - old + i,)]
+        window[..., old:held, :, :] = fields[0].reshape(
+            ch + (k, n_lines, deg))[..., k - (held - old):, :, :]
+        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks)
         kept, r = held, r + k
 
 
@@ -479,10 +489,16 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         earlier block broke a contract; note the failing nodes of a block
         that breaks one (``checks``, or |S''| over the whole block)."""
         tb, *phasors, vz, residual = fields
-        # the buffers Newton leaves free: seeds, S', step and scratch
-        (free, _, _, _, _, _, _, s2, pre, act, x), (_, mag) = _views(work, tb.shape)
+        # the action, then S'', into the slots Newton leaves free (S', step
+        # and scratch); the prefactor into the u, z and 1/u slots, free once
+        # S'' is built: by slot, as at N = 1 the phasor u is z's slot
+        (_, pre, p1, p2, _, _, act, s2, x1, x2), (_, mag) = _views(work, tb.shape)
+        ready = checks is None and not any(failing)
+        if ready:
+            act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
+                                out=(act, s2, x1, x2))
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
-            tb, phasors=phasors, out=(s2, pre, act)), out=s2)
+            tb, phasors=phasors, out=(s2, x1, x2)), out=s2)
         s2_abs = np.abs(s2, out=mag)
         index, copies = placed(nodes)
         if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
@@ -501,10 +517,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                             i = int(np.argmax(mask))
                             fail[kind] = (value_c[i], points[0][i, 0], points[1][i, 0],
                                           roots[i].copy())
-        if not any(failing):
-            act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
-                                out=(act, x, free, pre))
-            prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (free, x))
+        if ready and not any(failing):
+            prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (p1, p2))
             consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
 
     if pz.ndim == 1:
@@ -521,11 +535,11 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
 
 def _gaps(t, work):
     """|t_{k+1} - t_k| of neighbouring roots t, sorted by Re t along the
-    last axis, and +inf in the last column, written into the seeds and the
-    float scratch of the buffers ``work`` of _workspace of t's block, which
-    Newton leaves free."""
+    last axis, and +inf in the last column, written into the last complex
+    and the float scratch slots of the buffers ``work`` of _workspace of
+    t's block, which Newton leaves free and finish does not hold."""
     flat, n = t.reshape(-1), t.size
-    diff, gap = work[0][0].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
+    diff, gap = work[0][-1].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
     # neighbours in flat order: on contiguous operands numpy needs no
     # buffers of its own.  The last of each row crosses into the next row
     # and is left out

@@ -458,10 +458,12 @@ def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
 
 def test_evaluated_block_allocates_nothing_of_its_size(species_f, monkeypatch):
     """From the prefactor of a row block (N = 18, both F channels, 20
-    nodes: each block array 24 KB) to its consumer, the kernels take their
-    scratch from the block and the stream's buffers: once those buffers
-    have grown, a block's traced peak above entry stays at a few KB (about
-    6 KB, of it about 2 KB in _rsqrt)."""
+    nodes) to its consumer, the kernels take their scratch from the block
+    and the stream's buffers: once those buffers have grown, a block's
+    traced peak above entry stays within 8192 bytes, under half of one
+    block array, so no array of the block's size is allocated; what is
+    left is numpy's fixed cost per call, which does not grow with the
+    block."""
     pulse = Pulse.from_lab(1800.0, 18, 1.3e13)
     # 2 of 4 lines solved: rows 0-2 alone, then three blocks of 10 rows
     pz, pperp, _ = grid_nodes(MomentumGrid.build(pulse.omega, n_energy=33, n_theta=4))

@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -268,6 +270,34 @@ class TestCoherenceSweep:
         assert ran == [("F", 5), ("Cl", 5), ("F", 3), ("Cl", 3), ("F", 2), ("Cl", 2)]
         assert [(p.species, p.n_cycles) for p in pts] == [
             ("F", 3), ("F", 2), ("F", 5), ("Cl", 3), ("Cl", 2), ("Cl", 5)]
+
+    def test_every_job_runs_once_on_more_threads_than_cores(
+            self, species_f, species_cl, monkeypatch):
+        # eight workers switching every microsecond take 200 jobs from one
+        # shared iterator: none is taken twice or lost, and the points come
+        # back in input order
+        ran, swept = [], []
+
+        def recording(group, lam, intensity, n, grid):
+            ran.append(n)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: swept.append(coherence_sweep(
+                [species_f, species_cl], 1800.0, 1.3e13, cycles=range(1, 201),
+                threads=8, n_energy=8, n_theta=3)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and swept
+        pts, failures = swept[0]
+        assert failures == [] and sorted(ran) == list(range(1, 201))
+        assert [(p.species, p.n_cycles) for p in pts] == [
+            (name, n) for name in ("F", "Cl") for n in range(1, 201)]
 
     def test_one_job_per_pulse(self, species_f, species_cl, monkeypatch):
         # F and Cl share one job, and so one saddle pass, at every N

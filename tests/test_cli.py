@@ -1,10 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sowp
 import sowp.analysis as analysis
 from sowp.analysis import SweepPoint
 from sowp.cli import (RunConfig, _build_parser, cycle_list, main, parse_config,
@@ -271,6 +275,20 @@ class TestSweepAndFit:
             assert rc == 0
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sweep_pool_imports_neither_executor_nor_logging(self, tmp_path):
+        # a fresh process: the two-thread pool is built on threading alone
+        argv = ["sweep", "--species", "f", "--cycles", "2..3", *FAST_GRID,
+                "--threads", "2", "--out-dir", str(tmp_path)]
+        code = ("import sys\n"
+                "from sowp.cli import main\n"
+                f"rc = main({argv!r})\n"
+                "print(rc, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(sowp.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src}, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 []\n"
 
     def test_companion_species_do_not_change_bytes(self, tmp_path):
         # on 32 solved lines N = 3 fills a row block's root budget, so this

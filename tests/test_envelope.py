@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sowp.amplitude import amplitude_profiles
+from sowp.amplitude import STATES, amplitude_profiles
 from sowp.densmat import (MomentumGrid, build_density_matrix, coherence_degree,
                           grid_nodes)
 from sowp.errors import SaturationWarning
@@ -44,6 +44,17 @@ def test_density_matrix_invariants(name, wavelength_nm, log_intensity,
     assert np.linalg.eigvalsh(matrix).min() >= -1e-14 * w
     assert 0.0 <= coherence_degree(rho) <= 1.0
     centre_coherence(rho, species, pulse)
+    # with analytic phi, states of different m never mix
+    m2 = np.array([m for _, m in STATES])
+    assert (matrix[m2[:, None] != m2] == 0).all()
+    # one saddle pass shared by the three species gives each its matrix
+    # alone, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        shared = build_density_matrix(pulse, list(SPECIES.values()), grid)
+        for other, got in zip(SPECIES.values(), shared):
+            alone = rho if other is species else build_density_matrix(pulse, other, grid)
+            assert got.matrix.tobytes() == alone.matrix.tobytes(), other.name
     # the mirrored consumer path against saddles solved on every line
     pz, pperp, _ = grid_nodes(grid)
     want = batch_sums(pulse, species, pz, pperp, cumulative=False)

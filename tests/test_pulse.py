@@ -156,8 +156,8 @@ class TestOutBuffers:
     def test_phasors_allocate_nothing_of_the_block_size(self, n_cycles, rng):
         """Into its four arrays, a phasor build of a block of 12 160 roots
         (both channels of five rows of the default grid at N = 18) takes
-        expi's scratch from them: its traced peak is a few KB (2.4 KB
-        measured), against 195 KB for one array of the block."""
+        expi's scratch from them: its traced peak stays within 4096 bytes,
+        numpy's fixed cost per call, far under one array of the block."""
         pulse = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
         shape = (2, 160, 38)
         t = rng.uniform(0.0, pulse.tau_p, shape) + 1j * rng.uniform(0.0, 200.0, shape)
@@ -194,8 +194,8 @@ def mp_expi(a):
 
 class TestExpi:
     """expi against a 40-digit oracle: within 1e-15 relative, plus
-    |Re a| 2^-53 (the rounding of a itself) for large Re a.  Measured:
-    4.3e-16 at most, numpy's exp 2.2e-16."""
+    |Re a| 2^-53 (the rounding of a itself) for large Re a; the expi
+    docstring holds the measured error."""
 
     @staticmethod
     def assert_accurate(a):

@@ -199,11 +199,12 @@ def record_newton(monkeypatch, collapse=None):
     newton = saddle._newton
 
     def recording(pulse, e_bound, t, pz, pperp2, **kwargs):
+        seeds = t.copy()        # before Newton polishes them in place
         roots, *fields = newton(pulse, e_bound, t, pz, pperp2, **kwargs)
         if collapse is not None and len(calls) == collapse[0]:
             roots = roots.copy()
             roots[collapse[1], 1] = roots[collapse[1], 0]
-        calls.append((t.copy(), roots.copy()))
+        calls.append((seeds, roots.copy()))
         return (roots, *fields)
 
     monkeypatch.setattr(saddle, "_newton", recording)
@@ -650,8 +651,8 @@ class TestRsqrt:
         return saddle._rsqrt(x, np.empty_like(x), np.empty((2,) + x.shape, dtype=complex))
 
     def test_matches_oracle(self, rng):
-        # |x| from 1e-6 (DEGENERATE_S2_TOL) to 1e6, every argument.
-        # Measured: 2.7e-16 at most, 1/np.sqrt 3.3e-16
+        # |x| from 1e-6 (DEGENERATE_S2_TOL) to 1e6, every argument; the
+        # _rsqrt docstring holds the measured error
         x = 10.0 ** rng.uniform(-6.0, 6.0, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
         with mpmath.workdps(40):
             ref = np.array([complex(1 / mpmath.sqrt(mpmath.mpc(v.real, v.imag))) for v in x])
@@ -714,6 +715,38 @@ def test_consumer_path_memory_does_not_grow_with_the_grid(n_cycles):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.01 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n_cycles", [8, 18])
+def test_consumer_path_peak_is_one_workspace_and_the_predictor_rows(n_cycles):
+    """Given a consumer, the traced peak of both F channels on the default
+    grid is the block workspace (ten complex arrays of a row block's roots,
+    a slot each, and two float ones) and the PREDICTOR_ROWS rows the
+    predictor reads, both sized from ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS and
+    PREDICTOR_ROWS, plus the predictor's Lagrange factors (a float per
+    block row, pair of predictor rows and line) and less than a slot of a
+    block's other temporaries.  An eleventh slot, or a window that also
+    holds a block's rows, adds a whole slot."""
+    pu = Pulse.from_lab(1800.0, n_cycles, 1.3e13)
+    f = get_species("F")
+    pz, pperp, _ = grid_nodes(MomentumGrid.build(pu.omega))
+    deg, lines = 2 * n_cycles + 2, pz.shape[1] // 2     # the solved lines
+    rows = min(saddle.ROW_BLOCK_ROWS, saddle.ROW_BLOCK_ROOTS // (lines * deg))
+    row = 2 * lines * deg * np.dtype(complex).itemsize      # both channels
+    slot = rows * row
+    workspace = 10 * slot + 2 * (slot // 2)
+    window = saddle.PREDICTOR_ROWS * row
+    factors = rows * saddle.PREDICTOR_ROWS ** 2 * lines * np.dtype(float).itemsize
+    pp2 = pperp * pperp
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        saddle_batch(pu, [f.e_bound(3), f.e_bound(1)], pz, pp2,
+                     lambda nodes, block: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= workspace + window + factors + slot, (peak, slot)
 
 
 class TestSaddleErrors:
