@@ -50,43 +50,17 @@ STATES = ((3, -3), (3, -1), (3, 1), (3, 3), (1, -1), (1, 1))
 SUM_ROWS = ((3, 0), (3, 1), (1, 0), (1, 1))
 
 
-def doubled(x, name) -> int:
-    """2x for a half-integer x; ValueError naming ``name`` otherwise."""
-    d = round(2 * x)
-    if abs(2 * x - d) > 1e-12:
-        raise ValueError(f"{name} = {x} is not a half-integer")
-    return int(d)
-
-
-def clebsch_gordan(l, m_l, s, m_s, j, m) -> float:
-    """Condon-Shortley Clebsch-Gordan coefficient <l m_l, s m_s | j m>
-    for s = 1/2 and j = l +/- 1/2.
-
-    Returns 0 when the projection selection rule m = m_l + m_s fails.
+def clebsch_gordan(j2, m2, ms2) -> float:
+    """Condon-Shortley Clebsch-Gordan coefficient <1 m_l, 1/2 m_s | j m> of
+    the np shell in doubled labels j2 = 2j (3 or 1), m2 = 2m and
+    ms2 = 2m_s (+-1), with m_l = (m2 - ms2)/2; 0 where |m_l| > 1 or |m| > j.
     """
-    if l != int(l) or l < 0:
-        raise ValueError(f"l must be a non-negative integer, got {l}")
-    if doubled(s, "s") != 1:
-        raise ValueError(f"only s = 1/2 is supported, got s = {s}")
-    l = int(l)
-    ml2 = doubled(m_l, "m_l")
-    ms2 = doubled(m_s, "m_s")
-    j2 = doubled(j, "j")
-    m2 = doubled(m, "m")
-    if abs(ml2) > 2 * l or abs(ms2) != 1 or abs(m2) > j2:
+    if abs(m2 - ms2) > 2 or abs(m2) > j2:
         return 0.0
-    if m2 != ml2 + ms2:
-        return 0.0
-    two_l1 = 2 * l + 1
-    if j2 == 2 * l + 1:          # j = l + 1/2
-        if ms2 == 1:
-            return sqrt((l + 0.5 + m) / two_l1)
-        return sqrt((l + 0.5 - m) / two_l1)
-    if j2 == 2 * l - 1:          # j = l - 1/2
-        if ms2 == 1:
-            return -sqrt((l + 0.5 - m) / two_l1)
-        return sqrt((l + 0.5 + m) / two_l1)
-    raise ValueError(f"j = {j} is not l +/- 1/2 for l = {l}")
+    m = m2 / 2
+    if j2 == 3:
+        return sqrt((1.5 + m) / 3) if ms2 == 1 else sqrt((1.5 - m) / 3)
+    return -sqrt((1.5 - m) / 3) if ms2 == 1 else sqrt((1.5 + m) / 3)
 
 
 def _channel_coefficients() -> np.ndarray:
@@ -95,7 +69,7 @@ def _channel_coefficients() -> np.ndarray:
     for c, (j2, m2, ms2) in enumerate(CHANNELS):
         ml = (m2 - ms2) // 2
         coef[c, SUM_ROWS.index((j2, abs(ml)))] = (
-            clebsch_gordan(1, ml, 0.5, ms2 / 2, j2 / 2, m2 / 2) * y_coef[ml])
+            clebsch_gordan(j2, m2, ms2) * y_coef[ml])
     return coef
 
 

@@ -88,7 +88,7 @@ def buildup(pulse: Pulse, species: Species,
     pz, pperp, weights = grid_nodes(grid)
     gram = Gram(weights, 2 * pulse.n_cycles + 2)
     amplitude_profiles(pulse, species, pz, pperp, cumulative=True, consume=gram)
-    rho = gram_to_rho(gram.matrix, grid)
+    rho = gram_to_rho(gram.matrix[:, 0], grid)
 
     probe = find_saddles(pulse, species.e_bound(3),
                          (0.0, 0.0, BUILDUP_PROBE_P))
@@ -147,12 +147,16 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = []
+    cycles = None if cycles is None else list(cycles)   # read once, for all species
     for sp in species_list:
         ns = DEFAULT_SWEEP_CYCLES.get(sp.name.lower()) if cycles is None else cycles
         if ns is None:
             raise ConfigError(f"no default cycle range for species {sp.name!r}; "
                               f"give the cycle counts (--cycles)")
-        jobs.extend((sp, int(n)) for n in ns)
+        for n in ns:
+            if not float(n).is_integer():
+                raise ValueError(f"cycle counts must be integers, got {n}")
+            jobs.append((sp, int(n)))
     pulses = {}     # N -> the positions in jobs of its points
     for i, (_, n) in enumerate(jobs):
         pulses.setdefault(n, []).append(i)

@@ -13,8 +13,8 @@ construction.
 
 Every channel amplitude is a constant times one of the four saddle sums of
 ``amplitude_profiles``, so the node sum is taken once, into their weighted
-4x4 Gram matrix per build-up partial sum (``Gram``, a consumer of
-``amplitude_profiles``, so no sums array of the whole grid is held), and
+4x4 Gram matrix per species and build-up partial sum (``Gram``, a consumer
+of ``amplitude_profiles``, so no sums array of the whole grid is held), and
 ``gram_to_rho`` maps Gram matrices to density matrices.
 
 The radial quadrature is Gauss-Legendre in p on [0, sqrt(2 E_max)] with the
@@ -230,36 +230,36 @@ def _selection(grid: MomentumGrid) -> np.ndarray:
 
 
 class Gram:
-    """Weighted Gram matrices G_ab = sum_nodes w conj(s_a) s_b of the saddle
-    sums of ``species`` species (4 per species), one per partial sum, added
+    """Weighted Gram matrices G_ab = sum_nodes w conj(s_a) s_b of the 4
+    saddle sums of each of ``species`` species, one per partial sum, added
     up block by block: a consumer for ``amplitude_profiles``.  ``matrix``
-    has shape (partial_sums, 4 species, 4 species); each species' 4x4
-    diagonal block is its Gram matrix."""
+    has shape (partial_sums, species, 4, 4)."""
 
     def __init__(self, weights: np.ndarray, partial_sums: int = 1,
                  species: int = 1):
         self.weights = np.ravel(weights)
-        rows = len(SUM_ROWS) * species
-        self.matrix = np.zeros((partial_sums, rows, rows), dtype=complex)
+        self.matrix = np.zeros((partial_sums, species) + (len(SUM_ROWS),) * 2,
+                               dtype=complex)
 
     def __call__(self, nodes, rows) -> None:
         """Add the sums ``rows`` (shape (4S, n) or (4S, n, K)) of the flat
         nodes ``nodes`` (a slice or an index array)."""
         w = self.weights[nodes]
-        s = rows.reshape(rows.shape[0], rows.shape[1], -1)   # (4S, n, K)
-        # one partial sum at a time: no temporary of the block's size
+        s = rows.reshape(self.matrix.shape[1:3] + (rows.shape[1], -1))
+        # one partial sum at a time (no temporary of the block's size), and
+        # one product per species: a species' bits do not depend on the others
         for k, gram in enumerate(self.matrix):
-            gram += (s[..., k].conj() * w) @ s[..., k].T
+            gram += (s[..., k].conj() * w) @ s[..., k].swapaxes(1, 2)
 
 
 def gram_to_rho(gram: np.ndarray, grid: MomentumGrid) -> np.ndarray:
-    """The (K, 6, 6) density matrices of (K, 4, 4) Gram matrices: the
-    channel products C G C^T (C = CHANNEL_COEF, real), the m_s / phi
-    selection factor, and the sum of channels into (j, m) states."""
+    """The (..., 6, 6) density matrices of a (..., 4, 4) stack of Gram
+    matrices: the channel products C G C^T (C = CHANNEL_COEF, real), the
+    m_s / phi selection factor, and the sum of channels into (j, m) states."""
     products = _selection(grid) * (CHANNEL_COEF @ gram @ CHANNEL_COEF.T)
-    rho = np.zeros((products.shape[0], len(STATES), len(STATES)), dtype=complex)
-    np.add.at(rho, (slice(None), _CHANNEL_STATE[:, None],
-                    _CHANNEL_STATE[None, :]), products)
+    rho = np.zeros(products.shape[:-2] + (len(STATES),) * 2, dtype=complex)
+    np.add.at(rho, (..., _CHANNEL_STATE[:, None], _CHANNEL_STATE[None, :]),
+              products)
     return rho
 
 
@@ -276,8 +276,6 @@ def build_density_matrix(pulse: Pulse, species, grid: MomentumGrid = None):
     gram = Gram(weights, species=len(group))
     amplitude_profiles(pulse, group, pz, pperp, consume=gram)
     rhos = []
-    for k in range(0, gram.matrix.shape[-1], len(SUM_ROWS)):
-        own = slice(k, k + len(SUM_ROWS))   # the species' diagonal block
-        rhos.append(warn_if_saturated(
-            DensityMatrix(gram_to_rho(gram.matrix[:, own, own], grid)[0])))
+    for matrix in gram_to_rho(gram.matrix[0], grid):
+        rhos.append(warn_if_saturated(DensityMatrix(matrix)))
     return rhos[0] if one else tuple(rhos)

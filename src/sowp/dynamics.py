@@ -34,11 +34,8 @@ def evolve_density(rho: DensityMatrix, species: Species, t_fs: float) -> Density
     by exp(i omega_b t); diagonals are unchanged."""
     t_au = units.fs_to_au(t_fs)
     # atomic energies: E(j=3/2) = 0, E(j=1/2) = omega_b
-    energy = {3: 0.0, 1: species.omega_b}
-    phase = np.empty((len(STATES), len(STATES)), dtype=complex)
-    for a, (j2p, _) in enumerate(STATES):
-        for b, (j2, _) in enumerate(STATES):
-            phase[a, b] = np.exp(1j * (energy[j2] - energy[j2p]) * t_au)
+    e = np.array([0.0 if j2 == 3 else species.omega_b for j2, _ in STATES])
+    phase = np.exp(1j * (e[None, :] - e[:, None]) * t_au)
     return DensityMatrix(rho.matrix * phase)
 
 
@@ -58,7 +55,7 @@ def pure_state_limit() -> DensityMatrix:
     sum_j C(1 0, 1/2 m_s | j m_s) |j m_s>, and the two spins mix with
     weight 1/2 (total trace 1)."""
     # row per m_s = +1/2, -1/2: the atom's state over STATES
-    psi = np.array([[clebsch_gordan(1, 0, 0.5, ms2 / 2, j2 / 2, m2 / 2)
+    psi = np.array([[clebsch_gordan(j2, m2, ms2) if m2 == ms2 else 0.0
                      for j2, m2 in STATES] for ms2 in (1, -1)])
     return DensityMatrix((0.5 * psi.T @ psi).astype(complex))
 

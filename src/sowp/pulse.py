@@ -137,7 +137,7 @@ class Pulse:
         F0 = sqrt(I/I_atomic)."""
         omega = units.wavelength_to_omega(wavelength_nm)
         f0 = units.intensity_to_field(intensity_wcm2)
-        return cls(omega=omega, n_cycles=int(n_cycles), a0=f0 / omega)
+        return cls(omega=omega, n_cycles=n_cycles, a0=f0 / omega)
 
     @property
     def f0(self) -> float:

@@ -390,12 +390,15 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
                               for a in (seeds, scratch, mag)])
         fields = _newton(pulse, e_bound[..., None], seeds, bpz, bpp2, work=work)
         checks = _checked(pulse, fields, work)
-        if checks is not None:  # re-seed, in buffers of their own, each at its own energy
+        if checks is not None:  # re-seed, in buffers of their own, each channel
+            # alone: its Newton stop reads no other channel's roots
             failed = np.logical_or.reduce(checks[1])
-            again = _solve_points(pulse, *(np.broadcast_to(a, failed.shape)[failed]
-                                           for a in (e_bound, bpz[:, 0], bpp2[:, 0])))
-            for field, new in zip(fields, again):
-                field[failed] = new
+            for c in np.ndindex(ch):
+                if failed[c].any():
+                    again = _solve_points(pulse, e_bound[c], bpz[failed[c], 0],
+                                          bpp2[failed[c], 0])
+                    for field, new in zip(fields, again):
+                        field[c][failed[c]] = new
             checks = _checked(pulse, fields, work)     # the block gated again
         # the last rows: those kept still read, moved to the front, then the
         # block's; before finish, whose consumer may overwrite the block's t

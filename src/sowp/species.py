@@ -114,14 +114,15 @@ def parse_key_values(lines, schema, error, source) -> dict:
 
 def load_species(path) -> list[Species]:
     """Parse a species data file into validated Species records, one per
-    run of lines with content; every Species field is required."""
+    run of non-blank lines with content (comment lines may sit inside a
+    record); every Species field is required."""
     source = f"species file {path}"
     numbered = numbered_lines(path, SpeciesFileError, source)
     out = []
-    for has_content, record in groupby(numbered, key=lambda nl: bool(_content(nl[1]))):
-        if not has_content:
+    for _, lines in groupby(numbered, key=lambda nl: bool(nl[1].strip())):
+        record = [nl for nl in lines if _content(nl[1])]
+        if not record:      # blank lines, or comments alone
             continue
-        record = list(record)
         values = parse_key_values(record, _FIELDS, SpeciesFileError, source)
         missing = [name for name in _FIELDS if name not in values]
         if missing:

@@ -19,11 +19,19 @@ from math import pi
 import numpy as np
 
 from sowp.amplitude import (CHANNEL_COEF, CHANNELS, STATES, Y10_COEF,
-                            Y11_COEF, doubled, clebsch_gordan)
+                            Y11_COEF, clebsch_gordan)
 from sowp.errors import DegenerateSaddleError
 from sowp.pulse import Pulse
 from sowp.saddle import _action_terms, find_saddles
 from sowp.species import Species
+
+
+def doubled(x, name) -> int:
+    """2x for a half-integer label x; ValueError naming ``name`` otherwise."""
+    d = round(2 * x)
+    if abs(2 * x - d) > 1e-12:
+        raise ValueError(f"{name} = {x} is not a half-integer")
+    return int(d)
 
 
 def channel_amplitudes(sums) -> dict:
@@ -75,7 +83,7 @@ def detachment_amplitude(pulse: Pulse, species: Species, j, m, m_s, p,
     ml2 = m2 - ms2
     if abs(ml2) > 2:
         return 0.0 + 0.0j
-    cg = clebsch_gordan(1, ml2 / 2, 0.5, m_s, j, m)
+    cg = clebsch_gordan(j2, m2, ms2)
     if cg == 0.0:
         return 0.0 + 0.0j
     kappa = species.kappa(j2)

@@ -358,6 +358,26 @@ class TestCoherenceSweep:
         with pytest.raises(ValueError):
             coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=0)
 
+    @pytest.mark.parametrize("cycles", [[2, 8.7], [np.nan]])
+    def test_fractional_cycles_rejected(self, species_f, monkeypatch, cycles):
+        # before any pulse runs
+        monkeypatch.setattr(analysis, "_sweep_pulse", None)
+        with pytest.raises(ValueError, match="cycle counts must be integers"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=cycles)
+
+    def test_cycles_iterator_serves_every_species(self, species_f, species_cl,
+                                                  monkeypatch):
+        # a one-shot iterator is read once, for every species; the pulses
+        # are listed, not solved
+        def listed(species, wavelength_nm, intensity_wcm2, n_cycles, grid):
+            return [SweepPoint(sp.name, n_cycles, 1.0, 1.0, 0.5, 0.1)
+                    for sp in species]
+        monkeypatch.setattr(analysis, "_sweep_pulse", listed)
+        points, _ = coherence_sweep([species_f, species_cl], 1800.0, 1.3e13,
+                                    cycles=iter([2, 3]))
+        assert [(p.species, p.n_cycles) for p in points] == [
+            ("F", 2), ("F", 3), ("Cl", 2), ("Cl", 3)]
+
     def test_default_cycles_mapping(self, species_f):
         with pytest.raises(ConfigError, match="Xq"):
             from sowp.species import Species

@@ -465,6 +465,23 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, args, conf):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("args, code, stream, text", [
+    (["--version"], 0, "out", f"sowp {sowp.__version__}"),
+    (["predict", "--ratio", "0.5", "--bogus"], 1, "err",
+     "unrecognized arguments: --bogus"),
+    (["predict", "--ratio", "0.5", "--out-dir", "{tmp}/file/out"], 3, "err",
+     "I/O error"),
+    (["fit", "--sweep-csv", "{tmp}/missing.csv", "--out-dir", "{tmp}/out"], 3,
+     "err", "I/O error"),
+], ids=["version", "unknown-flag", "out-dir-below-a-file", "missing-sweep-csv"])
+def test_documented_exit_codes(tmp_path, capsys, args, code, stream, text):
+    # argparse's own exits map to 0 and 1, an OSError anywhere to 3
+    (tmp_path / "file").write_text("")
+    assert run_cli(*(a.format(tmp=tmp_path) for a in args)) == code
+    assert text in getattr(capsys.readouterr(), stream)
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config-file"])
 def test_unknown_phi_mode_is_config_error(tmp_path, capsys, source):
     args = ["single", "--species", "f", *FAST_GRID]

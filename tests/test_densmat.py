@@ -13,7 +13,7 @@ import pytest
 import sowp
 from scalar_oracle import channel_amplitudes, density_matrix_loop
 from sowp import amplitude, saddle
-from sowp.amplitude import STATES, amplitude_profiles
+from sowp.amplitude import STATES, SUM_ROWS, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid, _gauss_legendre,
                           build_density_matrix, coherence_degree, family,
@@ -40,7 +40,7 @@ def streamed_rho(pulse, species, grid, cumulative=False):
     gram = Gram(weights, 2 * pulse.n_cycles + 2 if cumulative else 1)
     amplitude_profiles(pulse, species, pz, pperp, cumulative=cumulative,
                        consume=gram)
-    return gram_to_rho(gram.matrix, grid)
+    return gram_to_rho(gram.matrix[:, 0], grid)
 
 
 class TestMomentumGrid:
@@ -214,7 +214,7 @@ class TestStreamedGram:
             sums = amplitude_profiles(pulse, species_f, pz, pperp, cumulative)
             gram = Gram(weights, sums.shape[-1] if cumulative else 1)
             gram(slice(None), sums.reshape(sums.shape[0], pz.size, -1))
-            held.append(gram_to_rho(gram.matrix, grid))
+            held.append(gram_to_rho(gram.matrix[:, 0], grid))
         (held,), stack = held
 
         np.testing.assert_allclose(
@@ -244,7 +244,7 @@ class TestStreamedGram:
         gram = Gram(weights, 2 * n_cycles + 2 if cumulative else 1)
         amplitude_profiles(pulse, species_f, pz.ravel(), pperp.ravel(),
                            cumulative=cumulative, consume=gram)
-        points = gram_to_rho(gram.matrix, grid)
+        points = gram_to_rho(gram.matrix[:, 0], grid)
         lines = streamed_rho(pulse, species_f, grid, cumulative)
         np.testing.assert_allclose(points, lines, rtol=0,
                                    atol=1e-12 * np.abs(lines).max())
@@ -334,6 +334,56 @@ class TestSpeciesPasses:
         assert len(grouped) == len(group)
         for got, want in zip(grouped, alone):
             np.testing.assert_array_equal(got.matrix, want.matrix)
+
+    def test_grouped_equals_per_species_after_reseeding(
+            self, monkeypatch, species_f, species_cl, species_br):
+        # at 400 nm, 1e11 W/cm^2 and N = 18 on an 18 x 10 grid, nodes of all
+        # six channels of the shared pass fail a contract and are re-seeded;
+        # each channel's re-seeded roots are polished with their own Newton
+        # stop, as they are alone
+        pulse = Pulse.from_lab(400.0, 18, 1e11)
+        grid = MomentumGrid.build(pulse.omega, n_energy=18, n_theta=10)
+        group = (species_br, species_cl, species_f)
+        reseeded, solve = [], saddle._solve_points
+
+        def recording(pulse, e_bound, *args, **kwargs):
+            reseeded.append(float(np.ravel(e_bound)[0]))
+            return solve(pulse, e_bound, *args, **kwargs)
+        monkeypatch.setattr(saddle, "_solve_points", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            grouped = build_density_matrix(pulse, group, grid)
+            channels = set(reseeded[1:])    # after the first node
+            alone = [build_density_matrix(pulse, sp, grid) for sp in group]
+        for got, want in zip(grouped, alone):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert channels == {sp.e_bound(j2) for sp in group for j2 in (3, 1)}
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_shared_gram_makes_each_species_product(self, species_f,
+                                                    species_cl, species_br,
+                                                    cumulative):
+        # one Gram fed the rows of three species, and one Gram per species
+        # fed only its rows, from the same blocks: the same bits per species
+        pulse = Pulse.from_lab(1800.0, 3, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=20, n_theta=7)
+        pz, pperp, weights = grid_nodes(grid)
+        group = (species_f, species_cl, species_br)
+        sums = 2 * pulse.n_cycles + 2 if cumulative else 1
+        shared = Gram(weights, sums, species=len(group))
+        alone = [Gram(weights, sums) for _ in group]
+        n = len(SUM_ROWS)
+
+        def consume(nodes, rows):
+            shared(nodes, rows)
+            for s, gram in enumerate(alone):
+                gram(nodes, rows[n * s:n * (s + 1)])
+        amplitude_profiles(pulse, group, pz, pperp, cumulative, consume)
+        assert shared.matrix.shape == (sums, len(group), n, n)
+        for s, gram in enumerate(alone):
+            assert shared.matrix[:, s].tobytes() == gram.matrix[:, 0].tobytes()
+            assert gram_to_rho(shared.matrix, grid)[:, s].tobytes() == (
+                gram_to_rho(gram.matrix, grid)[:, 0].tobytes())
 
     @pytest.mark.parametrize("n_cycles, names, passes", [
         (2, "F Cl Br", [6]),

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sowp.amplitude import clebsch_gordan
+from sowp import units
+from sowp.amplitude import STATES, clebsch_gordan
 from sowp.densmat import (DensityMatrix, MomentumGrid, build_density_matrix,
                           coherence_degree, family)
 from sowp.dynamics import (evolve_density, pure_state_limit,
@@ -62,12 +63,23 @@ class TestEvolveDensity:
         assert coherence_degree(out) == pytest.approx(coherence_degree(rho),
                                                       rel=1e-14)
 
+    @pytest.mark.parametrize("name", ["F", "Cl", "Br"])
+    def test_equals_the_phase_of_each_element(self, ref_rho, name):
+        # reference: one scalar exp(i (E_j - E_j') t) per element, E_3/2 = 0
+        species, rho = get_species(name), ref_rho[name]
+        energy = {3: 0.0, 1: species.omega_b}
+        for t_fs in (-7.25, 1.3, 123.456):
+            t_au = units.fs_to_au(t_fs)
+            phase = np.array([[np.exp(1j * (energy[j2] - energy[j2p]) * t_au)
+                               for j2, _ in STATES] for j2p, _ in STATES])
+            got = evolve_density(rho, species, t_fs).matrix
+            assert got.tobytes() == (rho.matrix * phase).tobytes()
+
     def test_phase_direction(self, ref_rho, species_f):
         # the (3/2, 1/2) element rotates as exp(+i omega_b t)
         rho = ref_rho["F"]
         t_fs = 3.7
         out = evolve_density(rho, species_f, t_fs)
-        from sowp import units
         expected = family(rho.matrix)[3] * np.exp(
             1j * species_f.omega_b * units.fs_to_au(t_fs))
         assert family(out.matrix)[3] == pytest.approx(expected, rel=1e-12)
@@ -155,8 +167,8 @@ class TestPureStateLimit:
 
     def test_matches_coupling_coefficients(self, pure_rho):
         # populations are the squared m_l = 0 coupling coefficients
-        c32 = clebsch_gordan(1, 0, 0.5, 0.5, 1.5, 0.5)
-        c12 = clebsch_gordan(1, 0, 0.5, 0.5, 0.5, 0.5)
+        c32 = clebsch_gordan(3, 1, 1)
+        c12 = clebsch_gordan(1, 1, 1)
         _, pop31, pop11, _ = family(pure_rho.matrix)
         scale = 2.0 / pure_rho.w
         assert scale * pop31 == pytest.approx(c32 ** 2, rel=1e-14)
@@ -194,7 +206,6 @@ class TestSignalTrace:
         assert tr.values.max() - tr.values.min() == pytest.approx(
             2 * tr.delta_s, rel=1e-7)
         # extrema sit where omega_b t + beta = n pi
-        from sowp import units
         phase = species_f.omega_b * units.fs_to_au(t[np.argmax(tr.values)]) + 0.4
         frac = phase % np.pi
         assert min(frac, np.pi - frac) < 1e-3

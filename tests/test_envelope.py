@@ -7,16 +7,19 @@ about the code, not a reason to narrow the draws."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sowp.amplitude import STATES, amplitude_profiles
 from sowp.densmat import (MomentumGrid, build_density_matrix, coherence_degree,
                           grid_nodes)
-from sowp.errors import SaturationWarning
+from sowp.errors import SaddleError, SaturationWarning
 from sowp.pulse import Pulse
+from sowp.saddle import saddle_batch
 from sowp.species import get_species
 from test_amplitude import batch_sums
 from test_dynamics import centre_coherence
+from test_saddle import assert_same_roots_modulo_period
 
 SPECIES = {name: get_species(name) for name in ("F", "Cl", "Br")}
 
@@ -30,9 +33,17 @@ SPECIES = {name: get_species(name) for name in ("F", "Cl", "Br")}
        n_theta=st.integers(3, 17))
 def test_density_matrix_invariants(name, wavelength_nm, log_intensity,
                                    n_cycles, n_energy, n_theta):
-    species = SPECIES[name]
     pulse = Pulse.from_lab(wavelength_nm, n_cycles, 10.0 ** log_intensity)
     grid = MomentumGrid.build(pulse.omega, n_energy=n_energy, n_theta=n_theta)
+    try:
+        assert_invariants(SPECIES[name], pulse, grid)
+    except SaddleError as exc:
+        pytest.fail(f"{type(exc).__name__} for {name} at {wavelength_nm!r} nm, "
+                    f"1e{log_intensity!r} W/cm^2, N = {n_cycles} on the "
+                    f"{n_energy} x {n_theta} grid: {exc}")
+
+
+def assert_invariants(species, pulse, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         rho = build_density_matrix(pulse, species, grid)
@@ -60,3 +71,20 @@ def test_density_matrix_invariants(name, wavelength_nm, log_intensity,
     want = batch_sums(pulse, species, pz, pperp, cumulative=False)
     got = amplitude_profiles(pulse, species, pz, pperp)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # independent points against the line solve at the corners and centre
+    # of the grid; a saddle on the p_z = 0 line may lie at Re t = 0 or
+    # tau_p, so that line is compared modulo tau_p
+    rows, cols = np.ix_([0, pz.shape[0] // 2, -1], [0, pz.shape[1] // 2, -1])
+    centre = pz[rows, cols] == 0
+    for j2 in (3, 1):
+        lines = saddle_batch(pulse, species.e_bound(j2), pz, pperp * pperp)
+        points = saddle_batch(pulse, species.e_bound(j2),
+                              pz[rows, cols].ravel(),
+                              pperp[rows, cols].ravel() ** 2)
+        on_lines = lines.t[rows, cols]
+        alone = points.t.reshape(on_lines.shape)
+        np.testing.assert_allclose(alone[~centre], on_lines[~centre], rtol=0,
+                                   atol=1e-10 * pulse.tau_p)
+        if centre.any():
+            assert_same_roots_modulo_period(alone[centre], on_lines[centre],
+                                            pulse.tau_p)

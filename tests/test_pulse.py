@@ -324,6 +324,14 @@ class TestValidation:
             want = find_saddles(as_int, e_bound, p)
             assert len(got) == 18 and got == want
 
+    def test_from_lab_checks_the_cycle_count(self):
+        # the count reaches __post_init__ as given: no silent truncation
+        with pytest.raises(ValueError, match="^n_cycles must be"):
+            Pulse.from_lab(1800.0, 8.7, 1.3e13)
+        for n in (8, 8.0, np.int64(8)):
+            pulse = Pulse.from_lab(1800.0, n, 1.3e13)
+            assert type(pulse.n_cycles) is int and pulse.n_cycles == 8
+
     def test_single_cycle_expansion(self):
         # N=1 drops the zero-frequency component and still matches the
         # product form

@@ -67,6 +67,26 @@ class TestParsing:
         assert [sp.name for sp in got] == ["X", "Y"]
         assert got[1].ea_ev == 2.0
 
+    def test_comment_inside_a_record(self, tmp_path):
+        # blank lines separate records; a comment line does not
+        path = tmp_path / "species.dat"
+        path.write_text("name = X\n# source\nea_ev = 1.0\n  # indented\n"
+                        "splitting_cm1 = 100.0\nb_au = 1.0\nl = 1\n")
+        assert load_species(path) == [Species("X", 1.0, 100.0, 1.0)]
+
+    def test_records_need_a_blank_line_between_them(self, tmp_path):
+        block = "name = X\nea_ev = 3.0\nsplitting_cm1 = 100.0\nb_au = 1.0\nl = 1\n"
+        path = tmp_path / "two.dat"
+        path.write_text(block + "# next\n" + block.replace("X", "Y"))
+        with pytest.raises(SpeciesFileError, match="line 7: repeated key 'name'"):
+            load_species(path)
+
+    def test_packaged_table(self):
+        assert load_species(default_species_path()) == [
+            Species("F", 3.4012, 404.10, 0.84),
+            Species("Cl", 3.6127, 882.35, 1.35),
+            Species("Br", 3.3636, 3685.24, 1.42)]
+
     def test_unbound_record_rejected(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("name = X\nea_ev = -1.0\nsplitting_cm1 = 100.0\n"
