@@ -11,7 +11,13 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
-import threading
+import contextlib
+import ctypes
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,13 +137,138 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
     return outcomes
 
 
+# the thread-count functions of OpenBLAS, by the symbol names of its builds
+_OPENBLAS_THREADS = [f"{prefix}_{{}}_num_threads{suffix}"
+                     for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_")]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Each OpenBLAS mapped into this process (as /proc/self/maps lists it)
+    on one thread inside the block, and on its own count again after it;
+    nothing changes where none is found.  Its idle threads spin, so sweep
+    processes that each keep several would take turns on the cores."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        paths = []
+    restore = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:     # not loadable by that name, e.g. deleted since
+            continue
+        name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
+        if name is not None:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            restore.append((put, get()))
+            put(1)
+    try:
+        yield
+    finally:
+        for put, threads in restore:
+            put(threads)
+
+
+def _worker(run, jobs, fd, mask):
+    """A forked sweep worker: run(job) for each of ``jobs``, then one
+    pickled list of (run(job), the warnings it showed) into the pipe
+    ``fd``; never returns (exit status 0 once the list is sent).  It is
+    forked with every signal blocked, and takes the signal mask ``mask``
+    only inside its try, so no signal handler's exception can carry it
+    back into the caller's frames."""
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        done = []
+        for job in jobs:
+            with warnings.catch_warnings(record=True) as shown:
+                result = run(job)
+            done.append((result, [(w.message, w.category, w.filename, w.lineno)
+                                  for w in shown]))
+        with os.fdopen(fd, "wb") as out:
+            pickle.dump(done, out)
+        status = 0
+    except Exception:   # say why on stderr; the caller names the lost jobs
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _dealt(run, jobs, processes: int) -> list:
+    """[run(job) for job in jobs], worked by this process and
+    ``processes`` - 1 forked workers.  Of P participants, participant p
+    takes the jobs k with k mod 2P in {p, 2P - 1 - p}, back and forth, so
+    that each gets its share of long and short jobs when they come longest
+    first; this process (p = 0) works job 0 first, and reads each worker's
+    results once its own are done.  A worker's warnings are shown again
+    here, in its job order.  RuntimeError, naming its jobs, for a worker
+    that ends without sending its results.  OpenBLAS runs on one thread in
+    every participant until the workers are reaped (_one_blas_thread)."""
+    if processes < 2 or not hasattr(os, "fork"):
+        return [run(job) for job in jobs]
+    period = 2 * processes
+    shares = [[k for k in range(len(jobs)) if p in (k % period, period - 1 - k % period)]
+              for p in range(processes)]
+    done, workers, sent, statuses = [None] * len(jobs), [], [], []
+    with _one_blas_thread():    # here, and so in each worker forked here
+        try:
+            for p in range(1, processes):
+                r, w = os.pipe()
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+                try:
+                    pid = os.fork()
+                except OSError:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _worker(run, [jobs[k] for k in shares[p]], w, mask)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(w)
+                workers.append((pid, os.fdopen(r, "rb")))
+            for k in shares[0]:
+                done[k] = run(jobs[k])
+            for _, pipe in workers:     # to its end: the worker has sent or ended
+                sent.append(pipe.read())
+        except BaseException:   # stop the workers still running
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:    # reap every worker, whatever happened
+            for pid, pipe in workers:
+                pipe.close()
+                statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for p, (status, results) in enumerate(zip(statuses, sent), 1):
+        if status != 0:
+            raise RuntimeError(f"sweep worker {p} ended with status {status} without "
+                               f"the results of N = {[jobs[k] for k in shares[p]]}")
+        for k, (result, shown) in zip(shares[p], pickle.loads(results)):
+            done[k] = result
+            for warning in shown:
+                warnings.showwarning(*warning)
+    return done
+
+
 def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
-    """One point per (species, N) on a pool of ``threads`` (>= 1) worker
-    threads, the calling one among them, one job (_sweep_pulse) per N with
-    its species in order; package errors (SowpError) are collected per
-    point, not raised; any other exception propagates once every job has
-    run, the first in job order.  Jobs are started longest pulse first.
+    """One point per (species, N), one job (_sweep_pulse) per N with its
+    species in order, longest pulse first, on this process and up to
+    ``threads`` - 1 (threads >= 1) worker processes forked once the
+    momentum grid is built (see _dealt; this process works every job
+    where os.fork does not exist).  Each worker shares the grid
+    copy-on-write and holds its own block buffers; its points, errors and
+    warnings come back pickled.  Package errors (SowpError) are collected
+    per point, not raised; any other exception is raised once every job
+    has run, the first in job order.  From Python 3.12 on os.fork warns in
+    a process that runs other threads: a caller that runs threads of its
+    own should pass threads=1.
 
     ``cycles``: iterable of N applied to every species (default: 2..18 for
     F and Cl, 2..8 for Br; ConfigError for a species with no default
@@ -166,37 +297,24 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                               **grid_kw)
     # one job per pulse, longest first, so that no long one is left to run
     # alone at the end
-    longest_first = iter(enumerate(sorted(pulses.items(), reverse=True)))
-    outcomes, raised, lock = [None] * len(jobs), [], threading.Lock()
+    longest_first = sorted(pulses, reverse=True)
 
-    def work():     # take the next job until none is left
-        while True:
-            with lock:
-                job = next(longest_first, None)
-            if job is None:
-                return
-            k, (n, positions) = job
-            try:
-                results = _sweep_pulse([jobs[i][0] for i in positions],
-                                       wavelength_nm, intensity_wcm2, n, grid)
-            except SowpError as exc:    # the job failed for all its points
-                results = [exc] * len(positions)
-            except Exception as exc:    # re-raised once every worker is done
-                raised.append((k, exc))
-                continue
-            for i, result in zip(positions, results):
-                outcomes[i] = result
+    def run(n):     # the points or SowpErrors of pulse n, or None and another error
+        try:
+            return _sweep_pulse([jobs[i][0] for i in pulses[n]], wavelength_nm,
+                                intensity_wcm2, n, grid), None
+        except SowpError as exc:    # the job failed for all its points
+            return [exc] * len(pulses[n]), None
+        except Exception as exc:    # raised once every job has run
+            return None, exc
 
-    # the calling thread works too: with one thread, no other is started
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(threads, len(pulses)) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if raised:      # the first in job order
-        raise min(raised)[1]
+    outcomes = [None] * len(jobs)
+    done = _dealt(run, longest_first, min(threads, len(longest_first)))
+    for n, (results, exc) in zip(longest_first, done):
+        if exc is not None:     # the first in job order
+            raise exc
+        for i, result in zip(pulses[n], results):
+            outcomes[i] = result
     points, failures = [], []
     for i, (sp, n) in enumerate(jobs):
         if isinstance(outcomes[i], SowpError):     # aggregate per-point failures

@@ -67,7 +67,8 @@ class RunConfig:
     n_theta: int = _option(64, _PHYSICS, "polar quadrature nodes")
     n_phi: int = _option(32, _PHYSICS, "azimuthal quadrature nodes")
     phi_mode: str = _option("analytic", _PHYSICS, "analytic or numeric")
-    threads: int = _option(1, _PHYSICS, "worker threads for sweeps")
+    threads: int = _option(1, _PHYSICS, "processes that work a sweep: this one "
+                           "and forked workers")
     sweep_csv: str = _option(None, ("fit",), "existing sweep.csv to fit "
                              "(otherwise the sweep is run first)")
     beta_rad: float = _option(0.0, ("evolve",), "probe phase offset")

@@ -117,6 +117,8 @@ class Pulse:
     # amplitudes a_r of the sinusoids at omega (1 + r/N), r in SIDEBANDS
     # order (carrier, upper, lower); the lower one is 0 for N = 1
     sidebands: tuple = field(init=False, repr=False, compare=False)
+    # a_r (1 + r/N) omega, the amplitudes of the cosines in dA/dt
+    rates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
@@ -129,6 +131,9 @@ class Pulse:
         lower = -self.a0 / 4.0 if self.n_cycles > 1 else 0.0
         object.__setattr__(self, "sidebands",
                            (self.a0 / 2.0, -self.a0 / 4.0, lower))
+        object.__setattr__(self, "rates", tuple(
+            a * (self.omega * (1.0 + r / self.n_cycles))
+            for a, r in zip(self.sidebands, SIDEBANDS)))
 
     @classmethod
     def from_lab(cls, wavelength_nm: float, n_cycles: int,
@@ -212,9 +217,7 @@ class Pulse:
 
     def vector_potential_derivative(self, t, phasors=None, out=None):
         """dA/dt = -F(t); phasors and out as for vector_potential."""
-        coef = [a * (self.omega * (1.0 + r / self.n_cycles))
-                for a, r in zip(self.sidebands, SIDEBANDS)]
-        return self._sinusoids(t, phasors, coef, np.add, 0.5, out)
+        return self._sinusoids(t, phasors, self.rates, np.add, 0.5, out)
 
     def electric_field(self, t):
         """F_z(t) = -dA/dt, analytic for complex t."""

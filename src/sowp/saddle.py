@@ -48,6 +48,7 @@ a failing node and the first contract above that it breaks, that node
 (p_z, p_perp^2), the channel energy, its roots and the count.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,7 @@ class SaddlePoint:
     prefactor: complex   # 1/sqrt(-i S'') on the principal branch
 
 
+@functools.lru_cache(maxsize=16)
 def _action_coefficients(pulse):
     """The action as a trigonometric polynomial in w t, w = omega / N:
 
@@ -87,7 +89,8 @@ def _action_coefficients(pulse):
     The p_z term integrates A, the rest (1/2) A^2: each ordered pair of
     sidebands (N + r1, N + r2) contributes (1/4) a1 a2 [sin(d w t)/(d w)
     - sin(s w t)/(s w)] with d = r1 - r2 and s = 2N + r1 + r2, or t for
-    d = 0.  Returns (lin, c, b, g) with c and g indexed by r + 1 and r + 2.
+    d = 0.  Returns (lin, c, b, g) with c and g indexed by r + 1 and r + 2,
+    as tuples: each pulse's are built once, and shared by its callers.
     """
     n = pulse.n_cycles
     w = pulse.omega / n
@@ -104,7 +107,7 @@ def _action_coefficients(pulse):
             else:
                 b[d] += 0.25 * a1 * a2 / (d * w)
             g[r1 + r2 + 2] -= 0.25 * a1 * a2 / ((2 * n + r1 + r2) * w)
-    return lin, c, b, g
+    return lin, tuple(c), tuple(b), tuple(g)
 
 
 def _action_terms(pulse, t, pz, pperp2, e_bound, phasors=None, out=None):

@@ -1,6 +1,7 @@
 """Shared fixtures: the reference pulse (1800 nm, 1.3e13 W/cm^2, 8 cycles)
 and cached density matrices, reused across the unit and acceptance suites."""
 
+import os
 import warnings
 
 import numpy as np
@@ -63,6 +64,15 @@ def ref_buildup(ref_pulse, ref_grid):
             warnings.simplefilter("ignore", SaturationWarning)
             out[name] = buildup(ref_pulse, get_species(name), ref_grid)
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test this process has no child: every process a test
+    starts, the sweep's workers included, has ended and been reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()

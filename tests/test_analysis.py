@@ -1,6 +1,8 @@
+import ctypes
 import io
-import sys
-import threading
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -204,6 +206,65 @@ class TestBuildup:
         assert len(lines) == 1 + 4 * ref_buildup["F"].t_fs.size
 
 
+def openblas_threads():
+    """The thread count of the first OpenBLAS mapped into this process, or
+    None if there is none (or no /proc/self/maps to find it by)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for lib in map(ctypes.CDLL, paths):
+        for name in analysis._OPENBLAS_THREADS:
+            if hasattr(lib, name.format("get")):
+                return getattr(lib, name.format("get"))()
+    return None
+
+
+class Journal:
+    """Lines of fields appended by any process: each append is one write to
+    a file opened with O_APPEND, so lines from several processes never
+    mix."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, *fields):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (" ".join(map(str, fields)) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def read(self):
+        """The lines appended so far, in order, each a tuple of strings."""
+        if not self.path.exists():
+            return []
+        return [tuple(line.split()) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture
+def journal(tmp_path):
+    return Journal(tmp_path / "journal")
+
+
+@pytest.fixture
+def deadline():
+    """TimeoutError in this process if the test runs past a minute."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not end within a minute")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestCoherenceSweep:
     def test_small_sweep(self, species_f):
         pts, failures = coherence_sweep([species_f], 1800.0, 1.3e13,
@@ -272,32 +333,169 @@ class TestCoherenceSweep:
             ("F", 3), ("F", 2), ("F", 5), ("Cl", 3), ("Cl", 2), ("Cl", 5)]
 
     def test_every_job_runs_once_on_more_threads_than_cores(
-            self, species_f, species_cl, monkeypatch):
-        # eight workers switching every microsecond take 200 jobs from one
-        # shared iterator: none is taken twice or lost, and the points come
-        # back in input order
-        ran, swept = [], []
-
+            self, species_f, species_cl, monkeypatch, journal, deadline):
+        # eight processes on fewer cores share out 200 jobs: none is run
+        # twice or lost, and the points come back in input order
         def recording(group, lam, intensity, n, grid):
-            ran.append(n)
+            journal.append(n)
             return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
 
         monkeypatch.setattr(analysis, "_sweep_pulse", recording)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: swept.append(coherence_sweep(
-                [species_f, species_cl], 1800.0, 1.3e13, cycles=range(1, 201),
-                threads=8, n_energy=8, n_theta=3)))
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive() and swept
-        pts, failures = swept[0]
-        assert failures == [] and sorted(ran) == list(range(1, 201))
+        pts, failures = coherence_sweep(
+            [species_f, species_cl], 1800.0, 1.3e13, cycles=range(1, 201),
+            threads=8, n_energy=8, n_theta=3)
+        assert failures == [] and sorted(int(n) for n, in journal.read()) == \
+            list(range(1, 201))
         assert [(p.species, p.n_cycles) for p in pts] == [
             (name, n) for name in ("F", "Cl") for n in range(1, 201)]
+
+    @pytest.mark.parametrize("threads, mine", [(2, [10, 7, 6, 3, 2]),
+                                               (3, [10, 5, 4])])
+    def test_caller_works_the_longest_job_first(self, species_f, monkeypatch,
+                                                journal, threads, mine):
+        # the jobs are dealt back and forth, so the calling process works
+        # job 0, the longest pulse, and then its share in job order
+        def recording(group, lam, intensity, n, grid):
+            journal.append(os.getpid(), n)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
+        coherence_sweep([species_f], 1800.0, 1.3e13, cycles=range(1, 11),
+                        threads=threads)
+        ran = journal.read()
+        assert sorted(int(n) for _, n in ran) == list(range(1, 11))
+        assert len({pid for pid, _ in ran}) == threads
+        assert [int(n) for pid, n in ran if pid == str(os.getpid())] == mine
+
+    def test_without_fork_the_caller_works_every_job(self, species_f, monkeypatch,
+                                                     journal):
+        def recording(group, lam, intensity, n, grid):
+            journal.append(os.getpid(), n)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
+        monkeypatch.delattr(os, "fork")
+        points, _ = coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
+                                    threads=2)
+        assert journal.read() == [(str(os.getpid()), n) for n in ("4", "3", "2")]
+        assert [p.n_cycles for p in points] == [2, 3, 4]
+
+    def test_processes_run_one_blas_thread(self, species_f, monkeypatch, journal):
+        # idle OpenBLAS threads spin: every sweep process keeps one, and this
+        # one gets its own count back
+        before = openblas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS in this process")
+
+        def recording(group, lam, intensity, n, grid):
+            journal.append(os.getpid(), openblas_threads())
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
+        coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4], threads=2)
+        ran = journal.read()
+        assert len({pid for pid, _ in ran}) == 2
+        assert [threads for _, threads in ran] == ["1"] * 3
+        assert openblas_threads() == before
+
+    def test_processes_keep_the_signal_mask(self, species_f, monkeypatch, journal):
+        # a worker is forked with every signal blocked and unblocks them in
+        # its try: its jobs, and this process after the fork, run with the
+        # mask this process had
+        before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+        def recording(group, lam, intensity, n, grid):
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+            journal.append(os.getpid(), ",".join(str(int(s)) for s in sorted(mask)) or "-")
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
+        coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4], threads=2)
+        want = ",".join(str(int(s)) for s in sorted(before)) or "-"
+        ran = journal.read()
+        assert len({pid for pid, _ in ran}) == 2
+        assert [mask for _, mask in ran] == [want] * 3
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+
+    def test_first_error_in_job_order_is_raised(self, species_f, monkeypatch):
+        # N = 4 (job 0, this process) and N = 3 (job 1, the worker) both
+        # raise; the job order decides, not which process finishes first
+        def broken(group, lam, intensity, n, grid):
+            if n == 3:
+                raise TypeError("N = 3")
+            time.sleep(0.2)
+            raise KeyError("N = 4")
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", broken)
+        with pytest.raises(KeyError, match="N = 4"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[3, 4], threads=2)
+
+    def test_worker_that_dies_is_named(self, species_f, monkeypatch, deadline):
+        caller = os.getpid()
+
+        def dying(group, lam, intensity, n, grid):
+            if os.getpid() != caller:
+                os._exit(1)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", dying)
+        with pytest.raises(RuntimeError, match=r"sweep worker 1 ended with status 1 "
+                           r"without the results of N = \[3, 2\]"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4], threads=2)
+
+    def test_unsendable_result_is_named(self, species_f, monkeypatch, capfd):
+        # an error that pickle cannot send back: the worker says why on
+        # stderr, and the caller names the jobs it lost
+        def unsendable(group, lam, intensity, n, grid):
+            if n == 2:
+                raise ValueError(lambda: n)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", unsendable)
+        with pytest.raises(RuntimeError, match=r"without the results of N = \[2\]"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3], threads=2)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "pickle" in err
+
+    def test_interrupt_stops_the_workers(self, species_f, monkeypatch):
+        # the caller is interrupted while it waits for a worker that would
+        # run for a minute: the worker is stopped and reaped at once
+        caller = os.getpid()
+
+        def slow_elsewhere(group, lam, intensity, n, grid):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", slow_elsewhere)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.alarm(1)
+            with pytest.raises(KeyboardInterrupt):
+                coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3],
+                                threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+
+    def test_worker_warnings_reach_the_caller(self, species_f, monkeypatch):
+        # N = 3 warns in this process, N = 2 in the worker: both reach
+        # pytest.warns, with the text and location they were raised with
+        def warning(group, lam, intensity, n, grid):
+            warnings.warn(f"N = {n}", SaturationWarning)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", warning)
+        with pytest.warns(SaturationWarning) as shown:
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3], threads=2)
+        assert sorted(str(w.message) for w in shown) == ["N = 2", "N = 3"]
+        assert len({(w.category, w.filename, w.lineno) for w in shown}) == 1
+        assert shown[0].filename == __file__
 
     def test_one_job_per_pulse(self, species_f, species_cl, monkeypatch):
         # F and Cl share one job, and so one saddle pass, at every N
@@ -316,12 +514,13 @@ class TestCoherenceSweep:
             ("F", 2), ("F", 9), ("Cl", 2), ("Cl", 9)]
 
     def test_failing_species_leaves_its_group(self, species_f, species_cl,
-                                              species_br, monkeypatch):
+                                              species_br, monkeypatch, journal):
         # every Cl j = 3/2 root is moved off its saddle by every Newton call,
         # re-seeds included: the grouped pass raises, so each species is
         # solved alone; F and Br keep their points, and Cl's error is the
-        # one it raises alone
-        kw = dict(cycles=[2], n_energy=24, n_theta=8)
+        # one it raises alone, roots and all, also when a worker process
+        # raised it (N = 2 on two processes)
+        kw = dict(cycles=[2, 3], n_energy=24, n_theta=8)
         group = [species_f, species_cl, species_br]
         good, _ = coherence_sweep(group, 1800.0, 1.3e13, **kw)
         e_cl, newton = species_cl.e_bound(3), saddle._newton
@@ -332,27 +531,36 @@ class TestCoherenceSweep:
             fields, f = saddle._evaluated(pu, e_bound, roots, pz, pp2)
             return (*fields, np.abs(f))
 
-        passes, batch = [], amplitude.saddle_batch
+        batch = amplitude.saddle_batch
 
         def counting(pulse, e_bound, *args):
-            passes.append(len(e_bound))
+            journal.append(pulse.n_cycles, len(e_bound))
             return batch(pulse, e_bound, *args)
 
         monkeypatch.setattr(saddle, "_newton", off_for_cl)
         monkeypatch.setattr(amplitude, "saddle_batch", counting)
-        points, failures = coherence_sweep(group, 1800.0, 1.3e13, **kw)
-        assert passes == [6, 2, 2, 2]
-        assert points == [good[0], good[2]]
-        [(name, n, exc)] = failures
-        assert (name, n) == ("Cl", 2)
-        pulse = Pulse.from_lab(1800.0, 2, 1.3e13)
-        grid = MomentumGrid.build(pulse.omega, n_energy=24, n_theta=8)
-        with pytest.raises(SaddleError) as alone:
-            build_density_matrix(pulse, species_cl, grid)
-        assert type(exc) is type(alone.value)
-        assert str(exc) == str(alone.value)
-        assert str(exc).startswith("saddle residual")
-        np.testing.assert_array_equal(exc.roots, alone.value.roots)
+        alone = {}
+        for n in (2, 3):
+            pulse = Pulse.from_lab(1800.0, n, 1.3e13)
+            grid = MomentumGrid.build(pulse.omega, n_energy=24, n_theta=8)
+            with pytest.raises(SaddleError) as raised:
+                build_density_matrix(pulse, species_cl, grid)
+            alone[n] = raised.value
+        journal.clear()
+        for threads in (1, 2):
+            points, failures = coherence_sweep(group, 1800.0, 1.3e13,
+                                               threads=threads, **kw)
+            passes = journal.read()
+            for n in ("2", "3"):
+                assert [int(k) for m, k in passes if m == n] == [6, 2, 2, 2]
+            journal.clear()
+            assert points == [good[0], good[1], good[4], good[5]]
+            assert [(name, n) for name, n, _ in failures] == [("Cl", 2), ("Cl", 3)]
+            for _, n, exc in failures:
+                assert type(exc) is type(alone[n])
+                assert str(exc) == str(alone[n])
+                assert str(exc).startswith("saddle residual")
+                np.testing.assert_array_equal(exc.roots, alone[n].roots)
 
     def test_no_worker_threads_rejected(self, species_f):
         with pytest.raises(ValueError):

@@ -277,13 +277,15 @@ class TestSweepAndFit:
         assert outs[0] == outs[1]
 
     def test_sweep_pool_imports_neither_executor_nor_logging(self, tmp_path):
-        # a fresh process: the two-thread pool is built on threading alone
+        # a fresh process: the two-process pool is built on os.fork and
+        # pipes alone
         argv = ["sweep", "--species", "f", "--cycles", "2..3", *FAST_GRID,
                 "--threads", "2", "--out-dir", str(tmp_path)]
         code = ("import sys\n"
                 "from sowp.cli import main\n"
                 f"rc = main({argv!r})\n"
-                "print(rc, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+                "print(rc, sorted({'concurrent.futures', 'logging', 'multiprocessing'}\n"
+                "                & set(sys.modules)))\n")
         src = os.path.dirname(os.path.dirname(sowp.__file__))
         out = subprocess.run([sys.executable, "-c", code],
                              env={**os.environ, "PYTHONPATH": src}, check=True,
