@@ -18,7 +18,9 @@ under --out-dir.  Exit codes: 0 success, 1 configuration error,
 """
 
 import argparse
+import atexit
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -27,9 +29,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from sowp import __version__
-from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, buildup,
-                           coherence_sweep, gaussian_fit, invert_g, predict_g,
-                           read_sweep_csv, write_fit_csv, write_sweep_csv)
+from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, _one_blas_thread,
+                           buildup, coherence_sweep, gaussian_fit, invert_g,
+                           predict_g, read_sweep_csv, write_fit_csv,
+                           write_sweep_csv)
 from sowp.densmat import MomentumGrid, build_density_matrix, coherence_degree
 from sowp.dynamics import signal_parameters, signal_trace
 from sowp.errors import ConfigError, NumericalError, SowpError
@@ -339,15 +342,30 @@ COMMANDS = {"single": ("density matrix and coherence for one pulse", _one_pulse)
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the exit status."""
+    """Execute a validated config; returns the exit status.  A command that
+    runs pulses runs on one OpenBLAS thread (_one_blas_thread)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    summary, status = COMMANDS[cfg.command][1](cfg)
+    with _one_blas_thread() if cfg.command in _PHYSICS else contextlib.nullcontext():
+        summary, status = COMMANDS[cfg.command][1](cfg)
     lines = [f"sowp {__version__} command={cfg.command}"] + summary
     _write(cfg, "summary.txt", lambda fh: fh.write("\n".join(lines) + "\n"))
     return status
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv`` (default sys.argv[1:]); returns the exit
+    status.
+
+    It first registers gc.freeze as an exit handler, once however often it
+    is called, so that the collector skips every object still alive when
+    the interpreter exits.  Python's finalization would otherwise run full
+    cyclic collections over the many objects that numpy's import leaves
+    behind, which costs a short command a large share of its time.  Exit
+    handlers, stream flushes and module teardown still run.  The handler is
+    registered here rather than at import, so library use of sowp keeps
+    Python's default exit."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return run(parse_config(argv))

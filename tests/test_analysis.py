@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sowp.analysis as analysis
-from sowp import amplitude, saddle
+from sowp import amplitude, cli, saddle
 from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
@@ -380,9 +380,11 @@ class TestCoherenceSweep:
         assert journal.read() == [(str(os.getpid()), n) for n in ("4", "3", "2")]
         assert [p.n_cycles for p in points] == [2, 3, 4]
 
-    def test_processes_run_one_blas_thread(self, species_f, monkeypatch, journal):
+    def test_processes_run_one_blas_thread(self, species_f, monkeypatch, journal,
+                                           tmp_path):
         # idle OpenBLAS threads spin: every sweep process keeps one, and this
-        # one gets its own count back
+        # one gets its own count back; the CLI keeps one for every command
+        # that runs pulses, a sweep on one process too
         before = openblas_threads()
         if before is None:
             pytest.skip("no OpenBLAS in this process")
@@ -396,6 +398,11 @@ class TestCoherenceSweep:
         ran = journal.read()
         assert len({pid for pid, _ in ran}) == 2
         assert [threads for _, threads in ran] == ["1"] * 3
+        assert openblas_threads() == before
+        journal.clear()
+        assert cli.main(["sweep", "--species", "f", "--cycles", "2..3",
+                         "--threads", "1", "--out-dir", str(tmp_path / "out")]) == 0
+        assert journal.read() == [(str(os.getpid()), "1")] * 2
         assert openblas_threads() == before
 
     def test_processes_keep_the_signal_mask(self, species_f, monkeypatch, journal):

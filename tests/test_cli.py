@@ -25,6 +25,13 @@ def run_cli(*args):
     return main(list(args))
 
 
+def fresh_python(*args):
+    """``python args`` in a fresh interpreter that imports this sowp."""
+    src = os.path.dirname(os.path.dirname(sowp.__file__))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
 class TestParseConfig:
     def test_defaults_are_reference_pulse(self):
         cfg = parse_config(["single", "--species", "cl"])
@@ -286,11 +293,9 @@ class TestSweepAndFit:
                 f"rc = main({argv!r})\n"
                 "print(rc, sorted({'concurrent.futures', 'logging', 'multiprocessing'}\n"
                 "                & set(sys.modules)))\n")
-        src = os.path.dirname(os.path.dirname(sowp.__file__))
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={**os.environ, "PYTHONPATH": src}, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == "0 []\n"
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
 
     def test_companion_species_do_not_change_bytes(self, tmp_path):
         # on 32 solved lines N = 3 fills a row block's root budget, so this
@@ -580,11 +585,8 @@ FROZEN_SUMMARY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(FROZEN_SUMMARY_RUNS))
-def test_summary_matches_frozen_copy(tmp_path, capsys, run):
-    frozen, args = FROZEN_SUMMARY_RUNS[run]
-    out = tmp_path / run
-    assert run_cli(*args, "--out-dir", str(out)) == 0
+def assert_frozen(out, frozen):
+    """summary.txt and the CSVs under ``out`` equal the frozen copies."""
     assert ((out / "summary.txt").read_bytes()
             == (SUMMARIES / f"{frozen}.txt").read_bytes())
     csvs = sorted(path.name for path in out.glob("*.csv"))
@@ -592,3 +594,39 @@ def test_summary_matches_frozen_copy(tmp_path, capsys, run):
     for name in csvs:
         assert ((out / name).read_bytes()
                 == (FROZEN_CSV / frozen / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_SUMMARY_RUNS))
+def test_summary_matches_frozen_copy(tmp_path, capsys, run):
+    frozen, args = FROZEN_SUMMARY_RUNS[run]
+    out = tmp_path / run
+    assert run_cli(*args, "--out-dir", str(out)) == 0
+    assert_frozen(out, frozen)
+
+
+def test_exited_process_leaves_the_frozen_files(tmp_path):
+    # main freezes the collector at exit: the files of a process that has
+    # exited are still whole
+    proc = fresh_python("-m", "sowp.cli", "single", "--species", "f", *FAST_GRID,
+                        "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert_frozen(tmp_path, "single")
+
+
+def test_exit_hook_registered_by_main_once(tmp_path):
+    # importing adds no exit handler; main registers gc.freeze, and it runs
+    # once at exit however often main ran (atexit._ncallbacks alone cannot
+    # show this: it keeps counting the slots that unregister empties)
+    argv = ["predict", "--ratio", "0.5", "--out-dir", str(tmp_path)]
+    code = ("import atexit, gc\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: print('freeze') or freeze()\n"
+            "before = atexit._ncallbacks()\n"
+            "from sowp.cli import main\n"
+            "print('import adds', atexit._ncallbacks() - before)\n"
+            f"assert main({argv!r}) == main({argv!r}) == 0\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import adds 0"
+    assert lines[-1] == "freeze" and lines.count("freeze") == 1
