@@ -303,8 +303,6 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
         try:
             return _sweep_pulse([jobs[i][0] for i in pulses[n]], wavelength_nm,
                                 intensity_wcm2, n, grid), None
-        except SowpError as exc:    # the job failed for all its points
-            return [exc] * len(pulses[n]), None
         except Exception as exc:    # raised once every job has run
             return None, exc
 

@@ -355,15 +355,15 @@ def _predicted_seeds(prev, s_prev, x, bound, out):
     return pred
 
 
-def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
+def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, work):
     """Continue the roots along every line of 2-D points (as the README
     algorithm note tells) for the energies e_bound, shape (1,) or (C, 1)
-    for C channels, ``block`` rows per Newton call from row 3 on, calling
-    finish(nodes, points, fields, checks) per row block with the slice of
-    its nodes in the flattened pz, their (p_z, p_perp^2), each of shape
-    (nodes, 1), the fields of _newton (in the buffers ``work`` of
-    _workspace, which the next block reuses) and their _checked.  Only the
-    rows the predictor reads are kept."""
+    for C channels, ``block`` rows per Newton call from row 3 on, yielding
+    (nodes, points, fields, checks) per row block: the slice of its nodes
+    in the flattened pz, their (p_z, p_perp^2), each of shape (nodes, 1),
+    the fields of _newton (in the buffers ``work`` of _workspace, which the
+    next block reuses) and their _checked.  Only the rows the predictor
+    reads are kept."""
     n_path, n_lines = pz.shape
     deg = 2 * pulse.n_cycles + 2
     ch = e_bound.shape[:-1]     # () or (C,): the leading axis of every block
@@ -404,7 +404,7 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
                         field[c][failed[c]] = new
             checks = _checked(pulse, fields, work)     # the block gated again
         # the last rows: those kept still read, moved to the front, then the
-        # block's; before finish, whose consumer may overwrite the block's t
+        # block's; before the yield, as a consumer may overwrite the block's t
         held = min(kept + k, PREDICTOR_ROWS)
         old = max(0, held - k)
         if kept > old:  # row by row per channel: overlapping rows would be
@@ -413,7 +413,7 @@ def _continue_lines(pulse: Pulse, e_bound, pz, pperp2, block, finish, work):
                     window[c + (i,)] = window[c + (kept - old + i,)]
         window[..., old:held, :, :] = fields[0].reshape(
             ch + (k, n_lines, deg))[..., k - (held - old):, :, :]
-        finish(slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks)
+        yield slice(r * n_lines, (r + k) * n_lines), (bpz, bpp2), fields, checks
         kept, r = held, r + k
 
 
@@ -477,65 +477,67 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                 getattr(batch, name).reshape(energy.shape + (-1, deg))[
                     ..., nodes, :] = getattr(block, name)
 
-    def placed(nodes):
-        """The grid's flat nodes of the solved flat nodes ``nodes``, and the
-        grid nodes each stands for: itself, and its unsolved mirror image."""
-        if solved == n_lines:
-            return nodes, 1
-        row, line = np.divmod(np.arange(nodes.start, nodes.stop), solved)
-        return row * n_lines + line, 1 + (line < n_lines - solved)
-
-    # per channel and contract: the value, p_z, p_perp^2 and roots of its
-    # first failing node, and the number of its failing grid nodes
-    failing = [{} for _ in e]
+    if pz.ndim == 1:    # one block of all points
+        fields = _solve_points(pulse, e, pz, pperp2, work)
+        blocks = [(slice(None), (pz[:, None], pperp2[:, None]), fields,
+                   _checked(pulse, fields, work))]
+    else:
+        blocks = _continue_lines(pulse, e, pz, pperp2, block, work)
+    # per (channel, contract): the number of failing grid nodes, and the
+    # value, p_z, p_perp^2 and roots of the first
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
-
-    def finish(nodes, points, fields, checks):
-        """Evaluate a block and hand it to the consumer, unless it or an
-        earlier block broke a contract; note the failing nodes of a block
-        that breaks one (``checks``, or |S''| over the whole block)."""
+    first = {}
+    for nodes, points, fields, checks in blocks:
+        # evaluate the block, and hand it to the consumer unless it or an
+        # earlier block broke a contract
         tb, *phasors, vz, residual = fields
         # the action, then S'', into the slots Newton leaves free (S', step
         # and scratch); the prefactor into the u, z and 1/u slots, free once
         # S'' is built: by slot, as at N = 1 the phasor u is z's slot
         (_, pre, p1, p2, _, _, act, s2, x1, x2), (_, mag) = _views(work, tb.shape)
-        ready = checks is None and not any(failing)
+        ready = checks is None and not first
         if ready:
             act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
                                 out=(act, s2, x1, x2))
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, x1, x2)), out=s2)
         s2_abs = np.abs(s2, out=mag)
-        index, copies = placed(nodes)
+        # the block's flat nodes in the grid, and the grid nodes each
+        # stands for: itself, and its unsolved mirror image
+        index, copies = nodes, 1
+        if solved != n_lines:
+            row, line = np.divmod(np.arange(nodes.start, nodes.stop), solved)
+            index, copies = row * n_lines + line, 1 + (line < n_lines - solved)
         if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
+            # a block that breaks a contract (``checks``, or |S''| over the
+            # whole block): its values and failures by (channel, contract, node)
             low = s2_abs.min(axis=-1)   # before _node_checks reuses mag
             values, bad = checks or _node_checks(pulse, fields, work)
-            for kind, (fails, value) in enumerate(zip(
-                    bad + [~(low >= DEGENERATE_S2_TOL)], [*values, low])):
-                if not fails.any():
-                    continue
-                for fail, count, mask, value_c, roots in zip(
-                        failing, counts, fails.reshape(e.size, -1),
-                        value.reshape(e.size, -1), tb.reshape(e.size, -1, deg)):
-                    if mask.any():
-                        count[kind] += np.broadcast_to(copies, mask.shape)[mask].sum()
-                        if kind not in fail:
-                            i = int(np.argmax(mask))
-                            fail[kind] = (value_c[i], points[0][i, 0], points[1][i, 0],
-                                          roots[i].copy())
-        if ready and not any(failing):
+            shape = (e.size, -1, tb.shape[-2])
+            value = np.stack([*values, low], axis=-2).reshape(shape)
+            fails = np.stack([*bad, ~(low >= DEGENERATE_S2_TOL)], axis=-2).reshape(shape)
+            counts += (fails * copies).sum(axis=-1)
+            at, roots = fails.argmax(axis=-1), tb.reshape(e.size, -1, deg)
+            for c, kind in zip(*np.nonzero(fails.any(axis=-1))):
+                i = at[c, kind]
+                first.setdefault((c, kind), (value[c, kind, i], points[0][i, 0],
+                                             points[1][i, 0], roots[c, i].copy()))
+        if ready and not first:
             prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (p1, p2))
             consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
-
-    if pz.ndim == 1:
-        fields = _solve_points(pulse, e, pz, pperp2, work)
-        finish(slice(None), (pz[:, None], pperp2[:, None]), fields,
-               _checked(pulse, fields, work))
-    else:
-        _continue_lines(pulse, e, pz, pperp2, block, finish, work)
-    for fail, count, e_c in zip(failing, counts, e.ravel()):
-        if fail:    # name the first failing node of the channel's batch
-            _raise_first_failure(pulse, e_c, fail, count, total)
+    if first:   # name the first failing channel's node of its first contract
+        c, kind = min(first)
+        value, p, q, roots = first[c, kind]
+        node = f"at p_z = {p:.6g}, p_perp^2 = {q:.6g}, e_bound = {e.ravel()[c]:.8g}"
+        if kind < len(_CONTRACT_MESSAGES):
+            message = _CONTRACT_MESSAGES[kind].format(
+                value, residual_tol=RESIDUAL_TOL, distinct_tol=DISTINCT_TOL,
+                tau_p=pulse.tau_p)
+            raise SaddleError(f"{message} {node} ({counts[c, kind]} of {total} points)",
+                              roots=roots)
+        raise DegenerateSaddleError(
+            f"|S''| = {value:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
+            f"saddles {node}", roots=roots)
     return batch
 
 
@@ -543,7 +545,8 @@ def _gaps(t, work):
     """|t_{k+1} - t_k| of neighbouring roots t, sorted by Re t along the
     last axis, and +inf in the last column, written into the last complex
     and the float scratch slots of the buffers ``work`` of _workspace of
-    t's block, which Newton leaves free and finish does not hold."""
+    t's block, which Newton leaves free and the block loop of saddle_batch
+    does not hold."""
     flat, n = t.reshape(-1), t.size
     diff, gap = work[0][-1].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
     # neighbours in flat order: on contiguous operands numpy needs no
@@ -598,27 +601,6 @@ _CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report 
     "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}",
     "saddle pair separated by {:.3e} < {distinct_tol}",
 )
-
-
-def _node(pz, pperp2, e_bound) -> str:
-    return f"at p_z = {pz:.6g}, p_perp^2 = {pperp2:.6g}, e_bound = {e_bound:.8g}"
-
-
-def _raise_first_failure(pulse, e_bound, failing, counts, total):
-    """Raise for the first contract in ``failing`` (by contract: the value,
-    p_z, p_perp^2 and roots of its first failing node; |S''| last), with
-    counts[contract] of ``total`` grid nodes failing it."""
-    kind = min(failing)
-    value, pz, pperp2, roots = failing[kind]
-    if kind < len(_CONTRACT_MESSAGES):
-        message = _CONTRACT_MESSAGES[kind].format(
-            value, residual_tol=RESIDUAL_TOL, distinct_tol=DISTINCT_TOL,
-            tau_p=pulse.tau_p)
-        raise SaddleError(f"{message} {_node(pz, pperp2, e_bound)} "
-                          f"({counts[kind]} of {total} points)", roots=roots)
-    raise DegenerateSaddleError(
-        f"|S''| = {value:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
-        f"saddles {_node(pz, pperp2, e_bound)}", roots=roots)
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

@@ -288,14 +288,14 @@ class TestCoherenceSweep:
             assert (a.g, a.w) == (b.g, b.w)
 
     def test_failures_collected(self, species_f, monkeypatch):
-        real = analysis._sweep_pulse
+        real = analysis.build_density_matrix
 
-        def flaky(group, lam, intensity, n, grid):
-            if n == 3:
+        def flaky(pulse, species, grid):
+            if pulse.n_cycles == 3:
                 raise NumericalError("forced")
-            return real(group, lam, intensity, n, grid)
+            return real(pulse, species, grid)
 
-        monkeypatch.setattr(analysis, "_sweep_pulse", flaky)
+        monkeypatch.setattr(analysis, "build_density_matrix", flaky)
         pts, failures = coherence_sweep([species_f], 1800.0, 1.3e13,
                                         cycles=[2, 3, 4], n_energy=48,
                                         n_theta=16)

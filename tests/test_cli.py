@@ -209,6 +209,9 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--n-samples", "-5"), ("--n-samples", "0"),
         ("--t-max-fs", "-3"), ("--t-max-fs", "0"),
+        # after FAST_GRID, so these win over its grid flags
+        ("--n-energy", "1"), ("--n-theta", "1"), ("--n-phi", "1"),
+        ("--cycles", "0"),
     ])
     def test_bad_trace_arguments_rejected(self, tmp_path, capsys, flag, value):
         # rejected before any matrix is computed
@@ -216,7 +219,9 @@ class TestEvolveCommand:
         rc = run_cli("evolve", "--species", "f", *FAST_GRID, "--out-dir",
                      str(out), flag, value)
         assert rc == 1
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert flag[2:].replace("-", "_") in err     # the problem names the flag
         assert not (out / "densmat.csv").exists()
 
 
@@ -313,8 +318,8 @@ class TestSweepAndFit:
         assert rows[0] == rows[1]
 
     def test_sweep_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(group, lam, intensity, n, grid):
-            raise NumericalError("forced failure")
+        def boom(group, lam, intensity, n, grid):   # every point fails
+            return [NumericalError("forced failure") for _ in group]
 
         monkeypatch.setattr(analysis, "_sweep_pulse", boom)
         out = tmp_path / "fail"
@@ -325,8 +330,8 @@ class TestSweepAndFit:
         assert (out / "summary.txt").read_text().count("FAILED") == 2
 
     def test_failures_listed_in_job_order(self, tmp_path, monkeypatch):
-        def boom(group, lam, intensity, n, grid):
-            raise NumericalError("forced failure")
+        def boom(group, lam, intensity, n, grid):   # every point fails
+            return [NumericalError("forced failure") for _ in group]
 
         monkeypatch.setattr(analysis, "_sweep_pulse", boom)
         out = tmp_path / "fail"
@@ -343,7 +348,7 @@ class TestSweepAndFit:
         # three cycles asked for, one lost: the sweep failed, not the input
         def fail_at_3(group, lam, intensity, n, grid):
             if n == 3:
-                raise NumericalError("forced failure")
+                return [NumericalError("forced failure") for _ in group]
             return _law_points(group, lam, intensity, n, grid)
 
         monkeypatch.setattr(analysis, "_sweep_pulse", fail_at_3)

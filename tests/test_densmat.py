@@ -19,8 +19,8 @@ from sowp.densmat import (DensityMatrix, Gram, MomentumGrid, _gauss_legendre,
                           build_density_matrix, coherence_degree, family,
                           gram_to_rho, grid_nodes, total_probability)
 from sowp.dynamics import pure_state_limit
-from sowp.errors import (CoherenceUndefinedError, ProbabilityError,
-                         SaddleError, SaturationWarning)
+from sowp.errors import (CoherenceUndefinedError, NumericalError,
+                         ProbabilityError, SaddleError, SaturationWarning)
 from sowp.pulse import Pulse
 from sowp.species import Species, get_species
 
@@ -517,6 +517,20 @@ class TestCoherenceDegree:
         with pytest.raises(CoherenceUndefinedError):
             coherence_degree(DensityMatrix(mat))
 
+    def test_past_one_only_within_the_roundoff_guard(self):
+        # a g above 1 within 1e-12 is roundoff, read as 1; beyond it the
+        # matrix is not a density matrix
+        a31, a11 = map(STATES.index, ((3, 1), (1, 1)))
+
+        def rho(g):
+            mat = np.diag([0.1, 0.2, 0.2, 0.1, 0.2, 0.2]).astype(complex)
+            mat[a31, a11] = mat[a11, a31] = 0.2 * g
+            return DensityMatrix(mat)
+
+        assert coherence_degree(rho(1.0 + 1e-13)) == 1.0
+        with pytest.raises(NumericalError, match="roundoff guard"):
+            coherence_degree(rho(1.0 + 1e-11))
+
 
 class TestFamily:
     def test_stack_equals_per_matrix_reads(self, rng):
@@ -553,3 +567,12 @@ class TestCsvExport:
         # full double precision survives the round trip
         got = complex(float(parts[4]), float(parts[5]))
         assert got == rho.matrix[0, 0]
+
+    def test_undefined_g_written_as_nan(self):
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[2, 2] = 0.5
+        buf = io.StringIO()
+        DensityMatrix(mat).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[:2] == ["# w = 0.5", "# g = nan"]
+        assert len(lines) == 3 + 36

@@ -313,6 +313,12 @@ class TestContinuation:
         with pytest.raises(ValueError):
             saddle_batch(pulse, E_F, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("shapes", [(3, 4), ((2, 3), (3, 2)), (6, (2, 3))])
+    def test_rejects_points_of_different_shapes(self, pulse, shapes):
+        pz, pp2 = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="same shape"):
+            saddle_batch(pulse, E_F, pz, pp2)
+
 
 class TestPredictor:
     def test_reseeded_column_is_extrapolated_like_the_rest(self, pulse,
