@@ -21,7 +21,7 @@ states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
 """
 
-from math import sqrt, pi
+from math import prod, sqrt, pi
 
 import numpy as np
 
@@ -102,7 +102,10 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     lines: ``nodes`` indexes the flattened nodes (a slice or an index
     array), ``rows`` holds their 4S sums, shape (4S, nodes) or
     (4S, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
-    once), so no sums are held per node.
+    once), so no sums are held per node.  The sums and their mirror images
+    lie in the two workspace regions that each ``saddle_batch`` block lends
+    (``block.spare``) until the next block, so the stream holds no
+    array of a block's size, and the consumer may overwrite ``rows``.
     """
     group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -137,16 +140,11 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     factor = np.array([-((2.0 * pi) ** 1.5) * sp.b_au / (1j * sp.kappa(j2))
                        for sp in group for j2, _ in SUM_ROWS]).reshape(shape)
 
-    blocks = {}     # by name, grown to the largest block: no heap churn per block
-    def buffer(name, shape):
-        size = int(np.prod(shape))
-        if name not in blocks or blocks[name].size < size:
-            blocks[name] = np.empty(size, dtype=complex)
-        return blocks[name][:size].reshape(shape)
-
     def stream(nodes, block):
-        # the sums of a block of all channels: rows (j, 0) and (j, 1)
-        rows = buffer("rows", (n_rows, block.t.shape[1]) + tail)
+        # the sums of a block of all channels, rows (j, 0) and (j, 1), and
+        # their images at -p_z, in the two workspace regions the block lends
+        dims = (n_rows, block.t.shape[1]) + tail
+        rows, image = (a[:prod(dims)].reshape(dims) for a in block.spare)
         # exp(i S) over the action, with block.t and block.s2 as expi's
         # scratch: the sums read none of them again
         core = expi(block.action, out=block.action, scratch=(block.t, block.s2))
@@ -161,7 +159,7 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         rows *= factor
         # the sums at -p_z: partial sums there image suffix sums here,
         # total - prefix_{2N-k}
-        image = np.conjugate(rows, out=buffer("image", rows.shape))
+        image = np.conjugate(rows, out=image)
         if cumulative:  # by column: over the whole block numpy buffers a block's worth
             for k in range(deg - 1):
                 np.conjugate(rows[..., deg - 2 - k], out=image[..., k])

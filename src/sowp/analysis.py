@@ -56,7 +56,7 @@ class FitResult:
     residuals: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuildupTrace:
     """Cumulative saddle-sum density-matrix elements.
 

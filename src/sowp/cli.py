@@ -168,18 +168,22 @@ def read_config_file(path: str) -> dict:
                             _CONFIG_FIELDS, ConfigError, source)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command; given ``command``, only that command's
+    subparser gets its flags (each flag costs a help formatter)."""
     parser = argparse.ArgumentParser(
         prog="sowp",
         description="Spin-orbit coherence of atoms from short-pulse "
                     "photodetachment of negative ions.")
     parser.add_argument("--version", action="version", version=f"sowp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+    for name, (text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="key = value configuration file")
         for key, f in _CONFIG_FIELDS.items():
-            if command not in f.metadata["commands"]:
+            if name not in f.metadata["commands"]:
                 continue
             text = f.metadata["help"]
             if f.default is not None:
@@ -191,9 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> RunConfig:
     """CLI arguments + optional config file -> validated RunConfig.
 
-    Precedence: command-line flags > config file > defaults.
+    Precedence: command-line flags > config file > defaults.  The command
+    is the first argument that is not an option, as no top-level option
+    takes a value.
     """
-    ns = _build_parser().parse_args(argv)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = _build_parser(command).parse_args(argv)
     values = read_config_file(ns.config) if ns.config else {}
     for key in _CONFIG_FIELDS:
         flag = getattr(ns, key, None)

@@ -91,7 +91,7 @@ def _gauss_legendre(n: int):
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumGrid:
     """Spherical momentum quadrature: radial (energy) x polar x azimuthal."""
 
@@ -128,7 +128,7 @@ class MomentumGrid:
                    phi_mode=phi_mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """6x6 Hermitian matrix over STATES = ((3,-3),(3,-1),(3,1),(3,3),(1,-1),(1,1))
     in doubled (j, m) labels."""

@@ -60,7 +60,7 @@ def pure_state_limit() -> DensityMatrix:
     return DensityMatrix((0.5 * psi.T @ psi).astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalTrace:
     """Sampled alignment signal S(t) = s_bar + delta_s cos(omega_b t + beta)."""
 

@@ -28,7 +28,10 @@ note" tells how the lines are continued, gated and buffered.
 Consumers.  Given consume(nodes, block), saddle_batch hands over each
 evaluated block as a SaddleBatch in buffers that the next block reuses, so
 a block is valid only during the call, and the consumer may overwrite it.
-No array of the grid's size is held then.
+With it the block lends ``block.spare``: two flat complex regions of the
+same buffers, each with room for 2 C nodes (2N+2) elements for C channels,
+which nothing reads until the call returns, so the consumer may use them
+as its own scratch for that long.  No array of the grid's size is held then.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -166,6 +169,13 @@ class SaddleBatch:
     s2: np.ndarray
     prefactor: np.ndarray
     residual: np.ndarray
+
+
+class _LentBatch(SaddleBatch):
+    """A SaddleBatch handed to a consumer, with ``spare``: two flat complex
+    workspace regions the consumer may overwrite during its call."""
+
+    __slots__ = ("spare",)
 
 
 def _polynomial_coefficients(pulse: Pulse):
@@ -437,7 +447,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     given ``consume``, None after calling consume(nodes, block) per
     evaluated block (a row block of 2-D inputs, all points of 1-D ones):
     ``nodes`` indexes the flattened nodes (a slice or an index array),
-    ``block`` is their SaddleBatch, valid only during the call.  Raises
+    ``block`` is their SaddleBatch, valid only during the call, with
+    ``block.spare``, two workspace regions that the consumer may overwrite
+    during the call (the module docstring gives their size).  Raises
     SaddleError/DegenerateSaddleError as the module docstring says.
     """
     energy = np.asarray(e_bound, dtype=float)
@@ -487,6 +499,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     # value, p_z, p_perp^2 and roots of the first
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
     first = {}
+    # the slot pairs (p1, p2) and (x1, x2) below, each one region of the
+    # workspace, idle from the prefactor to the next block: lent to the consumer
+    spare = tuple(work[0][i:i + 2].reshape(-1) for i in (2, 8))
     for nodes, points, fields, checks in blocks:
         # evaluate the block, and hand it to the consumer unless it or an
         # earlier block broke a contract
@@ -524,7 +539,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                                              points[1][i, 0], roots[c, i].copy()))
         if ready and not first:
             prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (p1, p2))
-            consume(index, SaddleBatch(tb, vz, act, s2, prefactor, residual))
+            lent = _LentBatch(tb, vz, act, s2, prefactor, residual)
+            lent.spare = spare
+            consume(index, lent)
     if first:   # name the first failing channel's node of its first contract
         c, kind = min(first)
         value, p, q, roots = first[c, kind]

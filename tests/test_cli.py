@@ -530,8 +530,8 @@ FROZEN_FLAGS = {
 }
 
 
-def _subcommands():
-    (sub,) = [a for a in _build_parser()._actions
+def _subcommands(parser=None):
+    (sub,) = [a for a in (parser or _build_parser())._actions
               if isinstance(a, argparse._SubParsersAction)]
     return sub
 
@@ -543,6 +543,21 @@ def test_subcommand_flags_and_types_frozen():
                     for opt in action.option_strings}
              for name, p in sub.choices.items()}
     assert found == FROZEN_FLAGS
+
+
+@pytest.mark.parametrize("command", list(FROZEN_FLAGS))
+def test_parser_of_one_command_helps_as_the_full_parser(command, monkeypatch):
+    """parse_config builds the flags of the named command only: the others
+    hold just -h, and the top-level help and the command's help read as
+    with every command's flags."""
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = _build_parser(command), _build_parser()
+    sub = _subcommands(one)
+    assert [len(p._actions) for name, p in sub.choices.items()
+            if name != command] == [1] * 5
+    assert one.format_help() == full.format_help()
+    assert (sub.choices[command].format_help()
+            == _subcommands(full).choices[command].format_help())
 
 
 def test_subcommand_help_texts_frozen():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import platform
@@ -12,7 +13,7 @@ import pytest
 
 import sowp
 from scalar_oracle import channel_amplitudes, density_matrix_loop
-from sowp import amplitude, saddle
+from sowp import amplitude, analysis, dynamics, saddle
 from sowp.amplitude import STATES, SUM_ROWS, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid, _gauss_legendre,
@@ -156,6 +157,30 @@ def test_grid_build_needs_no_eigensolve():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("record", [MomentumGrid, DensityMatrix,
+                                    analysis.BuildupTrace, dynamics.SignalTrace])
+def test_records_of_arrays_compare_and_hash_by_identity(record):
+    """Equality over ndarray fields would raise (the truth value of an
+    array is ambiguous) and their hash would fail, so these records compare
+    and hash by identity."""
+    a, b = (record(*(np.eye(6) for _ in dataclasses.fields(record)))
+            for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_records_of_scalars_keep_value_equality():
+    # a Pulse keys the action coefficients' cache
+    pairs = [(Pulse.from_lab(1800.0, 8, 1.3e13), Pulse.from_lab(1800.0, 8, 1.3e13)),
+             (get_species("F"), dataclasses.replace(get_species("F"))),
+             (analysis.SweepPoint("f", 2, 1.0, 0.5, 0.8, 0.1),
+              analysis.SweepPoint("f", 2, 1.0, 0.5, 0.8, 0.1)),
+             (analysis.FitResult(0.9, 0.4, 0.01), analysis.FitResult(0.9, 0.4, 0.01)),
+             (saddle.SaddlePoint(1, 1j, 2j, 3j, 1.0), saddle.SaddlePoint(1, 1j, 2j, 3j, 1.0))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 class TestAssemble:
