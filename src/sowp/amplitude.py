@@ -21,13 +21,16 @@ states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
 """
 
+import os
+import pickle
 from math import prod, sqrt, pi
 
 import numpy as np
 
 from sowp.pulse import Pulse, expi
-from sowp.saddle import _action_coefficients, _solved_lines, saddle_batch
+from sowp.saddle import _action_coefficients, _row_block, _solved_lines, saddle_batch
 from sowp.species import Species
+from sowp.workers import Forks, recorded, show_again
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
 Y11_COEF = sqrt(3.0 / (8.0 * pi))
@@ -79,7 +82,7 @@ CHANNEL_COEF = _channel_coefficients()
 
 
 def amplitude_profiles(pulse: Pulse, species, pz, pperp,
-                       cumulative: bool = False, consume=None):
+                       cumulative: bool = False, consume=None, threads: int = 1):
     """The four saddle sums of SUM_ROWS at phi = 0 of one Species, or of
     each of a sequence of them, on an array of (pz, pperp) momenta: 1-D
     independent points, or 2-D lines whose saddles are continued along
@@ -92,9 +95,9 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     amplitudes; at azimuth phi each is that times exp(i m_l phi), since the
     saddle set and the action do not depend on phi.
 
-    One ``saddle_batch`` call solves the (E_3/2, E_1/2) of every species,
-    in species order, in one pass.  Returns shape (4S,) + pz.shape for S
-    species (4 rows per species, in SUM_ROWS order within each), or
+    One ``saddle_batch`` pass solves the (E_3/2, E_1/2) of every species,
+    in species order.  Returns shape (4S,) + pz.shape for S species (4
+    rows per species, in SUM_ROWS order within each), or
     (4S,) + pz.shape + (2N+2,) when ``cumulative`` (partial sums over
     saddles sorted by Re t, for build-up analysis).  Given ``consume``,
     returns None after calling consume(nodes, rows) per evaluated block of
@@ -106,6 +109,17 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     lie in the two workspace regions that each ``saddle_batch`` block lends
     (``block.spare``) until the next block, so the stream holds no
     array of a block's size, and the consumer may overwrite ``rows``.
+
+    With ``threads`` >= 2 (where os.fork exists) the pass is split: one
+    worker forked here (``sowp.workers.Forks``) solves the second half of
+    the channels, this process the first, and the sums of a block lie in
+    one shared slot of a block's size, which each process fills with its
+    own rows; only this process calls ``consume``.  A channel's saddles and
+    sums do not depend on the channels that share its pass, so the bits
+    are those of one process, and so are the errors: those of this
+    process's channels come first, and no block from the worker's first
+    failing one on reaches the consumer.  RuntimeError, naming the
+    worker's channel energies, if it ends without its outcome.
     """
     group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -132,19 +146,18 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     # p_z -> -p_z maps t to tau_p - conj(t) (sowp.saddle), and s to exp(i S_tau)
     # sigma conj(s): S_tau = ((p^2/2 - E_j) + lin) tau_p, sigma -1 on (j, 1) rows
     n_lines = pz.shape[-1]
-    mirrored = pz.ndim == 2 and _solved_lines(pz, pperp2) < n_lines
-    shape = (n_rows, -1) + (1,) * len(tail)
+    solved = _solved_lines(pz, pperp2) if pz.ndim == 2 else n_lines
+    mirrored = solved < n_lines
+    ones = (1,) * len(tail)
     energy = np.array([[sp.e_bound(j2)] for sp in group for j2, _ in SUM_ROWS])
     lin = _action_coefficients(pulse)[0]
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
     factor = np.array([-((2.0 * pi) ** 1.5) * sp.b_au / (1j * sp.kappa(j2))
-                       for sp in group for j2, _ in SUM_ROWS]).reshape(shape)
+                       for sp in group for j2, _ in SUM_ROWS]).reshape((-1, 1) + ones)
 
-    def stream(nodes, block):
-        # the sums of a block of all channels, rows (j, 0) and (j, 1), and
-        # their images at -p_z, in the two workspace regions the block lends
-        dims = (n_rows, block.t.shape[1]) + tail
-        rows, image = (a[:prod(dims)].reshape(dims) for a in block.spare)
+    def fill(nodes, block, part, rows, image):
+        # the sums of the block's channels, the rows ``part`` of all, and
+        # their images at -p_z, into ``rows`` and ``image``
         # exp(i S) over the action, with block.t and block.s2 as expi's
         # scratch: the sums read none of them again
         core = expi(block.action, out=block.action, scratch=(block.t, block.s2))
@@ -156,7 +169,7 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         spread = core.reshape(-1)[:rows[0].size].reshape(rows.shape[1:])
         np.copyto(spread, pperp_[nodes])
         rows[1::2] *= spread
-        rows *= factor
+        rows *= factor[part]
         # the sums at -p_z: partial sums there image suffix sums here,
         # total - prefix_{2N-k}
         image = np.conjugate(rows, out=image)
@@ -165,8 +178,8 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
                 np.conjugate(rows[..., deg - 2 - k], out=image[..., k])
                 np.subtract(image[..., -1], image[..., k], out=image[..., k])
         pz_b = flat_pz[nodes]
-        s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy + lin)
-                 * pulse.tau_p).reshape(shape)
+        s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy[part] + lin)
+                 * pulse.tau_p).reshape(rows.shape[:2] + ones)
         np.negative(image[1::2], out=image[1::2])      # sigma, on the (j, 1) rows
         # exp(i S_tau) into the memory of core, t and s2, which nothing reads now
         spare = [a.reshape(-1)[:s_tau.size].reshape(s_tau.shape)
@@ -175,11 +188,100 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         # p_z = 0 is its own image: its edge saddle counts half at each end
         centre = pz_b == 0
         rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])
+
+    def hand(nodes, rows, image):
         consume(nodes, rows)
         if mirrored:    # and the images on the unsolved lines
             partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
             has = partner > nodes   # all but the p_z = 0 line
             consume(partner[has], image if has.all() else image[:, has])
-    # (E_3/2, E_1/2) of each species
-    saddle_batch(pulse, energy[::2, 0], pz, pperp2, stream)
+
+    def in_regions(regions, n):     # (rows, image) of a block of n nodes
+        dims = (n_rows, n) + tail
+        return [a[:prod(dims)].reshape(dims) for a in regions]
+
+    channels = energy[::2, 0]   # (E_3/2, E_1/2) of each species
+    if threads < 2 or len(channels) < 2 or not hasattr(os, "fork"):
+        def stream(nodes, block):
+            rows, image = in_regions(block.spare, block.t.shape[1])
+            fill(nodes, block, slice(None), rows, image)
+            hand(nodes, rows, image)
+
+        saddle_batch(pulse, channels, pz, pperp2, stream)
+        return sums
+
+    import mmap     # here, as no other path needs it: an extension module to load
+
+    half = len(channels) // 2
+    # the rows of this process's channels, and of the worker's
+    mine, theirs = slice(0, 2 * half), slice(2 * half, n_rows)
+    largest = pz.size if pz.ndim == 1 else min(_row_block(solved, deg), len(pz)) * solved
+    size = n_rows * largest * prod(tail)
+    slot = np.frombuffer(mmap.mmap(-1, 2 * size * 16), dtype=complex)
+    slot = (slot[:size], slot[size:])
+    # the worker writes b"w" per block that it has put in the slot, then b"e"
+    # and its pickled outcome; this process writes one byte per free slot,
+    # and keeps free_r open, so that the byte after the last block finds a
+    # reader
+    done_r, done_w = os.pipe()
+    free_r, free_w = os.pipe()
+    os.write(free_w, b"f")
+
+    def work():     # the worker's pass
+        # without this process's ends, a read sees the end of a caller
+        # that is gone, and a write raises rather than waits for it
+        os.close(done_r)
+        os.close(free_w)
+
+        def put(nodes, block):
+            if not os.read(free_r, 1):  # this process has ended
+                os._exit(1)
+            rows, image = in_regions(slot, block.t.shape[1])
+            fill(nodes, block, theirs, rows[theirs], image[theirs])
+            os.write(done_w, b"w")
+
+        def outcome():
+            try:
+                saddle_batch(pulse, channels[half:], pz, pperp2, put)
+            except Exception as exc:
+                return exc
+
+        payload = b"e" + pickle.dumps(recorded(outcome))
+        with os.fdopen(done_w, "wb") as out:
+            out.write(payload)
+
+    tag = b"w"
+
+    def stream(nodes, block):
+        nonlocal tag
+        if tag != b"w":     # the worker's pass broke off before this block
+            return
+        rows, image = in_regions(slot, block.t.shape[1])
+        fill(nodes, block, mine, rows[mine], image[mine])
+        tag = os.read(done_r, 1)
+        if tag == b"w":
+            hand(nodes, rows, image)
+            os.write(free_w, b"f")
+
+    try:
+        with Forks() as forks:
+            try:
+                forks.start(work)
+            finally:    # so that a worker that ends leaves no writer
+                os.close(done_w)
+            saddle_batch(pulse, channels[:half], pz, pperp2, stream)
+            if tag == b"w":
+                tag = os.read(done_r, 1)
+            with os.fdopen(done_r, "rb", closefd=False) as rest:
+                payload = rest.read()
+    finally:
+        for fd in (done_r, free_r, free_w):
+            os.close(fd)
+    if tag != b"e" or forks.statuses != [0]:
+        raise RuntimeError(f"the worker of e_bound = {channels[half:].tolist()} ended "
+                           f"with status {forks.statuses[0]} without its outcome")
+    error, shown = pickle.loads(payload)
+    show_again(shown)
+    if error is not None:
+        raise error
     return sums

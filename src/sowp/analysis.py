@@ -11,13 +11,9 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
-import contextlib
-import ctypes
+import functools
 import os
 import pickle
-import signal
-import sys
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +27,7 @@ from sowp.errors import ConfigError, FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
 from sowp.species import Species
+from sowp.workers import Forks, recorded, show_again
 
 DEFAULT_SWEEP_CYCLES = {"f": range(2, 19), "cl": range(2, 19), "br": range(2, 9)}
 BUILDUP_PROBE_P = 0.05
@@ -86,14 +83,16 @@ class BuildupTrace:
                          f"{z.imag:.17g},{abs(z):.17g},{self.field[k]:.17g}\n")
 
 
-def buildup(pulse: Pulse, species: Species,
-            grid: MomentumGrid = None) -> BuildupTrace:
-    """Recompute the density matrix from cumulative saddle subsets."""
+def buildup(pulse: Pulse, species: Species, grid: MomentumGrid = None,
+            threads: int = 1) -> BuildupTrace:
+    """Recompute the density matrix from cumulative saddle subsets, on two
+    processes when ``threads`` >= 2 (as ``build_density_matrix``)."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
     gram = Gram(weights, 2 * pulse.n_cycles + 2)
-    amplitude_profiles(pulse, species, pz, pperp, cumulative=True, consume=gram)
+    amplitude_profiles(pulse, species, pz, pperp, cumulative=True, consume=gram,
+                       threads=threads)
     rho = gram_to_rho(gram.matrix[:, 0], grid)
 
     probe = find_saddles(pulse, species.e_bound(3),
@@ -137,122 +136,54 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
     return outcomes
 
 
-# the thread-count functions of OpenBLAS, by the symbol names of its builds
-_OPENBLAS_THREADS = [f"{prefix}_{{}}_num_threads{suffix}"
-                     for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_")]
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Each OpenBLAS mapped into this process (as /proc/self/maps lists it)
-    on one thread inside the block, and on its own count again after it;
-    nothing changes where none is found.  Its idle threads spin, so sweep
-    processes that each keep several would take turns on the cores."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
-                            if "openblas" in line})
-    except OSError:
-        paths = []
-    restore = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:     # not loadable by that name, e.g. deleted since
-            continue
-        name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
-        if name is not None:
-            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            restore.append((put, get()))
-            put(1)
-    try:
-        yield
-    finally:
-        for put, threads in restore:
-            put(threads)
-
-
-def _worker(run, jobs, fd, mask):
-    """A forked sweep worker: run(job) for each of ``jobs``, then one
-    pickled list of (run(job), the warnings it showed) into the pipe
-    ``fd``; never returns (exit status 0 once the list is sent).  It is
-    forked with every signal blocked, and takes the signal mask ``mask``
-    only inside its try, so no signal handler's exception can carry it
-    back into the caller's frames."""
-    status = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        done = []
-        for job in jobs:
-            with warnings.catch_warnings(record=True) as shown:
-                result = run(job)
-            done.append((result, [(w.message, w.category, w.filename, w.lineno)
-                                  for w in shown]))
-        with os.fdopen(fd, "wb") as out:
-            pickle.dump(done, out)
-        status = 0
-    except Exception:   # say why on stderr; the caller names the lost jobs
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
+def _worker(run, jobs, fd):
+    """A forked sweep worker's work: run(job) for each of ``jobs``, then
+    one pickled list of (run(job), the warnings it showed) into the pipe
+    ``fd``."""
+    done = [recorded(lambda: run(job)) for job in jobs]
+    with os.fdopen(fd, "wb") as out:
+        pickle.dump(done, out)
 
 
 def _dealt(run, jobs, processes: int) -> list:
     """[run(job) for job in jobs], worked by this process and
-    ``processes`` - 1 forked workers.  Of P participants, participant p
-    takes the jobs k with k mod 2P in {p, 2P - 1 - p}, back and forth, so
-    that each gets its share of long and short jobs when they come longest
-    first; this process (p = 0) works job 0 first, and reads each worker's
-    results once its own are done.  A worker's warnings are shown again
-    here, in its job order.  RuntimeError, naming its jobs, for a worker
-    that ends without sending its results.  OpenBLAS runs on one thread in
-    every participant until the workers are reaped (_one_blas_thread)."""
+    ``processes`` - 1 workers forked by ``Forks``.  Of P participants,
+    participant p takes the jobs k with k mod 2P in {p, 2P - 1 - p}, back
+    and forth, so that each gets its share of long and short jobs when
+    they come longest first; this process (p = 0) works job 0 first, and
+    reads each worker's results once its own are done.  A worker's
+    warnings are shown again here, in its job order.  RuntimeError, naming
+    its jobs, for a worker that ends without sending its results."""
     if processes < 2 or not hasattr(os, "fork"):
         return [run(job) for job in jobs]
     period = 2 * processes
     shares = [[k for k in range(len(jobs)) if p in (k % period, period - 1 - k % period)]
               for p in range(processes)]
-    done, workers, sent, statuses = [None] * len(jobs), [], [], []
-    with _one_blas_thread():    # here, and so in each worker forked here
-        try:
+    done, pipes, sent = [None] * len(jobs), [], []
+    try:
+        with Forks() as forks:
             for p in range(1, processes):
                 r, w = os.pipe()
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+                pipes.append(os.fdopen(r, "rb"))
                 try:
-                    pid = os.fork()
-                except OSError:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(r)
+                    forks.start(functools.partial(
+                        _worker, run, [jobs[k] for k in shares[p]], w))
+                finally:
                     os.close(w)
-                    raise
-                if pid == 0:
-                    _worker(run, [jobs[k] for k in shares[p]], w, mask)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(w)
-                workers.append((pid, os.fdopen(r, "rb")))
             for k in shares[0]:
                 done[k] = run(jobs[k])
-            for _, pipe in workers:     # to its end: the worker has sent or ended
+            for pipe in pipes:      # to its end: the worker has sent or ended
                 sent.append(pipe.read())
-        except BaseException:   # stop the workers still running
-            for pid, _ in workers:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:    # reap every worker, whatever happened
-            for pid, pipe in workers:
-                pipe.close()
-                statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for p, (status, results) in enumerate(zip(statuses, sent), 1):
+    finally:
+        for pipe in pipes:
+            pipe.close()
+    for p, (status, results) in enumerate(zip(forks.statuses, sent), 1):
         if status != 0:
             raise RuntimeError(f"sweep worker {p} ended with status {status} without "
                                f"the results of N = {[jobs[k] for k in shares[p]]}")
         for k, (result, shown) in zip(shares[p], pickle.loads(results)):
             done[k] = result
-            for warning in shown:
-                warnings.showwarning(*warning)
+            show_again(shown)
     return done
 
 

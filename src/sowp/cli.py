@@ -29,16 +29,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from sowp import __version__
-from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, _one_blas_thread,
-                           buildup, coherence_sweep, gaussian_fit, invert_g,
-                           predict_g, read_sweep_csv, write_fit_csv,
-                           write_sweep_csv)
+from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, buildup,
+                           coherence_sweep, gaussian_fit, invert_g, predict_g,
+                           read_sweep_csv, write_fit_csv, write_sweep_csv)
 from sowp.densmat import MomentumGrid, build_density_matrix, coherence_degree
 from sowp.dynamics import signal_parameters, signal_trace
 from sowp.errors import ConfigError, NumericalError, SowpError
 from sowp.pulse import Pulse
 from sowp.species import (default_species_path, get_species, load_species,
                           numbered_lines, parse_key_values)
+from sowp.workers import _one_blas_thread
 
 _PHYSICS = ("single", "evolve", "buildup", "sweep", "fit")
 SINGLE_CYCLES = "8"   # N when cycles is None, except for sweep and fit
@@ -54,7 +54,8 @@ class RunConfig:
     """The configuration schema.  Every field with metadata is a config-file
     key and, for the commands its metadata names, the flag --field-name;
     both are read with the field's annotated type and default to its
-    default."""
+    default; ``validate`` replaces the default None of ``threads`` by the
+    number of CPUs this process may run on."""
 
     command: str
     out_dir: str = _option("out", _PHYSICS + ("predict",), "artifact directory")
@@ -70,8 +71,10 @@ class RunConfig:
     n_theta: int = _option(64, _PHYSICS, "polar quadrature nodes")
     n_phi: int = _option(32, _PHYSICS, "azimuthal quadrature nodes")
     phi_mode: str = _option("analytic", _PHYSICS, "analytic or numeric")
-    threads: int = _option(1, _PHYSICS, "processes that work a sweep: this one "
-                           "and forked workers")
+    threads: int = _option(None, _PHYSICS, "processes that work a command: this "
+                           "one and forked workers, at most two for single, evolve "
+                           "and buildup (default: the CPUs this process may run "
+                           "on, len(os.sched_getaffinity(0)))")
     sweep_csv: str = _option(None, ("fit",), "existing sweep.csv to fit "
                              "(otherwise the sweep is run first)")
     beta_rad: float = _option(0.0, ("evolve",), "probe phase offset")
@@ -100,6 +103,9 @@ class RunConfig:
                 problems.append(f"{key} must be >= 2, got {getattr(self, key)}")
         if self.phi_mode not in ("analytic", "numeric"):
             problems.append(f"phi_mode must be analytic or numeric, got {self.phi_mode!r}")
+        if self.threads is None:
+            self.threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count() or 1)
         if self.threads < 1:
             problems.append(f"threads must be >= 1, got {self.threads}")
         if self.n_samples < 1:
@@ -266,11 +272,11 @@ def _one_pulse(cfg: RunConfig):
         f"gamma_j32 = {pulse.keldysh_gamma(species.kappa(3)):.6g}",
         f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}"]
     if cfg.command == "buildup":
-        trace = buildup(pulse, species, grid)
+        trace = buildup(pulse, species, grid, threads=cfg.threads)
         _write(cfg, "buildup.csv", trace.write_csv)
         rho = trace.final
     else:
-        rho = build_density_matrix(pulse, species, grid)
+        rho = build_density_matrix(pulse, species, grid, threads=cfg.threads)
     _write(cfg, "densmat.csv", rho.write_csv)
     g = coherence_degree(rho)
     s_bar, delta_s = signal_parameters(rho)

@@ -263,18 +263,20 @@ def gram_to_rho(gram: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     return rho
 
 
-def build_density_matrix(pulse: Pulse, species, grid: MomentumGrid = None):
+def build_density_matrix(pulse: Pulse, species, grid: MomentumGrid = None,
+                         threads: int = 1):
     """Integrate amplitude products over the momentum grid (the default
     grid of ``MomentumGrid.build`` unless given).  ``species`` is one
     Species, or a sequence of them, for a tuple of their matrices in the
-    same order, solved in one saddle pass."""
+    same order, solved in one saddle pass, split over two processes when
+    ``threads`` >= 2 (see ``amplitude_profiles``; the bits do not change)."""
     if grid is None:
         grid = MomentumGrid.build(pulse.omega)
     pz, pperp, weights = grid_nodes(grid)
     one = isinstance(species, Species)
     group = (species,) if one else tuple(species)
     gram = Gram(weights, species=len(group))
-    amplitude_profiles(pulse, group, pz, pperp, consume=gram)
+    amplitude_profiles(pulse, group, pz, pperp, consume=gram, threads=threads)
     rhos = []
     for matrix in gram_to_rho(gram.matrix[0], grid):
         rhos.append(warn_if_saturated(DensityMatrix(matrix)))

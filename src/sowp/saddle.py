@@ -436,6 +436,13 @@ def _solved_lines(pz, pperp2) -> int:
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
 
 
+def _row_block(lines: int, deg: int) -> int:
+    """The rows per Newton call of a pass over ``lines`` solved lines of
+    degree ``deg``, after rows 0, 1 and 2 alone: ROW_BLOCK_ROWS, or as
+    many as hold ROW_BLOCK_ROOTS roots per channel, but at least one."""
+    return max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, lines * deg)))
+
+
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                  consume=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
@@ -470,8 +477,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         if consume is not None:     # the consumer maps the mirrored lines itself
             solved = _solved_lines(pz, pperp2)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        # rows 0, 1 and 2 alone, then ``block`` rows per Newton call
-        block = max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, solved * deg)))
+        block = _row_block(solved, deg)
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
     # sized for the largest block: all points, or ``block`` rows

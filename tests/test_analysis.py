@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import sowp.analysis as analysis
-from sowp import amplitude, cli, saddle
+from sowp import amplitude, cli, saddle, workers
 from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
                            coherence_sweep, gaussian_fit, invert_g, predict_g,
                            read_sweep_csv, write_fit_csv, write_sweep_csv)
 from sowp.densmat import (MomentumGrid, build_density_matrix, coherence_degree,
-                          family)
+                          family, grid_nodes)
 from sowp.errors import (ConfigError, FitError, NumericalError, SaddleError,
                          SaturationWarning)
 from sowp.pulse import Pulse
@@ -216,7 +216,7 @@ def openblas_threads():
     except OSError:
         return None
     for lib in map(ctypes.CDLL, paths):
-        for name in analysis._OPENBLAS_THREADS:
+        for name in workers._OPENBLAS_THREADS:
             if hasattr(lib, name.format("get")):
                 return getattr(lib, name.format("get"))()
     return None
@@ -598,6 +598,188 @@ class TestCoherenceSweep:
             from sowp.species import Species
             weird = Species(name="Xq", ea_ev=3.0, splitting_cm1=500.0, b_au=1.0)
             coherence_sweep([weird], 1800.0, 1.3e13)
+
+
+def _off_beyond(energy, p2_min):
+    """A stand-in for saddle._newton that moves the first root of channel
+    ``energy`` off its saddle at every node with p^2 > p2_min, re-seeds
+    included: a pass of it fails the residual contract at the first row
+    block that reaches p2_min, not before."""
+    newton = saddle._newton
+
+    def off(pu, e_bound, t, pz, pp2, **kwargs):
+        roots = newton(pu, e_bound, t, pz, pp2, **kwargs)[0].copy()
+        bad = (e_bound[..., 0] == energy) & (pz[..., 0] ** 2 + pp2[..., 0] > p2_min)
+        roots[np.broadcast_to(bad, roots.shape[:-1]), 0] += 1e-4
+        fields, f = saddle._evaluated(pu, e_bound, roots, pz, pp2)
+        return (*fields, np.abs(f))
+    return off
+
+
+class TestChannelSplit:
+    """threads=2: the first half of a pass's channels on this process, the
+    rest on one forked worker, with the bits, errors and consumer calls of
+    one process."""
+
+    @staticmethod
+    def coarse(n):
+        pulse = Pulse.from_lab(1800.0, n, 1.3e13)
+        return pulse, MomentumGrid.build(pulse.omega, n_energy=24, n_theta=8)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 18])
+    def test_matrix_and_buildup_bits(self, species_f, n):
+        # N = 1 aliases u into z's slot
+        pulse, grid = self.coarse(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            one = build_density_matrix(pulse, species_f, grid)
+            two = build_density_matrix(pulse, species_f, grid, threads=2)
+            traces = [buildup(pulse, species_f, grid, threads=k) for k in (1, 2)]
+        assert np.array_equal(one.matrix, two.matrix)
+        for name in ("t_fs", "pop_j32_m32", "pop_j32_m12", "pop_j12_m12",
+                     "coherence", "field"):
+            assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
+        assert np.array_equal(traces[0].final.matrix, traces[1].final.matrix)
+
+    def test_two_species_dealt_two_and_two(self, species_f, species_cl,
+                                           monkeypatch, journal):
+        pulse, grid = self.coarse(3)
+        batch = amplitude.saddle_batch
+
+        def counting(pulse, e_bound, *args):
+            journal.append(os.getpid(), *np.ravel(e_bound))
+            return batch(pulse, e_bound, *args)
+
+        monkeypatch.setattr(amplitude, "saddle_batch", counting)
+        one = build_density_matrix(pulse, [species_f, species_cl], grid)
+        journal.clear()
+        two = build_density_matrix(pulse, [species_f, species_cl], grid, threads=3)
+        for a, b in zip(one, two):
+            assert np.array_equal(a.matrix, b.matrix)
+        passes = {pid: [float(e) for e in energies] for pid, *energies in journal.read()}
+        assert passes.pop(str(os.getpid())) == [species_f.e_bound(3), species_f.e_bound(1)]
+        assert list(passes.values()) == [[species_cl.e_bound(3), species_cl.e_bound(1)]]
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_points_bits(self, species_f, cumulative, rng):
+        pulse = Pulse.from_lab(1800.0, 4, 1.3e13)
+        pz, pperp = rng.uniform(-0.5, 0.5, 37), rng.uniform(0.0, 0.5, 37)
+        one, two = (amplitude.amplitude_profiles(pulse, species_f, pz, pperp,
+                                                 cumulative=cumulative, threads=k)
+                    for k in (1, 2))
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("j2", [3, 1], ids=["caller", "worker"])
+    def test_failure_parity(self, species_f, monkeypatch, deadline, j2):
+        # only E_3/2 (this process) or only E_1/2 (the worker) fails, from
+        # the fifth row block on: the error and the blocks that reach the
+        # consumer are those of one process
+        pulse, grid = self.coarse(2)
+        pz, pperp, _ = grid_nodes(grid)
+        monkeypatch.setattr(saddle, "_newton", _off_beyond(
+            species_f.e_bound(j2), grid.p_nodes[15] ** 2))
+        seen = {}
+        for threads in (1, 2):
+            blocks = []
+
+            def recording(nodes, rows):
+                blocks.append((np.asarray(nodes).tolist(), rows.copy()))
+
+            with pytest.raises(SaddleError) as raised:
+                amplitude.amplitude_profiles(pulse, species_f, pz, pperp,
+                                             consume=recording, threads=threads)
+            seen[threads] = raised.value, blocks
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        (one, blocks_one), (two, blocks_two) = seen[1], seen[2]
+        assert type(two) is type(one) and str(two) == str(one)
+        assert str(one).startswith("saddle residual")
+        assert f"e_bound = {species_f.e_bound(j2):.8g}" in str(one)
+        np.testing.assert_array_equal(two.roots, one.roots)
+        assert 0 < len(blocks_one) < 2 * len(grid.p_nodes)
+        assert [nodes for nodes, _ in blocks_two] == [nodes for nodes, _ in blocks_one]
+        for (_, a), (_, b) in zip(blocks_one, blocks_two):
+            assert np.array_equal(a, b)
+
+    def test_worker_that_dies_is_named(self, species_f, monkeypatch, deadline):
+        caller, newton = os.getpid(), saddle._newton
+
+        def dying(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(1)
+            return newton(*args, **kwargs)
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(saddle, "_newton", dying)
+        with pytest.raises(RuntimeError, match=rf"worker of e_bound = "
+                           rf"\[{species_f.e_bound(1)!r}\] ended with status 1"):
+            build_density_matrix(pulse, species_f, grid, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_warnings_reach_the_caller(self, species_f, monkeypatch):
+        # a warning in each process's pass: both reach pytest.warns, the
+        # worker's with the text and location it was raised with
+        caller, newton = os.getpid(), saddle._newton
+
+        def warning(*args, **kwargs):
+            warnings.warn("caller" if os.getpid() == caller else "worker",
+                          SaturationWarning)
+            return newton(*args, **kwargs)
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(saddle, "_newton", warning)
+        with pytest.warns(SaturationWarning) as shown:
+            build_density_matrix(pulse, species_f, grid, threads=2)
+        assert {str(w.message) for w in shown} == {"caller", "worker"}
+        line = warning.__code__.co_firstlineno + 1
+        assert {(w.filename, w.lineno) for w in shown} == {(__file__, line)}
+
+    def test_interrupt_stops_the_worker(self, species_f, monkeypatch):
+        # this process is interrupted while it waits for a worker that
+        # would run for a minute: the worker is stopped and reaped at once
+        caller, newton = os.getpid(), saddle._newton
+
+        def slow_elsewhere(*args, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return newton(*args, **kwargs)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(saddle, "_newton", slow_elsewhere)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.alarm(1)
+            with pytest.raises(KeyboardInterrupt):
+                buildup(pulse, species_f, grid, threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sweep_jobs_do_not_split(self, monkeypatch, journal, tmp_path):
+        # a sweep on two processes runs one pass per job, each with both
+        # channels: no job forks again, which would oversubscribe the cores
+        batch = amplitude.saddle_batch
+
+        def counting(pulse, e_bound, *args):
+            journal.append(os.getpid(), pulse.n_cycles, len(e_bound))
+            return batch(pulse, e_bound, *args)
+
+        monkeypatch.setattr(amplitude, "saddle_batch", counting)
+        assert cli.main(["sweep", "--species", "f", "--cycles", "2..5", "--n-energy",
+                         "24", "--n-theta", "8", "--threads", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+        passes = journal.read()
+        assert sorted(int(n) for _, n, _ in passes) == [2, 3, 4, 5]
+        assert [channels for _, _, channels in passes] == ["2"] * 4
+        assert len({pid for pid, _, _ in passes}) == 2
 
 
 class TestCsvRoundTrips:

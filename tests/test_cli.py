@@ -35,6 +35,7 @@ def fresh_python(*args):
 class TestParseConfig:
     def test_defaults_are_reference_pulse(self):
         cfg = parse_config(["single", "--species", "cl"])
+        assert cfg.threads == len(os.sched_getaffinity(0))
         assert cfg.wavelength_nm == 1800.0
         assert cfg.intensity_wcm2 == 1.3e13
         assert cfg.cycles is None       # N = 8 outside sweep and fit
@@ -287,6 +288,20 @@ class TestSweepAndFit:
             assert rc == 0
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["single", "evolve", "buildup"])
+    def test_thread_count_does_not_change_one_pulse_bytes(self, tmp_path, command):
+        # one process, the channels split over two, and three asked for
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            assert run_cli(command, "--species", "f", *FAST_GRID, "--threads",
+                           threads, "--out-dir", str(out)) == 0
+            outs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outs[0]) == sorted(["summary.txt", "densmat.csv"]
+                                         + {"evolve": ["trace.csv"],
+                                            "buildup": ["buildup.csv"]}.get(command, []))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_sweep_pool_imports_neither_executor_nor_logging(self, tmp_path):
         # a fresh process: the two-process pool is built on os.fork and

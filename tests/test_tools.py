@@ -41,3 +41,16 @@ def test_treemem_reports_a_positive_peak(tmp_path):
     assert result["exit_status"] == 0
     assert result["peak_tree_pss_mib"] > 0
     assert result["ru_maxrss_mib"] > 0
+
+
+def test_treemem_child_gets_the_bench_environment(monkeypatch):
+    # a run under PYTHONDONTWRITEBYTECODE would compile every module in the
+    # child and read higher than the benchmark's children do
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import treemem
+    env = treemem.child_environment()
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["PYTHONHASHSEED"] == "0"
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")

@@ -3,10 +3,14 @@
     python tools/treemem.py [--interval S] -- SOWP-ARGS...
 
 Runs `python -m sowp.cli SOWP-ARGS` (sowp imported from ./src) in a child
-process.  Every S seconds (default 0.002) it finds the child's descendants
-by the parent pid in each /proc/<pid>/stat, reads the proportional set size
-(the Pss line of /proc/<pid>/smaps_rollup) of the child and of each of
-them, and sums these.  A page shared by k processes adds 1/k of its size to
+process, with the environment that the benchmark gives its children
+(`child_env` of bench/run.py: one BLAS thread, a fixed hash seed, and of
+this process's environment only the variables it passes through), so that
+the figures compare with its `peak_rss_mib`.  Every S seconds (default
+0.002) it finds the child's descendants by the parent pid in each
+/proc/<pid>/stat, reads the proportional set size (the Pss line of
+/proc/<pid>/smaps_rollup) of the child and of each of them, and sums
+these.  A page shared by k processes adds 1/k of its size to
 each Pss, so pages that a forked worker shares with the process it was
 forked from count once in the sum.  Everything under /proc is only read.
 
@@ -25,6 +29,20 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+
+
+def child_environment() -> dict:
+    """The benchmark's child environment, with ./src first on PYTHONPATH."""
+    sys.path.insert(0, BENCH)   # the bench modules import each other by name
+    try:
+        import run as bench_run
+    finally:
+        sys.path.remove(BENCH)
+    env = bench_run.child_env()
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def children_by_parent() -> dict:
@@ -75,10 +93,8 @@ def main(argv=None) -> int:
     if not sowp_args or args.interval <= 0:
         parser.error("give a positive --interval and a sowp command after --")
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    child = subprocess.Popen([sys.executable, "-m", "sowp.cli", *sowp_args], env=env)
+    child = subprocess.Popen([sys.executable, "-m", "sowp.cli", *sowp_args],
+                             env=child_environment())
     peak_kib = peak_procs = samples = 0
     while True:
         sizes = [kib for kib in map(pss_kib, descendants(child.pid)) if kib is not None]
