@@ -28,7 +28,8 @@ from math import prod, sqrt, pi
 import numpy as np
 
 from sowp.pulse import Pulse, expi
-from sowp.saddle import _action_coefficients, _row_block, _solved_lines, saddle_batch
+from sowp.saddle import (_action_coefficients, _block_nodes, _lent, _solved_lines,
+                          _workspace, saddle_batch)
 from sowp.species import Species
 from sowp.workers import Forks, recorded, show_again
 
@@ -105,21 +106,23 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     lines: ``nodes`` indexes the flattened nodes (a slice or an index
     array), ``rows`` holds their 4S sums, shape (4S, nodes) or
     (4S, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
-    once), so no sums are held per node.  The sums and their mirror images
-    lie in the two workspace regions that each ``saddle_batch`` block lends
-    (``block.spare``) until the next block, so the stream holds no
-    array of a block's size, and the consumer may overwrite ``rows``.
+    once), so no sums are held per node.  The sums lie in the workspace
+    region that each ``saddle_batch`` block lends (``block.spare``) until
+    the next block, and their mirror images are formed in place of them
+    once the consumer has returned, so the stream holds no array of a
+    block's size, and the consumer must leave ``rows`` unchanged.
 
     With ``threads`` >= 2 (where os.fork exists) the pass is split: one
     worker forked here (``sowp.workers.Forks``) solves the second half of
-    the channels, this process the first, and the sums of a block lie in
-    one shared slot of a block's size, which each process fills with its
-    own rows; only this process calls ``consume``.  A channel's saddles and
-    sums do not depend on the channels that share its pass, so the bits
-    are those of one process, and so are the errors: those of this
-    process's channels come first, and no block from the worker's first
-    failing one on reaches the consumer.  RuntimeError, naming the
-    worker's channel energies, if it ends without its outcome.
+    the channels, this process the first, in a workspace mapped before the
+    fork, which the worker shares.  Per block, the worker copies its rows
+    into the region that this process's block lends, and this process forms
+    every image and alone calls ``consume``.  A channel's saddles and sums
+    do not depend on the channels that share its pass, so the bits are
+    those of one process, and so are the errors: those of this process's
+    channels come first, and no block from the worker's first failing one
+    on reaches the consumer.  RuntimeError, naming the worker's channel
+    energies, if it ends without its outcome.
     """
     group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -149,95 +152,119 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     solved = _solved_lines(pz, pperp2) if pz.ndim == 2 else n_lines
     mirrored = solved < n_lines
     ones = (1,) * len(tail)
-    energy = np.array([[sp.e_bound(j2)] for sp in group for j2, _ in SUM_ROWS])
+    energy = np.array([sp.e_bound(j2) for sp in group for j2, _ in SUM_ROWS])
     lin = _action_coefficients(pulse)[0]
     flat_pz, flat_pp2 = pz.ravel(), pperp2.ravel()
     factor = np.array([-((2.0 * pi) ** 1.5) * sp.b_au / (1j * sp.kappa(j2))
-                       for sp in group for j2, _ in SUM_ROWS]).reshape((-1, 1) + ones)
+                       for sp in group for j2, _ in SUM_ROWS])
 
-    def fill(nodes, block, part, rows, image):
-        # the sums of the block's channels, the rows ``part`` of all, and
-        # their images at -p_z, into ``rows`` and ``image``
-        # exp(i S) over the action, with block.t and block.s2 as expi's
-        # scratch: the sums read none of them again
+    def fill(nodes, block, part, rows):
+        # the sums of the block's channels, the rows ``part`` of all, into
+        # ``rows``; exp(i S) over the action, with block.t and block.s2 as
+        # expi's scratch: the sums read none of them again
         core = expi(block.action, out=block.action, scratch=(block.t, block.s2))
         core = np.multiply(core, block.prefactor, out=core)
         np.matmul(core, summing, out=rows[1::2])
         np.matmul(np.multiply(core, block.vz, out=core), summing, out=rows[::2])
         # p_perp spread over a row, in the memory of core, which nothing
-        # reads now: numpy buffers a block's worth to broadcast a column
+        # reads now: numpy buffers a block's worth to broadcast a column,
+        # as it would to broadcast the factors, which scale row by row
         spread = core.reshape(-1)[:rows[0].size].reshape(rows.shape[1:])
         np.copyto(spread, pperp_[nodes])
         rows[1::2] *= spread
-        rows *= factor[part]
-        # the sums at -p_z: partial sums there image suffix sums here,
-        # total - prefix_{2N-k}
-        image = np.conjugate(rows, out=image)
-        if cumulative:  # by column: over the whole block numpy buffers a block's worth
-            for k in range(deg - 1):
-                np.conjugate(rows[..., deg - 2 - k], out=image[..., k])
-                np.subtract(image[..., -1], image[..., k], out=image[..., k])
-        pz_b = flat_pz[nodes]
-        s_tau = ((0.5 * (pz_b * pz_b + flat_pp2[nodes]) - energy[part] + lin)
-                 * pulse.tau_p).reshape(rows.shape[:2] + ones)
-        np.negative(image[1::2], out=image[1::2])      # sigma, on the (j, 1) rows
-        # exp(i S_tau) into the memory of core, t and s2, which nothing reads now
-        spare = [a.reshape(-1)[:s_tau.size].reshape(s_tau.shape)
-                 for a in (core, block.t, block.s2)]
-        np.multiply(expi(s_tau, out=spare[0], scratch=spare[1:]), image, out=image)
-        # p_z = 0 is its own image: its edge saddle counts half at each end
-        centre = pz_b == 0
-        rows[:, centre] = 0.5 * (rows[:, centre] + image[:, centre])
+        for row, f in zip(rows, factor[part]):
+            row *= f
 
-    def hand(nodes, rows, image):
+    def mirror(image, phase, memory):
+        # the sums at -p_z of the sums ``image``, in place, for their
+        # exp(i S_tau) ``phase``, with a column in the flat ``memory``: partial
+        # sums there image suffix sums here, total - prefix_{2N-k}, so the
+        # columns k and 2N - k swap, through the column
+        if cumulative:
+            column = memory[:image[..., 0].size].reshape(image.shape[:2])
+            total = np.conjugate(image[..., -1], out=image[..., -1])
+            for k in range(deg // 2):
+                other = deg - 2 - k
+                np.conjugate(image[..., k], out=column)
+                np.conjugate(image[..., other], out=image[..., k])
+                np.subtract(total, image[..., k], out=image[..., k])
+                np.subtract(total, column, out=image[..., other])
+        else:
+            np.conjugate(image, out=image)
+        np.negative(image[1::2], out=image[1::2])      # sigma, on the (j, 1) rows
+        return np.multiply(phase, image, out=image)
+
+    def hand(nodes, block, rows):
+        # the 4S sums ``rows`` of the block's nodes to the consumer, then
+        # their images on the unsolved lines, formed in place of them
+        pz_b = flat_pz[nodes]
+        centre = pz_b == 0
+        if mirrored or centre.any():
+            # S_tau, row by row as numpy buffers a broadcast; exp(i S_tau)
+            # into the memory of the block's action, with its t and s2 as
+            # scratch, and v_z's for a column: the sums read none of them
+            half_p2, s_tau = 0.5 * (pz_b * pz_b + flat_pp2[nodes]), np.empty(rows.shape[:2])
+            for row, e in zip(s_tau, energy):
+                np.subtract(half_p2, e, out=row)
+            s_tau += lin
+            s_tau *= pulse.tau_p
+            s_tau = s_tau.reshape(rows.shape[:2] + ones)
+            phase, *scratch = [a.reshape(-1)[:s_tau.size].reshape(s_tau.shape)
+                               for a in (block.action, block.t, block.s2)]
+            phase = expi(s_tau, out=phase, scratch=scratch)
+            memory = block.vz.reshape(-1)
+        # p_z = 0 is its own image: its edge saddle counts half at each end
+        if centre.any():
+            rows[:, centre] = 0.5 * (rows[:, centre]
+                                     + mirror(rows[:, centre], phase[:, centre], memory))
         consume(nodes, rows)
-        if mirrored:    # and the images on the unsolved lines
+        if mirrored:
             partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
             has = partner > nodes   # all but the p_z = 0 line
+            image = mirror(rows, phase, memory)
             consume(partner[has], image if has.all() else image[:, has])
 
-    def in_regions(regions, n):     # (rows, image) of a block of n nodes
+    def rows_in(region, n):     # the sums of a block of n nodes, at a region's start
         dims = (n_rows, n) + tail
-        return [a[:prod(dims)].reshape(dims) for a in regions]
+        return region[:prod(dims)].reshape(dims)
 
-    channels = energy[::2, 0]   # (E_3/2, E_1/2) of each species
+    channels = energy[::2]      # (E_3/2, E_1/2) of each species
     if threads < 2 or len(channels) < 2 or not hasattr(os, "fork"):
         def stream(nodes, block):
-            rows, image = in_regions(block.spare, block.t.shape[1])
-            fill(nodes, block, slice(None), rows, image)
-            hand(nodes, rows, image)
+            rows = rows_in(block.spare, block.t.shape[1])
+            fill(nodes, block, slice(None), rows)
+            hand(nodes, block, rows)
 
         saddle_batch(pulse, channels, pz, pperp2, stream)
         return sums
 
-    import mmap     # here, as no other path needs it: an extension module to load
-
     half = len(channels) // 2
     # the rows of this process's channels, and of the worker's
     mine, theirs = slice(0, 2 * half), slice(2 * half, n_rows)
-    largest = pz.size if pz.ndim == 1 else min(_row_block(solved, deg), len(pz)) * solved
-    size = n_rows * largest * prod(tail)
-    slot = np.frombuffer(mmap.mmap(-1, 2 * size * 16), dtype=complex)
-    slot = (slot[:size], slot[size:])
-    # the worker writes b"w" per block that it has put in the slot, then b"e"
-    # and its pickled outcome; this process writes one byte per free slot,
-    # and keeps free_r open, so that the byte after the last block finds a
-    # reader
+    # this process's pass runs in a workspace that the worker shares, so
+    # both processes' rows of a block meet in the region it lends
+    shared = _workspace(half * _block_nodes(pz.shape, solved, deg), deg, shared=True)
+    # per block, this process writes b"r" once its region is lent, and the
+    # worker b"w" once it has copied its rows there, then b"e" and its
+    # pickled outcome; this process keeps ready_r open, so that a byte the
+    # worker no longer reads finds a reader
     done_r, done_w = os.pipe()
-    free_r, free_w = os.pipe()
-    os.write(free_w, b"f")
+    ready_r, ready_w = os.pipe()
 
     def work():     # the worker's pass
         # without this process's ends, a read sees the end of a caller
         # that is gone, and a write raises rather than waits for it
         os.close(done_r)
-        os.close(free_w)
+        os.close(ready_w)
+        lent = _lent(shared)    # the region this process's blocks lend
 
         def put(nodes, block):
-            if not os.read(free_r, 1):  # this process has ended
+            n = block.t.shape[1]
+            rows = rows_in(block.spare, n)[theirs]
+            fill(nodes, block, theirs, rows)
+            if not os.read(ready_r, 1):     # this process has ended
                 os._exit(1)
-            rows, image = in_regions(slot, block.t.shape[1])
-            fill(nodes, block, theirs, rows[theirs], image[theirs])
+            np.copyto(rows_in(lent, n)[theirs], rows)
             os.write(done_w, b"w")
 
         def outcome():
@@ -256,12 +283,12 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         nonlocal tag
         if tag != b"w":     # the worker's pass broke off before this block
             return
-        rows, image = in_regions(slot, block.t.shape[1])
-        fill(nodes, block, mine, rows[mine], image[mine])
+        os.write(ready_w, b"r")
+        rows = rows_in(block.spare, block.t.shape[1])
+        fill(nodes, block, mine, rows[mine])
         tag = os.read(done_r, 1)
         if tag == b"w":
-            hand(nodes, rows, image)
-            os.write(free_w, b"f")
+            hand(nodes, block, rows)
 
     try:
         with Forks() as forks:
@@ -269,13 +296,13 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
                 forks.start(work)
             finally:    # so that a worker that ends leaves no writer
                 os.close(done_w)
-            saddle_batch(pulse, channels[:half], pz, pperp2, stream)
+            saddle_batch(pulse, channels[:half], pz, pperp2, stream, shared)
             if tag == b"w":
                 tag = os.read(done_r, 1)
             with os.fdopen(done_r, "rb", closefd=False) as rest:
                 payload = rest.read()
     finally:
-        for fd in (done_r, free_r, free_w):
+        for fd in (done_r, ready_r, ready_w):
             os.close(fd)
     if tag != b"e" or forks.statuses != [0]:
         raise RuntimeError(f"the worker of e_bound = {channels[half:].tolist()} ended "

@@ -28,10 +28,13 @@ note" tells how the lines are continued, gated and buffered.
 Consumers.  Given consume(nodes, block), saddle_batch hands over each
 evaluated block as a SaddleBatch in buffers that the next block reuses, so
 a block is valid only during the call, and the consumer may overwrite it.
-With it the block lends ``block.spare``: two flat complex regions of the
-same buffers, each with room for 2 C nodes (2N+2) elements for C channels,
-which nothing reads until the call returns, so the consumer may use them
-as its own scratch for that long.  No array of the grid's size is held then.
+With it the block lends ``block.spare``: one flat complex region of the
+same buffers, with room for 4 C nodes (2N+2) elements for C channels and
+the nodes of the pass's largest block, which nothing reads until the call
+returns, so the consumer may use it as its own scratch for that long.  No
+array of the grid's size is held then.  The buffers are the caller's
+``work`` if given (a _workspace of the pass's size, which may lie in a
+mapping that forked processes share), else the pass's own.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -172,8 +175,9 @@ class SaddleBatch:
 
 
 class _LentBatch(SaddleBatch):
-    """A SaddleBatch handed to a consumer, with ``spare``: two flat complex
-    workspace regions the consumer may overwrite during its call."""
+    """A SaddleBatch handed to a consumer, with ``spare``: one flat complex
+    workspace region (_lent) that the consumer may overwrite during its
+    call."""
 
     __slots__ = ("spare",)
 
@@ -221,12 +225,27 @@ def _eigvals_seeds(pulse: Pulse, e_bound, pz, pperp2):
     return np.where(np.abs(w) < 1.0, t, np.conj(t)).reshape(shape + (deg,))
 
 
-def _workspace(n, deg):
+def _workspace(n, deg, shared=False):
     """Block buffers for up to n points, each of shape (n, deg): complex t,
     u, z, 1/u, 1/z, v_z, S', step and two scratch (the action, S'' and the
     prefactor reuse them: see saddle_batch), and float |S'| and scratch.
-    Callers take views of their first rows (_views)."""
-    return np.empty((10, n, deg), dtype=complex), np.empty((2, n, deg))
+    Callers take views of their first rows (_views).  With ``shared``, all
+    lie in one anonymous MAP_SHARED mapping, which processes forked after
+    it share; else in arrays of this process."""
+    if not shared:
+        return np.empty((10, n, deg), dtype=complex), np.empty((2, n, deg))
+    import mmap     # here, as no other path needs it: an extension module to load
+    size = 10 * n * deg
+    memory = mmap.mmap(-1, max(1, 16 * size + 8 * 2 * n * deg))  # mmap has no empty maps
+    return (np.frombuffer(memory, complex, size).reshape(10, n, deg),
+            np.frombuffer(memory, float, 2 * n * deg, 16 * size).reshape(2, n, deg))
+
+
+def _lent(work):
+    """The region of the buffers ``work`` of _workspace that saddle_batch
+    lends its consumer: the u, z, 1/u and 1/z slots, one flat complex array
+    of 4 n deg elements."""
+    return work[0][1:5].reshape(-1)
 
 
 def _views(work, shape):
@@ -443,8 +462,17 @@ def _row_block(lines: int, deg: int) -> int:
     return max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, lines * deg)))
 
 
+def _block_nodes(shape, solved, deg: int) -> int:
+    """The nodes of the largest block of a pass of degree ``deg`` over
+    points of ``shape``: all of 1-D ones, or of 2-D ones the ``solved``
+    leading lines of _row_block rows."""
+    if len(shape) == 1:
+        return shape[0]
+    return min(_row_block(solved, deg), shape[0]) * solved
+
+
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
-                 consume=None) -> SaddleBatch | None:
+                 consume=None, work=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
     e_bound, a number or a sequence (channels solved in one pass).
 
@@ -455,9 +483,11 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     evaluated block (a row block of 2-D inputs, all points of 1-D ones):
     ``nodes`` indexes the flattened nodes (a slice or an index array),
     ``block`` is their SaddleBatch, valid only during the call, with
-    ``block.spare``, two workspace regions that the consumer may overwrite
-    during the call (the module docstring gives their size).  Raises
-    SaddleError/DegenerateSaddleError as the module docstring says.
+    ``block.spare``, one workspace region that the consumer may overwrite
+    during the call (the module docstring gives its size).  ``work``, if
+    given, is the buffers of _workspace the pass runs in, for at least
+    _block_nodes times the channels.  Raises SaddleError/
+    DegenerateSaddleError as the module docstring says.
     """
     energy = np.asarray(e_bound, dtype=float)
     if energy.ndim > 1 or energy.size == 0 or (energy >= 0).any():
@@ -480,9 +510,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         block = _row_block(solved, deg)
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
-    # sized for the largest block: all points, or ``block`` rows
-    work = _workspace(e.size * (pz.size if pz.ndim == 1 else
-                                min(block, pz.shape[0]) * pz.shape[1]), deg)
+    if work is None:    # sized for the largest block
+        work = _workspace(e.size * _block_nodes(pz.shape, solved, deg), deg)
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
@@ -505,17 +534,21 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     # value, p_z, p_perp^2 and roots of the first
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
     first = {}
-    # the slot pairs (p1, p2) and (x1, x2) below, each one region of the
-    # workspace, idle from the prefactor to the next block: lent to the consumer
-    spare = tuple(work[0][i:i + 2].reshape(-1) for i in (2, 8))
+    # the four phasor slots, idle from the prefactor to the next block: lent
+    # to the consumer
+    spare = _lent(work)
     for nodes, points, fields, checks in blocks:
         # evaluate the block, and hand it to the consumer unless it or an
         # earlier block broke a contract
         tb, *phasors, vz, residual = fields
         # the action, then S'', into the slots Newton leaves free (S', step
-        # and scratch); the prefactor into the u, z and 1/u slots, free once
-        # S'' is built: by slot, as at N = 1 the phasor u is z's slot
-        (_, pre, p1, p2, _, _, act, s2, x1, x2), (_, mag) = _views(work, tb.shape)
+        # and scratch); the prefactor into the first scratch slot, with the
+        # u and z slots, free once S'' is built, for its scratch: by slot,
+        # as at N = 1 the phasor u is z's slot.  So the phasor slots are
+        # free from the prefactor on, and the block holds t, v_z, the
+        # action, S'' and the prefactor in the others; _node_checks, on a
+        # failing block, takes the last scratch slot, idle once S'' is built
+        (_, p1, p2, _, _, _, act, s2, x1, x2), (_, mag) = _views(work, tb.shape)
         ready = checks is None and not first
         if ready:
             act = _action_terms(pulse, tb, *points, e[..., None], phasors=phasors,
@@ -544,7 +577,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                 first.setdefault((c, kind), (value[c, kind, i], points[0][i, 0],
                                              points[1][i, 0], roots[c, i].copy()))
         if ready and not first:
-            prefactor = _rsqrt(np.multiply(-1j, s2, out=pre), pre, (p1, p2))
+            prefactor = _rsqrt(np.multiply(-1j, s2, out=x1), x1, (p1, p2))
             lent = _LentBatch(tb, vz, act, s2, prefactor, residual)
             lent.spare = spare
             consume(index, lent)

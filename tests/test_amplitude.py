@@ -440,15 +440,18 @@ class TestStreamedFinalPass:
 
 @pytest.mark.parametrize("shape", [(0,), (0, 6), (0, 7), (4, 0)])
 def test_empty_inputs_give_empty_results(ref_pulse, species_f, shape):
-    # no points, no rows or no lines: empty fields and sums, no error
+    # no points, no rows or no lines: empty fields and sums, no error, on
+    # one process or two (whose shared workspace then holds no element)
     deg = 2 * ref_pulse.n_cycles + 2
     pz = np.zeros(shape)
     batch = saddle_batch(ref_pulse, species_f.e_bound(3), pz, pz)
     for name in SaddleBatch.__slots__:
         assert getattr(batch, name).shape == shape + (deg,), name
-    assert amplitude_profiles(ref_pulse, species_f, pz, pz).shape == (4,) + shape
-    assert amplitude_profiles(ref_pulse, species_f, pz, pz,
-                              cumulative=True).shape == (4,) + shape + (deg,)
+    for threads in (1, 2):
+        assert amplitude_profiles(ref_pulse, species_f, pz, pz,
+                                  threads=threads).shape == (4,) + shape
+        assert amplitude_profiles(ref_pulse, species_f, pz, pz, cumulative=True,
+                                  threads=threads).shape == (4,) + shape + (deg,)
 
 
 def test_saddle_batch_import_site_sees_whole_grid(ref_pulse, species_f,
@@ -516,6 +519,37 @@ def test_evaluated_block_allocates_nothing_of_its_size(species_f, monkeypatch):
     assert [n for n, _ in peaks] == [2, 2, 2, 20, 20, 20]
     block_bytes = entry[-1][1]
     assert all(peak <= 8192 < block_bytes / 2 for _, peak in peaks), peaks
+
+
+def test_buildup_sums_reach_the_consumer_unbuffered(ref_pulse, species_f, monkeypatch):
+    """From the prefactor of a row block of the F, N = 8 build-up on the
+    default grid to the consumer's call with its partial sums, the traced
+    peak above entry stays within 8192 bytes and two float (4, nodes)
+    arrays (S_tau, and the per-node terms it is formed from): the stream
+    scales its sums by their factors row by row, where a (4, 1, 1) factor
+    broadcast over the (4, nodes, 2N+2) sums made numpy allocate a ufunc
+    buffer of up to 8192 complex elements, and forms S_tau row by row."""
+    pz, pperp, _ = grid_nodes(MomentumGrid.build(ref_pulse.omega))
+    rsqrt, entry, peaks = saddle._rsqrt, [], []
+
+    def entered(x, out, scratch):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return rsqrt(x, out, scratch)
+
+    def consume(nodes, rows):
+        if len(peaks) < len(entry):     # the sums, not their images
+            peaks.append((rows.shape[1], tracemalloc.get_traced_memory()[1] - entry[-1]))
+
+    monkeypatch.setattr(saddle, "_rsqrt", entered)
+    tracemalloc.start()
+    try:
+        amplitude_profiles(ref_pulse, species_f, pz, pperp, cumulative=True,
+                           consume=consume)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == len(entry) > 3
+    assert all(peak <= 8192 + 2 * 4 * n * 8 for n, peak in peaks), peaks
 
 
 # --- time-integral oracle ---------------------------------------------------

@@ -622,14 +622,16 @@ class TestChannelSplit:
     one process."""
 
     @staticmethod
-    def coarse(n):
+    def coarse(n, n_theta=8):
         pulse = Pulse.from_lab(1800.0, n, 1.3e13)
-        return pulse, MomentumGrid.build(pulse.omega, n_energy=24, n_theta=8)
+        return pulse, MomentumGrid.build(pulse.omega, n_energy=24, n_theta=n_theta)
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 18])
-    def test_matrix_and_buildup_bits(self, species_f, n):
-        # N = 1 aliases u into z's slot
-        pulse, grid = self.coarse(n)
+    @pytest.mark.parametrize("n, n_theta", [(1, 8), (2, 8), (8, 8), (18, 8), (8, 9)],
+                             ids=["1", "2", "8", "18", "8-odd"])
+    def test_matrix_and_buildup_bits(self, species_f, n, n_theta):
+        # N = 1 aliases u into z's slot; an odd n_theta has a p_z = 0 line,
+        # whose image this process forms for both processes' rows
+        pulse, grid = self.coarse(n, n_theta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
             one = build_density_matrix(pulse, species_f, grid)
@@ -668,6 +670,44 @@ class TestChannelSplit:
                                                  cumulative=cumulative, threads=k)
                     for k in (1, 2))
         assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sums_lie_in_the_lent_workspace(self, species_f, monkeypatch,
+                                            threads, cumulative):
+        # the rows each consumer call gets, and their images, lie in the
+        # region that this process's saddle_batch block lends (on a grid
+        # without a p_z = 0 line, whose images are left out by a copy); the
+        # split maps one region, the workspace of this process's pass (ten
+        # complex and two float slots, of which the region is four complex
+        # ones), and nothing else
+        import mmap
+        pulse, grid = self.coarse(8)
+        pz, pperp, _ = grid_nodes(grid)
+        batch, mapping, lent, maps, handed = amplitude.saddle_batch, mmap.mmap, [], [], []
+
+        def lending(pulse, e_bound, pz, pperp2, consume, *work):
+            def seen(nodes, block):
+                lent.append(block.spare)
+                consume(nodes, block)
+            return batch(pulse, e_bound, pz, pperp2, seen, *work)
+
+        def mapped(*args, **kwargs):
+            maps.append(mapping(*args, **kwargs))
+            return maps[-1]
+
+        def consume(nodes, rows):
+            handed.append(np.shares_memory(rows, lent[-1]))
+
+        monkeypatch.setattr(amplitude, "saddle_batch", lending)
+        monkeypatch.setattr(mmap, "mmap", mapped)
+        amplitude.amplitude_profiles(pulse, species_f, pz, pperp, cumulative,
+                                     consume, threads)
+        assert len(handed) == 2 * len(lent) > 0 and all(handed)
+        assert len(maps) == (threads > 1)
+        for memory in maps:
+            assert np.shares_memory(np.frombuffer(memory, np.uint8), lent[-1])
+            assert len(memory) == 11 * lent[-1].nbytes // 4
 
     @pytest.mark.parametrize("j2", [3, 1], ids=["caller", "worker"])
     def test_failure_parity(self, species_f, monkeypatch, deadline, j2):
