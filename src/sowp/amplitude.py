@@ -22,7 +22,6 @@ summed coherently over it.
 """
 
 import os
-import pickle
 from math import prod, sqrt, pi
 
 import numpy as np
@@ -31,7 +30,7 @@ from sowp.pulse import Pulse, expi
 from sowp.saddle import (_action_coefficients, _block_nodes, _lent, _solved_lines,
                           _workspace, saddle_batch)
 from sowp.species import Species
-from sowp.workers import Forks, recorded, show_again
+from sowp.workers import Forks, forkable
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
 Y11_COEF = sqrt(3.0 / (8.0 * pi))
@@ -112,7 +111,8 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     once the consumer has returned, so the stream holds no array of a
     block's size, and the consumer must leave ``rows`` unchanged.
 
-    With ``threads`` >= 2 (where os.fork exists) the pass is split: one
+    With ``threads`` >= 2 (where os.fork exists: ``sowp.workers.forkable``,
+    which raises ValueError unless threads >= 1) the pass is split: one
     worker forked here (``sowp.workers.Forks``) solves the second half of
     the channels, this process the first, in a workspace mapped before the
     fork, which the worker shares.  Per block, the worker copies its rows
@@ -121,8 +121,9 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     do not depend on the channels that share its pass, so the bits are
     those of one process, and so are the errors: those of this process's
     channels come first, and no block from the worker's first failing one
-    on reaches the consumer.  RuntimeError, naming the worker's channel
-    energies, if it ends without its outcome.
+    on reaches the consumer.  The worker's outcome, None or its exception,
+    and its warnings come back through ``Forks.results``; RuntimeError,
+    naming the worker's channel energies, if it ends without its outcome.
     """
     group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))
@@ -229,7 +230,7 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         return region[:prod(dims)].reshape(dims)
 
     channels = energy[::2]      # (E_3/2, E_1/2) of each species
-    if threads < 2 or len(channels) < 2 or not hasattr(os, "fork"):
+    if forkable(threads) < 2 or len(channels) < 2:
         def stream(nodes, block):
             rows = rows_in(block.spare, block.t.shape[1])
             fill(nodes, block, slice(None), rows)
@@ -245,13 +246,13 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     # both processes' rows of a block meet in the region it lends
     shared = _workspace(half * _block_nodes(pz.shape, solved, deg), deg, shared=True)
     # per block, this process writes b"r" once its region is lent, and the
-    # worker b"w" once it has copied its rows there, then b"e" and its
-    # pickled outcome; this process keeps ready_r open, so that a byte the
-    # worker no longer reads finds a reader
+    # worker b"w" once it has copied its rows there; the worker closes its
+    # end once its pass is over.  This process keeps ready_r open, so that
+    # a byte the worker no longer reads finds a reader
     done_r, done_w = os.pipe()
     ready_r, ready_w = os.pipe()
 
-    def work():     # the worker's pass
+    def work():     # the worker's pass: its outcome, None or its exception
         # without this process's ends, a read sees the end of a caller
         # that is gone, and a write raises rather than waits for it
         os.close(done_r)
@@ -267,48 +268,37 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
             np.copyto(rows_in(lent, n)[theirs], rows)
             os.write(done_w, b"w")
 
-        def outcome():
-            try:
-                saddle_batch(pulse, channels[half:], pz, pperp2, put)
-            except Exception as exc:
-                return exc
+        try:
+            saddle_batch(pulse, channels[half:], pz, pperp2, put)
+        except Exception as exc:
+            return exc
+        finally:    # before the outcome is sent, which may wait for this process
+            os.close(done_w)
 
-        payload = b"e" + pickle.dumps(recorded(outcome))
-        with os.fdopen(done_w, "wb") as out:
-            out.write(payload)
-
-    tag = b"w"
+    reaches = True      # the worker's pass reaches this block
 
     def stream(nodes, block):
-        nonlocal tag
-        if tag != b"w":     # the worker's pass broke off before this block
-            return
-        os.write(ready_w, b"r")
-        rows = rows_in(block.spare, block.t.shape[1])
-        fill(nodes, block, mine, rows[mine])
-        tag = os.read(done_r, 1)
-        if tag == b"w":
-            hand(nodes, block, rows)
+        nonlocal reaches
+        if reaches:
+            os.write(ready_w, b"r")
+            rows = rows_in(block.spare, block.t.shape[1])
+            fill(nodes, block, mine, rows[mine])
+            reaches = os.read(done_r, 1) == b"w"   # not at the end of the worker's pass
+            if reaches:
+                hand(nodes, block, rows)
 
     try:
         with Forks() as forks:
             try:
-                forks.start(work)
+                forks.start(work, f"the worker of e_bound = {channels[half:].tolist()} "
+                                  f"ended with status {{status}} without its outcome")
             finally:    # so that a worker that ends leaves no writer
                 os.close(done_w)
             saddle_batch(pulse, channels[:half], pz, pperp2, stream, shared)
-            if tag == b"w":
-                tag = os.read(done_r, 1)
-            with os.fdopen(done_r, "rb", closefd=False) as rest:
-                payload = rest.read()
+            error, = forks.results()
     finally:
         for fd in (done_r, ready_r, ready_w):
             os.close(fd)
-    if tag != b"e" or forks.statuses != [0]:
-        raise RuntimeError(f"the worker of e_bound = {channels[half:].tolist()} ended "
-                           f"with status {forks.statuses[0]} without its outcome")
-    error, shown = pickle.loads(payload)
-    show_again(shown)
     if error is not None:
         raise error
     return sums

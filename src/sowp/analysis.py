@@ -11,9 +11,6 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
-import functools
-import os
-import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,7 +24,7 @@ from sowp.errors import ConfigError, FitError, SowpError
 from sowp.pulse import Pulse
 from sowp.saddle import find_saddles
 from sowp.species import Species
-from sowp.workers import Forks, recorded, show_again
+from sowp.workers import Forks, forkable
 
 DEFAULT_SWEEP_CYCLES = {"f": range(2, 19), "cl": range(2, 19), "br": range(2, 9)}
 BUILDUP_PROBE_P = 0.05
@@ -136,54 +133,32 @@ def _sweep_pulse(species, wavelength_nm: float, intensity_wcm2: float,
     return outcomes
 
 
-def _worker(run, jobs, fd):
-    """A forked sweep worker's work: run(job) for each of ``jobs``, then
-    one pickled list of (run(job), the warnings it showed) into the pipe
-    ``fd``."""
-    done = [recorded(lambda: run(job)) for job in jobs]
-    with os.fdopen(fd, "wb") as out:
-        pickle.dump(done, out)
-
-
 def _dealt(run, jobs, processes: int) -> list:
     """[run(job) for job in jobs], worked by this process and
     ``processes`` - 1 workers forked by ``Forks``.  Of P participants,
     participant p takes the jobs k with k mod 2P in {p, 2P - 1 - p}, back
     and forth, so that each gets its share of long and short jobs when
     they come longest first; this process (p = 0) works job 0 first, and
-    reads each worker's results once its own are done.  A worker's
-    warnings are shown again here, in its job order.  RuntimeError, naming
-    its jobs, for a worker that ends without sending its results."""
-    if processes < 2 or not hasattr(os, "fork"):
+    takes each worker's results (``Forks.results``) once its own are done.
+    RuntimeError, naming its jobs, for a worker that ends without sending
+    its results."""
+    if processes < 2:
         return [run(job) for job in jobs]
     period = 2 * processes
     shares = [[k for k in range(len(jobs)) if p in (k % period, period - 1 - k % period)]
               for p in range(processes)]
-    done, pipes, sent = [None] * len(jobs), [], []
-    try:
-        with Forks() as forks:
-            for p in range(1, processes):
-                r, w = os.pipe()
-                pipes.append(os.fdopen(r, "rb"))
-                try:
-                    forks.start(functools.partial(
-                        _worker, run, [jobs[k] for k in shares[p]], w))
-                finally:
-                    os.close(w)
-            for k in shares[0]:
-                done[k] = run(jobs[k])
-            for pipe in pipes:      # to its end: the worker has sent or ended
-                sent.append(pipe.read())
-    finally:
-        for pipe in pipes:
-            pipe.close()
-    for p, (status, results) in enumerate(zip(forks.statuses, sent), 1):
-        if status != 0:
-            raise RuntimeError(f"sweep worker {p} ended with status {status} without "
-                               f"the results of N = {[jobs[k] for k in shares[p]]}")
-        for k, (result, shown) in zip(shares[p], pickle.loads(results)):
-            done[k] = result
-            show_again(shown)
+    done = [None] * len(jobs)
+    with Forks() as forks:
+        for p in range(1, processes):
+            share = [jobs[k] for k in shares[p]]
+            forks.start(lambda: [run(job) for job in share],    # at once, in the worker
+                        f"sweep worker {p} ended with status {{status}} without the "
+                        f"results of N = {share}")
+        for k in shares[0]:
+            done[k] = run(jobs[k])
+        for p, results in enumerate(forks.results(), 1):
+            for k, result in zip(shares[p], results):
+                done[k] = result
     return done
 
 
@@ -191,11 +166,12 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
                     cycles=None, threads: int = 1, **grid_kw):
     """One point per (species, N), one job (_sweep_pulse) per N with its
     species in order, longest pulse first, on this process and up to
-    ``threads`` - 1 (threads >= 1) worker processes forked once the
-    momentum grid is built (see _dealt; this process works every job
-    where os.fork does not exist).  Each worker shares the grid
-    copy-on-write and holds its own block buffers; its points, errors and
-    warnings come back pickled.  Package errors (SowpError) are collected
+    ``threads`` - 1 worker processes forked once the momentum grid is
+    built (see _dealt; ``sowp.workers.forkable`` raises ValueError unless
+    threads >= 1, and leaves every job to this process where os.fork does
+    not exist).  Each worker shares the grid copy-on-write and holds its
+    own block buffers; its points, errors and warnings come back through
+    ``sowp.workers.Forks``.  Package errors (SowpError) are collected
     per point, not raised; any other exception is raised once every job
     has run, the first in job order.  From Python 3.12 on os.fork warns in
     a process that runs other threads: a caller that runs threads of its
@@ -206,8 +182,7 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
     range).  Returns (points, failures), each in (species position, N)
     order whatever ``threads`` is; a failure is (name, N, exc).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    processes = forkable(threads)
     jobs = []
     cycles = None if cycles is None else list(cycles)   # read once, for all species
     for sp in species_list:
@@ -238,7 +213,7 @@ def coherence_sweep(species_list, wavelength_nm: float, intensity_wcm2: float,
             return None, exc
 
     outcomes = [None] * len(jobs)
-    done = _dealt(run, longest_first, min(threads, len(longest_first)))
+    done = _dealt(run, longest_first, min(processes, len(longest_first)))
     for n, (results, exc) in zip(longest_first, done):
         if exc is not None:     # the first in job order
             raise exc

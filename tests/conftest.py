@@ -2,6 +2,7 @@
 and cached density matrices, reused across the unit and acceptance suites."""
 
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -73,6 +74,19 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """TimeoutError in this process if the test runs past a minute."""
+    def expire(signum, frame):
+        raise TimeoutError("the test did not end within a minute")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

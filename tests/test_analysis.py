@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import io
 import os
 import signal
@@ -252,19 +253,6 @@ def journal(tmp_path):
     return Journal(tmp_path / "journal")
 
 
-@pytest.fixture
-def deadline():
-    """TimeoutError in this process if the test runs past a minute."""
-    def expire(signum, frame):
-        raise TimeoutError("the sweep did not end within a minute")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 class TestCoherenceSweep:
     def test_small_sweep(self, species_f):
         pts, failures = coherence_sweep([species_f], 1800.0, 1.3e13,
@@ -504,6 +492,21 @@ class TestCoherenceSweep:
         assert len({(w.category, w.filename, w.lineno) for w in shown}) == 1
         assert shown[0].filename == __file__
 
+    def test_worker_records_a_repeated_warning_once(self, species_f, monkeypatch):
+        # every job warns alike: where one process shows it once, so does
+        # each process of the sweep, the worker over its two jobs too
+        def warning(group, lam, intensity, n, grid):
+            warnings.warn("alike", SaturationWarning)
+            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
+
+        monkeypatch.setattr(analysis, "_sweep_pulse", warning)
+        for threads, shows in ((1, 1), (2, 2)):
+            with warnings.catch_warnings(record=True) as shown:
+                warnings.simplefilter("default")
+                coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4],
+                                threads=threads)
+            assert [str(w.message) for w in shown] == ["alike"] * shows
+
     def test_one_job_per_pulse(self, species_f, species_cl, monkeypatch):
         # F and Cl share one job, and so one saddle pass, at every N
         jobs = []
@@ -570,8 +573,34 @@ class TestCoherenceSweep:
                 np.testing.assert_array_equal(exc.roots, alone[n].roots)
 
     def test_no_worker_threads_rejected(self, species_f):
-        with pytest.raises(ValueError):
-            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=0)
+        # by the sweep and by every one-pulse entry point, before any pass
+        pulse = Pulse.from_lab(1800.0, 2, 1.3e13)
+        grid = MomentumGrid.build(pulse.omega, n_energy=8, n_theta=4)
+        pz, pperp, _ = grid_nodes(grid)
+        calls = [lambda t: coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2], threads=t),
+                 lambda t: build_density_matrix(pulse, species_f, grid, threads=t),
+                 lambda t: buildup(pulse, species_f, grid, threads=t),
+                 lambda t: amplitude.amplitude_profiles(pulse, species_f, pz, pperp,
+                                                        threads=t)]
+        for call in calls:
+            for threads in (0, -3):
+                with pytest.raises(ValueError, match="threads must be at least 1"):
+                    call(threads)
+
+    def test_failing_fork_leaves_nothing_behind(self, species_f, monkeypatch):
+        # os.fork raises: its error reaches the caller, and no child, pipe
+        # end or file is left
+        def failing():
+            raise OSError(errno.EAGAIN, "forced")
+
+        monkeypatch.setattr(os, "fork", failing)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="forced"):
+            coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3], threads=2,
+                            n_energy=8, n_theta=4)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cycles", [[2, 8.7], [np.nan]])
     def test_fractional_cycles_rejected(self, species_f, monkeypatch, cycles):
@@ -756,6 +785,73 @@ class TestChannelSplit:
             build_density_matrix(pulse, species_f, grid, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_unsendable_error_is_named(self, species_f, monkeypatch, capfd, deadline):
+        # an error of the worker's pass that pickle cannot send back: the
+        # worker says why on stderr, and this process names its channels
+        caller, newton = os.getpid(), saddle._newton
+
+        def unsendable(*args, **kwargs):
+            if os.getpid() != caller:
+                raise ValueError(lambda: 0)
+            return newton(*args, **kwargs)
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(saddle, "_newton", unsendable)
+        with pytest.raises(RuntimeError, match=rf"worker of e_bound = "
+                           rf"\[{species_f.e_bound(1)!r}\] ended with status 1"):
+            build_density_matrix(pulse, species_f, grid, threads=2)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "pickle" in err
+
+    def test_error_larger_than_a_pipe_comes_back(self, species_f, monkeypatch,
+                                                 deadline):
+        # the worker's error fills more than a pipe's buffer: it ends its
+        # handshake first, so this process, waiting there, goes on to read it
+        caller, newton = os.getpid(), saddle._newton
+        payload = bytes(range(256)) * 4096
+
+        def failing(*args, **kwargs):
+            if os.getpid() != caller:
+                raise ValueError(payload)
+            return newton(*args, **kwargs)
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(saddle, "_newton", failing)
+        with pytest.raises(ValueError) as raised:
+            build_density_matrix(pulse, species_f, grid, threads=2)
+        assert raised.value.args == (payload,)
+
+    def test_failing_fork_leaves_nothing_behind(self, species_f, monkeypatch):
+        def failing():
+            raise OSError(errno.EAGAIN, "forced")
+
+        pulse, grid = self.coarse(2)
+        monkeypatch.setattr(os, "fork", failing)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="forced"):
+            build_density_matrix(pulse, species_f, grid, threads=2)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_this_process_runs_the_pass(self, species_f, monkeypatch,
+                                                     journal):
+        # as the sweep's test_without_fork_the_caller_works_every_job: one
+        # pass of both channels here, with the bits of threads=1
+        pulse, grid = self.coarse(2)
+        one = build_density_matrix(pulse, species_f, grid)
+        batch = amplitude.saddle_batch
+
+        def counting(pulse, e_bound, *args):
+            journal.append(os.getpid(), len(e_bound))
+            return batch(pulse, e_bound, *args)
+
+        monkeypatch.setattr(amplitude, "saddle_batch", counting)
+        monkeypatch.delattr(os, "fork")
+        two = build_density_matrix(pulse, species_f, grid, threads=2)
+        assert journal.read() == [(str(os.getpid()), "2")]
+        assert np.array_equal(one.matrix, two.matrix)
 
     def test_worker_warnings_reach_the_caller(self, species_f, monkeypatch):
         # a warning in each process's pass: both reach pytest.warns, the
