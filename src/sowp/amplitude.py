@@ -21,14 +21,15 @@ states are orthonormal, so amplitudes are kept resolved per m_s and never
 summed coherently over it.
 """
 
+import contextlib
 import os
 from math import prod, sqrt, pi
 
 import numpy as np
 
 from sowp.pulse import Pulse, expi
-from sowp.saddle import (_action_coefficients, _block_nodes, _lent, _solved_lines,
-                          _workspace, saddle_batch)
+from sowp.saddle import (_action_coefficients, _block_nodes, _solved_lines,
+                          saddle_batch)
 from sowp.species import Species
 from sowp.workers import Forks, forkable
 
@@ -114,14 +115,16 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     With ``threads`` >= 2 (where os.fork exists: ``sowp.workers.forkable``,
     which raises ValueError unless threads >= 1) the pass is split: one
     worker forked here (``sowp.workers.Forks``) solves the second half of
-    the channels, this process the first, in a workspace mapped before the
-    fork, which the worker shares.  Per block, the worker copies its rows
-    into the region that this process's block lends, and this process forms
-    every image and alone calls ``consume``.  A channel's saddles and sums
-    do not depend on the channels that share its pass, so the bits are
-    those of one process, and so are the errors: those of this process's
-    channels come first, and no block from the worker's first failing one
-    on reaches the consumer.  The worker's outcome, None or its exception,
+    the channels, this process the first.  Per block, the worker builds its
+    rows in the region that its own block lends and writes them to one
+    pipe, which this process reads into the region that its block lends,
+    next to its own rows; it forms every image and alone calls ``consume``.
+    The worker closes the pipe when its pass ends, so a block that the pipe
+    ends before is one that the worker's pass does not reach.  A channel's
+    saddles and sums do not depend on the channels that share its pass, so
+    the bits are those of one process, and so are the errors: those of this
+    process's channels come first, and no block from the worker's first
+    failing one on reaches the consumer.  The worker's outcome, None or its exception,
     and its warnings come back through ``Forks.results``; RuntimeError,
     naming the worker's channel energies, if it ends without its outcome.
     """
@@ -230,62 +233,54 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
         return region[:prod(dims)].reshape(dims)
 
     channels = energy[::2]      # (E_3/2, E_1/2) of each species
-    if forkable(threads) < 2 or len(channels) < 2:
-        def stream(nodes, block):
-            rows = rows_in(block.spare, block.t.shape[1])
-            fill(nodes, block, slice(None), rows)
-            hand(nodes, block, rows)
+    half = len(channels) // 2 if forkable(threads) >= 2 else len(channels)
+    # the rows of this process's channels, and of the worker's (none without
+    # one, and then no pipe is read)
+    mine, theirs = slice(0, 2 * half), slice(2 * half, n_rows)
+    reaches = True      # the worker's pass reaches this block
 
+    def stream(nodes, block):
+        nonlocal reaches
+        if reaches:
+            rows = rows_in(block.spare, block.t.shape[1])
+            fill(nodes, block, mine, rows[mine])
+            # the worker's rows of the block, read into place: the end of the
+            # pipe before a whole block is the end of the worker's pass
+            rest = rows[theirs]
+            reaches = not rest.size or pipe.readinto(rest) == rest.nbytes
+            if reaches:
+                hand(nodes, block, rows)
+
+    if half == len(channels):
         saddle_batch(pulse, channels, pz, pperp2, stream)
         return sums
 
-    half = len(channels) // 2
-    # the rows of this process's channels, and of the worker's
-    mine, theirs = slice(0, 2 * half), slice(2 * half, n_rows)
-    # this process's pass runs in a workspace that the worker shares, so
-    # both processes' rows of a block meet in the region it lends
-    shared = _workspace(half * _block_nodes(pz.shape, solved, deg), deg, shared=True)
-    # per block, this process writes b"r" once its region is lent, and the
-    # worker b"w" once it has copied its rows there; the worker closes its
-    # end once its pass is over.  This process keeps ready_r open, so that
-    # a byte the worker no longer reads finds a reader
-    done_r, done_w = os.pipe()
-    ready_r, ready_w = os.pipe()
+    import fcntl    # here, as only the split needs it: an extension module to load
+    read, write = os.pipe()
+    pipe = open(read, "rb")
+    # room for a block of the worker's rows where Linux lets the pipe grow,
+    # up to the 2**20 bytes that an unprivileged process may set by default
+    size = 16 * (n_rows - 2 * half) * _block_nodes(pz.shape, solved, deg) * prod(tail)
+    with contextlib.suppress(AttributeError, OSError):
+        if size > fcntl.fcntl(write, fcntl.F_GETPIPE_SZ):
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, min(size, 1 << 20))
 
     def work():     # the worker's pass: its outcome, None or its exception
-        # without this process's ends, a read sees the end of a caller
-        # that is gone, and a write raises rather than waits for it
-        os.close(done_r)
-        os.close(ready_w)
-        lent = _lent(shared)    # the region this process's blocks lend
+        pipe.close()    # so that a write to a caller that is gone raises
 
         def put(nodes, block):
-            n = block.t.shape[1]
-            rows = rows_in(block.spare, n)[theirs]
+            rows = rows_in(block.spare, block.t.shape[1])[theirs]
             fill(nodes, block, theirs, rows)
-            if not os.read(ready_r, 1):     # this process has ended
-                os._exit(1)
-            np.copyto(rows_in(lent, n)[theirs], rows)
-            os.write(done_w, b"w")
+            data = rows.reshape(-1).view(np.uint8)
+            while data.size:
+                data = data[os.write(write, data):]
 
         try:
             saddle_batch(pulse, channels[half:], pz, pperp2, put)
         except Exception as exc:
             return exc
         finally:    # before the outcome is sent, which may wait for this process
-            os.close(done_w)
-
-    reaches = True      # the worker's pass reaches this block
-
-    def stream(nodes, block):
-        nonlocal reaches
-        if reaches:
-            os.write(ready_w, b"r")
-            rows = rows_in(block.spare, block.t.shape[1])
-            fill(nodes, block, mine, rows[mine])
-            reaches = os.read(done_r, 1) == b"w"   # not at the end of the worker's pass
-            if reaches:
-                hand(nodes, block, rows)
+            os.close(write)
 
     try:
         with Forks() as forks:
@@ -293,12 +288,11 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
                 forks.start(work, f"the worker of e_bound = {channels[half:].tolist()} "
                                   f"ended with status {{status}} without its outcome")
             finally:    # so that a worker that ends leaves no writer
-                os.close(done_w)
-            saddle_batch(pulse, channels[:half], pz, pperp2, stream, shared)
+                os.close(write)
+            saddle_batch(pulse, channels[:half], pz, pperp2, stream)
             error, = forks.results()
     finally:
-        for fd in (done_r, ready_r, ready_w):
-            os.close(fd)
+        pipe.close()
     if error is not None:
         raise error
     return sums

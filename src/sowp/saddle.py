@@ -32,9 +32,7 @@ With it the block lends ``block.spare``: one flat complex region of the
 same buffers, with room for 4 C nodes (2N+2) elements for C channels and
 the nodes of the pass's largest block, which nothing reads until the call
 returns, so the consumer may use it as its own scratch for that long.  No
-array of the grid's size is held then.  The buffers are the caller's
-``work`` if given (a _workspace of the pass's size, which may lie in a
-mapping that forked processes share), else the pass's own.
+array of the grid's size is held then.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -176,8 +174,8 @@ class SaddleBatch:
 
 class _LentBatch(SaddleBatch):
     """A SaddleBatch handed to a consumer, with ``spare``: one flat complex
-    workspace region (_lent) that the consumer may overwrite during its
-    call."""
+    workspace region (the u, z, 1/u and 1/z slots) that the consumer may
+    overwrite during its call."""
 
     __slots__ = ("spare",)
 
@@ -225,27 +223,12 @@ def _eigvals_seeds(pulse: Pulse, e_bound, pz, pperp2):
     return np.where(np.abs(w) < 1.0, t, np.conj(t)).reshape(shape + (deg,))
 
 
-def _workspace(n, deg, shared=False):
+def _workspace(n, deg):
     """Block buffers for up to n points, each of shape (n, deg): complex t,
     u, z, 1/u, 1/z, v_z, S', step and two scratch (the action, S'' and the
     prefactor reuse them: see saddle_batch), and float |S'| and scratch.
-    Callers take views of their first rows (_views).  With ``shared``, all
-    lie in one anonymous MAP_SHARED mapping, which processes forked after
-    it share; else in arrays of this process."""
-    if not shared:
-        return np.empty((10, n, deg), dtype=complex), np.empty((2, n, deg))
-    import mmap     # here, as no other path needs it: an extension module to load
-    size = 10 * n * deg
-    memory = mmap.mmap(-1, max(1, 16 * size + 8 * 2 * n * deg))  # mmap has no empty maps
-    return (np.frombuffer(memory, complex, size).reshape(10, n, deg),
-            np.frombuffer(memory, float, 2 * n * deg, 16 * size).reshape(2, n, deg))
-
-
-def _lent(work):
-    """The region of the buffers ``work`` of _workspace that saddle_batch
-    lends its consumer: the u, z, 1/u and 1/z slots, one flat complex array
-    of 4 n deg elements."""
-    return work[0][1:5].reshape(-1)
+    Callers take views of their first rows (_views)."""
+    return np.empty((10, n, deg), dtype=complex), np.empty((2, n, deg))
 
 
 def _views(work, shape):
@@ -472,7 +455,7 @@ def _block_nodes(shape, solved, deg: int) -> int:
 
 
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
-                 consume=None, work=None) -> SaddleBatch | None:
+                 consume=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
     e_bound, a number or a sequence (channels solved in one pass).
 
@@ -484,10 +467,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     ``nodes`` indexes the flattened nodes (a slice or an index array),
     ``block`` is their SaddleBatch, valid only during the call, with
     ``block.spare``, one workspace region that the consumer may overwrite
-    during the call (the module docstring gives its size).  ``work``, if
-    given, is the buffers of _workspace the pass runs in, for at least
-    _block_nodes times the channels.  Raises SaddleError/
-    DegenerateSaddleError as the module docstring says.
+    during the call (the module docstring gives its size).  Raises
+    SaddleError/DegenerateSaddleError as the module docstring says.
     """
     energy = np.asarray(e_bound, dtype=float)
     if energy.ndim > 1 or energy.size == 0 or (energy >= 0).any():
@@ -510,8 +491,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         block = _row_block(solved, deg)
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
-    if work is None:    # sized for the largest block
-        work = _workspace(e.size * _block_nodes(pz.shape, solved, deg), deg)
+    # sized for the largest block
+    work = _workspace(e.size * _block_nodes(pz.shape, solved, deg), deg)
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
@@ -534,9 +515,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     # value, p_z, p_perp^2 and roots of the first
     counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
     first = {}
-    # the four phasor slots, idle from the prefactor to the next block: lent
-    # to the consumer
-    spare = _lent(work)
+    # the four phasor slots (u, z, 1/u, 1/z), idle from the prefactor to the
+    # next block: lent to the consumer
+    spare = work[0][1:5].reshape(-1)
     for nodes, points, fields, checks in blocks:
         # evaluate the block, and hand it to the consumer unless it or an
         # earlier block broke a contract

@@ -20,8 +20,8 @@ reaps them.  This module alone knows how a worker's result comes back:
   worker's exit status.
 
 A worker exchanges nothing else with this process through ``Forks``; a
-path that needs more (the channel split's per-block handshake) keeps its
-own pipes, and a worker that writes one must close it before work()
+path that needs more (the channel split's rows, block by block) keeps its
+own pipe, and a worker that writes one must close it before work()
 returns, as the value may fill its pipe and wait for this process.
 """
 

@@ -441,7 +441,7 @@ class TestStreamedFinalPass:
 @pytest.mark.parametrize("shape", [(0,), (0, 6), (0, 7), (4, 0)])
 def test_empty_inputs_give_empty_results(ref_pulse, species_f, shape):
     # no points, no rows or no lines: empty fields and sums, no error, on
-    # one process or two (whose shared workspace then holds no element)
+    # one process or two (whose pipe then carries no row)
     deg = 2 * ref_pulse.n_cycles + 2
     pz = np.zeros(shape)
     batch = saddle_batch(ref_pulse, species_f.e_bound(3), pz, pz)

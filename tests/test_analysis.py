@@ -706,37 +706,56 @@ class TestChannelSplit:
                                             threads, cumulative):
         # the rows each consumer call gets, and their images, lie in the
         # region that this process's saddle_batch block lends (on a grid
-        # without a p_z = 0 line, whose images are left out by a copy); the
-        # split maps one region, the workspace of this process's pass (ten
-        # complex and two float slots, of which the region is four complex
-        # ones), and nothing else
-        import mmap
+        # without a p_z = 0 line, whose images are left out by a copy); that
+        # region lies in the workspace of this process's pass, the first it
+        # makes, for its own channels; every workspace is arrays of this
+        # process, as the worker's rows come through a pipe
         pulse, grid = self.coarse(8)
         pz, pperp, _ = grid_nodes(grid)
-        batch, mapping, lent, maps, handed = amplitude.saddle_batch, mmap.mmap, [], [], []
+        batch, workspace = amplitude.saddle_batch, saddle._workspace
+        lent, made, handed = [], [], []
 
-        def lending(pulse, e_bound, pz, pperp2, consume, *work):
+        def lending(pulse, e_bound, pz, pperp2, consume):
             def seen(nodes, block):
                 lent.append(block.spare)
                 consume(nodes, block)
-            return batch(pulse, e_bound, pz, pperp2, seen, *work)
+            return batch(pulse, e_bound, pz, pperp2, seen)
 
-        def mapped(*args, **kwargs):
-            maps.append(mapping(*args, **kwargs))
-            return maps[-1]
+        def recording(n, deg):
+            made.append((n, workspace(n, deg)))
+            return made[-1][1]
 
         def consume(nodes, rows):
             handed.append(np.shares_memory(rows, lent[-1]))
 
         monkeypatch.setattr(amplitude, "saddle_batch", lending)
-        monkeypatch.setattr(mmap, "mmap", mapped)
+        monkeypatch.setattr(saddle, "_workspace", recording)
         amplitude.amplitude_profiles(pulse, species_f, pz, pperp, cumulative,
                                      consume, threads)
         assert len(handed) == 2 * len(lent) > 0 and all(handed)
-        assert len(maps) == (threads > 1)
-        for memory in maps:
-            assert np.shares_memory(np.frombuffer(memory, np.uint8), lent[-1])
-            assert len(memory) == 11 * lent[-1].nbytes // 4
+        (n, buffers), *_ = made
+        block = saddle._block_nodes(pz.shape, saddle._solved_lines(pz, pperp ** 2), 18)
+        assert n == (3 - threads) * block
+        assert np.shares_memory(buffers[0], lent[-1])
+        assert all(type(b) is np.ndarray and b.base is None for _, bs in made for b in bs)
+
+    @pytest.mark.parametrize("pipe", ["raised", "default"])
+    def test_rows_larger_than_a_default_pipe(self, species_f, monkeypatch,
+                                             deadline, pipe):
+        # F N = 18 build-up on 16 angles: the worker's rows of a block
+        # (97 280 bytes) fill more than a pipe of Linux's default 2**16
+        # bytes, which stays as it is where its size cannot be set
+        import fcntl
+        if pipe == "default":
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        pulse, grid = self.coarse(18, n_theta=16)
+        pz, pperp, _ = grid_nodes(grid)
+        block = saddle._block_nodes(pz.shape, saddle._solved_lines(pz, pperp ** 2), 38)
+        assert 2 * block * 38 * 16 > 1 << 16
+        traces = [buildup(pulse, species_f, grid, threads=k) for k in (1, 2)]
+        for name in ("pop_j32_m32", "pop_j32_m12", "pop_j12_m12", "coherence"):
+            assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
+        assert np.array_equal(traces[0].final.matrix, traces[1].final.matrix)
 
     @pytest.mark.parametrize("j2", [3, 1], ids=["caller", "worker"])
     def test_failure_parity(self, species_f, monkeypatch, deadline, j2):
@@ -783,6 +802,76 @@ class TestChannelSplit:
         with pytest.raises(RuntimeError, match=rf"worker of e_bound = "
                            rf"\[{species_f.e_bound(1)!r}\] ended with status 1"):
             build_density_matrix(pulse, species_f, grid, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_within_a_block_is_named(self, species_f,
+                                                      monkeypatch, deadline):
+        # the worker writes half of its fourth block's rows and dies: the
+        # blocks before it reach the consumer as on one process, that block
+        # and no later one, and the error names the worker's channels
+        caller, write = os.getpid(), os.write
+        pulse, grid = self.coarse(2)
+        pz, pperp, _ = grid_nodes(grid)
+        seen = {}
+        for threads in (1, 2):
+            blocks, writes = [], []
+
+            def dying(fd, data):
+                if os.getpid() != caller:
+                    writes.append(fd)   # in the worker's memory
+                    if len(writes) == 4:
+                        write(fd, data[:len(data) // 2])
+                        os._exit(1)
+                return write(fd, data)
+
+            def recording(nodes, rows):
+                blocks.append((np.asarray(nodes).tolist(), rows.copy()))
+
+            monkeypatch.setattr(os, "write", dying)
+            if threads == 1:
+                amplitude.amplitude_profiles(pulse, species_f, pz, pperp,
+                                             consume=recording)
+            else:
+                with pytest.raises(RuntimeError, match=rf"worker of e_bound = "
+                                   rf"\[{species_f.e_bound(1)!r}\] ended with status 1"):
+                    amplitude.amplitude_profiles(pulse, species_f, pz, pperp,
+                                                 consume=recording, threads=2)
+            seen[threads] = blocks
+        # each block reaches the consumer as its rows and their mirror images
+        assert len(seen[2]) == 2 * 3 < len(seen[1])
+        for (nodes_one, a), (nodes_two, b) in zip(seen[1], seen[2]):
+            assert nodes_two == nodes_one and np.array_equal(a, b)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_failure_with_the_worker_on_a_full_pipe(self, species_f,
+                                                          monkeypatch, deadline):
+        # E_3/2 (this process) fails from the second row on, F N = 18
+        # build-up sums on 16 angles: the worker's rows of the blocks from
+        # there on (four of them 97 280 bytes) fill its pipe, which this
+        # process no longer reads; the error and the blocks that reach the
+        # consumer are those of one process, and the worker is stopped
+        pulse, grid = self.coarse(18, n_theta=16)
+        pz, pperp, _ = grid_nodes(grid)
+        monkeypatch.setattr(saddle, "_newton", _off_beyond(
+            species_f.e_bound(3), grid.p_nodes[1] ** 2))
+        seen = {}
+        for threads in (1, 2):
+            blocks = []
+
+            def recording(nodes, rows):
+                blocks.append((np.asarray(nodes).tolist(), rows.copy()))
+
+            with pytest.raises(SaddleError) as raised:
+                amplitude.amplitude_profiles(pulse, species_f, pz, pperp, cumulative=True,
+                                             consume=recording, threads=threads)
+            seen[threads] = str(raised.value), blocks
+        (one, blocks_one), (two, blocks_two) = seen[1], seen[2]
+        assert two == one and f"e_bound = {species_f.e_bound(3):.8g}" in one
+        assert len(blocks_two) == len(blocks_one) == 2  # row 0 and its image
+        for (nodes_one, a), (nodes_two, b) in zip(blocks_one, blocks_two):
+            assert nodes_two == nodes_one and np.array_equal(a, b)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
