@@ -28,8 +28,7 @@ from math import prod, sqrt, pi
 import numpy as np
 
 from sowp.pulse import Pulse, expi
-from sowp.saddle import (_action_coefficients, _block_nodes, _solved_lines,
-                          saddle_batch)
+from sowp.saddle import _action_coefficients, saddle_batch
 from sowp.species import Species
 from sowp.workers import Forks, forkable
 
@@ -102,25 +101,28 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     (4S,) + pz.shape + (2N+2,) when ``cumulative`` (partial sums over
     saddles sorted by Re t, for build-up analysis).  Given ``consume``,
     returns None after calling consume(nodes, rows) per evaluated block of
-    ``saddle_batch`` and per block of their mirror images on unsolved
-    lines: ``nodes`` indexes the flattened nodes (a slice or an index
-    array), ``rows`` holds their 4S sums, shape (4S, nodes) or
-    (4S, nodes, 2N+2), valid only during the call (``Gram`` adds them in at
-    once), so no sums are held per node.  The sums lie in the workspace
-    region that each ``saddle_batch`` block lends (``block.spare``) until
-    the next block, and their mirror images are formed in place of them
-    once the consumer has returned, so the stream holds no array of a
-    block's size, and the consumer must leave ``rows`` unchanged.
+    ``saddle_batch`` and per block of their mirror images at the unsolved
+    nodes that the block names (``block.images``): ``nodes`` indexes the
+    flattened nodes (a slice or an index array), ``rows`` holds their 4S
+    sums, shape (4S, nodes) or (4S, nodes, 2N+2), valid only during the
+    call (``Gram`` adds them in at once), so no sums are held per node.
+    The sums lie in the workspace region that each ``saddle_batch`` block
+    lends (``block.spare``) until the next block, and their mirror images
+    are formed in place of them once the consumer has returned, so the
+    stream holds no array of a block's size, and the consumer must leave
+    ``rows`` unchanged.  This function knows nothing of the grid's layout:
+    it applies the reflection identity at the nodes the block names.
 
     With ``threads`` >= 2 (where os.fork exists: ``sowp.workers.forkable``,
     which raises ValueError unless threads >= 1) the pass is split: one
     worker forked here (``sowp.workers.Forks``) solves the second half of
     the channels, this process the first.  Per block, the worker builds its
     rows in the region that its own block lends and writes them to one
-    pipe, which this process reads into the region that its block lends,
-    next to its own rows; it forms every image and alone calls ``consume``.
-    The worker closes the pipe when its pass ends, so a block that the pipe
-    ends before is one that the worker's pass does not reach.  A channel's
+    pipe (raised to 2**20 bytes where Linux allows it), which this process
+    reads into the region that its block lends, next to its own rows; it
+    forms every image and alone calls ``consume``.  The worker closes the
+    pipe when its pass ends, so a block that the pipe ends before is one
+    that the worker's pass does not reach.  A channel's
     saddles and sums do not depend on the channels that share its pass, so
     the bits are those of one process, and so are the errors: those of this
     process's channels come first, and no block from the worker's first
@@ -152,9 +154,6 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
 
     # p_z -> -p_z maps t to tau_p - conj(t) (sowp.saddle), and s to exp(i S_tau)
     # sigma conj(s): S_tau = ((p^2/2 - E_j) + lin) tau_p, sigma -1 on (j, 1) rows
-    n_lines = pz.shape[-1]
-    solved = _solved_lines(pz, pperp2) if pz.ndim == 2 else n_lines
-    mirrored = solved < n_lines
     ones = (1,) * len(tail)
     energy = np.array([sp.e_bound(j2) for sp in group for j2, _ in SUM_ROWS])
     lin = _action_coefficients(pulse)[0]
@@ -200,10 +199,11 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
 
     def hand(nodes, block, rows):
         # the 4S sums ``rows`` of the block's nodes to the consumer, then
-        # their images on the unsolved lines, formed in place of them
+        # their images at the unsolved nodes the block names, formed in
+        # place of them
         pz_b = flat_pz[nodes]
         centre = pz_b == 0
-        if mirrored or centre.any():
+        if block.images is not None or centre.any():
             # S_tau, row by row as numpy buffers a broadcast; exp(i S_tau)
             # into the memory of the block's action, with its t and s2 as
             # scratch, and v_z's for a column: the sums read none of them
@@ -222,11 +222,10 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
             rows[:, centre] = 0.5 * (rows[:, centre]
                                      + mirror(rows[:, centre], phase[:, centre], memory))
         consume(nodes, rows)
-        if mirrored:
-            partner = nodes + n_lines - 1 - 2 * (nodes % n_lines)
-            has = partner > nodes   # all but the p_z = 0 line
+        if block.images is not None:
+            images, has = block.images
             image = mirror(rows, phase, memory)
-            consume(partner[has], image if has.all() else image[:, has])
+            consume(images, image if has.all() else image[:, has])
 
     def rows_in(region, n):     # the sums of a block of n nodes, at a region's start
         dims = (n_rows, n) + tail
@@ -258,12 +257,10 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     import fcntl    # here, as only the split needs it: an extension module to load
     read, write = os.pipe()
     pipe = open(read, "rb")
-    # room for a block of the worker's rows where Linux lets the pipe grow,
-    # up to the 2**20 bytes that an unprivileged process may set by default
-    size = 16 * (n_rows - 2 * half) * _block_nodes(pz.shape, solved, deg) * prod(tail)
+    # room for blocks of the worker's rows where Linux lets the pipe grow:
+    # the 2**20 bytes that an unprivileged process may set by default
     with contextlib.suppress(AttributeError, OSError):
-        if size > fcntl.fcntl(write, fcntl.F_GETPIPE_SZ):
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, min(size, 1 << 20))
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
 
     def work():     # the worker's pass: its outcome, None or its exception
         pipe.close()    # so that a write to a caller that is gone raises

@@ -31,8 +31,9 @@ a block is valid only during the call, and the consumer may overwrite it.
 With it the block lends ``block.spare``: one flat complex region of the
 same buffers, with room for 4 C nodes (2N+2) elements for C channels and
 the nodes of the pass's largest block, which nothing reads until the call
-returns, so the consumer may use it as its own scratch for that long.  No
-array of the grid's size is held then.
+returns, so the consumer may use it as its own scratch for that long; and
+``block.images``, the layout of the mirror rule below.  No array of the
+grid's size is held then.
 
 Mirror rule.  The pulse is odd about its centre, A(tau_p - t) = -A(t), and
 real on the real axis, so the saddles at (-p_z, p_perp^2) are
@@ -41,7 +42,10 @@ mirror images across their columns (pz[:, ::-1] == -pz and
 pperp2[:, ::-1] == pperp2, as on every MomentumGrid) and a consumer is
 given, only the first ceil(n_lines/2) lines are solved, the p_z = 0 line
 included when n_lines is odd, and the consumer maps its results to the
-others.  Otherwise every line is solved.
+others: each block lends ``block.images = (index, has)``, the flat grid
+nodes of the unsolved images, in block order, of the block's nodes that
+the mask ``has`` marks (all but those of the p_z = 0 line).  Otherwise
+every line is solved, and ``block.images`` is None, as for 1-D inputs.
 
 Failures.  Per channel and contract, the failing grid nodes are counted
 (given a consumer, a node whose mirror image is not solved counts twice)
@@ -175,9 +179,11 @@ class SaddleBatch:
 class _LentBatch(SaddleBatch):
     """A SaddleBatch handed to a consumer, with ``spare``: one flat complex
     workspace region (the u, z, 1/u and 1/z slots) that the consumer may
-    overwrite during its call."""
+    overwrite during its call; and ``images``: None, or the grid nodes of
+    the unsolved mirror images of the nodes that a mask marks (the module
+    docstring's mirror rule)."""
 
-    __slots__ = ("spare",)
+    __slots__ = ("spare", "images")
 
 
 def _polynomial_coefficients(pulse: Pulse):
@@ -438,22 +444,6 @@ def _solved_lines(pz, pperp2) -> int:
     return (pz.shape[1] + 1) // 2 if mirror else pz.shape[1]
 
 
-def _row_block(lines: int, deg: int) -> int:
-    """The rows per Newton call of a pass over ``lines`` solved lines of
-    degree ``deg``, after rows 0, 1 and 2 alone: ROW_BLOCK_ROWS, or as
-    many as hold ROW_BLOCK_ROOTS roots per channel, but at least one."""
-    return max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, lines * deg)))
-
-
-def _block_nodes(shape, solved, deg: int) -> int:
-    """The nodes of the largest block of a pass of degree ``deg`` over
-    points of ``shape``: all of 1-D ones, or of 2-D ones the ``solved``
-    leading lines of _row_block rows."""
-    if len(shape) == 1:
-        return shape[0]
-    return min(_row_block(solved, deg), shape[0]) * solved
-
-
 def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
                  consume=None) -> SaddleBatch | None:
     """Find all 2N+2 saddles for each (pz, pperp2) point and channel energy
@@ -467,8 +457,11 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     ``nodes`` indexes the flattened nodes (a slice or an index array),
     ``block`` is their SaddleBatch, valid only during the call, with
     ``block.spare``, one workspace region that the consumer may overwrite
-    during the call (the module docstring gives its size).  Raises
-    SaddleError/DegenerateSaddleError as the module docstring says.
+    during the call (the module docstring gives its size), and
+    ``block.images``, None or (index, has): the flat grid nodes of the
+    unsolved mirror images of the nodes that ``has`` marks (the module
+    docstring's mirror rule).  Raises SaddleError/DegenerateSaddleError as
+    the module docstring says.
     """
     energy = np.asarray(e_bound, dtype=float)
     if energy.ndim > 1 or energy.size == 0 or (energy >= 0).any():
@@ -482,17 +475,20 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     deg = 2 * pulse.n_cycles + 2
     e = energy[..., None]       # broadcasts against a block's nodes
     total = pz.size             # grid nodes, mirrored ones included
-    n_lines = solved = None     # lines of 2-D inputs, and those solved
+    # lines of 2-D inputs, those solved, and rows per block
+    n_lines = solved = block = None
     if pz.ndim == 2:
         n_lines = solved = pz.shape[1]
         if consume is not None:     # the consumer maps the mirrored lines itself
             solved = _solved_lines(pz, pperp2)
             pz, pperp2 = pz[:, :solved], pperp2[:, :solved]
-        block = _row_block(solved, deg)
+        # rows per Newton call after rows 0, 1 and 2 alone: ROW_BLOCK_ROWS,
+        # or as many as hold ROW_BLOCK_ROOTS roots per channel, at least one
+        block = max(1, min(ROW_BLOCK_ROWS, ROW_BLOCK_ROOTS // max(1, solved * deg)))
     elif pz.ndim != 1:
         raise ValueError(f"pz and pperp2 must be 1-D or 2-D, got {pz.ndim}-D")
-    # sized for the largest block
-    work = _workspace(e.size * _block_nodes(pz.shape, solved, deg), deg)
+    # sized for the largest block: its rows of the lines, or all points
+    work = _workspace(e.size * pz[:block].size, deg)
 
     batch = None
     if consume is None:     # the SaddleBatch consumer copies every block in
@@ -537,12 +533,15 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         s2 = np.multiply(vz, pulse.vector_potential_derivative(
             tb, phasors=phasors, out=(s2, x1, x2)), out=s2)
         s2_abs = np.abs(s2, out=mag)
-        # the block's flat nodes in the grid, and the grid nodes each
-        # stands for: itself, and its unsolved mirror image
-        index, copies = nodes, 1
+        # the block's flat nodes in the grid, those of their unsolved
+        # mirror images, and the grid nodes each stands for: itself, and
+        # its image if it has one
+        index, images, copies = nodes, None, 1
         if solved != n_lines:
             row, line = np.divmod(np.arange(nodes.start, nodes.stop), solved)
-            index, copies = row * n_lines + line, 1 + (line < n_lines - solved)
+            has = line < n_lines - solved
+            index, copies = row * n_lines + line, 1 + has
+            images = row[has] * n_lines + n_lines - 1 - line[has], has
         if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
             # a block that breaks a contract (``checks``, or |S''| over the
             # whole block): its values and failures by (channel, contract, node)
@@ -560,7 +559,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         if ready and not first:
             prefactor = _rsqrt(np.multiply(-1j, s2, out=x1), x1, (p1, p2))
             lent = _LentBatch(tb, vz, act, s2, prefactor, residual)
-            lent.spare = spare
+            lent.spare, lent.images = spare, images
             consume(index, lent)
     if first:   # name the first failing channel's node of its first contract
         c, kind = min(first)

@@ -734,8 +734,11 @@ class TestChannelSplit:
                                      consume, threads)
         assert len(handed) == 2 * len(lent) > 0 and all(handed)
         (n, buffers), *_ = made
-        block = saddle._block_nodes(pz.shape, saddle._solved_lines(pz, pperp ** 2), 18)
-        assert n == (3 - threads) * block
+        # the largest block: ROW_BLOCK_ROWS rows of the solved lines, or as
+        # many as hold ROW_BLOCK_ROOTS roots per channel
+        solved = saddle._solved_lines(pz, pperp ** 2)
+        rows = min(saddle.ROW_BLOCK_ROWS, saddle.ROW_BLOCK_ROOTS // (solved * 18))
+        assert n == (3 - threads) * min(rows, pz.shape[0]) * solved
         assert np.shares_memory(buffers[0], lent[-1])
         assert all(type(b) is np.ndarray and b.base is None for _, bs in made for b in bs)
 
@@ -750,8 +753,9 @@ class TestChannelSplit:
             monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
         pulse, grid = self.coarse(18, n_theta=16)
         pz, pperp, _ = grid_nodes(grid)
-        block = saddle._block_nodes(pz.shape, saddle._solved_lines(pz, pperp ** 2), 38)
-        assert 2 * block * 38 * 16 > 1 << 16
+        solved = saddle._solved_lines(pz, pperp ** 2)
+        rows = min(saddle.ROW_BLOCK_ROWS, saddle.ROW_BLOCK_ROOTS // (solved * 38))
+        assert 2 * min(rows, pz.shape[0]) * solved * 38 * 16 > 1 << 16
         traces = [buildup(pulse, species_f, grid, threads=k) for k in (1, 2)]
         for name in ("pop_j32_m32", "pop_j32_m12", "pop_j12_m12", "coherence"):
             assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
@@ -849,9 +853,19 @@ class TestChannelSplit:
                                                           monkeypatch, deadline):
         # E_3/2 (this process) fails from the second row on, F N = 18
         # build-up sums on 16 angles: the worker's rows of the blocks from
-        # there on (four of them 97 280 bytes) fill its pipe, which this
+        # there on fill its pipe, left at Linux's default size, which this
         # process no longer reads; the error and the blocks that reach the
         # consumer are those of one process, and the worker is stopped
+        import fcntl
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        pipe, sizes = os.pipe, []
+
+        def sized():
+            read, write = pipe()
+            sizes.append(fcntl.fcntl(write, fcntl.F_GETPIPE_SZ))
+            return read, write
+
+        monkeypatch.setattr(os, "pipe", sized)
         pulse, grid = self.coarse(18, n_theta=16)
         pz, pperp, _ = grid_nodes(grid)
         monkeypatch.setattr(saddle, "_newton", _off_beyond(
@@ -870,6 +884,10 @@ class TestChannelSplit:
         (one, blocks_one), (two, blocks_two) = seen[1], seen[2]
         assert two == one and f"e_bound = {species_f.e_bound(3):.8g}" in one
         assert len(blocks_two) == len(blocks_one) == 2  # row 0 and its image
+        # the premise: the worker's rows after row 0 (two sums of its
+        # channel per solved node) exceed every pipe of the split
+        after = (pz.shape[0] - 1) * 2 * saddle._solved_lines(pz, pperp ** 2) * 38 * 16
+        assert sizes and after > max(sizes)
         for (nodes_one, a), (nodes_two, b) in zip(blocks_one, blocks_two):
             assert nodes_two == nodes_one and np.array_equal(a, b)
         with pytest.raises(ChildProcessError):

@@ -25,10 +25,12 @@ def run_cli(*args):
     return main(list(args))
 
 
-def fresh_python(*args):
-    """``python args`` in a fresh interpreter that imports this sowp."""
+def fresh_python(*args, env=None):
+    """``python args`` in a fresh interpreter that imports this sowp, with
+    the variables ``env`` added to this process's environment."""
     src = os.path.dirname(os.path.dirname(sowp.__file__))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src, **(env or {})},
                           capture_output=True, text=True)
 
 
@@ -637,6 +639,43 @@ def test_summary_matches_frozen_copy(tmp_path, capsys, run):
     out = tmp_path / run
     assert run_cli(*args, "--out-dir", str(out)) == 0
     assert_frozen(out, frozen)
+
+
+def _avx512():
+    """Whether numpy reports AVX-512 on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy 1.x: taken as without AVX-512
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+# numpy without its AVX-512 kernels, and OpenBLAS on its AVX2 ones: an
+# AVX2-only host, for fresh processes only
+AVX2_HOST = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4",
+             "OPENBLAS_CORETYPE": "Haswell"}
+
+# the frozen runs whose bytes differ there: numpy's exp, log and arctan2
+# and OpenBLAS's complex matmul round differently per vector unit
+AVX2_DIFFERS = {"buildup", "evolve", "fit", "single", "single_numeric_phi",
+                "sweep_threads1", "sweep_threads2"}
+
+
+@pytest.mark.skipif(not _avx512(),
+                    reason="without AVX-512 the native bytes already differ")
+@pytest.mark.parametrize("run", [
+    pytest.param(run, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 20: output bits depend on the "
+                            "host's vector unit until its PR 2"))
+    if run in AVX2_DIFFERS else run for run in sorted(FROZEN_SUMMARY_RUNS)])
+def test_summary_matches_frozen_copy_on_an_avx2_host(tmp_path, run):
+    # each frozen run in a fresh process that runs numpy and OpenBLAS as
+    # on a host without AVX-512: the same frozen copies must come out
+    frozen, args = FROZEN_SUMMARY_RUNS[run]
+    proc = fresh_python("-m", "sowp.cli", *args, "--out-dir", str(tmp_path),
+                        env=AVX2_HOST)
+    assert proc.returncode == 0, proc.stderr
+    assert_frozen(tmp_path, frozen)
 
 
 def test_exited_process_leaves_the_frozen_files(tmp_path):

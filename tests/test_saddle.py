@@ -556,6 +556,43 @@ class TestMirror:
                 residual, expected.residual[rows, :solved].reshape(-1, deg))
             np.testing.assert_array_equal(nodes, flat[rows, :solved].ravel())
 
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_blocks_lend_their_unsolved_images(self, pulse, n_theta):
+        # each block names the grid nodes of its nodes' mirror images: each
+        # at (-p_z, the same p_perp^2), none for the p_z = 0 line, and over
+        # all blocks every node of the unsolved lines exactly once
+        pz, pp2 = radial_lines(pulse, n_theta=n_theta)
+        flat_pz, flat_pp2 = pz.ravel(), pp2.ravel()
+        covered = []
+
+        def consume(nodes, block):
+            images, has = block.images
+            np.testing.assert_array_equal(has, flat_pz[nodes] != 0)
+            np.testing.assert_array_equal(flat_pz[images], -flat_pz[nodes][has])
+            np.testing.assert_array_equal(flat_pp2[images], flat_pp2[nodes][has])
+            covered.extend(images.tolist())
+
+        saddle_batch(pulse, E_F, pz, pp2, consume)
+        unsolved = np.arange(pz.size).reshape(pz.shape)[:, (n_theta + 1) // 2:]
+        assert len(covered) == unsolved.size
+        assert sorted(covered) == sorted(unsolved.ravel().tolist())
+        if n_theta % 2:
+            assert (pz[:, n_theta // 2] == 0).all()
+
+    def test_points_and_unmirrored_lines_lend_no_images(self, pulse):
+        # 1-D points, and lines whose last column is dropped so that they
+        # do not mirror, are solved whole: no block names an image
+        pz, pp2 = radial_lines(pulse)
+        seen = []
+
+        def consume(nodes, block):
+            seen.append(block.images)
+
+        saddle_batch(pulse, E_F, pz[:, :-1], pp2[:, :-1], consume)
+        saddle_batch(pulse, E_F, pz[0], pp2[0], consume)
+        assert len(seen) == len(row_blocks(pz.shape[0])) + 1
+        assert all(images is None for images in seen)
+
     def test_failing_batch_is_validated_whole(self, pulse, monkeypatch):
         # a block that fails the gate stops the consumer, not the
         # continuation: every later block is still checked, each node once,
