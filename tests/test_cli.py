@@ -665,8 +665,8 @@ AVX2_DIFFERS = {"buildup", "evolve", "fit", "single", "single_numeric_phi",
                     reason="without AVX-512 the native bytes already differ")
 @pytest.mark.parametrize("run", [
     pytest.param(run, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 20: output bits depend on the "
-                            "host's vector unit until its PR 2"))
+        strict=True, reason="ROADMAP item 20: the output bits still depend "
+                            "on the host's vector unit"))
     if run in AVX2_DIFFERS else run for run in sorted(FROZEN_SUMMARY_RUNS)])
 def test_summary_matches_frozen_copy_on_an_avx2_host(tmp_path, run):
     # each frozen run in a fresh process that runs numpy and OpenBLAS as
