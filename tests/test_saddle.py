@@ -839,6 +839,51 @@ class TestSaddleErrors:
         assert "(1 of 3 points)" in str(info.value)
         np.testing.assert_array_equal(info.value.roots, corrupt(good.t[1], pulse))
 
+    NODE = "p_z = 0.3, p_perp^2 = 0.04, e_bound = -0.124992 (1 of 3 points)"
+
+    @pytest.mark.parametrize("tol, corrupt, exc, text", [
+        (None, lambda t, pu: t + np.eye(len(t))[0] * 1e-4, SaddleError,
+         "saddle residual 1.326e-06 exceeds 1e-10; grid or intensity outside"
+         " the validated regime at " + NODE),
+        (None, lambda t, pu: np.conj(t), SaddleError,
+         "saddle with Im t = -1.383e+02 <= 0 at " + NODE),
+        (None, lambda t, pu: t + pu.tau_p, SaddleError,
+         "saddle at Re t = 3877.92 outside 0 <= Re t <= tau_p = 1985.76 at "
+         + NODE),
+        (None, lambda t, pu: t - pu.tau_p, SaddleError,
+         "saddle at Re t = -1973.06 outside 0 <= Re t <= tau_p = 1985.76 at "
+         + NODE),
+        ("DISTINCT_TOL", None, SaddleError,
+         "saddle pair separated by 7.437e+01 < 1000000.0 at p_z = 0.05,"
+         " p_perp^2 = 0, e_bound = -0.124992 (3 of 3 points)"),
+        ("DEGENERATE_S2_TOL", None, DegenerateSaddleError,
+         "|S''| = 7.206e-03 below 1000000.0: near-coalescing saddles at"
+         " p_z = 0.05, p_perp^2 = 0, e_bound = -0.124992"),
+    ], ids=["residual", "Im t", "above strip", "below strip", "distinct",
+            "|S''|"])
+    def test_full_text_of_each_contract(self, pulse, monkeypatch, tol, corrupt,
+                                        exc, text):
+        # each contract broken on its own: a tolerance raised to 1e6 (every
+        # point fails, the first is named), or the second point's roots
+        # corrupted after Newton and evaluated again there.  The class and
+        # the whole text, as the errors read when this test was written
+        if tol is not None:
+            monkeypatch.setattr(saddle, tol, 1e6)
+        else:
+            newton = saddle._newton
+
+            def corrupting(pu, e_bound, t, pz_, pp2_, **kwargs):
+                roots = newton(pu, e_bound, t, pz_, pp2_, **kwargs)[0].copy()
+                roots[1] = corrupt(roots[1], pu)
+                fields, f = saddle._evaluated(pu, e_bound, roots, pz_, pp2_)
+                return (*fields, np.abs(f))
+
+            monkeypatch.setattr(saddle, "_newton", corrupting)
+        with pytest.raises(SaddleError) as info:
+            saddle_batch(pulse, E_F, self.PZ, self.PP2)
+        assert type(info.value) is exc
+        assert str(info.value) == text
+
     def test_residual_failure_outranks_earlier_distinctness_failure(
             self, pulse, monkeypatch):
         # node a (row 5) returns two equal roots and node b (row 20) a root
