@@ -75,6 +75,19 @@ ROW_BLOCK_ROWS = 10          # continued rows per Newton call, at most
 ROW_BLOCK_ROOTS = 6_080      # and roots per channel, unless a row has more
 PREDICTOR_ROWS = 7           # rows the predictor extrapolates from
 
+_NODE = "at p_z = {p:.6g}, p_perp^2 = {q:.6g}, e_bound = {e_bound:.8g}"
+_COUNTED = " " + _NODE + " ({count} of {total} points)"
+_CONTRACTS = (      # (error, message) per contract, in the order errors report them
+    (SaddleError, "saddle residual {:.3e} exceeds {RESIDUAL_TOL}; grid or intensity"
+     " outside the validated regime" + _COUNTED),
+    (SaddleError, "saddle with Im t = {:.3e} <= 0" + _COUNTED),
+    (SaddleError, "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}"
+     + _COUNTED),
+    (SaddleError, "saddle pair separated by {:.3e} < {DISTINCT_TOL}" + _COUNTED),
+    (DegenerateSaddleError,
+     "|S''| = {:.3e} below {DEGENERATE_S2_TOL}: near-coalescing saddles " + _NODE),
+)
+
 
 @dataclass(frozen=True)
 class SaddlePoint:
@@ -509,7 +522,7 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         blocks = _continue_lines(pulse, e, pz, pperp2, block, work)
     # per (channel, contract): the number of failing grid nodes, and the
     # value, p_z, p_perp^2 and roots of the first
-    counts = np.zeros((e.size, len(_CONTRACT_MESSAGES) + 1), dtype=int)
+    counts = np.zeros((e.size, len(_CONTRACTS)), dtype=int)
     first = {}
     # the four phasor slots (u, z, 1/u, 1/z), idle from the prefactor to the
     # next block: lent to the consumer
@@ -523,8 +536,9 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         # u and z slots, free once S'' is built, for its scratch: by slot,
         # as at N = 1 the phasor u is z's slot.  So the phasor slots are
         # free from the prefactor on, and the block holds t, v_z, the
-        # action, S'' and the prefactor in the others; _node_checks, on a
-        # failing block, takes the last scratch slot, idle once S'' is built
+        # action, S'' and the prefactor in the others; the gate's per-node
+        # pass, on a failing block, takes the last scratch slot, idle once
+        # S'' is built
         (_, p1, p2, _, _, _, act, s2, x1, x2), (_, mag) = _views(work, tb.shape)
         ready = checks is None and not first
         if ready:
@@ -545,8 +559,8 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
         if checks is not None or not s2_abs.min(initial=np.inf) >= DEGENERATE_S2_TOL:
             # a block that breaks a contract (``checks``, or |S''| over the
             # whole block): its values and failures by (channel, contract, node)
-            low = s2_abs.min(axis=-1)   # before _node_checks reuses mag
-            values, bad = checks or _node_checks(pulse, fields, work)
+            low = s2_abs.min(axis=-1)   # before the per-node gate reuses mag
+            values, bad = checks or _checked(pulse, fields, work, nodes=True)
             shape = (e.size, -1, tb.shape[-2])
             value = np.stack([*values, low], axis=-2).reshape(shape)
             fails = np.stack([*bad, ~(low >= DEGENERATE_S2_TOL)], axis=-2).reshape(shape)
@@ -564,79 +578,53 @@ def saddle_batch(pulse: Pulse, e_bound, pz, pperp2,
     if first:   # name the first failing channel's node of its first contract
         c, kind = min(first)
         value, p, q, roots = first[c, kind]
-        node = f"at p_z = {p:.6g}, p_perp^2 = {q:.6g}, e_bound = {e.ravel()[c]:.8g}"
-        if kind < len(_CONTRACT_MESSAGES):
-            message = _CONTRACT_MESSAGES[kind].format(
-                value, residual_tol=RESIDUAL_TOL, distinct_tol=DISTINCT_TOL,
-                tau_p=pulse.tau_p)
-            raise SaddleError(f"{message} {node} ({counts[c, kind]} of {total} points)",
-                              roots=roots)
-        raise DegenerateSaddleError(
-            f"|S''| = {value:.3e} below {DEGENERATE_S2_TOL}: near-coalescing "
-            f"saddles {node}", roots=roots)
+        error, text = _CONTRACTS[kind]
+        # the tolerances as the module holds them now, by name
+        raise error(text.format(
+            value, p=p, q=q, e_bound=e.ravel()[c], tau_p=pulse.tau_p,
+            count=counts[c, kind], total=total, **globals()), roots=roots)
     return batch
 
 
-def _gaps(t, work):
-    """|t_{k+1} - t_k| of neighbouring roots t, sorted by Re t along the
-    last axis, and +inf in the last column, written into the last complex
-    and the float scratch slots of the buffers ``work`` of _workspace of
-    t's block, which Newton leaves free and the block loop of saddle_batch
-    does not hold."""
+def _checked(pulse: Pulse, fields, work, nodes=False):
+    """The root-set contract gate of the fields of _newton (roots t sorted
+    by Re t along the last axis, ..., |S'|): None when every node passes,
+    as judged by the block's extremes unless ``nodes``; else per node the
+    values max |S'|, min Im t, the strip edge (Re t of the last root, or of
+    the first when it lies below the strip) and the smallest gap between
+    neighbours, shape (4,) + t.shape[:-1], and the failure mask of each
+    contract on them, in the order of _CONTRACTS.  A NaN fails every test.
+    The gaps go into the last complex and the float scratch slots of the
+    buffers ``work`` of _workspace of t's block, which Newton leaves free
+    and the block loop of saddle_batch does not hold."""
+    t, residual = fields[0], fields[-1]
+    eps = STRIP_SLACK * pulse.tau_p
+    # |t_{k+1} - t_k| of neighbours in flat order: on contiguous operands
+    # numpy needs no buffers of its own.  The last of each row crosses into
+    # the next row, and is +inf
     flat, n = t.reshape(-1), t.size
     diff, gap = work[0][-1].reshape(-1)[:n], work[1][1].reshape(-1)[:n]
-    # neighbours in flat order: on contiguous operands numpy needs no
-    # buffers of its own.  The last of each row crosses into the next row
-    # and is left out
     np.subtract(flat[1:], flat[:-1], out=diff[:-1])
     diff[-1:] = 0.0
     gap = np.abs(diff, out=gap).reshape(t.shape)
     gap[..., -1] = np.inf
-    return gap
+    passes = (lambda worst: worst <= RESIDUAL_TOL, lambda im: im > 0,
+              lambda edge: (edge >= -eps) & (edge <= pulse.tau_p + eps),
+              lambda gap: gap >= DISTINCT_TOL)
 
+    def values(axis):   # per node (axis -1), or of the block (None); the
+        # initial values pass, so that an empty block does
+        first = t.real[..., :1].min(axis=axis, initial=0.0)
+        return (residual.max(axis=axis, initial=0.0),
+                t.imag.min(axis=axis, initial=np.inf),
+                np.where(first >= -eps, t.real[..., -1:].max(axis=axis, initial=0.0),
+                         first),
+                gap.min(axis=axis, initial=np.inf))
 
-def _checked(pulse: Pulse, fields, work):
-    """None when every point of the fields of _newton (roots t sorted by
-    Re t along the last axis, ..., |S'|) passes the root-set contracts by
-    the block's extremes: max |S'|, min Im t, the first and last Re t and
-    the smallest gap (a NaN fails); else their _node_checks."""
-    t, residual = fields[0], fields[-1]
-    eps = STRIP_SLACK * pulse.tau_p
-    if (residual.max(initial=0.0) <= RESIDUAL_TOL and t.imag.min(initial=np.inf) > 0
-            and t.real[..., 0].min(initial=np.inf) >= -eps
-            and t.real[..., -1].max(initial=-np.inf) <= pulse.tau_p + eps
-            and _gaps(t, work).min(initial=np.inf) >= DISTINCT_TOL):
+    if not nodes and all(test(v) for test, v in zip(passes, values(None))):
         return None
-    return _node_checks(pulse, fields, work)
-
-
-def _node_checks(pulse: Pulse, fields, work):
-    """Per point of the fields of _newton (roots t sorted by Re t along the
-    last axis, ..., |S'|), the one per-node contract path: the values max
-    |S'|, min Im t, the strip edge (Re t of the last root, or of the first
-    when it lies below the strip) and the smallest gap between neighbours
-    (_gaps, into ``work``), shape (4,) + t.shape[:-1], and the failure mask
-    of each root-set contract on them, in the order of _CONTRACT_MESSAGES.
-    A NaN root fails every check."""
-    t, residual = fields[0], fields[-1]
-    eps = STRIP_SLACK * pulse.tau_p
-    first, last = t.real[..., 0], t.real[..., -1]
-    values = np.stack([residual.max(axis=-1), t.imag.min(axis=-1),
-                       np.where(first >= -eps, last, first),
-                       _gaps(t, work).min(axis=-1)])
-    worst, im, edge, gap = values
-    return values, [~(worst <= RESIDUAL_TOL), ~(im > 0),
-                    ~((edge >= -eps) & (edge <= pulse.tau_p + eps)),
-                    ~(gap >= DISTINCT_TOL)]
-
-
-_CONTRACT_MESSAGES = (      # per root-set contract, in the order errors report them
-    "saddle residual {:.3e} exceeds {residual_tol}; grid or intensity "
-    "outside the validated regime",
-    "saddle with Im t = {:.3e} <= 0",
-    "saddle at Re t = {:.6g} outside 0 <= Re t <= tau_p = {tau_p:.6g}",
-    "saddle pair separated by {:.3e} < {distinct_tol}",
-)
+    per_node = np.stack(values(-1))
+    return per_node, [~test(v) for test, v in zip(passes, per_node)]
 
 
 def find_saddles(pulse: Pulse, e_bound: float, p) -> list[SaddlePoint]:

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import sowp.analysis as analysis
 from sowp.analysis import SweepPoint
 from sowp.cli import (RunConfig, _build_parser, cycle_list, main, parse_config,
                       run)
+from sowp.densmat import MomentumGrid
 from sowp.errors import ConfigError, NumericalError
 from sowp.species import default_species_path
 
@@ -41,8 +43,11 @@ class TestParseConfig:
         assert cfg.wavelength_nm == 1800.0
         assert cfg.intensity_wcm2 == 1.3e13
         assert cfg.cycles is None       # N = 8 outside sweep and fit
-        assert cfg.n_energy == 200 and cfg.n_theta == 64 and cfg.n_phi == 32
-        assert cfg.phi_mode == "analytic"
+        # the grid of MomentumGrid.build's defaults, which are 200 x 64 x 32
+        grid = ("n_energy", "n_theta", "n_phi", "phi_mode")
+        build = inspect.signature(MomentumGrid.build).parameters
+        assert [getattr(cfg, key) for key in grid] == [build[key].default for key in grid]
+        assert [build[key].default for key in grid] == [200, 64, 32, "analytic"]
         assert cfg.out_dir == "out"
 
     def test_flag_overrides_file(self, tmp_path):

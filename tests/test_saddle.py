@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalar_oracle import action, action_derivative
 from sowp import saddle
@@ -492,16 +493,20 @@ class TestMirror:
 
     @staticmethod
     def record_checks(monkeypatch):
-        """Wrap saddle._node_checks, the per-node contract path; the
-        returned list gets the roots and |S'| of every call."""
+        """Wrap saddle._checked, the contract gate, for its per-node path
+        (the calls that return per-node checks); the returned list gets
+        the roots and |S'| of every such call."""
         seen = []
-        node_checks = saddle._node_checks
+        checked = saddle._checked
 
-        def recording(pu, fields, *work):
-            seen.append((fields[0].copy(), fields[-1].copy()))
-            return node_checks(pu, fields, *work)
+        def recording(pu, fields, *work, **kwargs):
+            roots = (fields[0].copy(), fields[-1].copy())
+            checks = checked(pu, fields, *work, **kwargs)
+            if checks is not None:
+                seen.append(roots)
+            return checks
 
-        monkeypatch.setattr(saddle, "_node_checks", recording)
+        monkeypatch.setattr(saddle, "_checked", recording)
         return seen
 
     @staticmethod
@@ -970,7 +975,9 @@ class TestBlockGate:
         with pytest.raises(SaddleError) as gated, np.errstate(invalid="ignore"):
             saddle_batch(pulse, E_F, pz, pp2, consume)
         # the reference: per-node values and checks on every block
-        monkeypatch.setattr(saddle, "_checked", saddle._node_checks)
+        checked = saddle._checked
+        monkeypatch.setattr(saddle, "_checked", lambda pu, fields, work, nodes=True:
+                            checked(pu, fields, work, nodes=True))
         with pytest.raises(SaddleError) as per_node, np.errstate(invalid="ignore"):
             saddle_batch(pulse, E_F, pz, pp2, consume and (lambda nodes, block: None))
         message = str(gated.value)
@@ -984,6 +991,71 @@ class TestBlockGate:
             np.testing.assert_array_equal(
                 np.concatenate(handed),
                 np.arange(pz.size).reshape(pz.shape)[:33, :solved].ravel())
+
+
+    FAULTS = {  # per fault, the values it may take, straddling each bound
+        "nan root": [True, False],      # whether |S'| is NaN there too
+        "Im t": [0.0, -0.0, -1e-300, -5.0, 1e-300],
+        "Re t": [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0],     # eps past an edge
+        "pair": [0.0, 0.5, 1.0, 2.0],   # times DISTINCT_TOL apart
+        "|S'|": [0.5, 1.0, 2.0, 1e13, np.inf, np.nan],   # times RESIDUAL_TOL
+    }
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_verdict_agrees_with_every_node(self, pulse, data):
+        # random blocks of roots sorted by Re t, of one channel or several,
+        # with faults at random roots: the gate passes a block exactly when
+        # no node fails a per-node test (against a plain reference), and on
+        # a failing block it returns the values and masks of its per-node
+        # path, which name each failing node's value as the errors do
+        tau, eps = pulse.tau_p, saddle.STRIP_SLACK * pulse.tau_p
+        shape = (data.draw(st.sampled_from([(), (1,), (3,)]))
+                 + (data.draw(st.integers(0, 4)), data.draw(st.sampled_from([4, 6, 10]))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = rng.uniform(0.0, tau, shape) + 1j * rng.uniform(1.0, 50.0, shape)
+        residual = rng.uniform(0.0, saddle.RESIDUAL_TOL / 10, shape)
+        flat_t, flat_r = t.reshape(-1, shape[-1]), residual.reshape(-1, shape[-1])
+        for _ in range(data.draw(st.integers(0, 3)) if t.size else 0):
+            kind = data.draw(st.sampled_from(sorted(self.FAULTS)))
+            value = data.draw(st.sampled_from(self.FAULTS[kind]))
+            node, k = data.draw(st.integers(0, len(flat_t) - 1)), data.draw(
+                st.integers(0, shape[-1] - 2))
+            if kind == "nan root":
+                flat_t[node, k] = complex(np.nan, np.nan)
+                flat_r[node, k] = np.nan if value else flat_r[node, k]
+            elif kind == "Im t":
+                flat_t[node, k] = complex(flat_t[node, k].real, value)
+            elif kind == "Re t":
+                flat_t[node, k] = complex(tau if value > 0 else 0.0, 1.0) + value * eps
+            elif kind == "pair" and data.draw(st.booleans()):   # the gap exact
+                flat_t[node, k:k + 2] = [1j, value * saddle.DISTINCT_TOL + 1j]
+            elif kind == "pair":
+                step = value * saddle.DISTINCT_TOL * np.exp(1j * rng.uniform(-1.5, 1.5))
+                flat_t[node, k + 1] = flat_t[node, k] + step
+            else:
+                flat_r[node, k] = value * saddle.RESIDUAL_TOL
+        order = np.argsort(t.real, axis=-1)     # NaN roots last
+        t, residual = (np.take_along_axis(a, order, axis=-1) for a in (t, residual))
+
+        first, last = t.real[..., 0], t.real[..., -1]
+        gap = np.abs(np.diff(t, axis=-1)).min(axis=-1)
+        expected = [residual.max(axis=-1), t.imag.min(axis=-1),
+                    np.where(first >= -eps, last, first), gap]
+        fails = [~(expected[0] <= saddle.RESIDUAL_TOL), ~(expected[1] > 0),
+                 ~((first >= -eps) & (last <= tau + eps)),
+                 ~(gap >= saddle.DISTINCT_TOL)]
+        work = saddle._workspace(t[..., 0].size, shape[-1])
+        checks = saddle._checked(pulse, (t, residual), work)
+        values, masks = saddle._checked(pulse, (t, residual), work, nodes=True)
+        assert all(m.dtype == np.bool_ for m in masks)
+        for want, got, value, exact in zip(fails, masks, values, expected):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(value[want], exact[want])
+        assert (checks is None) == (not np.logical_or.reduce(fails).any())
+        if checks is not None:
+            np.testing.assert_array_equal(checks[0], values)
+            np.testing.assert_array_equal(checks[1], masks)
 
 
 class TestChannels:
