@@ -992,7 +992,6 @@ class TestBlockGate:
                 np.concatenate(handed),
                 np.arange(pz.size).reshape(pz.shape)[:33, :solved].ravel())
 
-
     FAULTS = {  # per fault, the values it may take, straddling each bound
         "nan root": [True, False],      # whether |S'| is NaN there too
         "Im t": [0.0, -0.0, -1e-300, -5.0, 1e-300],
@@ -1019,8 +1018,8 @@ class TestBlockGate:
         for _ in range(data.draw(st.integers(0, 3)) if t.size else 0):
             kind = data.draw(st.sampled_from(sorted(self.FAULTS)))
             value = data.draw(st.sampled_from(self.FAULTS[kind]))
-            node, k = data.draw(st.integers(0, len(flat_t) - 1)), data.draw(
-                st.integers(0, shape[-1] - 2))
+            node = data.draw(st.integers(0, len(flat_t) - 1))
+            k = data.draw(st.integers(0, shape[-1] - 2))    # a root with a right neighbour
             if kind == "nan root":
                 flat_t[node, k] = complex(np.nan, np.nan)
                 flat_r[node, k] = np.nan if value else flat_r[node, k]
