@@ -646,6 +646,19 @@ def test_summary_matches_frozen_copy(tmp_path, capsys, run):
     assert_frozen(out, frozen)
 
 
+def test_fit_of_the_frozen_sweep_csv(tmp_path):
+    # the frozen sweep, read back by fit --sweep-csv, gives the frozen fit
+    # of the run that swept it, byte for byte
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--sweep-csv", str(FROZEN_CSV / "sweep" / "sweep.csv"),
+                   "--out-dir", str(out)) == 0
+    assert ((out / "fit.csv").read_bytes()
+            == (FROZEN_CSV / "fit" / "fit.csv").read_bytes())
+    fit = (out / "summary.txt").read_text().splitlines()[-3:]
+    assert [line.split(" = ")[0] for line in fit] == ["g0", "zeta", "rms"]
+    assert fit == (SUMMARIES / "fit.txt").read_text().splitlines()[-3:]
+
+
 def _avx512():
     """Whether numpy reports AVX-512 on this CPU."""
     try:
