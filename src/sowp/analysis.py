@@ -11,7 +11,7 @@ fitted by unweighted least squares (log-linear seed, Gauss-Newton refine).
 The sweep runs one job per pulse, whose species share one saddle pass.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,18 +66,6 @@ class BuildupTrace:
     coherence: np.ndarray       # complex rho_{3/2 1/2 1/2 1/2}
     field: np.ndarray           # F(Re t'_mu), a.u.
     final: DensityMatrix        # full-sum matrix on the same grid
-
-    def write_csv(self, fh) -> None:
-        fh.write("t_fs,element,re,im,abs,field\n")
-        rows = (("pop_j32_m32", self.pop_j32_m32),
-                ("pop_j32_m12", self.pop_j32_m12),
-                ("pop_j12_m12", self.pop_j12_m12),
-                ("coh_j32_j12_m12", self.coherence))
-        for tag, arr in rows:
-            for k in range(self.t_fs.size):
-                z = complex(arr[k])
-                fh.write(f"{self.t_fs[k]:.17g},{tag},{z.real:.17g},"
-                         f"{z.imag:.17g},{abs(z):.17g},{self.field[k]:.17g}\n")
 
 
 def buildup(pulse: Pulse, species: Species, grid: MomentumGrid = None,
@@ -296,38 +284,10 @@ def predict_g(ratio: float, fit: FitResult) -> float:
 
 
 def invert_g(g: float, fit: FitResult) -> float:
-    """Duration ratio at which the Gaussian law gives coherence g."""
+    """Duration ratio at which the Gaussian law gives coherence g; the
+    logarithms are taken apart, as g0 / g overflows for g below about
+    g0 1e-308."""
     if not 0.0 < g < fit.g0:
         raise ValueError(f"g must lie in (0, g0 = {fit.g0}), got {g}")
-    return float(np.sqrt(np.log(fit.g0 / g) / fit.zeta))
+    return float(np.sqrt((np.log(fit.g0) - np.log(g)) / fit.zeta))
 
-
-def write_sweep_csv(points, fh) -> None:
-    """One column per SweepPoint field, in field order; floats to 17 digits."""
-    fh.write(",".join(f.name for f in fields(SweepPoint)) + "\n")
-    for p in points:
-        fh.write(",".join(format(getattr(p, f.name), ".17g" if f.type is float else "")
-                          for f in fields(SweepPoint)) + "\n")
-
-
-def read_sweep_csv(fh):
-    """The SweepPoints of a write_sweep_csv file, each value read by its
-    field's type; ValueError on a wrong header, column count or value."""
-    columns = fields(SweepPoint)
-    header = fh.readline().strip().split(",")
-    if header != [f.name for f in columns]:
-        raise ValueError(f"unexpected sweep CSV header {header}")
-    points = []
-    for line in fh:
-        if not line.strip():
-            continue
-        values = line.strip().split(",")
-        if len(values) != len(columns):
-            raise ValueError(f"expected {len(columns)} columns: {line.strip()!r}")
-        points.append(SweepPoint(*(f.type(v) for f, v in zip(columns, values))))
-    return points
-
-
-def write_fit_csv(fit: FitResult, fh) -> None:
-    fh.write("g0,zeta,rms\n")
-    fh.write(f"{fit.g0:.17g},{fit.zeta:.17g},{fit.rms:.17g}\n")

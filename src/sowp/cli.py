@@ -4,9 +4,12 @@ COMMANDS maps each subcommand to its help text and its handler.  Three
 handlers serve the six commands: _one_pulse (single, evolve, buildup: one
 pulse's density matrix, g and beat signal), _sweep (sweep, fit: g versus
 pulse duration and its Gaussian-law fit) and _predict (evaluate or invert
-the law).  A handler writes its own artifacts and returns the lines of
-summary.txt below the version line, with the exit status; a handler that
-runs pulses echoes the pulse and grid first, and run() writes the file.
+the law).  A handler passes the header and rows of each of its artifacts
+to _write, the one writer of every artifact and so the one home of the
+CSV formats, and returns the lines of summary.txt below the version line,
+with the exit status; a handler that runs pulses echoes the pulse and grid
+first, and run() writes the file, through _write too.  read_sweep_csv
+reads back the sweep.csv that _sweep writes.
 
 Every option is one RunConfig field: a config-file key, and the flag of
 the same name with dashes for the commands its metadata names.  Flags
@@ -24,17 +27,17 @@ import gc
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from sowp import __version__
-from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, buildup,
-                           coherence_sweep, gaussian_fit, invert_g, predict_g,
-                           read_sweep_csv, write_fit_csv, write_sweep_csv)
+from sowp import __version__, units
+from sowp.amplitude import STATES
+from sowp.analysis import (DEFAULT_SWEEP_CYCLES, FitResult, SweepPoint, buildup,
+                           coherence_sweep, gaussian_fit, invert_g, predict_g)
 from sowp.densmat import MomentumGrid, build_density_matrix, coherence_degree
 from sowp.dynamics import signal_parameters, signal_trace
-from sowp.errors import ConfigError, NumericalError, SowpError
+from sowp.errors import CoherenceUndefinedError, ConfigError, NumericalError, SowpError
 from sowp.pulse import Pulse
 from sowp.species import (default_species_path, get_species, load_species,
                           numbered_lines, parse_key_values)
@@ -98,6 +101,20 @@ class RunConfig:
             problems.append(f"wavelength_nm must be positive, got {self.wavelength_nm}")
         if not self.intensity_wcm2 > 0:
             problems.append(f"intensity_wcm2 must be positive, got {self.intensity_wcm2}")
+        elif 0 < self.wavelength_nm < math.inf and self.intensity_wcm2 < math.inf:
+            # finite positive inputs can still overflow or underflow in the
+            # atomic units of the pulse: the first of omega, F0 and F0 / omega
+            omega = units.wavelength_to_omega(self.wavelength_nm)
+            f0 = units.intensity_to_field(self.intensity_wcm2)
+            wavelength = f"wavelength_nm = {self.wavelength_nm:g}"
+            intensity = f"intensity_wcm2 = {self.intensity_wcm2:g}"
+            problems += [f"{name} {value:g} a.u. from {inputs} is not finite and positive"
+                         for name, value, inputs in (
+                             ("carrier frequency", omega, wavelength),
+                             ("peak field", f0, intensity),
+                             ("vector-potential amplitude", f0 / omega,
+                              f"{wavelength} and {intensity}"))
+                         if not 0 < value < math.inf][:1]
         for key in ("n_energy", "n_theta", "n_phi"):
             if getattr(self, key) < 2:
                 problems.append(f"{key} must be >= 2, got {getattr(self, key)}")
@@ -244,11 +261,34 @@ def _as_config_error(context=""):
         raise ConfigError(f"{context}{exc}") from exc
 
 
-def _write(cfg: RunConfig, name: str, writer) -> None:
-    """writer(fh) on the artifact ``name`` under cfg.out_dir."""
+def _write(cfg: RunConfig, name: str, header, rows=()) -> None:
+    """The artifact ``name`` under cfg.out_dir: the ``header`` lines, then
+    one line per row of comma-joined values, each float with format .17g
+    (17 significant digits, so that it reads back as the same double) and
+    any other value by str."""
+    lines = list(header) + [",".join(format(v, ".17g") if isinstance(v, float)
+                                     else str(v) for v in row) for row in rows]
     with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        writer(fh)
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def read_sweep_csv(fh):
+    """The SweepPoints of a sweep.csv file, each value read by its
+    field's type; ValueError on a wrong header, column count or value."""
+    columns = fields(SweepPoint)
+    header = fh.readline().strip().split(",")
+    if header != [f.name for f in columns]:
+        raise ValueError(f"unexpected sweep CSV header {header}")
+    points = []
+    for line in fh:
+        if not line.strip():
+            continue
+        values = line.strip().split(",")
+        if len(values) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns: {line.strip()!r}")
+        points.append(SweepPoint(*(f.type(v) for f, v in zip(columns, values))))
+    return points
 
 
 def _pulse_lines(cfg: RunConfig, cycles: str) -> list:
@@ -273,11 +313,21 @@ def _one_pulse(cfg: RunConfig):
         f"gamma_j12 = {pulse.keldysh_gamma(species.kappa(1)):.6g}"]
     if cfg.command == "buildup":
         trace = buildup(pulse, species, grid, threads=cfg.threads)
-        _write(cfg, "buildup.csv", trace.write_csv)
+        _write(cfg, "buildup.csv", ["t_fs,element,re,im,abs,field"], [
+            (t, tag, z.real, z.imag, abs(z), f) for tag, series in zip(
+                ("pop_j32_m32", "pop_j32_m12", "pop_j12_m12", "coh_j32_j12_m12"),
+                (trace.pop_j32_m32, trace.pop_j32_m12, trace.pop_j12_m12, trace.coherence))
+            for t, z, f in zip(trace.t_fs, map(complex, series), trace.field)])
         rho = trace.final
     else:
         rho = build_density_matrix(pulse, species, grid, threads=cfg.threads)
-    _write(cfg, "densmat.csv", rho.write_csv)
+    g = math.nan    # in densmat.csv where g is undefined, which is raised below
+    with contextlib.suppress(CoherenceUndefinedError):
+        g = coherence_degree(rho)
+    _write(cfg, "densmat.csv",
+           [f"# w = {rho.w:.17g}", f"# g = {g:.17g}", "jp,mp,j,m,re,im"],
+           [(jp / 2, mp / 2, j / 2, m / 2, z.real, z.imag) for (jp, mp), row
+            in zip(STATES, rho.matrix) for (j, m), z in zip(STATES, row)])
     g = coherence_degree(rho)
     s_bar, delta_s = signal_parameters(rho)
     summary += [f"w = {rho.w:.10g}", f"g = {g:.10g}",
@@ -288,7 +338,7 @@ def _one_pulse(cfg: RunConfig):
                  else cfg.t_max_fs)
         times = np.linspace(0.0, t_max, cfg.n_samples)
         tr = signal_trace(rho, species, times, beta=cfg.beta_rad)
-        _write(cfg, "trace.csv", tr.write_csv)
+        _write(cfg, "trace.csv", ["t_fs,S"], zip(tr.t_fs, tr.values))
         summary += [f"beta_rad = {cfg.beta_rad:g}",
                     f"trace_period_fs = {tr.period_fs:.6g}"]
     return summary, 0
@@ -314,7 +364,8 @@ def _sweep(cfg: RunConfig):
             ranges = [DEFAULT_SWEEP_CYCLES[sp.name.lower()] for sp in species]
             cycles = "default (" + ", ".join(
                 f"{sp.name} {ns[0]}..{ns[-1]}" for sp, ns in zip(species, ranges)) + ")"
-        _write(cfg, "sweep.csv", lambda fh: write_sweep_csv(points, fh))
+        _write(cfg, "sweep.csv", [",".join(f.name for f in fields(SweepPoint))],
+               map(astuple, points))
         summary = _pulse_lines(cfg, cycles) + [f"sweep points = {len(points)}"]
         for name, n, exc in failures:
             summary.append(f"FAILED {name} N={n}: {exc}")
@@ -325,7 +376,7 @@ def _sweep(cfg: RunConfig):
                                  f"sweep points failed, too few left to fit")
         with _as_config_error():
             fit = gaussian_fit(points)
-        _write(cfg, "fit.csv", lambda fh: write_fit_csv(fit, fh))
+        _write(cfg, "fit.csv", ["g0,zeta,rms"], [(fit.g0, fit.zeta, fit.rms)])
         summary += [f"g0 = {fit.g0:.10g}", f"zeta = {fit.zeta:.10g}",
                     f"rms = {fit.rms:.10g}"]
         print(f"g0 = {fit.g0:.6g}  zeta = {fit.zeta:.6g}  rms = {fit.rms:.3g}")
@@ -360,8 +411,7 @@ def run(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with _one_blas_thread() if cfg.command in _PHYSICS else contextlib.nullcontext():
         summary, status = COMMANDS[cfg.command][1](cfg)
-    lines = [f"sowp {__version__} command={cfg.command}"] + summary
-    _write(cfg, "summary.txt", lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write(cfg, "summary.txt", [f"sowp {__version__} command={cfg.command}"] + summary)
     return status
 
 

@@ -140,22 +140,6 @@ class DensityMatrix:
         """Total detachment probability (trace)."""
         return float(np.trace(self.matrix).real)
 
-    def write_csv(self, fh) -> None:
-        """Header rows with w and g, then (j', m', j, m, re, im) rows."""
-        try:
-            g = coherence_degree(self)
-            gtext = f"{g:.17g}"
-        except CoherenceUndefinedError:
-            gtext = "nan"
-        fh.write(f"# w = {self.w:.17g}\n")
-        fh.write(f"# g = {gtext}\n")
-        fh.write("jp,mp,j,m,re,im\n")
-        for a, (j2p, m2p) in enumerate(STATES):
-            for b, (j2, m2) in enumerate(STATES):
-                z = self.matrix[a, b]
-                fh.write(f"{j2p/2:g},{m2p/2:g},{j2/2:g},{m2/2:g},"
-                         f"{z.real:.17g},{z.imag:.17g}\n")
-
 
 def total_probability(rho: DensityMatrix) -> float:
     """w = sum of diagonal populations; must be positive."""

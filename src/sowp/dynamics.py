@@ -75,11 +75,6 @@ class SignalTrace:
     def period_fs(self) -> float:
         return units.au_to_fs(2.0 * np.pi / self.omega_b)
 
-    def write_csv(self, fh) -> None:
-        fh.write("t_fs,S\n")
-        for t, s in zip(self.t_fs, self.values):
-            fh.write(f"{t:.17g},{s:.17g}\n")
-
 
 def signal_trace(rho: DensityMatrix, species: Species, t_fs,
                  beta: float = 0.0) -> SignalTrace:

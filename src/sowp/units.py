@@ -23,7 +23,9 @@ def wavelength_to_omega(wavelength_nm: float) -> float:
     wavelength, omega = 2 pi c / lambda."""
     if not 0 < wavelength_nm < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength_nm} nm")
-    freq_hz = SPEED_OF_LIGHT_CM_S / (wavelength_nm * 1e-7)
+    wavelength_cm = wavelength_nm * 1e-7
+    # inf where a subnormal wavelength underflows to 0 cm
+    freq_hz = SPEED_OF_LIGHT_CM_S / wavelength_cm if wavelength_cm else math.inf
     return TWO_PI * freq_hz * (AU_TIME_FS * 1e-15)
 
 

@@ -1,6 +1,7 @@
 import ctypes
 import errno
 import io
+import math
 import os
 import signal
 import time
@@ -12,8 +13,8 @@ import pytest
 import sowp.analysis as analysis
 from sowp import amplitude, cli, saddle, workers
 from sowp.analysis import (BuildupTrace, FitResult, SweepPoint, buildup,
-                           coherence_sweep, gaussian_fit, invert_g, predict_g,
-                           read_sweep_csv, write_fit_csv, write_sweep_csv)
+                           coherence_sweep, gaussian_fit, invert_g, predict_g)
+from sowp.cli import read_sweep_csv
 from sowp.densmat import (MomentumGrid, build_density_matrix, coherence_degree,
                           family, grid_nodes)
 from sowp.errors import (ConfigError, FitError, NumericalError, SaddleError,
@@ -102,6 +103,13 @@ class TestGaussianLaw:
     def test_inverse_at_one_efold(self):
         g = PAPER_FIT.g0 * np.exp(-PAPER_FIT.zeta)
         assert invert_g(g, PAPER_FIT) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [1e-300, 1e-320, 5e-324])
+    def test_inverse_of_a_tiny_g(self, g):
+        # g0 / g overflows below about g0 1e-308; the logarithms do not
+        expected = math.sqrt((math.log(PAPER_FIT.g0) - math.log(g)) / PAPER_FIT.zeta)
+        assert invert_g(g, PAPER_FIT) == pytest.approx(expected, rel=1e-15)
+        assert 25.0 < invert_g(1e-320, PAPER_FIT) < 25.5
 
     def test_round_trip(self):
         for ratio in (0.2, 0.77, 1.9):
@@ -198,11 +206,11 @@ class TestBuildup:
         expected = [ref_pulse.electric_field(units.fs_to_au(t)) for t in tr.t_fs]
         assert np.allclose(tr.field, expected, rtol=0, atol=1e-14)
 
-    def test_csv(self, ref_buildup, tmp_path):
-        path = tmp_path / "buildup.csv"
-        with open(path, "w") as fh:
-            ref_buildup["F"].write_csv(fh)
-        lines = path.read_text().splitlines()
+    def test_csv(self, ref_buildup, tmp_path, monkeypatch):
+        # buildup.csv of the reference trace, as the CLI writes it
+        monkeypatch.setattr(cli, "buildup", lambda *args, **kw: ref_buildup["F"])
+        assert cli.main(["buildup", "--species", "f", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "buildup.csv").read_text().splitlines()
         assert lines[0] == "t_fs,element,re,im,abs,field"
         assert len(lines) == 1 + 4 * ref_buildup["F"].t_fs.size
 
@@ -1026,23 +1034,29 @@ class TestChannelSplit:
 
 
 class TestCsvRoundTrips:
-    def test_sweep_csv(self):
+    def test_sweep_csv(self, tmp_path, monkeypatch):
         pts = [SweepPoint("F", 2, 4.371, 0.053, 0.88, 0.0619),
                SweepPoint("Br", 8, 17.484, 1.932, 0.0212, 0.531)]
-        buf = io.StringIO()
-        write_sweep_csv(pts, buf)
-        buf.seek(0)
-        back = read_sweep_csv(buf)
+        # sweep.csv of these points, as the CLI writes it
+        monkeypatch.setattr(cli, "coherence_sweep", lambda *args, **kw: (pts, []))
+        assert cli.main(["sweep", "--species", "f", "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", encoding="utf-8") as buf:
+            back = read_sweep_csv(buf)
         assert back == pts
 
     def test_sweep_csv_header_check(self):
         with pytest.raises(ValueError):
             read_sweep_csv(io.StringIO("a,b,c\n"))
 
-    def test_fit_csv(self):
-        buf = io.StringIO()
-        write_fit_csv(FitResult(g0=0.89, zeta=1.15, rms=0.012), buf)
-        lines = buf.getvalue().splitlines()
+    def test_fit_csv(self, tmp_path, monkeypatch):
+        # fit.csv of this fit, as the CLI writes it
+        monkeypatch.setattr(cli, "gaussian_fit",
+                            lambda points: FitResult(g0=0.89, zeta=1.15, rms=0.012))
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("species,n_cycles,tau_fwhm_fs,ratio,g,w\n")
+        assert cli.main(["fit", "--sweep-csv", str(sweep),
+                         "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fit.csv").read_text().splitlines()
         assert lines[0] == "g0,zeta,rms"
         vals = [float(x) for x in lines[1].split(",")]
         assert vals == [0.89, 1.15, 0.012]

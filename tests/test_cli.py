@@ -143,6 +143,13 @@ class TestPredictCommand:
         value = float(capsys.readouterr().out.split("=")[-1])
         assert f"{value:.3g}" == "1.12"
 
+    def test_inverse_of_a_tiny_coherence(self, tmp_path, capsys):
+        rc = run_cli("predict", "--coherence", "1e-320", "--out-dir", str(tmp_path))
+        assert rc == 0
+        assert capsys.readouterr().out == "ratio(g = 9.99989e-321) = 25.3104\n"
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert lines[-1] == "ratio = 25.31043275"
+
     @pytest.mark.parametrize("args", [
         ["--coherence", "0.5", "--zeta", "-1"],
         ["--coherence", "0.5", "--zeta", "0"],
@@ -469,6 +476,31 @@ def test_rejected_before_any_output(tmp_path, capsys, args):
     assert run_cli(*args, *FAST_GRID, "--out-dir", str(out)) == 1
     assert capsys.readouterr().err.startswith("configuration error")
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("args, key, text", [
+    (["single", "--wavelength-nm", "1e-320"], "wavelength_nm",
+     "carrier frequency inf a.u. from wavelength_nm = 9.99989e-321"),
+    (["single", "--wavelength-nm", "1e-300"], "wavelength_nm",
+     "carrier frequency inf a.u. from wavelength_nm = 1e-300"),
+    (["single", "--intensity-wcm2", "1e-320"], "intensity_wcm2",
+     "peak field 0 a.u. from intensity_wcm2 = 9.99989e-321"),
+    (["sweep", "--cycles", "2..3", "--intensity-wcm2", "1e-320"], "intensity_wcm2",
+     "peak field 0 a.u. from intensity_wcm2 = 9.99989e-321"),
+    (["single", "--wavelength-nm", "1e308", "--intensity-wcm2", "1e308"],
+     "intensity_wcm2", "vector-potential amplitude inf a.u. from "
+     "wavelength_nm = 1e+308 and intensity_wcm2 = 1e+308"),
+], ids=["wavelength-underflows", "omega-overflows", "field-underflows",
+        "sweep-field-underflows", "amplitude-overflows"])
+def test_pulse_outside_double_range_is_config_error(tmp_path, capsys, args, key, text):
+    # finite positive inputs whose pulse, in atomic units, is not finite
+    # and positive: rejected by validate, before any pulse is solved
+    out = tmp_path / "out"
+    assert run_cli(*args, "--species", "f", *FAST_GRID, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {text} is not finite and positive\n"
+    assert key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, conf", [

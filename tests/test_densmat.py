@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import os
 import platform
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 import sowp
 from scalar_oracle import channel_amplitudes, density_matrix_loop
-from sowp import amplitude, analysis, dynamics, saddle
+from sowp import amplitude, analysis, cli, dynamics, saddle
 from sowp.amplitude import STATES, SUM_ROWS, amplitude_profiles
 from sowp.analysis import buildup
 from sowp.densmat import (DensityMatrix, Gram, MomentumGrid, _gauss_legendre,
@@ -576,12 +575,19 @@ class TestFamily:
             float, float, float, complex]
 
 
+def densmat_csv(rho, out, monkeypatch):
+    """The exit status of ``sowp single`` for F with the density matrix
+    rho, and the lines of the densmat.csv it writes under ``out``."""
+    monkeypatch.setattr(cli, "build_density_matrix", lambda *args, **kw: rho)
+    status = cli.main(["single", "--species", "f", "--out-dir", str(out)])
+    return status, (out / "densmat.csv").read_text().splitlines()
+
+
 class TestCsvExport:
-    def test_round_trip_format(self, ref_rho):
+    def test_round_trip_format(self, ref_rho, tmp_path, monkeypatch):
         rho = ref_rho["F"]
-        buf = io.StringIO()
-        rho.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        status, lines = densmat_csv(rho, tmp_path, monkeypatch)
+        assert status == 0
         assert lines[0].startswith("# w = ")
         assert lines[1].startswith("# g = ")
         assert lines[2] == "jp,mp,j,m,re,im"
@@ -593,11 +599,14 @@ class TestCsvExport:
         got = complex(float(parts[4]), float(parts[5]))
         assert got == rho.matrix[0, 0]
 
-    def test_undefined_g_written_as_nan(self):
+    def test_undefined_g_written_as_nan(self, tmp_path, monkeypatch, capsys):
         mat = np.zeros((6, 6), dtype=complex)
         mat[2, 2] = 0.5
-        buf = io.StringIO()
-        DensityMatrix(mat).write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        status, lines = densmat_csv(DensityMatrix(mat), tmp_path, monkeypatch)
         assert lines[:2] == ["# w = 0.5", "# g = nan"]
         assert len(lines) == 3 + 36
+        # then the run fails on g, and writes no summary
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: coherence undefined: diagonals 5.000e-01, 0.000e+00\n")
+        assert not (tmp_path / "summary.txt").exists()

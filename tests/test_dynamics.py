@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sowp import units
+from sowp import cli, units
 from sowp.amplitude import STATES, clebsch_gordan
 from sowp.densmat import (DensityMatrix, MomentumGrid, build_density_matrix,
                           coherence_degree, family)
@@ -220,11 +220,14 @@ class TestSignalTrace:
         b = signal_trace(pure_rho, species_f, t, beta=np.pi)
         assert np.allclose(a.values + b.values, 2 * a.s_bar, rtol=0, atol=1e-14)
 
-    def test_csv(self, pure_rho, species_f, tmp_path):
+    def test_csv(self, pure_rho, species_f, tmp_path, monkeypatch):
         tr = signal_trace(pure_rho, species_f, np.linspace(0, 10, 5))
-        path = tmp_path / "trace.csv"
-        with open(path, "w") as fh:
-            tr.write_csv(fh)
-        lines = path.read_text().splitlines()
+        # trace.csv of the same trace, as the CLI writes it
+        monkeypatch.setattr(cli, "build_density_matrix", lambda *args, **kw: pure_rho)
+        assert cli.main(["evolve", "--species", "f", "--t-max-fs", "10",
+                         "--n-samples", "5", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "t_fs,S"
         assert len(lines) == 6
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == list(
+            zip(tr.t_fs, tr.values))
