@@ -290,4 +290,3 @@ def invert_g(g: float, fit: FitResult) -> float:
     if not 0.0 < g < fit.g0:
         raise ValueError(f"g must lie in (0, g0 = {fit.g0}), got {g}")
     return float(np.sqrt((np.log(fit.g0) - np.log(g)) / fit.zeta))
-

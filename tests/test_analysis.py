@@ -109,7 +109,6 @@ class TestGaussianLaw:
         # g0 / g overflows below about g0 1e-308; the logarithms do not
         expected = math.sqrt((math.log(PAPER_FIT.g0) - math.log(g)) / PAPER_FIT.zeta)
         assert invert_g(g, PAPER_FIT) == pytest.approx(expected, rel=1e-15)
-        assert 25.0 < invert_g(1e-320, PAPER_FIT) < 25.5
 
     def test_round_trip(self):
         for ratio in (0.2, 0.77, 1.9):
