@@ -30,7 +30,7 @@ import numpy as np
 from sowp.pulse import Pulse, expi
 from sowp.saddle import _action_coefficients, saddle_batch
 from sowp.species import Species
-from sowp.workers import Forks, forkable
+from sowp.workers import Forks, _one_blas_thread, forkable
 
 Y10_COEF = sqrt(3.0 / (4.0 * pi))
 Y11_COEF = sqrt(3.0 / (8.0 * pi))
@@ -81,6 +81,7 @@ def _channel_coefficients() -> np.ndarray:
 CHANNEL_COEF = _channel_coefficients()
 
 
+@_one_blas_thread()
 def amplitude_profiles(pulse: Pulse, species, pz, pperp,
                        cumulative: bool = False, consume=None, threads: int = 1):
     """The four saddle sums of SUM_ROWS at phi = 0 of one Species, or of
@@ -129,6 +130,11 @@ def amplitude_profiles(pulse: Pulse, species, pz, pperp,
     failing one on reaches the consumer.  The worker's outcome, None or its exception,
     and its warnings come back through ``Forks.results``; RuntimeError,
     naming the worker's channel energies, if it ends without its outcome.
+
+    Every pass runs on one OpenBLAS thread (``sowp.workers._one_blas_thread``):
+    the thread count is set to 1 on entry, so the worker of a split,
+    forked inside the pass, has 1 too, and the caller's count comes back
+    on return or on an exception.
     """
     group = (species,) if isinstance(species, Species) else tuple(species)
     pz = np.atleast_1d(np.asarray(pz, dtype=float))

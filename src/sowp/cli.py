@@ -41,7 +41,6 @@ from sowp.errors import CoherenceUndefinedError, ConfigError, NumericalError, So
 from sowp.pulse import Pulse
 from sowp.species import (default_species_path, get_species, load_species,
                           numbered_lines, parse_key_values)
-from sowp.workers import _one_blas_thread
 
 _PHYSICS = ("single", "evolve", "buildup", "sweep", "fit")
 SINGLE_CYCLES = "8"   # N when cycles is None, except for sweep and fit
@@ -406,11 +405,11 @@ COMMANDS = {"single": ("density matrix and coherence for one pulse", _one_pulse)
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the exit status.  A command that
-    runs pulses runs on one OpenBLAS thread (_one_blas_thread)."""
+    """Execute a validated config; returns the exit status.  The thread
+    policy is not the CLI's: each saddle-sum pass holds OpenBLAS on one
+    thread itself (``sowp.amplitude.amplitude_profiles``)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with _one_blas_thread() if cfg.command in _PHYSICS else contextlib.nullcontext():
-        summary, status = COMMANDS[cfg.command][1](cfg)
+    summary, status = COMMANDS[cfg.command][1](cfg)
     _write(cfg, "summary.txt", [f"sowp {__version__} command={cfg.command}"] + summary)
     return status
 

@@ -288,15 +288,17 @@ def _newton(pulse: Pulse, e_bound: float, t, pz, pperp2, work):
     if not np.shares_memory(t, tk):
         tk[...] = t
     for it in range(NEWTON_ITERATIONS + 1):
-        evaluated, f = _evaluated(pulse, e_bound, tk, pz, pperp2, out=(*fields, x1, x2))
-        residual = np.abs(f, out=residual)
-        going = ~(residual <= NEWTON_STOP_TOL).all(axis=(-2, -1), keepdims=True)
-        if it == NEWTON_ITERATIONS or not going.any():
-            return _sorted_by_real(*evaluated, residual)
-        fp = np.multiply(evaluated[-1], pulse.vector_potential_derivative(
-            tk, phasors=evaluated[1:5], out=(d, x1, x2)), out=d)
-        # dt = -f / fp (0 where fp = 0), scaled down to at most step_cap
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an S' that overflows gives a nan or inf |S'|, which the residual
+        # contract judges and reports, so numpy need not warn of it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            evaluated, f = _evaluated(pulse, e_bound, tk, pz, pperp2, out=(*fields, x1, x2))
+            residual = np.abs(f, out=residual)
+            going = ~(residual <= NEWTON_STOP_TOL).all(axis=(-2, -1), keepdims=True)
+            if it == NEWTON_ITERATIONS or not going.any():
+                return _sorted_by_real(*evaluated, residual)
+            fp = np.multiply(evaluated[-1], pulse.vector_potential_derivative(
+                tk, phasors=evaluated[1:5], out=(d, x1, x2)), out=d)
+            # dt = -f / fp (0 where fp = 0), scaled down to at most step_cap
             dt = np.divide(np.negative(f, out=f), fp, out=f)
             dt[fp == 0] = 0.0
             scale = np.minimum(np.divide(step_cap, np.abs(dt, out=mag), out=mag),

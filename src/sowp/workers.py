@@ -23,6 +23,11 @@ A worker exchanges nothing else with this process through ``Forks``; a
 path that needs more (the channel split's rows, block by block) keeps its
 own pipe, and a worker that writes one must close it before work()
 returns, as the value may fill its pipe and wait for this process.
+
+``Forks`` sets no thread policy.  The one such policy of the package,
+OpenBLAS on one thread (``_one_blas_thread``), is the saddle-sum pass's:
+``sowp.amplitude.amplitude_profiles`` holds it over every pass, in
+whatever process runs the pass, and a worker forked inside a pass keeps it.
 """
 
 import contextlib
@@ -42,8 +47,10 @@ _OPENBLAS_THREADS = [f"{prefix}_{{}}_num_threads{suffix}"
 def _one_blas_thread():
     """Each OpenBLAS mapped into this process (as /proc/self/maps lists it)
     on one thread inside the block, and on its own count again after it;
-    nothing changes where none is found.  Its idle threads spin, so
-    processes that each keep several would take turns on the cores."""
+    nothing changes where none is found, and the counts come back however
+    the block ends.  Its idle threads spin, so processes that each keep
+    several would take turns on the cores.  A function decorated with it
+    runs so on each call."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
@@ -91,28 +98,22 @@ def _blocked():
 
 class Forks:
     """A with block whose processes are forked by ``start`` (see the
-    module docstring).  OpenBLAS runs on one thread in this process and in
-    every worker until the block ends (_one_blas_thread).  On leaving it,
-    each worker that ``results`` has not reaped is killed and reaped: it
-    is still running only if the block raised before reading it."""
+    module docstring).  On leaving it, each worker that ``results`` has
+    not reaped is killed and reaped: it is still running only if the block
+    raised before reading it."""
 
     def __init__(self):
         self._workers = []      # (pid, the read end of its pipe, failure), not yet reaped
-        self._blas = _one_blas_thread()
 
     def __enter__(self):
-        self._blas.__enter__()
         return self
 
     def __exit__(self, kind, value, traceback):
-        try:
-            for pid, _, _ in self._workers:
-                os.kill(pid, signal.SIGKILL)
-            for pid, pipe, _ in self._workers:
-                pipe.close()
-                os.waitpid(pid, 0)
-        finally:
-            self._blas.__exit__(None, None, None)
+        for pid, _, _ in self._workers:
+            os.kill(pid, signal.SIGKILL)
+        for pid, pipe, _ in self._workers:
+            pipe.close()
+            os.waitpid(pid, 0)
 
     def start(self, work, failure: str) -> None:
         """Fork a worker that runs work() and sends back its value and

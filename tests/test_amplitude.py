@@ -8,7 +8,7 @@ from scalar_oracle import (action, alternating_sign, amplitude_set,
                            channel_amplitudes, complex_sph_harmonic,
                            detachment_amplitude)
 from sowp import amplitude, analysis, densmat, saddle
-from sowp.amplitude import CHANNELS, amplitude_profiles, clebsch_gordan
+from sowp.amplitude import CHANNELS, SUM_ROWS, amplitude_profiles, clebsch_gordan
 from sowp.analysis import buildup
 from sowp.errors import DegenerateSaddleError, SaddleError
 from sowp.pulse import Pulse, expi
@@ -436,6 +436,30 @@ class TestStreamedFinalPass:
         with pytest.raises(DegenerateSaddleError) as streamed:
             amplitude_profiles(ref_pulse, species_f, pz, pperp)
         assert str(streamed.value) == str(info.value)
+
+
+def test_sums_jump_across_pz_0_by_the_edge_saddle(species_f):
+    # F at 1800 nm, N = 2, on one polar line (|p| = 0.186 a.u.): as p_z
+    # crosses 0, the saddle at Re t = 0 leaves the strip and its image one
+    # pulse later, whose term is its term times exp(i S_tau), enters it.
+    # So the sums at p_z = +-eps differ by the edge term times
+    # (1 - exp(i S_tau)), and by their smooth change over 2 eps, which
+    # scales with eps: 5.5e-6 of the jump at eps = 1e-10, as measured
+    pulse = Pulse.from_lab(1800.0, 2, 1.3e13)
+    eps, r = 1e-10, MomentumGrid.build(pulse.omega, 100, 64).p_nodes[30]
+    pz = np.array([eps, -eps])
+    pperp = np.sqrt(r * r - pz * pz)
+    t = saddle_batch(pulse, species_f.e_bound(3), pz, pperp * pperp).t
+    assert abs(t[0, 0].real) < 1e-6 * pulse.tau_p
+    assert abs(t[1, -1].real - pulse.tau_p) < 1e-6 * pulse.tau_p
+    partial = amplitude_profiles(pulse, species_f, pz, pperp, cumulative=True)
+    jump = partial[:, 0, -1] - partial[:, 1, -1]
+    energy = np.array([species_f.e_bound(j2) for j2, _ in SUM_ROWS])
+    s_tau = (0.5 * r * r - energy + saddle._action_coefficients(pulse)[0]) * pulse.tau_p
+    edge = partial[:, 0, 0]     # the first saddle by Re t at +eps
+    # a jump, far above a smooth change over 2 eps
+    assert (np.abs(jump) > 1e-3 * np.abs(partial[:, 0, -1])).all()
+    np.testing.assert_allclose(jump, edge * (1 - np.exp(1j * s_tau)), rtol=5e-5)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 6), (0, 7), (4, 0)])

@@ -214,9 +214,10 @@ class TestBuildup:
         assert len(lines) == 1 + 4 * ref_buildup["F"].t_fs.size
 
 
-def openblas_threads():
-    """The thread count of the first OpenBLAS mapped into this process, or
-    None if there is none (or no /proc/self/maps to find it by)."""
+def openblas_function(kind):
+    """The ``kind`` ("get" or "set") thread-count function of the first
+    OpenBLAS mapped into this process, or None if there is none (or no
+    /proc/self/maps to find it by)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
@@ -225,9 +226,41 @@ def openblas_threads():
         return None
     for lib in map(ctypes.CDLL, paths):
         for name in workers._OPENBLAS_THREADS:
-            if hasattr(lib, name.format("get")):
-                return getattr(lib, name.format("get"))()
+            if hasattr(lib, name.format(kind)):
+                return getattr(lib, name.format(kind))
     return None
+
+
+def openblas_threads():
+    """The thread count of the first OpenBLAS mapped into this process, or
+    None if there is none."""
+    get = openblas_function("get")
+    return None if get is None else get()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS on two threads in the test, so that a pass that keeps one
+    shows, and on its own count again after it."""
+    get, put = openblas_function("get"), openblas_function("set")
+    if get is None:
+        pytest.skip("no OpenBLAS in this process")
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+def probe_blas_threads(monkeypatch, journal):
+    """Each ``saddle_batch`` call of a pass appends (pid, OpenBLAS threads)
+    to ``journal``, from whatever process makes it."""
+    real = amplitude.saddle_batch
+
+    def probe(*args, **kw):
+        journal.append(os.getpid(), openblas_threads())
+        return real(*args, **kw)
+
+    monkeypatch.setattr(amplitude, "saddle_batch", probe)
 
 
 class Journal:
@@ -376,29 +409,47 @@ class TestCoherenceSweep:
         assert [p.n_cycles for p in points] == [2, 3, 4]
 
     def test_processes_run_one_blas_thread(self, species_f, monkeypatch, journal,
-                                           tmp_path):
-        # idle OpenBLAS threads spin: every sweep process keeps one, and this
-        # one gets its own count back; the CLI keeps one for every command
-        # that runs pulses, a sweep on one process too
-        before = openblas_threads()
-        if before is None:
-            pytest.skip("no OpenBLAS in this process")
-
-        def recording(group, lam, intensity, n, grid):
-            journal.append(os.getpid(), openblas_threads())
-            return [SweepPoint(sp.name, n, 1.0, 0.1, 0.5, 0.01) for sp in group]
-
-        monkeypatch.setattr(analysis, "_sweep_pulse", recording)
-        coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4], threads=2)
+                                           tmp_path, two_blas_threads):
+        # idle OpenBLAS threads spin: every pass keeps one, in each sweep
+        # process, and this one gets its own count back; so does a sweep
+        # from the CLI, on one process too
+        probe_blas_threads(monkeypatch, journal)
+        coherence_sweep([species_f], 1800.0, 1.3e13, cycles=[2, 3, 4], threads=2,
+                        n_energy=8, n_theta=3)
         ran = journal.read()
         assert len({pid for pid, _ in ran}) == 2
         assert [threads for _, threads in ran] == ["1"] * 3
-        assert openblas_threads() == before
+        assert openblas_threads() == 2
         journal.clear()
         assert cli.main(["sweep", "--species", "f", "--cycles", "2..3",
-                         "--threads", "1", "--out-dir", str(tmp_path / "out")]) == 0
+                         "--n-energy", "8", "--n-theta", "3", "--threads", "1",
+                         "--out-dir", str(tmp_path / "out")]) == 0
         assert journal.read() == [(str(os.getpid()), "1")] * 2
-        assert openblas_threads() == before
+        assert openblas_threads() == 2
+
+    def test_library_pass_runs_one_blas_thread(self, ref_pulse, species_f, monkeypatch,
+                                               journal, two_blas_threads):
+        # the pass keeps one thread wherever it is called from, not only
+        # under the CLI or in a forked worker
+        probe_blas_threads(monkeypatch, journal)
+        build_density_matrix(ref_pulse, species_f, MomentumGrid.build(ref_pulse.omega, 8, 3),
+                             threads=1)
+        assert journal.read() == [(str(os.getpid()), "1")]
+        assert openblas_threads() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pass_that_raises_gives_the_count_back(self, ref_pulse, species_f,
+                                                   two_blas_threads, threads):
+        seen = []
+
+        def consume(nodes, rows):
+            seen.append(openblas_threads())
+            raise KeyError("consumer")
+
+        with pytest.raises(KeyError, match="consumer"):
+            amplitude.amplitude_profiles(ref_pulse, species_f, [0.1, 0.2], [0.3, 0.4],
+                                         consume=consume, threads=threads)
+        assert seen == [1] and openblas_threads() == 2
 
     def test_processes_keep_the_signal_mask(self, species_f, monkeypatch, journal):
         # a worker is forked with every signal blocked and unblocks them in

@@ -164,10 +164,11 @@ class TestPredictCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "summary.txt").exists()
 
-    def test_out_of_domain_is_numerical_exit(self, tmp_path, capsys):
+    def test_out_of_domain_is_config_error(self, tmp_path, capsys):
         rc = run_cli("predict", "--coherence", "0.95", "--out-dir", str(tmp_path))
-        assert rc == 1 or rc == 2  # domain error surfaces as an error exit
-        assert rc != 0
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "configuration error: g must lie in (0, g0 = 0.89), got 0.95\n"
 
 
 class TestSingleCommand:
@@ -501,6 +502,21 @@ def test_pulse_outside_double_range_is_config_error(tmp_path, capsys, args, key,
     assert err == f"configuration error: {text} is not finite and positive\n"
     assert key in err
     assert not out.exists()
+
+
+def test_newton_overflow_is_one_numerical_failure_line(tmp_path):
+    # at 1e300 nm S' overflows in Newton: the residual contract reports it
+    # on the one line of a numerical failure, with no numpy warning before
+    # it, in a fresh process with Python's default warning filters
+    done = fresh_python("-m", "sowp.cli", "single", "--species", "f",
+                        "--wavelength-nm", "1e300", "--n-energy", "8", "--n-theta", "4",
+                        "--n-phi", "2", "--out-dir", str(tmp_path / "out"))
+    assert done.returncode == 2
+    line, = done.stderr.splitlines(keepends=True)
+    assert line.startswith("numerical failure: saddle residual nan exceeds 1e-10; "
+                           "grid or intensity outside the validated regime at p_z = ")
+    assert line.endswith(", e_bound = -0.1249918 (32 of 32 points)\n")
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 @pytest.mark.parametrize("args, conf", [
